@@ -1,7 +1,7 @@
 """Gallery of pole orders and integration verdicts across the model zoo.
 
-Prints one row per model: pole order at z = 1, whether the structural,
-ascent, and norm-threshold routes agree, and which integration class the
+Prints one row per model: pole order at z = 1, whether the structural
+(rank) and Jordan-ascent routes agree, and which integration class the
 closed-form checks certify.  Planted Jordan models (known block sizes)
 double as ground truth for the order column.
 

@@ -37,7 +37,6 @@ from .laurent import (
     NoUnitRoot,
     PoleOrderReport,
     circle_coefficients,
-    contour_coefficient,
     contour_coefficients,
     essential_from_sweep,
     expansion,

@@ -3,23 +3,27 @@
 Exit codes are fixed for scriptability:
 
   0  success
-  1  malformed input (bad flags, unreadable model file, bad values)
+  1  malformed input: an unknown flag or a flag the subcommand does not
+     take, a value out of range, an unreadable model file, or a --radius
+     too wide for the model's spectrum
   2  the model has no usable unit root (assumption failure)
   3  represent: the pole is neither order one nor order two
   4  verify: an invariant failed (the failing invariant is named on stderr)
 
-Reports are JSON with sorted keys and fixed separators, so a fixed
-(model, seed, flags) combination produces byte-identical output.  The
-env var GRJ_DEFAULT_TOL supplies the default residual tolerance; the
---tol flag overrides it per run.
+Each subcommand accepts only the flags it reads, and every value is
+range-checked while the arguments are parsed, so bad input ends in one
+line on stderr.  Reports are JSON with sorted keys and fixed separators,
+so a fixed (model, seed, flags) combination produces byte-identical
+output.  The env var GRJ_DEFAULT_TOL supplies the default residual
+tolerance; the --tol flag overrides it per run.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +36,13 @@ from .grj import (
     check_i2,
     i1_components,
     i2_components,
-    taylor_h_coefficients,
+    taylor_h_gap,
 )
 from .laurent import (
+    MAX_NODES,
+    MIN_NODES,
+    ContourTooWide,
     NoUnitRoot,
-    contour_coefficients,
     essential_from_sweep,
     expansion,
     pole_order,
@@ -72,158 +78,145 @@ class _CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which would collide with the
-    # no-unit-root code; remap all malformed input to 1.
+    # no-unit-root code; remap all malformed input to 1, on one line.
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(_EXIT_BAD_INPUT)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None = None
-    model_path: str | None = None
-    n: int | None = None
-    lam: float = 0.5
-    blocks: int | None = None
-    seed: int = 0
-    tol: Tolerance = field(default_factory=lambda: Tolerance())
-    radius: float | None = None
-    nodes: int = 256
-    horizon: int = 300
-    j_max: int = 40
-    out: str | None = None
-    threads: int = 1
-    sweep: tuple | None = None
-    path: str | None = None
-    replications: int = 200
+# -- argument types: each rejects an out-of-range value at parse time -------
+
+def _int_at_least(low: int, high: int | None = None):
+    bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {raw!r}")
+        return value
+    return parse
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("GRJ_DEFAULT_TOL", "")
-    if not raw:
-        return 1e-8
+def _positive_float(raw: str) -> float:
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise _CliError(f"GRJ_DEFAULT_TOL is not a number: {raw!r}") from exc
-    if value <= 0:
-        raise _CliError("GRJ_DEFAULT_TOL must be positive")
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {raw!r}")
     return value
 
 
-def _parse_sweep(raw: str) -> tuple:
+def _tolerance(raw: str) -> Tolerance:
     try:
-        dims = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise _CliError(f"bad sweep list {raw!r}; expected e.g. 4,8,16") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise _CliError("sweep dimensions must be positive integers")
+        return Tolerance(residual_abs=_positive_float(raw))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (from --tol or GRJ_DEFAULT_TOL)") from exc
+
+
+def _int_list(raw: str) -> tuple:
+    """Comma list of positive integers, e.g. 4,8,16."""
+    try:
+        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of positive integers such as 4,8,16, got {raw!r}")
+    return values
+
+
+def _dims(raw: str) -> tuple:
+    dims = _int_list(raw)
+    if len(set(dims)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"a sweep needs at least two different dimensions, got {raw!r}")
     return dims
 
 
-def _add_common(sub):
-    sub.add_argument("name", nargs="?", default=None,
-                     help="built-in model name (see the examples command)")
-    sub.add_argument("--model", default=None, help="path to a model JSON file")
-    sub.add_argument("--n", type=int, default=None, help="truncation dimension")
-    sub.add_argument("--lam", type=float, default=0.5,
-                     help="decay parameter for ex-c0")
-    sub.add_argument("--blocks", type=int, default=None,
-                     help="unit-root block count for ex-jordan")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=None,
-                     help="residual tolerance (default GRJ_DEFAULT_TOL or 1e-8)")
-    sub.add_argument("--radius", type=float, default=None,
-                     help="contour radius override")
-    sub.add_argument("--nodes", type=int, default=256,
-                     help="starting quadrature node count")
-    sub.add_argument("--horizon", type=int, default=300)
-    sub.add_argument("--jmax", type=int, default=40, dest="jmax",
-                     help="stationary-sum truncation order")
-    sub.add_argument("--out", default=None, help="write the report here")
-    sub.add_argument("--threads", type=int, default=1)
+_POSITIVE_INT = _int_at_least(1)
+
+
+def _flag_specs() -> dict:
+    """add_argument keywords of every flag; each default lives only here."""
+    return {
+        "--model": dict(default=None, help="path to a model JSON file"),
+        "--n": dict(type=_POSITIVE_INT, default=None, help="truncation dimension"),
+        "--lam": dict(type=float, default=0.5, help="decay parameter for ex-c0"),
+        "--blocks": dict(type=_int_list, default=None,
+                         help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
+        "--seed": dict(type=int, default=0),
+        "--tol": dict(type=_tolerance, default=os.environ.get("GRJ_DEFAULT_TOL") or "1e-8",
+                      help="residual tolerance (default GRJ_DEFAULT_TOL or 1e-8)"),
+        "--horizon": dict(type=_POSITIVE_INT, default=300),
+        "--jmax": dict(type=_int_at_least(0), default=40,
+                       help="stationary-sum truncation order"),
+        "--radius": dict(type=_positive_float, default=None,
+                         help="contour radius override"),
+        "--nodes": dict(type=_int_at_least(MIN_NODES, MAX_NODES), default=256,
+                        help="starting quadrature node count"),
+        "--path": dict(default=None,
+                       help="stored CSV path to check byte-for-byte determinism"),
+        "--dims": dict(type=_dims, default="4,8,16",
+                       help="comma list of truncation dimensions"),
+        "--out": dict(default=None, help="write the report here"),
+    }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="grj", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_analyze = subs.add_parser("analyze", help="spectrum, pole order, class verdicts")
-    _add_common(p_analyze)
-    p_analyze.add_argument("--sweep", default=None,
-                           help="comma list of truncation dimensions, e.g. 4,8,16")
-
-    p_rep = subs.add_parser("represent", help="long-run operators and h-coefficients")
-    _add_common(p_rep)
-
-    p_sim = subs.add_parser("simulate", help="simulate one path to CSV")
-    _add_common(p_sim)
-
-    p_ver = subs.add_parser("verify", help="run the invariant suite for a model")
-    _add_common(p_ver)
-    p_ver.add_argument("--path", default=None,
-                       help="stored CSV path to check byte-for-byte determinism")
-
-    p_sweep = subs.add_parser("sweep", help="pole order across truncation dimensions")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--dims", default="4,8,16",
-                         help="comma list of truncation dimensions")
-
-    subs.add_parser("examples", help="list built-in models")
+    specs = _flag_specs()
+    for command, (_, about, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=about)
+        if flags:
+            # a name, or --model PATH where the subcommand takes one
+            optional = dict(nargs="?", default=None) if "--model" in flags else {}
+            sub.add_argument("name", help="built-in model name (see the examples command)",
+                             **optional)
+        for flag in flags:
+            sub.add_argument(flag, **specs[flag])
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    tol_value = args.tol if getattr(args, "tol", None) is not None else _default_tol()
-    sweep = None
-    if getattr(args, "sweep", None):
-        sweep = _parse_sweep(args.sweep)
-    if getattr(args, "dims", None) and args.command == "sweep":
-        sweep = _parse_sweep(args.dims)
-    return RunConfig(
-        command=args.command,
-        model=getattr(args, "name", None),
-        model_path=getattr(args, "model", None),
-        n=getattr(args, "n", None),
-        lam=getattr(args, "lam", 0.5),
-        blocks=getattr(args, "blocks", None),
-        seed=getattr(args, "seed", 0),
-        tol=Tolerance(residual_abs=tol_value),
-        radius=getattr(args, "radius", None),
-        nodes=getattr(args, "nodes", 256),
-        horizon=getattr(args, "horizon", 300),
-        j_max=getattr(args, "jmax", 40),
-        out=getattr(args, "out", None),
-        threads=getattr(args, "threads", 1),
-        sweep=sweep,
-        path=getattr(args, "path", None),
-    )
+def _build_example(args, n):
+    try:
+        return models.build_example(args.name, n=n, lam=args.lam,
+                                    seed=args.seed, blocks=args.blocks)
+    except KeyError as exc:
+        raise _CliError(str(exc.args[0])) from exc
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
-def _load_model(cfg: RunConfig):
+def _load_model(args):
     """Returns (ArPencil, model_id, info dict)."""
-    if cfg.model and cfg.model_path:
+    if args.name and args.model:
         raise _CliError("give either a built-in name or --model PATH, not both")
-    if cfg.model:
+    if args.name:
+        ar, info = _build_example(args, args.n)
+        return ar, args.name, info
+    if args.model:
         try:
-            ar, info = models.build_example(cfg.model, n=cfg.n, lam=cfg.lam,
-                                            seed=cfg.seed, blocks=cfg.blocks)
-        except KeyError as exc:
-            raise _CliError(str(exc.args[0])) from exc
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-        return ar, cfg.model, info
-    if cfg.model_path:
-        try:
-            ar = ArPencil.load(cfg.model_path)
+            ar = ArPencil.load(args.model)
         except FileNotFoundError as exc:
-            raise _CliError(f"model file not found: {cfg.model_path}") from exc
+            raise _CliError(f"model file not found: {args.model}") from exc
         except (ValueError, KeyError, TypeError) as exc:
-            raise _CliError(f"bad model file {cfg.model_path}: {exc}") from exc
-        return ar, os.path.basename(cfg.model_path), {}
+            raise _CliError(f"bad model file {args.model}: {exc}") from exc
+        return ar, os.path.basename(args.model), {}
     raise _CliError("a model is required: built-in name or --model PATH")
+
+
+def _simulate(ar, horizon, seed, model_id):
+    """simulate_ar with unit innovation covariance; a model the simulator
+    cannot take (complex coefficients) is bad input."""
+    try:
+        return simulate_ar(ar, np.eye(ar.dim), horizon, seed, model_id=model_id)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _emit(report: dict, out: str | None):
@@ -235,73 +228,59 @@ def _emit(report: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _sweep_points(cfg: RunConfig, dims) -> dict:
-    points = []
-    orders = []
-    for n in dims:
-        ar, _, _ = _load_model(RunConfig(command=cfg.command, model=cfg.model,
-                                         model_path=None, n=n, lam=cfg.lam,
-                                         blocks=cfg.blocks, seed=cfg.seed,
-                                         tol=cfg.tol))
-        report = pole_order(linearize(ar), tol=cfg.tol)
-        orders.append(report.order)
-        points.append({"n": int(n), "order": report.order,
-                       "nilpotency_index": report.nilpotency_index})
-    return {"points": points,
-            "essential_flag": essential_from_sweep(list(dims), orders)}
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
-    ar, model_id, info = _load_model(cfg)
+def cmd_analyze(args) -> int:
+    ar, model_id, info = _load_model(args)
     cp = linearize(ar)
-    spectrum = spectrum_report(cp, tol=cfg.tol)
+    spectrum = spectrum_report(cp, tol=args.tol)
     report = {"model": model_id, "info": info, "spectrum": spectrum.to_json()}
     if not (spectrum.unit_root_present and spectrum.unit_root_ok):
         report["verdict"] = "no usable unit root"
-        _emit(report, cfg.out)
+        _emit(report, args.out)
         sys.stderr.write("grj analyze: no usable unit root at z=1\n")
         return _EXIT_NO_UNIT_ROOT
-    pole = pole_order(cp, tol=cfg.tol, spectrum=spectrum)
-    i1 = check_i1(cp, tol=cfg.tol)
-    i2 = check_i2(cp, tol=cfg.tol)
+    pole = pole_order(cp, tol=args.tol, spectrum=spectrum)
+    i1 = check_i1(cp, tol=args.tol)
+    i2 = check_i2(cp, tol=args.tol)
     m = cp.identity() - cp.a1
     report.update({
         "pole_order": pole.to_json(),
         "i1": i1.to_json(),
         "i2": i2.to_json(),
-        "unit_kernel": subspace_to_json(kernel_basis(m, cfg.tol)),
-        "unit_range": subspace_to_json(range_basis(m, cfg.tol)),
+        "unit_kernel": subspace_to_json(kernel_basis(m, args.tol)),
+        "unit_range": subspace_to_json(range_basis(m, args.tol)),
         "verdict": (f"pole order {pole.order}, "
                     f"I(1) {'holds' if i1.holds else 'fails'}, "
                     f"I(2) {'holds' if i2.holds else 'fails'}"),
     })
-    if cfg.sweep:
-        if not cfg.model:
-            raise _CliError("--sweep needs a built-in model with an --n parameter")
-        report["sweep"] = _sweep_points(cfg, cfg.sweep)
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return _EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.model:
-        raise _CliError("sweep needs a built-in model name with an --n parameter")
-    dims = cfg.sweep or (4, 8, 16)
-    report = {"model": cfg.model, "sweep": _sweep_points(cfg, dims)}
-    _emit(report, cfg.out)
+def cmd_sweep(args) -> int:
+    points = []
+    orders = []
+    for n in args.dims:
+        ar, _ = _build_example(args, n)
+        report = pole_order(linearize(ar), tol=args.tol)
+        orders.append(report.order)
+        points.append({"n": int(n), "order": report.order,
+                       "nilpotency_index": report.nilpotency_index})
+    sweep = {"points": points,
+             "essential_flag": essential_from_sweep(list(args.dims), orders)}
+    _emit({"model": args.name, "sweep": sweep}, args.out)
     return _EXIT_OK
 
 
-def cmd_represent(cfg: RunConfig) -> int:
-    ar, model_id, _ = _load_model(cfg)
+def cmd_represent(args) -> int:
+    ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
-    spectrum = spectrum_report(cp, tol=cfg.tol)
+    spectrum = spectrum_report(cp, tol=args.tol)
     if not (spectrum.unit_root_present and spectrum.unit_root_ok):
         sys.stderr.write("grj represent: no usable unit root at z=1\n")
         return _EXIT_NO_UNIT_ROOT
     report = {"model": model_id}
     try:
-        i1 = i1_components(cp, cfg.j_max, tol=cfg.tol)
+        i1 = i1_components(cp, args.jmax, tol=args.tol)
     except NotI1:
         i1 = None
     if i1 is not None:
@@ -313,15 +292,15 @@ def cmd_represent(cfg: RunConfig) -> int:
             "long_run": matrix_to_json(long_run),
             "p_operator": matrix_to_json(np.asarray(i1.p_operator)),
             "h_coeffs": [matrix_to_json(np.asarray(h)) for h in i1.h_coeffs],
-            "cointegrating": subspace_to_json(kernel_basis(long_run.T, cfg.tol)),
-            "attractor": subspace_to_json(range_basis(long_run, cfg.tol)),
+            "cointegrating": subspace_to_json(kernel_basis(long_run.T, args.tol)),
+            "attractor": subspace_to_json(range_basis(long_run, args.tol)),
             "bn": bn.to_json(),
             "cross_check_residual": float(i1.cross_check_residual),
         })
-        _emit(report, cfg.out)
+        _emit(report, args.out)
         return _EXIT_OK
     try:
-        i2 = i2_components(cp, cfg.j_max, tol=cfg.tol)
+        i2 = i2_components(cp, args.jmax, tol=args.tol)
     except NotI2:
         sys.stderr.write("grj represent: pole at z=1 is neither order one nor "
                          "order two\n")
@@ -336,21 +315,20 @@ def cmd_represent(cfg: RunConfig) -> int:
         "n_minus2": matrix_to_json(np.asarray(i2.n_minus2)),
         "p_operator": matrix_to_json(np.asarray(i2.p_op)),
         "h_coeffs": [matrix_to_json(np.asarray(h)) for h in i2.h_coeffs],
-        "tier1_annihilators": subspace_to_json(kernel_basis(lr2.T, cfg.tol)),
+        "tier1_annihilators": subspace_to_json(kernel_basis(lr2.T, args.tol)),
         "tier2_annihilators": subspace_to_json(
-            kernel_basis(np.vstack([lr2.T, p_load.T]), cfg.tol)),
+            kernel_basis(np.vstack([lr2.T, p_load.T]), args.tol)),
         "cross_check_residual": float(i2.cross_check_residual),
     })
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return _EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    ar, model_id, _ = _load_model(cfg)
-    cov = np.eye(ar.dim)
-    path = simulate_ar(ar, cov, cfg.horizon, cfg.seed, model_id=model_id)
-    if cfg.out:
-        path.save_csv(cfg.out)
+def cmd_simulate(args) -> int:
+    ar, model_id, _ = _load_model(args)
+    path = _simulate(ar, args.horizon, args.seed, model_id)
+    if args.out:
+        path.save_csv(args.out)
     else:
         sys.stdout.write(path.to_csv_text())
     return _EXIT_OK
@@ -360,29 +338,29 @@ def _check(results: list, name: str, ok: bool, detail):
     results.append({"name": name, "ok": bool(ok), "detail": detail})
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    ar, model_id, _ = _load_model(cfg)
+def cmd_verify(args) -> int:
+    ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
-    spectrum = spectrum_report(cp, tol=cfg.tol)
+    spectrum = spectrum_report(cp, tol=args.tol)
     if not (spectrum.unit_root_present and spectrum.unit_root_ok):
         sys.stderr.write("grj verify: no usable unit root at z=1\n")
         return _EXIT_NO_UNIT_ROOT
-    tol = cfg.tol
+    tol = args.tol
     results: list = []
     cov = np.eye(ar.dim)
 
     # determinism: same seed twice is byte-identical; a stored path must
     # match a fresh simulation under the same settings.
-    path = simulate_ar(ar, cov, cfg.horizon, cfg.seed, model_id=model_id)
-    again = simulate_ar(ar, cov, cfg.horizon, cfg.seed, model_id=model_id)
+    path = _simulate(ar, args.horizon, args.seed, model_id)
+    again = _simulate(ar, args.horizon, args.seed, model_id)
     ok = path.to_csv_text() == again.to_csv_text()
     detail = "regenerated path matches" if ok else "same seed gave different bytes"
-    if ok and cfg.path:
+    if ok and args.path:
         try:
-            with open(cfg.path, "r", encoding="utf-8") as fh:
+            with open(args.path, "r", encoding="utf-8") as fh:
                 stored = fh.read()
         except OSError as exc:
-            raise _CliError(f"cannot read stored path {cfg.path}: {exc}") from exc
+            raise _CliError(f"cannot read stored path {args.path}: {exc}") from exc
         ok = stored == path.to_csv_text()
         detail = ("stored path matches" if ok
                   else "stored path differs from regeneration (seed mismatch?)")
@@ -395,28 +373,35 @@ def cmd_verify(cfg: RunConfig) -> int:
     _check(results, "pole-order-routes", pole.routes_agree,
            {"order": pole.order, "ascent": pole.ascent})
 
-    _check(results, "laurent-algebra", *_laurent_algebra_check(cp, pole.order, cfg))
+    _check(results, "laurent-algebra", *_laurent_algebra_check(cp, args))
 
     # class components: at most one of the two families applies.
     i1 = i2 = None
     try:
-        i1 = i1_components(cp, cfg.j_max, tol=tol)
+        i1 = i1_components(cp, args.jmax, tol=tol)
     except NotI1:
         try:
-            i2 = i2_components(cp, cfg.j_max, tol=tol)
+            i2 = i2_components(cp, args.jmax, tol=tol)
         except NotI2:
             i2 = None
     if i1 is None and i2 is None:
         _check(results, "p-cross-check", False,
                "neither order-one nor order-two components are available")
-        return _finish_verify(results, model_id, cfg)
+        return _finish_verify(results, model_id, args)
 
     report = i1 if i1 is not None else i2
     cross = float(report.cross_check_residual)
     _check(results, "p-cross-check", cross <= 1e-6, {"residual": cross})
 
-    h_ok, h_detail = _h_cross_check(cp, report, cfg)
-    _check(results, "h-coefficient cross-check", h_ok, h_detail)
+    # contour-route Taylor coefficients against the closed-form h list
+    j_cap = min(20, len(report.h_coeffs) - 1)
+    closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
+    if os.environ.get("GRJ_INJECT_FAULT") == "h":
+        closed[0] = closed[0] + 1e-3
+    worst = taylor_h_gap(cp, closed, 1 if i1 is not None else 2, tol=tol,
+                         radius=args.radius, nodes=max(args.nodes, 512))
+    _check(results, "h-coefficient cross-check", worst <= 1e-6,
+           {"worst_gap": worst, "j_cap": j_cap})
 
     if i2 is not None:
         n2 = np.asarray(i2.n_minus2)
@@ -429,10 +414,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     p_op = np.asarray(report.p_operator if i1 is not None else i2.p_op)
     try:
-        initial = consistent_initial(ar, p_op, cov, cfg.seed, tol=tol)
-        cpath = simulate_ar(ar, cov, cfg.horizon, cfg.seed, initial=initial,
+        initial = consistent_initial(ar, p_op, cov, args.seed, tol=tol)
+        cpath = simulate_ar(ar, cov, args.horizon, args.seed, initial=initial,
                             model_id=model_id)
-        check = verify_representation(cpath, report, min(cfg.j_max, 100), tol=tol)
+        check = verify_representation(cpath, report, min(args.jmax, 100), tol=tol)
         bound = 1e-6 * (1.0 + float(np.max(np.abs(cpath.states))))
         _check(results, "representation", check.max_residual <= bound,
                {"max_residual": check.max_residual, "bound": bound,
@@ -440,17 +425,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     except (ValueError, ArithmeticError) as exc:
         _check(results, "representation", False, str(exc))
 
-    return _finish_verify(results, model_id, cfg)
+    return _finish_verify(results, model_id, args)
 
 
-def _laurent_algebra_check(cp, order, cfg: RunConfig):
+def _laurent_algebra_check(cp, args):
     """Coefficient algebra of the expansion around z=1.
 
     With R(z) = -sum_j N_j (z-1)^j the resolvent-style identity forces
     N_j B N_k = (1 - s_j - s_k) N_{j+k+1} with s_j = [j >= 0], and the
     defining equation forces B N_{j-1} - (I - B) N_j = [j == 0] I.
     """
-    exp = expansion(cp, j_max=2, tol=cfg.tol, radius=cfg.radius, nodes=cfg.nodes)
+    exp = expansion(cp, j_max=2, tol=args.tol, radius=args.radius, nodes=args.nodes)
     coeffs = dict(exp.coeffs)
     lo = -exp.pole_order
     a1 = cp.a1
@@ -477,47 +462,42 @@ def _laurent_algebra_check(cp, order, cfg: RunConfig):
     return worst <= 1e-7, {"worst_scaled_gap": worst}
 
 
-def _h_cross_check(cp, report, cfg: RunConfig):
-    """Contour-route Taylor coefficients vs the closed-form h list."""
-    j_cap = min(20, len(report.h_coeffs) - 1)
-    order = 1 if hasattr(report, "long_run") else 2
-    principal, _ = contour_coefficients(cp, list(range(-order, 0)), tol=cfg.tol,
-                                        radius=cfg.radius, nodes=max(cfg.nodes, 512))
-    contour_h = taylor_h_coefficients(cp, j_cap, principal, tol=cfg.tol)
-    closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
-    if os.environ.get("GRJ_INJECT_FAULT") == "h":
-        closed[0] = closed[0] + 1e-3
-    worst = max(operator_norm(c - d) for c, d in zip(contour_h, closed))
-    return worst <= 1e-6, {"worst_gap": float(worst), "j_cap": j_cap}
-
-
-def _finish_verify(results, model_id, cfg: RunConfig) -> int:
+def _finish_verify(results, model_id, args) -> int:
     failed = [r["name"] for r in results if not r["ok"]]
     report = {"model": model_id, "invariants": results, "failed": failed,
               "ok": not failed}
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     if failed:
         sys.stderr.write("grj verify: invariant failure: " + ", ".join(failed) + "\n")
         return _EXIT_INVARIANT
     return _EXIT_OK
 
 
-def cmd_examples(cfg: RunConfig) -> int:
+def cmd_examples(args) -> int:
     listing = []
     for name in models.EXAMPLE_NAMES:
         entry = {"name": name, "defaults": models.example_defaults(name)}
         listing.append(entry)
-    _emit({"examples": listing}, cfg.out)
+    _emit({"examples": listing}, None)
     return _EXIT_OK
 
 
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "represent": cmd_represent,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "examples": cmd_examples,
+_MODEL_FLAGS = ("--model", "--n", "--lam", "--blocks", "--seed")
+
+# subcommand -> (handler, help, the flags it reads); nothing else is accepted
+_COMMANDS = {
+    "analyze": (cmd_analyze, "spectrum, pole order, class verdicts",
+                _MODEL_FLAGS + ("--tol", "--out")),
+    "represent": (cmd_represent, "long-run operators and h-coefficients",
+                  _MODEL_FLAGS + ("--tol", "--jmax", "--out")),
+    "simulate": (cmd_simulate, "simulate one path to CSV",
+                 _MODEL_FLAGS + ("--horizon", "--out")),
+    "verify": (cmd_verify, "run the invariant suite for a model",
+               _MODEL_FLAGS + ("--tol", "--horizon", "--jmax", "--radius", "--nodes",
+                               "--path", "--out")),
+    "sweep": (cmd_sweep, "pole order across truncation dimensions",
+              ("--lam", "--blocks", "--seed", "--tol", "--dims", "--out")),
+    "examples": (cmd_examples, "list built-in models", ()),
 }
 
 
@@ -525,9 +505,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
-    except _CliError as exc:
+        return _COMMANDS[args.command][0](args)
+    except (_CliError, ContourTooWide) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")
         return _EXIT_BAD_INPUT
     except NoUnitRoot as exc:

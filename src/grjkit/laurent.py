@@ -23,11 +23,11 @@ evaluates for all j at once via an FFT of the resolvent samples.
 The pole order is decided structurally.  Writing P for the spectral
 projection and G = (I - B) P for the quasi-nilpotent part, the order
 equals the nilpotency index of G with the convention G^0 = P.  The
-index is detected by rank stabilization of the powers G^k (scale-free),
-cross-checked against the Jordan-ascent oracle; the norm-threshold
-variant ||G^{k+1}|| <= tol * ||P|| is also reported but is only a
-diagnostic, because honest tiny powers (triangular quadrature models)
-drop below any absolute threshold long before they vanish.
+index is detected by rank stabilization of the powers G^k (scale-free)
+and cross-checked against the Jordan-ascent oracle.  A norm threshold
+||G^{k+1}|| <= tol * ||P|| is no third route: honest tiny powers
+(triangular quadrature models) drop below any absolute threshold long
+before they vanish.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numfield import DEFAULT_TOL, Tolerance, numerical_rank, operator_norm, \
-    fit_geometric_decay, matrix_to_json
+    fit_geometric_decay
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
-MAX_NODES = 4096
+MIN_NODES = 16
+MAX_NODES = 4096  # a start at or above it never refines, so it never converges
 QUADRATURE_CONV_TOL = 1e-10
 
 
@@ -77,8 +78,8 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES,
     samples per refinement level.
     """
     js = list(js)
-    if nodes < 16:
-        raise ValueError("at least 16 quadrature nodes required")
+    if nodes < MIN_NODES:
+        raise ValueError(f"at least {MIN_NODES} quadrature nodes required")
     if radius <= 0:
         raise ValueError("radius must be positive")
 
@@ -135,13 +136,6 @@ def contour_coefficients(cp: CompanionPencil, js, radius=None, nodes=DEFAULT_NOD
     return {j: -coeffs[j] for j in js}, {"center": 1.0, "radius": radius, "nodes": used_nodes}
 
 
-def contour_coefficient(cp: CompanionPencil, j: int, radius=None, nodes=DEFAULT_NODES,
-                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Single pencil Laurent coefficient N_j by contour quadrature."""
-    coeffs, _ = contour_coefficients(cp, [int(j)], radius=radius, nodes=nodes, tol=tol)
-    return coeffs[int(j)]
-
-
 def riesz_projection(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
                      radius=None, nodes=DEFAULT_NODES, spectrum=None) -> np.ndarray:
     """Spectral projection for the unit eigenvalue group: N_{-1} composed
@@ -157,13 +151,11 @@ class PoleOrderReport:
     essential_flag: bool
     nilpotency_index: int
     ascent: int
-    norm_route_order: int
     routes_agree: bool
 
     def to_json(self) -> dict:
         return {"order": self.order, "essential_flag": self.essential_flag,
                 "nilpotency_index": self.nilpotency_index, "ascent": self.ascent,
-                "norm_route_order": self.norm_route_order,
                 "routes_agree": self.routes_agree}
 
 
@@ -189,30 +181,15 @@ def _nilpotency_index_by_rank(proj, g, tol: Tolerance) -> int:
     return n
 
 
-def _norm_route_order(proj, g, norm_kind, tol: Tolerance) -> int:
-    """Literal norm-threshold order: 1 + smallest k >= 0 with
-    ||G^{k+1}|| <= residual_abs * ||P|| (diagnostic only)."""
-    p_norm = operator_norm(proj, norm_kind)
-    if p_norm <= tol.residual_abs:
-        return 0
-    power = g
-    for k in range(0, proj.shape[0] + 1):
-        if operator_norm(power, norm_kind) <= tol.residual_abs * p_norm:
-            return k + 1
-        power = power @ g
-    return proj.shape[0] + 1
-
-
 def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
                require_unit_root: bool = True, spectrum=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
     Structural route: nilpotency index of G = (I - B) P by rank
-    stabilization (order = index, with G^0 = P).  Cross-checked against
-    the Jordan-ascent oracle; the norm-threshold route is recorded as a
-    diagnostic.  essential_flag on a single model marks the order hitting
-    the ambient ceiling; sweeps across truncation dimensions refine it
-    (see essential_from_sweep).
+    stabilization (order = index, with G^0 = P), cross-checked against
+    the Jordan-ascent oracle.  essential_flag on a single model marks the
+    order hitting the ambient ceiling; sweeps across truncation dimensions
+    refine it (see essential_from_sweep).
     """
     from .numfield import ascent_at_one  # local import keeps module load order simple
 
@@ -221,18 +198,16 @@ def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
         if require_unit_root:
             raise NoUnitRoot("1 is not in the pencil spectrum")
         return PoleOrderReport(order=0, essential_flag=False, nilpotency_index=0,
-                               ascent=0, norm_route_order=0, routes_agree=True)
+                               ascent=0, routes_agree=True)
     proj = riesz_projection(cp, tol=tol, spectrum=rep)
     g = (cp.identity() - cp.a1) @ proj
     index = _nilpotency_index_by_rank(proj, g, tol)
     ascent = ascent_at_one(cp.a1, tol)
-    norm_route = _norm_route_order(proj, g, cp.norm, tol)
     return PoleOrderReport(
         order=index,
         essential_flag=index >= cp.big_dim,
         nilpotency_index=index,
         ascent=ascent,
-        norm_route_order=norm_route,
         routes_agree=(index == ascent),
     )
 
@@ -269,15 +244,6 @@ class LaurentExpansion:
     p_operator: np.ndarray
     g_operator: np.ndarray
 
-    def principal_part(self, z: complex) -> np.ndarray:
-        """Value at z of the singular terms -sum_{j<0} N_j (z-1)^j."""
-        n = self.p_operator.shape[0]
-        out = np.zeros((n, n), dtype=np.complex128)
-        for j, c in self.coeffs.items():
-            if j < 0:
-                out -= c * (z - 1.0) ** j
-        return out
-
     def evaluate(self, z: complex, j_cap=None) -> np.ndarray:
         """Truncated series reconstruction -sum_j N_j (z-1)^j."""
         n = self.p_operator.shape[0]
@@ -287,13 +253,6 @@ class LaurentExpansion:
                 continue
             out -= c * (z - 1.0) ** j
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "pole_order": self.pole_order,
-            "coeffs": {str(j): matrix_to_json(c) for j, c in sorted(self.coeffs.items())},
-            "contour": self.contour,
-        }
 
 
 def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
@@ -351,23 +310,3 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
             raise ContourNotConverged(
                 f"reconstruction error {err:.2e} above tail bound {bound:.2e} at z={z:.3f}")
     return exp
-
-
-def cesaro_diagnostic(cp: CompanionPencil, ell: int, count: int = 30,
-                      tol: Tolerance = DEFAULT_TOL):
-    """Diagnostic sequence n^{-1} ||G^ell (I - G)^n|| for n = 1..count.
-
-    In finite dimensions its convergence to zero is equivalent to the
-    nilpotency tested by pole_order, so this is reported for inspection
-    only, never as a pass/fail gate.
-    """
-    proj = riesz_projection(cp, tol=tol)
-    g = (cp.identity() - cp.a1) @ proj
-    g_ell = np.linalg.matrix_power(g, ell) if ell > 0 else proj
-    out = []
-    step = cp.identity() - g
-    acc = np.eye(cp.big_dim, dtype=np.complex128)
-    for n in range(1, count + 1):
-        acc = acc @ step
-        out.append(operator_norm(g_ell @ acc, cp.norm) / n)
-    return out

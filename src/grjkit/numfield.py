@@ -184,38 +184,6 @@ def operator_norm(m, norm: str = "two") -> float:
     raise ValueError(f"unknown norm kind {norm!r}")
 
 
-def vector_norm(x, norm: str = "two") -> float:
-    x = np.asarray(x)
-    if norm == "one":
-        return float(np.sum(np.abs(x)))
-    if norm == "sup":
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    if norm == "two":
-        return float(np.linalg.norm(x))
-    raise ValueError(f"unknown norm kind {norm!r}")
-
-
-def product_operator_norm(m, blocks: int, norm: str = "two") -> float:
-    """Operator norm on the p-fold product space with norm sum of block norms.
-
-    The matrix is (blocks*d) x (blocks*d); the reported value is
-    max over column blocks of the sum over row blocks of block norms.
-    Exact for ``one`` (where it coincides with the plain one-norm);
-    for ``two``/``sup`` it is the natural upper bound used for reporting.
-    """
-    m = as_operator(m, square=True)
-    if m.shape[0] % blocks:
-        raise ValueError(f"dimension {m.shape[0]} not divisible by {blocks} blocks")
-    d = m.shape[0] // blocks
-    col_sums = []
-    for j in range(blocks):
-        total = 0.0
-        for i in range(blocks):
-            total += operator_norm(m[i * d:(i + 1) * d, j * d:(j + 1) * d], norm)
-        col_sums.append(total)
-    return max(col_sums)
-
-
 # ---------------------------------------------------------------------------
 # tolerant rank / kernel / range
 # ---------------------------------------------------------------------------

@@ -135,12 +135,6 @@ def linearize(ar: ArPencil) -> CompanionPencil:
     return CompanionPencil(big_dim=big, a1=a1, pi_p=pi_p, pi_p_star=pi_p.conj().T, ar=ar)
 
 
-def top_block_row(cp: CompanionPencil) -> list:
-    """Reassemble A_1 ... A_p from the companion top block row (exact)."""
-    n = cp.dim
-    return [cp.a1[:n, j * n:(j + 1) * n].copy() for j in range(cp.p)]
-
-
 def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
     """A(z) = I - z A_1 - ... - z^p A_p."""
     out = np.eye(ar.dim, dtype=np.complex128)

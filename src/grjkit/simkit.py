@@ -4,8 +4,10 @@ Innovation streams are counter-based (Philox) and keyed by
 (seed, replication), with a separate key lane for pre-sample draws, so
 
   * a fixed (model, seed, horizon) reproduces a path bit-for-bit,
-  * replication r of an ensemble equals the single path simulated with
-    that replication index, and
+  * replication r of an ensemble equals, to rounding, the single path
+    simulated with that replication index (the ensemble advances all
+    replications of a chunk in one matrix product, whose summation order
+    can differ from the single path's in the last bits), and
   * enlarging the pre-sample window extends the same innovation history
     backwards without disturbing the main sample.
 
@@ -325,9 +327,13 @@ def verify_representation(path: SamplePath, report, j_max: int,
 def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
                       replications: int, initial=None, threads: int = 1) -> np.ndarray:
     """States array (replications, horizon, dim); replication r uses the
-    stream keyed (seed, r), so row r reproduces simulate_ar(...,
-    replication=r) exactly.  Work is chunked identically whatever the
-    thread count, so the output is byte-stable under --threads."""
+    stream keyed (seed, r), so row r equals simulate_ar(...,
+    replication=r) to rounding.  Not bit for bit: each step multiplies
+    the states of a whole chunk of replications in one matrix product,
+    whose summation order can differ from the single path's
+    matrix-vector product (models.ar2_unit_root_model: about 6e-13 apart
+    after 2000 steps).  Work is chunked identically whatever
+    ``threads`` is, so the output is byte-stable across thread counts."""
     if replications < 1:
         raise ValueError("need at least one replication")
     coeffs = _real_coeffs(ar)

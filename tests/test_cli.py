@@ -29,10 +29,24 @@ def order3_model_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def complex_model_path(tmp_path):
+    path = tmp_path / "complex.json"
+    ArPencil(1, 2, [np.diag([1.0, 0.5j])]).save(path)
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in err, err
 
 
 def test_analyze_verdict(capsys):
@@ -59,6 +73,46 @@ def test_analyze_unknown_example(capsys):
 def test_unknown_flag_exits_one(capsys):
     code, _, _ = run(capsys, ["analyze", "ex-c0", "--frobnicate"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "ex-c0", "--radius", "5"],
+    ["analyze", "ex-c0", "--threads", "2"],
+    ["analyze", "ex-c0", "--sweep", "4,8"],
+    ["represent", "ex-c0", "--horizon", "3"],
+    ["simulate", "ex-c0", "--tol", "1e-6"],
+    ["sweep", "ex-volterra", "--n", "8"],
+], ids=lambda argv: " ".join(argv[i] for i in (0, 2)))
+def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
+    assert_one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "ex-c0", "--horizon", "0"],
+    ["verify", "ex-c0", "--nodes", "8"],
+    ["verify", "ex-c0", "--nodes", "4096"],
+    ["verify", "ex-c0", "--jmax", "-1"],
+    ["represent", "ex-c0", "--jmax", "-1"],
+    ["verify", "ex-c0", "--radius", "5"],       # wider than the spectrum allows
+    ["analyze", "ex-jordan", "--blocks", "0"],
+    ["sweep", "ex-volterra", "--dims", "8,8"],
+], ids=lambda argv: " ".join(argv[i] for i in (0, 2, 3)))
+def test_bad_value_exits_one(capsys, argv):
+    assert_one_line_error(capsys, argv)
+
+
+def test_simulate_complex_model_exits_one(capsys, complex_model_path):
+    assert_one_line_error(capsys, ["simulate", "--model", complex_model_path])
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 1]])
+def test_analyze_jordan_block_list(capsys, blocks):
+    code, out, _ = run(capsys, ["analyze", "ex-jordan",
+                                "--blocks", ",".join(map(str, blocks))])
+    assert code == 0
+    report = json.loads(out)
+    assert report["info"]["block_sizes"] == blocks
+    assert report["pole_order"]["order"] == max(blocks)
 
 
 def test_no_unit_root_exit_two(capsys, stable_model_path):
@@ -154,13 +208,16 @@ def test_verify_all_invariants(capsys):
 
 
 def test_verify_fault_injection_names_the_invariant(capsys, monkeypatch):
+    # one I(2) and one I(1) model: both classes go through the same
+    # library h check that the fault hook feeds
     monkeypatch.setenv("GRJ_INJECT_FAULT", "h")
-    code, out, err = run(capsys, ["verify", "ex-c0", "--n", "8",
-                                  "--horizon", "60", "--jmax", "30"])
-    assert code == 4
-    assert "h-coefficient cross-check" in err
-    report = json.loads(out)
-    assert "h-coefficient cross-check" in report["failed"]
+    for model in (["ex-c0", "--n", "8"], ["ex-evenodd"]):
+        code, out, err = run(capsys, ["verify", *model,
+                                      "--horizon", "60", "--jmax", "30"])
+        assert code == 4, model
+        assert "h-coefficient cross-check" in err
+        report = json.loads(out)
+        assert "h-coefficient cross-check" in report["failed"]
 
 
 def test_verify_path_mismatch_fails_determinism(capsys, tmp_path):

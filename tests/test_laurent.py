@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.laurent import (ContourTooWide, NoUnitRoot, cesaro_diagnostic,
-                            circle_coefficients, contour_coefficient,
+from grjkit.laurent import (ContourTooWide, NoUnitRoot, circle_coefficients,
                             contour_coefficients, essential_from_sweep,
                             expansion, pick_radius, pole_order,
                             riesz_projection)
@@ -60,7 +59,8 @@ def test_riesz_projection_idempotent_and_commuting():
 
 def test_riesz_equals_residue_for_simple_pole():
     cp = diag_fixture()
-    n_minus1 = contour_coefficient(cp, -1)
+    coeffs, _ = contour_coefficients(cp, [-1])
+    n_minus1 = coeffs[-1]
     assert_allclose(riesz_projection(cp), n_minus1, atol=1e-12)
     assert operator_norm(n_minus1 @ n_minus1 - n_minus1) < 1e-10
 
@@ -173,8 +173,3 @@ def test_expansion_bundles_everything(shift8_cp):
     assert_allclose(exp.g_operator, g, atol=1e-12)
     # order-2 pole: G is nilpotent of index exactly 2
     assert operator_norm(g @ g) < 1e-9 < operator_norm(g)
-
-
-def test_cesaro_diagnostic_flat_for_simple_pole(evenodd_cp):
-    diag = cesaro_diagnostic(evenodd_cp, ell=1)
-    assert diag is not None

@@ -23,7 +23,7 @@ from grjkit.numfield import (DEFAULT_TOL, NotComplementary, Subspace, Tolerance,
                              orthogonal_complement, range_basis,
                              relative_generalized_inverse, subspace_from_json,
                              subspace_intersection, subspace_sum,
-                             subspace_to_json, vector_norm)
+                             subspace_to_json)
 
 
 def exact_rank(m) -> int:
@@ -90,7 +90,6 @@ def test_one_and_sup_norms():
     a = np.array([[1.0, -2.0], [3.0, 0.5]])
     assert operator_norm(a, "one") == 4.0      # max column sum
     assert operator_norm(a, "sup") == 3.5      # max row sum
-    assert vector_norm([3.0, -4.0]) == 5.0
 
 
 def test_subspace_basis_is_orthonormal():

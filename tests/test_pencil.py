@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from grjkit.models import jordan_model, random_walk_model, volterra_model
 from grjkit.numfield import DEFAULT_TOL
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
-                           resolvent, spectrum_report, top_block_row)
+                           resolvent, spectrum_report)
 
 
 def two_lag_fixture():
@@ -30,8 +30,6 @@ def test_companion_layout():
     assert_allclose(cp.a1[:2, 2:], ar.coeffs[1])
     assert_allclose(cp.a1[2:, :2], np.eye(2))      # shift row
     assert_allclose(cp.a1[2:, 2:], 0.0)
-    for given, expected in zip(top_block_row(cp), ar.coeffs):
-        assert_allclose(given, expected)
 
 
 def test_eval_poly():
