@@ -3,12 +3,13 @@
 Exit codes are fixed for scriptability:
 
   0  success
-  1  malformed input: an unknown flag or a flag the subcommand does not
-     take, a value out of range, an unreadable model file, or a --radius
-     too wide for the model's spectrum
+  1  malformed input: an unknown flag or a flag the subcommand or model
+     does not take, a value out of range, an unreadable model file, or a
+     --radius or --tol that leaves no usable contour (too wide, never
+     settles, or singular within the tolerance)
   2  the model has no usable unit root (assumption failure)
-  3  represent: the pole is neither order one nor order two
-  4  verify: an invariant failed (the failing invariant is named on stderr)
+  3  represent, verify: the pole is neither order one nor order two
+  4  verify: an invariant failed (named on stderr); this wins over 3
 
 Each subcommand accepts only the flags it reads, and every value is
 range-checked while the arguments are parsed, so bad input ends in one
@@ -30,6 +31,7 @@ import numpy as np
 from . import models
 from .cointegration import beveridge_nelson
 from .grj import (
+    I1Report,
     NotI1,
     NotI2,
     check_i1,
@@ -41,6 +43,7 @@ from .grj import (
 from .laurent import (
     MAX_NODES,
     MIN_NODES,
+    ContourNotConverged,
     ContourTooWide,
     NoUnitRoot,
     essential_from_sweep,
@@ -56,7 +59,7 @@ from .numfield import (
     range_basis,
     subspace_to_json,
 )
-from .pencil import ArPencil, linearize, spectrum_report
+from .pencil import ArPencil, SingularAt, linearize, spectrum_report
 from .simkit import (
     consistent_initial,
     differenced_ma,
@@ -70,6 +73,8 @@ _EXIT_BAD_INPUT = 1
 _EXIT_NO_UNIT_ROOT = 2
 _EXIT_NO_CLASS = 3
 _EXIT_INVARIANT = 4
+
+_NO_CLASS = "pole at z=1 is neither order one nor order two"
 
 
 class _CliError(Exception):
@@ -145,7 +150,7 @@ def _flag_specs() -> dict:
     return {
         "--model": dict(default=None, help="path to a model JSON file"),
         "--n": dict(type=_POSITIVE_INT, default=None, help="truncation dimension"),
-        "--lam": dict(type=float, default=0.5, help="decay parameter for ex-c0"),
+        "--lam": dict(type=float, default=None, help="decay parameter for ex-c0 (default 0.5)"),
         "--blocks": dict(type=_int_list, default=None,
                          help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
         "--seed": dict(type=int, default=0),
@@ -200,6 +205,8 @@ def _load_model(args):
         ar, info = _build_example(args, args.n)
         return ar, args.name, info
     if args.model:
+        if not (args.n is None and args.lam is None and args.blocks is None):
+            raise _CliError("--n, --lam and --blocks apply to built-in models, not to --model")
         try:
             ar = ArPencil.load(args.model)
         except FileNotFoundError as exc:
@@ -261,7 +268,11 @@ def cmd_sweep(args) -> int:
     orders = []
     for n in args.dims:
         ar, _ = _build_example(args, n)
-        report = pole_order(linearize(ar), tol=args.tol)
+        cp = linearize(ar)
+        spectrum = spectrum_report(cp, tol=args.tol)
+        if not (spectrum.unit_root_present and spectrum.unit_root_ok):
+            raise NoUnitRoot(f"sweep stops at n = {n}")
+        report = pole_order(cp, tol=args.tol, spectrum=spectrum)
         orders.append(report.order)
         points.append({"n": int(n), "order": report.order,
                        "nilpotency_index": report.nilpotency_index})
@@ -269,6 +280,18 @@ def cmd_sweep(args) -> int:
              "essential_flag": essential_from_sweep(list(args.dims), orders)}
     _emit({"model": args.name, "sweep": sweep}, args.out)
     return _EXIT_OK
+
+
+def _components(cp, args):
+    """Order-one components if the model is I(1), else order-two, else None."""
+    try:
+        return i1_components(cp, args.jmax, tol=args.tol)
+    except NotI1:
+        pass
+    try:
+        return i2_components(cp, args.jmax, tol=args.tol)
+    except NotI2:
+        return None
 
 
 def cmd_represent(args) -> int:
@@ -279,46 +302,40 @@ def cmd_represent(args) -> int:
         sys.stderr.write("grj represent: no usable unit root at z=1\n")
         return _EXIT_NO_UNIT_ROOT
     report = {"model": model_id}
-    try:
-        i1 = i1_components(cp, args.jmax, tol=args.tol)
-    except NotI1:
-        i1 = None
-    if i1 is not None:
-        long_run = np.asarray(i1.long_run)
-        ma = differenced_ma(i1, np.eye(long_run.shape[0]))
+    rep = _components(cp, args)
+    if rep is None:
+        sys.stderr.write(f"grj represent: {_NO_CLASS}\n")
+        return _EXIT_NO_CLASS
+    if isinstance(rep, I1Report):
+        long_run = np.asarray(rep.long_run)
+        ma = differenced_ma(rep, np.eye(long_run.shape[0]))
         bn = beveridge_nelson(ma)
         report.update({
             "class": "I1",
             "long_run": matrix_to_json(long_run),
-            "p_operator": matrix_to_json(np.asarray(i1.p_operator)),
-            "h_coeffs": [matrix_to_json(np.asarray(h)) for h in i1.h_coeffs],
+            "p_operator": matrix_to_json(np.asarray(rep.p_operator)),
+            "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs],
             "cointegrating": subspace_to_json(kernel_basis(long_run.T, args.tol)),
             "attractor": subspace_to_json(range_basis(long_run, args.tol)),
             "bn": bn.to_json(),
-            "cross_check_residual": float(i1.cross_check_residual),
+            "cross_check_residual": float(rep.cross_check_residual),
         })
         _emit(report, args.out)
         return _EXIT_OK
-    try:
-        i2 = i2_components(cp, args.jmax, tol=args.tol)
-    except NotI2:
-        sys.stderr.write("grj represent: pole at z=1 is neither order one nor "
-                         "order two\n")
-        return _EXIT_NO_CLASS
-    lr2 = np.asarray(i2.long_run2)
-    lr1 = np.asarray(i2.long_run1)
+    lr2 = np.asarray(rep.long_run2)
+    lr1 = np.asarray(rep.long_run1)
     p_load = lr1 - lr2
     report.update({
         "class": "I2",
         "long_run2": matrix_to_json(lr2),
         "long_run1": matrix_to_json(lr1),
-        "n_minus2": matrix_to_json(np.asarray(i2.n_minus2)),
-        "p_operator": matrix_to_json(np.asarray(i2.p_op)),
-        "h_coeffs": [matrix_to_json(np.asarray(h)) for h in i2.h_coeffs],
+        "n_minus2": matrix_to_json(np.asarray(rep.n_minus2)),
+        "p_operator": matrix_to_json(np.asarray(rep.p_op)),
+        "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs],
         "tier1_annihilators": subspace_to_json(kernel_basis(lr2.T, args.tol)),
         "tier2_annihilators": subspace_to_json(
             kernel_basis(np.vstack([lr2.T, p_load.T]), args.tol)),
-        "cross_check_residual": float(i2.cross_check_residual),
+        "cross_check_residual": float(rep.cross_check_residual),
     })
     _emit(report, args.out)
     return _EXIT_OK
@@ -376,20 +393,10 @@ def cmd_verify(args) -> int:
     _check(results, "laurent-algebra", *_laurent_algebra_check(cp, args))
 
     # class components: at most one of the two families applies.
-    i1 = i2 = None
-    try:
-        i1 = i1_components(cp, args.jmax, tol=tol)
-    except NotI1:
-        try:
-            i2 = i2_components(cp, args.jmax, tol=tol)
-        except NotI2:
-            i2 = None
-    if i1 is None and i2 is None:
-        _check(results, "p-cross-check", False,
-               "neither order-one nor order-two components are available")
-        return _finish_verify(results, model_id, args)
-
-    report = i1 if i1 is not None else i2
+    report = _components(cp, args)
+    if report is None:
+        return _finish_verify(results, model_id, args, no_class=True)
+    order = 1 if isinstance(report, I1Report) else 2
     cross = float(report.cross_check_residual)
     _check(results, "p-cross-check", cross <= 1e-6, {"residual": cross})
 
@@ -398,13 +405,13 @@ def cmd_verify(args) -> int:
     closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
     if os.environ.get("GRJ_INJECT_FAULT") == "h":
         closed[0] = closed[0] + 1e-3
-    worst = taylor_h_gap(cp, closed, 1 if i1 is not None else 2, tol=tol,
+    worst = taylor_h_gap(cp, closed, order, tol=tol,
                          radius=args.radius, nodes=max(args.nodes, 512))
     _check(results, "h-coefficient cross-check", worst <= 1e-6,
            {"worst_gap": worst, "j_cap": j_cap})
 
-    if i2 is not None:
-        n2 = np.asarray(i2.n_minus2)
+    if order == 2:
+        n2 = np.asarray(report.n_minus2)
         a1 = cp.a1
         scale = max(1.0, operator_norm(n2))
         left = operator_norm(a1 @ n2 - n2) / scale
@@ -412,7 +419,7 @@ def cmd_verify(args) -> int:
         _check(results, "n2-cross-check", max(left, right) <= 1e-7,
                {"left": left, "right": right})
 
-    p_op = np.asarray(report.p_operator if i1 is not None else i2.p_op)
+    p_op = np.asarray(report.p_operator if order == 1 else report.p_op)
     try:
         initial = consistent_initial(ar, p_op, cov, args.seed, tol=tol)
         cpath = simulate_ar(ar, cov, args.horizon, args.seed, initial=initial,
@@ -462,7 +469,8 @@ def _laurent_algebra_check(cp, args):
     return worst <= 1e-7, {"worst_scaled_gap": worst}
 
 
-def _finish_verify(results, model_id, args) -> int:
+def _finish_verify(results, model_id, args, no_class=False) -> int:
+    """Emit the invariants that ran; exit 4 if one failed, else 3 if no_class."""
     failed = [r["name"] for r in results if not r["ok"]]
     report = {"model": model_id, "invariants": results, "failed": failed,
               "ok": not failed}
@@ -470,6 +478,9 @@ def _finish_verify(results, model_id, args) -> int:
     if failed:
         sys.stderr.write("grj verify: invariant failure: " + ", ".join(failed) + "\n")
         return _EXIT_INVARIANT
+    if no_class:
+        sys.stderr.write(f"grj verify: {_NO_CLASS}\n")
+        return _EXIT_NO_CLASS
     return _EXIT_OK
 
 
@@ -506,7 +517,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except (_CliError, ContourTooWide) as exc:
+    except (_CliError, ContourTooWide, ContourNotConverged, SingularAt) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")
         return _EXIT_BAD_INPUT
     except NoUnitRoot as exc:

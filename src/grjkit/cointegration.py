@@ -66,10 +66,10 @@ class MaRepresentation:
     def dim(self) -> int:
         return self.sum_operator.shape[0]
 
-    def tail_decay(self, norm: str = "two"):
-        """Fitted (C, rho) with ||A_k|| <~ C rho^k, for truncation-error
+    def tail_decay(self):
+        """Fitted (C, rho) with ||A_k||_2 <~ C rho^k, for truncation-error
         reporting; rho < 1 is what makes sum k ||A_k||^2 finite in spirit."""
-        return fit_geometric_decay([operator_norm(c, norm) for c in self.coeffs])
+        return fit_geometric_decay([operator_norm(c) for c in self.coeffs])
 
     def to_json(self) -> dict:
         return {"coeffs": [matrix_to_json(c) for c in self.coeffs],

@@ -46,7 +46,8 @@ from .numfield import (
 from .laurent import DEFAULT_NODES, NoUnitRoot, circle_coefficients, contour_coefficients
 from .pencil import CompanionPencil, resolvent, spectrum_report
 
-H_TAYLOR_RADIUS = 0.9
+H_TAYLOR_RADIUS = 0.9  # circle around 0 on which the Taylor route samples
+H_TAYLOR_NODES = 512
 
 
 class NotI1(ArithmeticError):
@@ -130,15 +131,15 @@ def check_i1(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I1Report:
 
 
 def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict,
-                          tol: Tolerance = DEFAULT_TOL,
-                          radius: float = H_TAYLOR_RADIUS, nodes: int = 512):
+                          tol: Tolerance = DEFAULT_TOL):
     """Taylor coefficients (around 0) of the observable holomorphic part.
 
     ``principal`` maps negative exponents to the pole coefficients N_j;
     the sampled function is the resolvent with the corresponding
     principal part added back, compressed to the observable block, which
-    is analytic on the closed sampling disk whenever the unit root is
-    the only spectrum point inside D_{1+eta}.  This route never uses the
+    is analytic on the closed sampling disk (radius H_TAYLOR_RADIUS,
+    H_TAYLOR_NODES start nodes) whenever the unit root is the only
+    spectrum point inside D_{1+eta}.  This route never uses the
     closed-form components, so it is a genuine cross-check for them.
     """
     items = sorted(principal.items())
@@ -149,8 +150,8 @@ def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict,
             out = out + coeff * (z - 1.0) ** j
         return cp.pi_p @ out @ cp.pi_p_star
 
-    coeffs, _, _ = circle_coefficients(holomorphic, range(j_max + 1),
-                                       center=0.0, radius=radius, nodes=nodes)
+    coeffs, _, _ = circle_coefficients(holomorphic, range(j_max + 1), center=0.0,
+                                       radius=H_TAYLOR_RADIUS, nodes=H_TAYLOR_NODES)
     return [coeffs[j] for j in range(j_max + 1)]
 
 
@@ -319,18 +320,17 @@ def _report_from_geometry(geo: _OrderTwoGeometry, *, n_minus2=None, p_op=None,
                     cross_check_residual=cross_check_residual)
 
 
-def check_i2(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
-             ran_complement: Subspace | None = None,
-             ker_complement: Subspace | None = None) -> I2Report:
+def check_i2(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I2Report:
     """Decide the order-two condition.
 
     Requires K = ran M /\\ ker M nontrivial and the companion space to
-    split as (ran M + ker M) (+) M^g K.  The constructed spaces and the
-    generalized inverse are returned whether or not the condition holds;
-    the representation operators are filled in by i2_components.
+    split as (ran M + ker M) (+) M^g K.  The constructed spaces, built
+    with orthogonal complements of ran M and ker M, and the generalized
+    inverse are returned whether or not the condition holds; the
+    representation operators are filled in by i2_components.
     """
     _gate(cp, tol)
-    geo = _OrderTwoGeometry(cp, tol, ran_complement, ker_complement)
+    geo = _OrderTwoGeometry(cp, tol)
     return _report_from_geometry(geo)
 
 

@@ -37,13 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numfield import DEFAULT_TOL, Tolerance, numerical_rank, operator_norm, \
-    fit_geometric_decay
+    ascent_at_one, fit_geometric_decay
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
 MIN_NODES = 16
-MAX_NODES = 4096  # a start at or above it never refines, so it never converges
-QUADRATURE_CONV_TOL = 1e-10
+MAX_NODES = 4096  # node doubling stops here; a start must lie below it
+QUADRATURE_CONV_TOL = 1e-10  # largest change between levels that counts as settled
 
 
 class NoUnitRoot(ArithmeticError):
@@ -66,27 +66,32 @@ def pick_radius(report: SpectrumReport) -> float:
     return 0.5
 
 
-def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES,
-                        conv_tol=QUADRATURE_CONV_TOL, max_nodes=MAX_NODES):
+def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     """Laurent coefficients a_j of a matrix-valued analytic function.
 
     Standard convention here: fn(z) = sum_j a_j (z - center)^j.  The
     trapezoid rule on the circle |z - center| = radius is spectrally
-    accurate; node count doubles until successive results differ by at
-    most conv_tol (or max_nodes is reached).  Returns (coeffs, nodes,
-    last_change); coefficient extraction for all j shares one FFT of the
-    samples per refinement level.
+    accurate; node count doubles from ``nodes`` (in [MIN_NODES,
+    MAX_NODES)) until successive results differ by at most
+    QUADRATURE_CONV_TOL, else ContourNotConverged at MAX_NODES.  Returns
+    (coeffs, nodes, last_change); coefficient extraction for all j shares
+    one FFT of the samples per refinement level.
     """
     js = list(js)
-    if nodes < MIN_NODES:
-        raise ValueError(f"at least {MIN_NODES} quadrature nodes required")
+    if not MIN_NODES <= nodes < MAX_NODES:
+        raise ValueError(f"start node count must be in [{MIN_NODES}, {MAX_NODES})")
     if radius <= 0:
         raise ValueError("radius must be positive")
 
     def evaluate(m_nodes):
         theta = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
         zs = center + radius * np.exp(1j * theta)
-        samples = np.stack([np.asarray(fn(z), dtype=np.complex128) for z in zs])
+        # filled in place, so no list of samples is held beside a stacked copy
+        first = np.asarray(fn(zs[0]), dtype=np.complex128)
+        samples = np.empty((m_nodes,) + first.shape, dtype=np.complex128)
+        samples[0] = first
+        for k in range(1, m_nodes):
+            samples[k] = fn(zs[k])
         spectrum = np.fft.fft(samples, axis=0)  # index j holds sum_m f_m e^{-ij theta_m}
         out = {}
         for j in js:
@@ -95,18 +100,16 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES,
 
     current = evaluate(nodes)
     m = nodes
-    change = np.inf
-    while m < max_nodes:
+    while m < MAX_NODES:
         m *= 2
         refined = evaluate(m)
         change = max(operator_norm(refined[j] - current[j]) for j in js)
         current = refined
-        if change <= conv_tol:
+        if change <= QUADRATURE_CONV_TOL:
             break
-    if change > conv_tol and m >= max_nodes:
-        # one more comparison so callers see the final discrepancy
+    if change > QUADRATURE_CONV_TOL:
         raise ContourNotConverged(
-            f"quadrature change {change:.2e} above {conv_tol:.0e} at {m} nodes")
+            f"quadrature change {change:.2e} above {QUADRATURE_CONV_TOL:.0e} at {m} nodes")
     return current, m, change
 
 
@@ -137,11 +140,10 @@ def contour_coefficients(cp: CompanionPencil, js, radius=None, nodes=DEFAULT_NOD
 
 
 def riesz_projection(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
-                     radius=None, nodes=DEFAULT_NODES, spectrum=None) -> np.ndarray:
+                     spectrum=None) -> np.ndarray:
     """Spectral projection for the unit eigenvalue group: N_{-1} composed
-    with the companion operator."""
-    coeffs, _ = contour_coefficients(cp, [-1], radius=radius, nodes=nodes,
-                                     tol=tol, spectrum=spectrum)
+    with the companion operator, on the default contour."""
+    coeffs, _ = contour_coefficients(cp, [-1], tol=tol, spectrum=spectrum)
     return coeffs[-1] @ cp.a1
 
 
@@ -182,23 +184,19 @@ def _nilpotency_index_by_rank(proj, g, tol: Tolerance) -> int:
 
 
 def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
-               require_unit_root: bool = True, spectrum=None) -> PoleOrderReport:
+               spectrum=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
     Structural route: nilpotency index of G = (I - B) P by rank
     stabilization (order = index, with G^0 = P), cross-checked against
     the Jordan-ascent oracle.  essential_flag on a single model marks the
     order hitting the ambient ceiling; sweeps across truncation dimensions
-    refine it (see essential_from_sweep).
+    refine it (see essential_from_sweep).  Raises NoUnitRoot when 1 is
+    not in the pencil spectrum.
     """
-    from .numfield import ascent_at_one  # local import keeps module load order simple
-
     rep = spectrum if spectrum is not None else spectrum_report(cp, tol=tol)
     if not rep.unit_root_present:
-        if require_unit_root:
-            raise NoUnitRoot("1 is not in the pencil spectrum")
-        return PoleOrderReport(order=0, essential_flag=False, nilpotency_index=0,
-                               ascent=0, routes_agree=True)
+        raise NoUnitRoot("1 is not in the pencil spectrum")
     proj = riesz_projection(cp, tol=tol, spectrum=rep)
     g = (cp.identity() - cp.a1) @ proj
     index = _nilpotency_index_by_rank(proj, g, tol)
@@ -244,13 +242,11 @@ class LaurentExpansion:
     p_operator: np.ndarray
     g_operator: np.ndarray
 
-    def evaluate(self, z: complex, j_cap=None) -> np.ndarray:
+    def evaluate(self, z: complex) -> np.ndarray:
         """Truncated series reconstruction -sum_j N_j (z-1)^j."""
         n = self.p_operator.shape[0]
         out = np.zeros((n, n), dtype=np.complex128)
         for j, c in self.coeffs.items():
-            if j_cap is not None and j > j_cap:
-                continue
             out -= c * (z - 1.0) ** j
         return out
 
@@ -259,7 +255,8 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
               radius=None, nodes=DEFAULT_NODES) -> LaurentExpansion:
     """Full expansion with coefficients for j in [-order, j_max].
 
-    Verifies, before returning: reconstruction against direct resolvent
+    Raises NoUnitRoot when 1 is not in the pencil spectrum.  Verifies,
+    before returning: reconstruction against direct resolvent
     evaluation at held-out points on a circle of half the contour radius
     (within a tail bound fitted from the computed coefficient decay),
     idempotency of the projection, and commutation with the companion
@@ -268,8 +265,7 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     rep = spectrum_report(cp, tol=tol)
-    order_rep = pole_order(cp, tol=tol, require_unit_root=False, spectrum=rep)
-    order = order_rep.order
+    order = pole_order(cp, tol=tol, spectrum=rep).order
     js = list(range(-order, j_max + 1))
     if -1 not in js:
         js = [-1] + js  # always compute the residue term for p_operator

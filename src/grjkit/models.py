@@ -29,6 +29,8 @@ import numpy as np
 from .pencil import ArPencil
 
 _BUILDER_STREAM = 0x6D6F64656C  # distinct key lane for model construction
+SELFADJOINT_UNIT_MULTIPLICITY = 2  # unit eigenvalues planted by selfadjoint_model
+JORDAN_COND_CAP = 1e3  # jordan_model keeps cond(S) well under this
 
 
 def _rng(seed: int, lane: int = 0):
@@ -74,19 +76,20 @@ def volterra_model(n: int = 8) -> ArPencil:
     return ArPencil(p=1, dim=n, coeffs=[np.eye(n) - v])
 
 
-def selfadjoint_model(n: int = 6, seed: int = 7, unit_multiplicity: int = 2) -> ArPencil:
-    """Random symmetric operator with an isolated unit eigenvalue group.
+def selfadjoint_model(n: int = 6, seed: int = 7) -> ArPencil:
+    """Random symmetric operator with an isolated unit eigenvalue group of
+    SELFADJOINT_UNIT_MULTIPLICITY eigenvalues.
 
     Self-adjointness forces the range/kernel split, hence a simple pole,
     whatever the multiplicity.
     """
-    if not 1 <= unit_multiplicity < n:
-        raise ValueError("unit_multiplicity must be in [1, n)")
+    if n <= SELFADJOINT_UNIT_MULTIPLICITY:
+        raise ValueError(f"need n > {SELFADJOINT_UNIT_MULTIPLICITY}")
     rng = _rng(seed, lane=1)
-    rest = n - unit_multiplicity
+    rest = n - SELFADJOINT_UNIT_MULTIPLICITY
     others = np.linspace(-0.55, 0.55, rest)
     q = _orthogonal(rng, n)
-    eigs = np.concatenate([np.ones(unit_multiplicity), others])
+    eigs = np.concatenate([np.ones(SELFADJOINT_UNIT_MULTIPLICITY), others])
     return ArPencil(p=1, dim=n, coeffs=[(q * eigs) @ q.T])
 
 
@@ -100,14 +103,13 @@ def evenodd_model(n: int = 16) -> ArPencil:
     return ArPencil(p=1, dim=n, coeffs=[(np.eye(n) + reflect) / 2.0])
 
 
-def jordan_model(seed: int, blocks_at_one=None, stable_dim: int | None = None,
-                 cond_cap: float = 1e3):
+def jordan_model(seed: int, blocks_at_one=None, stable_dim: int | None = None):
     """Seeded similarity-conjugated Jordan structure.
 
     Plants the given block sizes at eigenvalue 1 (default: 1-2 random
     sizes from {1, 2, 3}), pads with a stable diagonal remainder
     (|eigenvalue| <= 0.8), and conjugates by S = Q1 diag(d) Q2 with
-    d log-uniform so cond(S) stays well under ``cond_cap``.
+    d log-uniform so cond(S) stays well under JORDAN_COND_CAP.
 
     Returns (model, info) where info records the planted ground truth.
     """
@@ -132,7 +134,7 @@ def jordan_model(seed: int, blocks_at_one=None, stable_dim: int | None = None,
 
     # cond(S) = max(d)/min(d), kept ~30 so conjugation noise stays far
     # below the rank tolerances while still exercising non-normality
-    d = np.exp(rng.uniform(0.0, np.log(cond_cap) / 2.0, size=n))
+    d = np.exp(rng.uniform(0.0, np.log(JORDAN_COND_CAP) / 2.0, size=n))
     s = (_orthogonal(rng, n) * d) @ _orthogonal(rng, n)
     a1 = s @ j @ np.linalg.solve(s, np.eye(n))
     info = {"block_sizes": list(blocks_at_one), "max_block": max(blocks_at_one),
@@ -183,26 +185,28 @@ def _stable_factor(rng, n: int, radius: float = 0.5) -> np.ndarray:
     return m * (radius / spectral)
 
 
-def ar2_unit_root_model(seed: int = 11, n: int = 3) -> ArPencil:
-    """Seeded AR(2) with a simple unit root: product of a semisimple
+def ar2_unit_root_model(seed: int = 11) -> ArPencil:
+    """Seeded AR(2) on C^3 with a simple unit root: product of a semisimple
     unit-eigenvalue factor and a stable factor (spectral radius 0.5)."""
+    n = 3
     rng = _rng(seed, lane=3)
     phi0 = _semisimple_unit_factor(rng, n)
     phi1 = _stable_factor(rng, n)
     return factor_product([phi1, phi0])
 
 
-def ar2_double_root_model(seed: int = 13, n: int = 2) -> ArPencil:
-    """Seeded AR(2) with a double pole: the square of one semisimple
-    unit-root factor."""
+def ar2_double_root_model(seed: int = 13) -> ArPencil:
+    """Seeded AR(2) on C^2 with a double pole: the square of one
+    semisimple unit-root factor."""
     rng = _rng(seed, lane=4)
-    phi = _semisimple_unit_factor(rng, n)
+    phi = _semisimple_unit_factor(rng, 2)
     return factor_product([phi, phi])
 
 
-def ar3_unit_root_model(seed: int = 17, n: int = 2) -> ArPencil:
-    """Seeded AR(3) with a simple unit root: one unit factor, two stable
-    factors with distinct spectral radii."""
+def ar3_unit_root_model(seed: int = 17) -> ArPencil:
+    """Seeded AR(3) on C^2 with a simple unit root: one unit factor, two
+    stable factors with distinct spectral radii."""
+    n = 2
     rng = _rng(seed, lane=5)
     phi0 = _semisimple_unit_factor(rng, n)
     phi1 = _stable_factor(rng, n, radius=0.45)
@@ -218,8 +222,17 @@ def build_example(name: str, n: int | None = None, lam: float | None = None,
                   seed: int | None = None, blocks=None):
     """Build a registry model by name with optional overrides.
 
+    ``n`` applies to every model but ex-jordan, ``lam`` only to ex-c0 and
+    ``blocks`` only to ex-jordan; an override the model does not take
+    raises ValueError.  ``seed`` is read by ex-selfadjoint and ex-jordan.
     Returns (ArPencil, info) where info is {} except for ex-jordan.
     """
+    if name not in EXAMPLE_NAMES:
+        raise KeyError(f"unknown example {name!r}")
+    for key, value, takes in (("n", n, name != "ex-jordan"), ("lam", lam, name == "ex-c0"),
+                              ("blocks", blocks, name == "ex-jordan")):
+        if value is not None and not takes:
+            raise ValueError(f"{name} does not take {key}")
     if name == "ex-c0":
         return sequence_shift_model(n=n or 8, lam=0.5 if lam is None else lam), {}
     if name == "ex-volterra":
@@ -228,10 +241,7 @@ def build_example(name: str, n: int | None = None, lam: float | None = None,
         return selfadjoint_model(n=n or 6, seed=7 if seed is None else seed), {}
     if name == "ex-evenodd":
         return evenodd_model(n=n or 16), {}
-    if name == "ex-jordan":
-        model, info = jordan_model(0 if seed is None else seed, blocks_at_one=blocks)
-        return model, info
-    raise KeyError(f"unknown example {name!r}")
+    return jordan_model(0 if seed is None else seed, blocks_at_one=blocks)
 
 
 EXAMPLE_NAMES = ("ex-c0", "ex-volterra", "ex-selfadjoint", "ex-evenodd", "ex-jordan")

@@ -29,6 +29,7 @@ from typing import Iterable
 import numpy as np
 
 NORM_KINDS = ("one", "two", "sup")
+DECAY_FIT_FLOOR = 1e-300  # fit_geometric_decay treats norms at or below it as zero
 
 
 class NotComplementary(ValueError):
@@ -150,9 +151,7 @@ class Subspace:
         if c.shape[1] == 0:
             return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
         u, s, _ = np.linalg.svd(c, full_matrices=False)
-        cut = max(tol.rank_rel * s[0], floor) if s.size and s[0] > 0 else math.inf
-        r = int(np.sum(s > cut))
-        return Subspace(n, u[:, :r])
+        return Subspace(n, u[:, :_rank_of(s, tol, floor)])
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -188,36 +187,32 @@ def operator_norm(m, norm: str = "two") -> float:
 # tolerant rank / kernel / range
 # ---------------------------------------------------------------------------
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    m = as_operator(m)
-    s = np.linalg.svd(m, compute_uv=False)
+def _rank_of(s, tol: Tolerance, floor: float = 0.0) -> int:
+    """The rank rule every rank decision uses: the number of singular
+    values ``s`` (descending) above rank_rel * s_0, or above ``floor``
+    when that is larger; 0 for an empty or zero matrix."""
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
+    return int(np.sum(s > max(tol.rank_rel * s[0], floor)))
+
+
+def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
+    return _rank_of(np.linalg.svd(as_operator(m), compute_uv=False), tol)
 
 
 def kernel_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical null space (right singular vectors)."""
     m = as_operator(m)
     _, s, vh = np.linalg.svd(m)
-    cols = m.shape[1]
-    if s.size == 0 or s[0] <= 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_rel * s[0]))
-    basis = vh[rank:].conj().T  # cols x (cols-rank)
-    return Subspace(cols, basis)
+    basis = vh[_rank_of(s, tol):].conj().T  # cols x (cols-rank)
+    return Subspace(m.shape[1], basis)
 
 
 def range_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical column space (left singular vectors)."""
     m = as_operator(m)
     u, s, _ = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_rel * s[0]))
-    return Subspace(m.shape[0], u[:, :rank])
+    return Subspace(m.shape[0], u[:, :_rank_of(s, tol)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,35 +348,39 @@ def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Su
 # Jordan ascent at eigenvalue 1
 # ---------------------------------------------------------------------------
 
-def ascent_at_one(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Size of the largest Jordan block of M at eigenvalue 1.
+def kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Kernel dimensions d_k = dim ker (I-M)^k for k = 0, 1, ..., K, with
+    K the smallest k where d_{k+1} = d_k (at most the dimension of M).
 
-    Computed by rank stabilization: the smallest k with
-    dim ker (I-M)^k = dim ker (I-M)^{k+1}.  Returns 0 when 1 is not an
-    eigenvalue (empty numerical kernel of I-M).  This doubles as an
-    independent oracle for the pole order of (I - zM)^{-1} at z = 1.
+    d_K is the algebraic multiplicity of the eigenvalue 1 and K the size
+    of its largest Jordan block; both are 0 when 1 is not an eigenvalue.
     """
     m = as_operator(m, square=True)
     n = m.shape[0]
     d = np.eye(n, dtype=np.complex128) - m
+    dims = [0]
     power = d
-    null_prev = n - numerical_rank(power, tol)
-    if null_prev == 0:
-        return 0
-    for k in range(2, n + 2):
-        power = power @ d
+    while len(dims) <= n:
         null_k = n - numerical_rank(power, tol)
-        if null_k == null_prev:
-            return k - 1
-        null_prev = null_k
-    return n  # cannot exceed the ambient dimension
+        if null_k == dims[-1]:
+            break
+        dims.append(null_k)
+        power = power @ d
+    return dims
+
+
+def ascent_at_one(m, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Size of the largest Jordan block of M at eigenvalue 1, read off
+    kernel_chain_at_one (0 when 1 is not an eigenvalue).  This doubles as
+    an independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
+    return len(kernel_chain_at_one(m, tol)) - 1
 
 
 # ---------------------------------------------------------------------------
 # misc small helpers shared by the test-suite and modules
 # ---------------------------------------------------------------------------
 
-def fit_geometric_decay(norms: Iterable[float], floor: float = 1e-300):
+def fit_geometric_decay(norms: Iterable[float]):
     """Least-squares fit of ``norms[j] ~ C * rho**j`` on the nonzero tail.
 
     Returns (C, rho).  All-zero input fits (0.0, 0.0); a single nonzero
@@ -389,7 +388,7 @@ def fit_geometric_decay(norms: Iterable[float], floor: float = 1e-300):
     and MA tail-decay reporting.
     """
     vals = np.asarray(list(norms), dtype=float)
-    idx = np.nonzero(vals > floor)[0]
+    idx = np.nonzero(vals > DECAY_FIT_FLOOR)[0]
     if idx.size == 0:
         return 0.0, 0.0
     if idx.size == 1:

@@ -15,16 +15,16 @@ complement identity), so both pencils share spectrum and pole structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import (DEFAULT_TOL, NORM_KINDS, Subspace, Tolerance, as_operator,
-                       matrix_from_json, matrix_to_json, numerical_rank,
+from .numfield import (DEFAULT_TOL, NORM_KINDS, Tolerance, as_operator,
+                       kernel_chain_at_one, matrix_from_json, matrix_to_json,
                        operator_norm)
 
-SPECTRUM_CLUSTER_TOL = 1e-7  # merge radius for "this eigenvalue is the unit root"
-DEFAULT_ETA = 0.1
+ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
+UNIT_CLUSTER_SCATTER = 0.05  # farthest a unit-cluster eigenvalue may sit from 1
 
 
 class SingularAt(ArithmeticError):
@@ -32,7 +32,7 @@ class SingularAt(ArithmeticError):
 
     def __init__(self, z):
         self.z = z
-        super().__init__(f"pencil is singular at z = {z}")
+        super().__init__(f"pencil is singular at z = {z} (within the residual tolerance)")
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,9 @@ class SpectrumReport:
 
     pencil_spectrum collects 1/lambda over the nonzero eigenvalues of the
     companion operator (the points where I - z a1 is singular).
-    unit_root_ok is true iff, within the clustering tolerance, the point 1
-    is the only pencil-spectrum element in the closed disk of radius
-    1 + eta.  nearest_other is the distance from 1 to the closest other
+    unit_root_ok is true iff the unit cluster lies within
+    UNIT_CLUSTER_SCATTER of 1 and nothing else is in the closed disk of
+    radius 1 + eta.  nearest_other is the distance from 1 to the closest other
     spectrum point (inf when none) -- used to pick contour radii.
     """
 
@@ -192,17 +192,13 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(cp: CompanionPencil, eta: float = DEFAULT_ETA,
-                    tol: Tolerance = DEFAULT_TOL,
-                    cluster_tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
+def spectrum_report(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> SpectrumReport:
     """Spectrum of the pencil from the eigenvalues of the companion operator.
 
     Finite dimensions give the exact reciprocal relationship between
     companion eigenvalues and pencil singular points; a zero-scan of
     det A(z) is kept only as a test oracle.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     eigs = np.linalg.eigvals(cp.a1)
     nonzero = eigs[np.abs(eigs) > tol.rank_rel]
     roots = np.sort_complex(1.0 / nonzero)
@@ -212,30 +208,21 @@ def spectrum_report(cp: CompanionPencil, eta: float = DEFAULT_ETA,
     # membership in the unit cluster is decided by rank instead: the
     # algebraic multiplicity at 1 is the stabilized kernel dimension of
     # powers of (I - B), and that many nearest eigenvalues form the cluster.
-    big = cp.big_dim
-    m = cp.identity() - cp.a1
-    power = np.eye(big, dtype=np.complex128)
-    multiplicity = 0
-    for _ in range(big):
-        power = power @ m
-        null_dim = big - numerical_rank(power, tol)
-        if null_dim == multiplicity:
-            break
-        multiplicity = null_dim
+    multiplicity = kernel_chain_at_one(cp.a1, tol)[-1]
 
     order = np.argsort(np.abs(roots - 1.0), kind="stable")
     cluster_count = min(multiplicity, roots.size)
     cluster = roots[order[:cluster_count]]
     others = roots[order[cluster_count:]]
     scatter = float(np.max(np.abs(cluster - 1.0))) if cluster.size else 0.0
-    inside = others[np.abs(others) <= 1.0 + eta] if others.size else others
+    inside = others[np.abs(others) <= 1.0 + ETA] if others.size else others
     nearest = float(np.min(np.abs(others - 1.0))) if others.size else float("inf")
     present = multiplicity > 0
-    ok = present and inside.size == 0 and scatter <= max(cluster_tol, 0.05)
+    ok = present and inside.size == 0 and scatter <= UNIT_CLUSTER_SCATTER
     return SpectrumReport(
         eigenvalues=eigs,
         pencil_spectrum=roots,
-        eta=eta,
+        eta=ETA,
         unit_root_ok=bool(ok),
         unit_root_present=bool(present),
         nearest_other=nearest,

@@ -325,10 +325,11 @@ def verify_representation(path: SamplePath, report, j_max: int,
 # ---------------------------------------------------------------------------
 
 def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
-                      replications: int, initial=None, threads: int = 1) -> np.ndarray:
-    """States array (replications, horizon, dim); replication r uses the
-    stream keyed (seed, r), so row r equals simulate_ar(...,
-    replication=r) to rounding.  Not bit for bit: each step multiplies
+                      replications: int, threads: int = 1) -> np.ndarray:
+    """States array (replications, horizon, dim), every replication
+    started from zero initial states; replication r uses the stream keyed
+    (seed, r), so row r equals simulate_ar(..., replication=r) to
+    rounding.  Not bit for bit: each step multiplies
     the states of a whole chunk of replications in one matrix product,
     whose summation order can differ from the single path's
     matrix-vector product (models.ar2_unit_root_model: about 6e-13 apart
@@ -337,15 +338,8 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     if replications < 1:
         raise ValueError("need at least one replication")
     coeffs = _real_coeffs(ar)
-    n, p = ar.dim, ar.p
+    n = ar.dim
     factor = _covariance_factor(cov, DEFAULT_TOL)
-    if initial is None:
-        initial = np.zeros((p, n))
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape == (p, n):
-        initial = np.broadcast_to(initial, (replications, p, n))
-    if initial.shape != (replications, p, n):
-        raise ValueError("initial must have shape (p, dim) or (replications, p, dim)")
 
     chunk = 32  # fixed so chunking does not depend on the thread count
 
@@ -360,8 +354,8 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
             acc = eps[:, t - 1].copy()
             for j, a in enumerate(coeffs, start=1):
                 back = t - j
-                past = states[:, back - 1] if back >= 1 else initial[start:stop, -back]
-                acc += past @ a.T
+                if back >= 1:
+                    acc += states[:, back - 1] @ a.T
             states[:, t - 1] = acc
         return states
 

@@ -96,9 +96,23 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["verify", "ex-c0", "--radius", "5"],       # wider than the spectrum allows
     ["analyze", "ex-jordan", "--blocks", "0"],
     ["sweep", "ex-volterra", "--dims", "8,8"],
+    # a model flag the model does not take
+    ["analyze", "ex-c0", "--blocks", "2"],
+    ["analyze", "ex-jordan", "--n", "5"],
+    ["analyze", "ex-evenodd", "--lam", "0.3"],
+    # a contour the radius or tolerance makes unusable
+    ["verify", "ex-c0", "--radius", "0.001"],   # quadrature never settles
+    ["verify", "ex-c0", "--radius", "1e-9"],    # resolvent singular on the circle
+    ["analyze", "ex-c0", "--tol", "1e-300"],    # no solve meets the residual
 ], ids=lambda argv: " ".join(argv[i] for i in (0, 2, 3)))
 def test_bad_value_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("flag", [["--n", "3"], ["--lam", "0.3"], ["--blocks", "2"]],
+                         ids=lambda flag: flag[0])
+def test_model_flag_next_to_model_file_exits_one(capsys, stable_model_path, flag):
+    assert_one_line_error(capsys, ["analyze", "--model", stable_model_path, *flag])
 
 
 def test_simulate_complex_model_exits_one(capsys, complex_model_path):
@@ -132,6 +146,24 @@ def test_represent_neither_class_exit_three(capsys, order3_model_path):
     code, _, err = run(capsys, ["represent", "--model", order3_model_path])
     assert code == 3
     assert err
+
+
+def test_verify_neither_class_exit_three(capsys, order3_model_path, tmp_path):
+    code, out, err = run(capsys, ["verify", "--model", order3_model_path])
+    assert code == 3
+    assert err == "grj verify: pole at z=1 is neither order one nor order two\n"
+    report = json.loads(out)
+    assert report["ok"] and not report["failed"]
+    names = [item["name"] for item in report["invariants"]]
+    assert names == ["determinism", "recursion", "pole-order-routes", "laurent-algebra"]
+    # a failed invariant still wins: exit 4
+    stored = tmp_path / "other-seed.csv"
+    assert main(["simulate", "--model", order3_model_path, "--seed", "1",
+                 "--out", str(stored)]) == 0
+    code, _, err = run(capsys, ["verify", "--model", order3_model_path,
+                                "--path", str(stored)])
+    assert code == 4
+    assert "determinism" in err
 
 
 def test_represent_i1_payload(capsys):
@@ -177,6 +209,14 @@ def test_simulate_different_seeds_differ(capsys, tmp_path):
     main(["simulate", "ex-c0", "--horizon", "20", "--seed", "2", "--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_sweep_without_unit_root_names_the_dimension(capsys):
+    # Volterra at n = 32 fails the unit-root gate, as analyze reports it
+    code, out, err = run(capsys, ["sweep", "ex-volterra", "--dims", "8,16,32"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "n = 32" in err, err
 
 
 def test_sweep_volterra(capsys):

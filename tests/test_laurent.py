@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.laurent import (ContourTooWide, NoUnitRoot, circle_coefficients,
+from grjkit.laurent import (MAX_NODES, ContourTooWide, NoUnitRoot, circle_coefficients,
                             contour_coefficients, essential_from_sweep,
                             expansion, pick_radius, pole_order,
                             riesz_projection)
@@ -161,6 +161,12 @@ def test_quadrature_converges_on_analytic_function():
     assert_allclose(coeffs[1], target, atol=1e-10)
     assert_allclose(coeffs[2], target / 2.0, atol=1e-10)
     assert change < 1e-10
+
+
+def test_quadrature_start_at_the_cap_is_rejected():
+    # a start at MAX_NODES could never refine, so it is refused up front
+    with pytest.raises(ValueError, match="start node count"):
+        circle_coefficients(lambda z: np.eye(2) * z, [0], nodes=MAX_NODES)
 
 
 def test_expansion_bundles_everything(shift8_cp):

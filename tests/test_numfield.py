@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from grjkit.numfield import (DEFAULT_TOL, NotComplementary, Subspace, Tolerance,
                              apply_to_subspace, ascent_at_one, direct_sum_check,
                              dump_json, fit_geometric_decay, kernel_basis,
+                             kernel_chain_at_one,
                              matrix_from_json, matrix_to_json, numerical_rank,
                              oblique_projection, operator_norm,
                              orthogonal_complement, range_basis,
@@ -211,6 +212,8 @@ def test_ascent_is_similarity_invariant(sizes, seed):
     s += (total + 2) * np.eye(total + 1)         # keep it well conditioned
     a = s @ j @ np.linalg.inv(s)
     assert ascent_at_one(a) == max(sizes)
+    # the same chain gives the algebraic multiplicity spectrum_report uses
+    assert kernel_chain_at_one(a)[-1] == total
 
 
 def test_matrix_json_round_trip_is_exact():
