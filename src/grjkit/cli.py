@@ -45,7 +45,6 @@ from .laurent import (
     MIN_NODES,
     ContourNotConverged,
     ContourTooWide,
-    NoUnitRoot,
     essential_from_sweep,
     expansion,
     pole_order,
@@ -153,7 +152,8 @@ def _flag_specs() -> dict:
         "--lam": dict(type=float, default=None, help="decay parameter for ex-c0 (default 0.5)"),
         "--blocks": dict(type=_int_list, default=None,
                          help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=int, default=None, help="seed of ex-selfadjoint, ex-jordan "
+                       "and the simulated path of simulate and verify (default 0)"),
         "--tol": dict(type=_tolerance, default=os.environ.get("GRJ_DEFAULT_TOL") or "1e-8",
                       help="residual tolerance (default GRJ_DEFAULT_TOL or 1e-8)"),
         "--horizon": dict(type=_POSITIVE_INT, default=300),
@@ -187,10 +187,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+_SIMULATING = ("simulate", "verify")  # --seed also seeds their simulated path
+
+
 def _build_example(args, n):
+    seed = args.seed
     try:
-        return models.build_example(args.name, n=n, lam=args.lam,
-                                    seed=args.seed, blocks=args.blocks)
+        if "seed" in models.example_defaults(args.name):
+            seed = seed or 0
+        elif args.command in _SIMULATING:
+            seed = None
+        return models.build_example(args.name, n=n, lam=args.lam, seed=seed,
+                                    blocks=getattr(args, "blocks", None))  # sweep has none
     except KeyError as exc:
         raise _CliError(str(exc.args[0])) from exc
     except ValueError as exc:
@@ -207,6 +215,8 @@ def _load_model(args):
     if args.model:
         if not (args.n is None and args.lam is None and args.blocks is None):
             raise _CliError("--n, --lam and --blocks apply to built-in models, not to --model")
+        if args.seed is not None and args.command not in _SIMULATING:
+            raise _CliError(f"{args.command} --model reads no --seed")
         try:
             ar = ArPencil.load(args.model)
         except FileNotFoundError as exc:
@@ -226,6 +236,14 @@ def _simulate(ar, horizon, seed, model_id):
         raise _CliError(str(exc)) from exc
 
 
+def _spectrum(cp, args, where=""):
+    """spectrum_report of cp, saying on stderr when z=1 is not a usable unit root."""
+    spectrum = spectrum_report(cp, tol=args.tol)
+    if not spectrum.unit_root_ok:
+        sys.stderr.write(f"grj {args.command}: no usable unit root at z=1{where}\n")
+    return spectrum
+
+
 def _emit(report: dict, out: str | None):
     text = dump_json(report)
     if out:
@@ -238,12 +256,11 @@ def _emit(report: dict, out: str | None):
 def cmd_analyze(args) -> int:
     ar, model_id, info = _load_model(args)
     cp = linearize(ar)
-    spectrum = spectrum_report(cp, tol=args.tol)
+    spectrum = _spectrum(cp, args)
     report = {"model": model_id, "info": info, "spectrum": spectrum.to_json()}
-    if not (spectrum.unit_root_present and spectrum.unit_root_ok):
+    if not spectrum.unit_root_ok:
         report["verdict"] = "no usable unit root"
         _emit(report, args.out)
-        sys.stderr.write("grj analyze: no usable unit root at z=1\n")
         return _EXIT_NO_UNIT_ROOT
     pole = pole_order(cp, tol=args.tol, spectrum=spectrum)
     i1 = check_i1(cp, tol=args.tol)
@@ -269,9 +286,9 @@ def cmd_sweep(args) -> int:
     for n in args.dims:
         ar, _ = _build_example(args, n)
         cp = linearize(ar)
-        spectrum = spectrum_report(cp, tol=args.tol)
-        if not (spectrum.unit_root_present and spectrum.unit_root_ok):
-            raise NoUnitRoot(f"sweep stops at n = {n}")
+        spectrum = _spectrum(cp, args, f" (sweep stops at n = {n})")
+        if not spectrum.unit_root_ok:
+            return _EXIT_NO_UNIT_ROOT
         report = pole_order(cp, tol=args.tol, spectrum=spectrum)
         orders.append(report.order)
         points.append({"n": int(n), "order": report.order,
@@ -297,15 +314,14 @@ def _components(cp, args):
 def cmd_represent(args) -> int:
     ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
-    spectrum = spectrum_report(cp, tol=args.tol)
-    if not (spectrum.unit_root_present and spectrum.unit_root_ok):
-        sys.stderr.write("grj represent: no usable unit root at z=1\n")
+    if not _spectrum(cp, args).unit_root_ok:
         return _EXIT_NO_UNIT_ROOT
-    report = {"model": model_id}
     rep = _components(cp, args)
     if rep is None:
         sys.stderr.write(f"grj represent: {_NO_CLASS}\n")
         return _EXIT_NO_CLASS
+    report = {"model": model_id, "cross_check_residual": float(rep.cross_check_residual),
+              "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs]}
     if isinstance(rep, I1Report):
         long_run = np.asarray(rep.long_run)
         ma = differenced_ma(rep, np.eye(long_run.shape[0]))
@@ -314,11 +330,9 @@ def cmd_represent(args) -> int:
             "class": "I1",
             "long_run": matrix_to_json(long_run),
             "p_operator": matrix_to_json(np.asarray(rep.p_operator)),
-            "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs],
             "cointegrating": subspace_to_json(kernel_basis(long_run.T, args.tol)),
             "attractor": subspace_to_json(range_basis(long_run, args.tol)),
             "bn": bn.to_json(),
-            "cross_check_residual": float(rep.cross_check_residual),
         })
         _emit(report, args.out)
         return _EXIT_OK
@@ -331,11 +345,9 @@ def cmd_represent(args) -> int:
         "long_run1": matrix_to_json(lr1),
         "n_minus2": matrix_to_json(np.asarray(rep.n_minus2)),
         "p_operator": matrix_to_json(np.asarray(rep.p_op)),
-        "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs],
         "tier1_annihilators": subspace_to_json(kernel_basis(lr2.T, args.tol)),
         "tier2_annihilators": subspace_to_json(
             kernel_basis(np.vstack([lr2.T, p_load.T]), args.tol)),
-        "cross_check_residual": float(rep.cross_check_residual),
     })
     _emit(report, args.out)
     return _EXIT_OK
@@ -343,7 +355,7 @@ def cmd_represent(args) -> int:
 
 def cmd_simulate(args) -> int:
     ar, model_id, _ = _load_model(args)
-    path = _simulate(ar, args.horizon, args.seed, model_id)
+    path = _simulate(ar, args.horizon, args.seed or 0, model_id)
     if args.out:
         path.save_csv(args.out)
     else:
@@ -358,18 +370,18 @@ def _check(results: list, name: str, ok: bool, detail):
 def cmd_verify(args) -> int:
     ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
-    spectrum = spectrum_report(cp, tol=args.tol)
-    if not (spectrum.unit_root_present and spectrum.unit_root_ok):
-        sys.stderr.write("grj verify: no usable unit root at z=1\n")
+    spectrum = _spectrum(cp, args)
+    if not spectrum.unit_root_ok:
         return _EXIT_NO_UNIT_ROOT
     tol = args.tol
+    seed = args.seed or 0
     results: list = []
     cov = np.eye(ar.dim)
 
     # determinism: same seed twice is byte-identical; a stored path must
     # match a fresh simulation under the same settings.
-    path = _simulate(ar, args.horizon, args.seed, model_id)
-    again = _simulate(ar, args.horizon, args.seed, model_id)
+    path = _simulate(ar, args.horizon, seed, model_id)
+    again = _simulate(ar, args.horizon, seed, model_id)
     ok = path.to_csv_text() == again.to_csv_text()
     detail = "regenerated path matches" if ok else "same seed gave different bytes"
     if ok and args.path:
@@ -412,17 +424,16 @@ def cmd_verify(args) -> int:
 
     if order == 2:
         n2 = np.asarray(report.n_minus2)
-        a1 = cp.a1
         scale = max(1.0, operator_norm(n2))
-        left = operator_norm(a1 @ n2 - n2) / scale
-        right = operator_norm(n2 @ a1 - n2) / scale
+        left = operator_norm(cp.a1 @ n2 - n2) / scale
+        right = operator_norm(n2 @ cp.a1 - n2) / scale
         _check(results, "n2-cross-check", max(left, right) <= 1e-7,
                {"left": left, "right": right})
 
     p_op = np.asarray(report.p_operator if order == 1 else report.p_op)
     try:
-        initial = consistent_initial(ar, p_op, cov, args.seed, tol=tol)
-        cpath = simulate_ar(ar, cov, args.horizon, args.seed, initial=initial,
+        initial = consistent_initial(ar, p_op, cov, seed, tol=tol)
+        cpath = simulate_ar(ar, cov, args.horizon, seed, initial=initial,
                             model_id=model_id)
         check = verify_representation(cpath, report, min(args.jmax, 100), tol=tol)
         bound = 1e-6 * (1.0 + float(np.max(np.abs(cpath.states))))
@@ -470,10 +481,10 @@ def _laurent_algebra_check(cp, args):
 
 
 def _finish_verify(results, model_id, args, no_class=False) -> int:
-    """Emit the invariants that ran; exit 4 if one failed, else 3 if no_class."""
+    """Emit the invariants that ran; exit 4 if one failed, else 3 (not ok) if no_class."""
     failed = [r["name"] for r in results if not r["ok"]]
     report = {"model": model_id, "invariants": results, "failed": failed,
-              "ok": not failed}
+              "ok": not failed and not no_class}
     _emit(report, args.out)
     if failed:
         sys.stderr.write("grj verify: invariant failure: " + ", ".join(failed) + "\n")
@@ -485,11 +496,8 @@ def _finish_verify(results, model_id, args, no_class=False) -> int:
 
 
 def cmd_examples(args) -> int:
-    listing = []
-    for name in models.EXAMPLE_NAMES:
-        entry = {"name": name, "defaults": models.example_defaults(name)}
-        listing.append(entry)
-    _emit({"examples": listing}, None)
+    _emit({"examples": [{"name": name, "defaults": models.example_defaults(name)}
+                         for name in models.EXAMPLE_NAMES]}, None)
     return _EXIT_OK
 
 
@@ -507,7 +515,7 @@ _COMMANDS = {
                _MODEL_FLAGS + ("--tol", "--horizon", "--jmax", "--radius", "--nodes",
                                "--path", "--out")),
     "sweep": (cmd_sweep, "pole order across truncation dimensions",
-              ("--lam", "--blocks", "--seed", "--tol", "--dims", "--out")),
+              ("--lam", "--seed", "--tol", "--dims", "--out")),
     "examples": (cmd_examples, "list built-in models", ()),
 }
 
@@ -520,9 +528,6 @@ def main(argv=None) -> int:
     except (_CliError, ContourTooWide, ContourNotConverged, SingularAt) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")
         return _EXIT_BAD_INPUT
-    except NoUnitRoot as exc:
-        sys.stderr.write(f"grj: no usable unit root: {exc}\n")
-        return _EXIT_NO_UNIT_ROOT
     except SystemExit as exc:
         return int(exc.code or 0)
 

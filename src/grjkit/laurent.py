@@ -93,10 +93,7 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
         for k in range(1, m_nodes):
             samples[k] = fn(zs[k])
         spectrum = np.fft.fft(samples, axis=0)  # index j holds sum_m f_m e^{-ij theta_m}
-        out = {}
-        for j in js:
-            out[j] = spectrum[j % m_nodes] / (m_nodes * radius ** j)
-        return out
+        return {j: spectrum[j % m_nodes] / (m_nodes * radius ** j) for j in js}
 
     current = evaluate(nodes)
     m = nodes

@@ -222,16 +222,14 @@ def build_example(name: str, n: int | None = None, lam: float | None = None,
                   seed: int | None = None, blocks=None):
     """Build a registry model by name with optional overrides.
 
-    ``n`` applies to every model but ex-jordan, ``lam`` only to ex-c0 and
-    ``blocks`` only to ex-jordan; an override the model does not take
-    raises ValueError.  ``seed`` is read by ex-selfadjoint and ex-jordan.
+    A model takes the overrides its example_defaults entry lists: ``n``
+    every model but ex-jordan, ``lam`` only ex-c0, ``seed`` ex-selfadjoint
+    and ex-jordan, ``blocks`` only ex-jordan; any other raises ValueError.
     Returns (ArPencil, info) where info is {} except for ex-jordan.
     """
-    if name not in EXAMPLE_NAMES:
-        raise KeyError(f"unknown example {name!r}")
-    for key, value, takes in (("n", n, name != "ex-jordan"), ("lam", lam, name == "ex-c0"),
-                              ("blocks", blocks, name == "ex-jordan")):
-        if value is not None and not takes:
+    takes = example_defaults(name)
+    for key, value in (("n", n), ("lam", lam), ("seed", seed), ("blocks", blocks)):
+        if value is not None and key not in takes:
             raise ValueError(f"{name} does not take {key}")
     if name == "ex-c0":
         return sequence_shift_model(n=n or 8, lam=0.5 if lam is None else lam), {}

@@ -348,7 +348,7 @@ def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Su
 # Jordan ascent at eigenvalue 1
 # ---------------------------------------------------------------------------
 
-def kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
+def _kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
     """Kernel dimensions d_k = dim ker (I-M)^k for k = 0, 1, ..., K, with
     K the smallest k where d_{k+1} = d_k (at most the dimension of M).
 
@@ -371,9 +371,9 @@ def kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
 
 def ascent_at_one(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Size of the largest Jordan block of M at eigenvalue 1, read off
-    kernel_chain_at_one (0 when 1 is not an eigenvalue).  This doubles as
+    _kernel_chain_at_one (0 when 1 is not an eigenvalue).  This doubles as
     an independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
-    return len(kernel_chain_at_one(m, tol)) - 1
+    return len(_kernel_chain_at_one(m, tol)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numfield import (DEFAULT_TOL, NORM_KINDS, Tolerance, as_operator,
-                       kernel_chain_at_one, matrix_from_json, matrix_to_json,
+                       _kernel_chain_at_one, matrix_from_json, matrix_to_json,
                        operator_norm)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
@@ -208,7 +208,7 @@ def spectrum_report(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> Spectr
     # membership in the unit cluster is decided by rank instead: the
     # algebraic multiplicity at 1 is the stabilized kernel dimension of
     # powers of (I - B), and that many nearest eigenvalues form the cluster.
-    multiplicity = kernel_chain_at_one(cp.a1, tol)[-1]
+    multiplicity = _kernel_chain_at_one(cp.a1, tol)[-1]
 
     order = np.argsort(np.abs(roots - 1.0), kind="stable")
     cluster_count = min(multiplicity, roots.size)

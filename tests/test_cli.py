@@ -82,6 +82,7 @@ def test_unknown_flag_exits_one(capsys):
     ["represent", "ex-c0", "--horizon", "3"],
     ["simulate", "ex-c0", "--tol", "1e-6"],
     ["sweep", "ex-volterra", "--n", "8"],
+    ["sweep", "ex-c0", "--blocks", "2"],
 ], ids=lambda argv: " ".join(argv[i] for i in (0, 2)))
 def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
@@ -100,6 +101,9 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["analyze", "ex-c0", "--blocks", "2"],
     ["analyze", "ex-jordan", "--n", "5"],
     ["analyze", "ex-evenodd", "--lam", "0.3"],
+    ["analyze", "ex-c0", "--seed", "5"],        # reads no seed and simulates nothing
+    ["represent", "ex-evenodd", "--seed", "5"],
+    ["sweep", "ex-volterra", "--seed", "5"],
     # a contour the radius or tolerance makes unusable
     ["verify", "ex-c0", "--radius", "0.001"],   # quadrature never settles
     ["verify", "ex-c0", "--radius", "1e-9"],    # resolvent singular on the circle
@@ -109,10 +113,17 @@ def test_bad_value_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
 
 
-@pytest.mark.parametrize("flag", [["--n", "3"], ["--lam", "0.3"], ["--blocks", "2"]],
+@pytest.mark.parametrize("flag", [["--n", "3"], ["--lam", "0.3"], ["--blocks", "2"],
+                                  ["--seed", "1"]],
                          ids=lambda flag: flag[0])
 def test_model_flag_next_to_model_file_exits_one(capsys, stable_model_path, flag):
     assert_one_line_error(capsys, ["analyze", "--model", stable_model_path, *flag])
+
+
+def test_seeded_model_defaults_to_seed_zero(capsys):
+    _, implicit, _ = run(capsys, ["analyze", "ex-selfadjoint"])
+    _, explicit, _ = run(capsys, ["analyze", "ex-selfadjoint", "--seed", "0"])
+    assert implicit == explicit
 
 
 def test_simulate_complex_model_exits_one(capsys, complex_model_path):
@@ -153,7 +164,7 @@ def test_verify_neither_class_exit_three(capsys, order3_model_path, tmp_path):
     assert code == 3
     assert err == "grj verify: pole at z=1 is neither order one nor order two\n"
     report = json.loads(out)
-    assert report["ok"] and not report["failed"]
+    assert not report["ok"] and not report["failed"]
     names = [item["name"] for item in report["invariants"]]
     assert names == ["determinism", "recursion", "pole-order-routes", "laurent-algebra"]
     # a failed invariant still wins: exit 4

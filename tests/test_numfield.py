@@ -18,13 +18,13 @@ from hypothesis.extra.numpy import arrays
 from grjkit.numfield import (DEFAULT_TOL, NotComplementary, Subspace, Tolerance,
                              apply_to_subspace, ascent_at_one, direct_sum_check,
                              dump_json, fit_geometric_decay, kernel_basis,
-                             kernel_chain_at_one,
                              matrix_from_json, matrix_to_json, numerical_rank,
                              oblique_projection, operator_norm,
                              orthogonal_complement, range_basis,
                              relative_generalized_inverse, subspace_from_json,
                              subspace_intersection, subspace_sum,
                              subspace_to_json)
+from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
 def exact_rank(m) -> int:
@@ -212,8 +212,11 @@ def test_ascent_is_similarity_invariant(sizes, seed):
     s += (total + 2) * np.eye(total + 1)         # keep it well conditioned
     a = s @ j @ np.linalg.inv(s)
     assert ascent_at_one(a) == max(sizes)
-    # the same chain gives the algebraic multiplicity spectrum_report uses
-    assert kernel_chain_at_one(a)[-1] == total
+    # the same chain gives spectrum_report the algebraic multiplicity at 1:
+    # exactly `total` roots form the unit cluster, so the nearest other
+    # pencil root is 1/0.25 = 4
+    spectrum = spectrum_report(linearize(ArPencil(1, total + 1, [a])))
+    assert spectrum.nearest_other == pytest.approx(3.0, rel=1e-6)
 
 
 def test_matrix_json_round_trip_is_exact():
