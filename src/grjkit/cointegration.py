@@ -19,6 +19,7 @@ import numpy as np
 
 from .numfield import (
     DEFAULT_TOL,
+    RANK_REL,
     Subspace,
     Tolerance,
     as_operator,
@@ -92,8 +93,10 @@ class MaRepresentation:
 def positive_definite_check(c, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Is the (symmetrized) covariance strictly positive definite?
 
-    True iff the smallest eigenvalue exceeds rank_rel times the largest.
-    Noticeable asymmetry is reported as a warning, not an error.
+    True iff the smallest eigenvalue exceeds RANK_REL times the largest
+    (the fixed rank cut-off).  Asymmetry above 10 x tol.residual_abs
+    (relative to the norm, at least 1) is reported as a warning, not an
+    error.
     """
     c = as_operator(c, square=True)
     asym = operator_norm(c - c.T)
@@ -104,7 +107,7 @@ def positive_definite_check(c, tol: Tolerance = DEFAULT_TOL) -> bool:
     largest = float(eigs[-1])
     if largest <= 0:
         return False
-    return float(eigs[0]) > tol.rank_rel * largest
+    return float(eigs[0]) > RANK_REL * largest
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +137,8 @@ def cointegration_report(ma: MaRepresentation,
     """
     a = ma.sum_operator
     n = ma.dim
-    attractor = range_basis(a, tol)
-    cointegrating = kernel_basis(a.T, tol)
+    attractor = range_basis(a)
+    cointegrating = kernel_basis(a.T)
     return CointegrationReport(
         attractor=attractor,
         cointegrating=cointegrating,
@@ -159,7 +162,7 @@ def extend_functional(f_on_v, p_v, tol: Tolerance = DEFAULT_TOL,
     if idem > 10 * tol.residual_abs * max(1.0, operator_norm(p_v)):
         raise NotProjection(f"operator is not idempotent (residual {idem:.2e})")
     if v is None:
-        v = range_basis(p_v, tol)
+        v = range_basis(p_v)
     f = np.asarray(f_on_v, dtype=np.complex128).ravel()
     if f.size != v.dim:
         raise ValueError(f"functional has {f.size} coordinates for a {v.dim}-dim subspace")

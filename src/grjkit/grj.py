@@ -43,7 +43,7 @@ from .numfield import (
     subspace_sum,
     subspace_to_json,
 )
-from .laurent import DEFAULT_NODES, NoUnitRoot, circle_coefficients, contour_coefficients
+from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
 from .pencil import CompanionPencil, resolvent, spectrum_report
 
 H_TAYLOR_RADIUS = 0.9  # circle around 0 on which the Taylor route samples
@@ -56,17 +56,6 @@ class NotI1(ArithmeticError):
 
 class NotI2(ArithmeticError):
     """Requested order-two components for a model that is not order two."""
-
-
-def _gate(cp: CompanionPencil, tol: Tolerance):
-    rep = spectrum_report(cp, tol=tol)
-    if not rep.unit_root_present:
-        raise NoUnitRoot("1 is not in the pencil spectrum")
-    if not rep.unit_root_ok:
-        raise NoUnitRoot(
-            "unit root is not isolated enough for contour analysis "
-            f"(nearest other spectrum point at distance {rep.nearest_other:.3g})")
-    return rep
 
 
 def _jsonable_matrix(m):
@@ -112,11 +101,11 @@ def check_i1(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I1Report:
     along ran M together with its contour cross-check residual and the
     observable long-run operator.
     """
-    rep = _gate(cp, tol)
+    rep = require_unit_root(spectrum_report(cp))
     m = cp.identity() - cp.a1
-    ker = kernel_basis(m, tol)
-    ran = range_basis(m, tol)
-    split = direct_sum_check(ran, ker, tol)
+    ker = kernel_basis(m)
+    ran = range_basis(m)
+    split = direct_sum_check(ran, ker)
     if not split.holds:
         return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
                         defect=split.defect, p_operator=None, long_run=None,
@@ -250,41 +239,35 @@ class _OrderTwoGeometry:
 
     def __init__(self, cp, tol, ran_complement=None, ker_complement=None):
         n = cp.big_dim
-        self.cp = cp
-        self.tol = tol
         m = cp.identity() - cp.a1
-        self.ker = kernel_basis(m, tol)
-        self.ran = range_basis(m, tol)
-        self.ran_c = orthogonal_complement(self.ran, tol) if ran_complement is None \
+        self.ker = kernel_basis(m)
+        self.ran = range_basis(m)
+        self.ran_c = orthogonal_complement(self.ran) if ran_complement is None \
             else ran_complement
-        self.ker_c = orthogonal_complement(self.ker, tol) if ker_complement is None \
+        self.ker_c = orthogonal_complement(self.ker) if ker_complement is None \
             else ker_complement
-        if not direct_sum_check(self.ran, self.ran_c, tol).holds:
+        if not direct_sum_check(self.ran, self.ran_c).holds:
             raise NotComplementary("supplied range complement is not complementary")
-        if not direct_sum_check(self.ker, self.ker_c, tol).holds:
+        if not direct_sum_check(self.ker, self.ker_c).holds:
             raise NotComplementary("supplied kernel complement is not complementary")
 
-        self.k_space = subspace_intersection(self.ran, self.ker, tol)
+        self.k_space = subspace_intersection(self.ran, self.ker)
         self.p_ran = oblique_projection(self.ran, self.ran_c, tol)
         self.p_ker = oblique_projection(self.ker, self.ker_c, tol)
         off_range = np.eye(n, dtype=np.complex128) - self.p_ran
-        self.w_space = apply_to_subspace(off_range, self.ker, tol)
+        self.w_space = apply_to_subspace(off_range, self.ker)
         # Inner complements: K_C completes K to the kernel and W_C completes
         # W = (I - P_ran) ker to the range complement.  Taking them orthogonal
         # within the enclosing space is one valid choice among many; the
         # contour cross-check certifies the results do not depend on it.
-        self.w_c = subspace_intersection(
-            self.ran_c, orthogonal_complement(self.w_space, tol), tol)
-        self.k_c = subspace_intersection(
-            self.ker, orthogonal_complement(self.k_space, tol), tol)
+        self.w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
+        self.k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
         self.gen_inverse = relative_generalized_inverse(m, self.ker_c, self.ran_c, tol)
         self.q = off_range @ self.p_ker
         self.off_range = off_range
 
-        self.sum_rk = subspace_sum(self.ran, self.ker, tol)
-        gk = apply_to_subspace(self.gen_inverse, self.k_space, tol)
-        self.gk = gk
-        self.split = direct_sum_check(self.sum_rk, gk, tol)
+        self.split = direct_sum_check(subspace_sum(self.ran, self.ker),
+                                      apply_to_subspace(self.gen_inverse, self.k_space))
         self.holds = self.k_space.dim > 0 and self.split.holds
 
         # Q restricted to K_C inverts onto W; build Q^g = [Q|_{K_C}]^{-1} P_W.
@@ -297,8 +280,7 @@ class _OrderTwoGeometry:
             self.q_g_residual = 0.0
         else:
             try:
-                p_w = oblique_projection(self.w_space,
-                                         subspace_sum(self.ran, self.w_c, tol), tol)
+                p_w = oblique_projection(self.w_space, subspace_sum(self.ran, self.w_c), tol)
             except NotComplementary:
                 p_w = None
             if p_w is not None:
@@ -329,7 +311,7 @@ def check_i2(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I2Report:
     inverse are returned whether or not the condition holds; the
     representation operators are filled in by i2_components.
     """
-    _gate(cp, tol)
+    require_unit_root(spectrum_report(cp))
     geo = _OrderTwoGeometry(cp, tol)
     return _report_from_geometry(geo)
 
@@ -345,7 +327,7 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     Q^g.  Both are cross-checked against contour coefficients, which do
     not depend on the complement choices.
     """
-    rep = _gate(cp, tol)
+    rep = require_unit_root(spectrum_report(cp))
     geo = _OrderTwoGeometry(cp, tol, ran_complement, ker_complement)
     if not geo.holds:
         raise NotI2(
@@ -363,7 +345,7 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     n = cp.big_dim
     eye = np.eye(n, dtype=np.complex128)
     k_dim = geo.k_space.dim
-    p_wc = oblique_projection(geo.w_c, subspace_sum(geo.ran, geo.w_space, tol), tol)
+    p_wc = oblique_projection(geo.w_c, subspace_sum(geo.ran, geo.w_space), tol)
 
     restricted = p_wc @ geo.gen_inverse @ geo.k_space.basis  # n x k, values in W_C
     in_wc_coords, *_ = np.linalg.lstsq(geo.w_c.basis, restricted, rcond=None)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numfield import DEFAULT_TOL, Tolerance, numerical_rank, operator_norm, \
-    ascent_at_one, fit_geometric_decay
+    fit_geometric_decay
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
@@ -47,7 +47,19 @@ QUADRATURE_CONV_TOL = 1e-10  # largest change between levels that counts as sett
 
 
 class NoUnitRoot(ArithmeticError):
-    """1 is not in the pencil spectrum (within the clustering tolerance)."""
+    """z = 1 is no usable unit root: not in the pencil spectrum, or not
+    isolated enough for contour analysis."""
+
+
+def require_unit_root(rep: SpectrumReport) -> SpectrumReport:
+    """``rep`` itself when its unit root is usable, else NoUnitRoot."""
+    if not rep.unit_root_present:
+        raise NoUnitRoot("1 is not in the pencil spectrum")
+    if not rep.unit_root_ok:
+        raise NoUnitRoot(
+            "unit root is not isolated enough for contour analysis "
+            f"(nearest other spectrum point at distance {rep.nearest_other:.3g})")
+    return rep
 
 
 class ContourTooWide(ArithmeticError):
@@ -124,7 +136,7 @@ def contour_coefficients(cp: CompanionPencil, js, radius=None, nodes=DEFAULT_NOD
     Applies the pencil sign convention N_j = -a_j to the standard
     circle coefficients of the resolvent.
     """
-    rep = spectrum if spectrum is not None else spectrum_report(cp, tol=tol)
+    rep = spectrum if spectrum is not None else spectrum_report(cp)
     if radius is None:
         radius = pick_radius(rep)
     _guard_radius(rep, radius)
@@ -158,7 +170,7 @@ class PoleOrderReport:
                 "routes_agree": self.routes_agree}
 
 
-def _nilpotency_index_by_rank(proj, g, tol: Tolerance) -> int:
+def _nilpotency_index_by_rank(proj, g) -> int:
     """Smallest k >= 0 with G^k numerically zero, counting G^0 = P.
 
     Ranks of the true powers decrease strictly to zero (G restricted to
@@ -167,12 +179,12 @@ def _nilpotency_index_by_rank(proj, g, tol: Tolerance) -> int:
     as zero.
     """
     n = proj.shape[0]
-    rank_prev = numerical_rank(proj, tol)
+    rank_prev = numerical_rank(proj)
     if rank_prev == 0:
         return 0
     power = g
     for k in range(1, n + 1):
-        rank_k = numerical_rank(power, tol)
+        rank_k = numerical_rank(power)
         if rank_k == 0 or rank_k >= rank_prev:
             return k
         rank_prev = rank_k
@@ -186,24 +198,22 @@ def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
 
     Structural route: nilpotency index of G = (I - B) P by rank
     stabilization (order = index, with G^0 = P), cross-checked against
-    the Jordan-ascent oracle.  essential_flag on a single model marks the
-    order hitting the ambient ceiling; sweeps across truncation dimensions
-    refine it (see essential_from_sweep).  Raises NoUnitRoot when 1 is
-    not in the pencil spectrum.
+    the Jordan-ascent oracle, which the spectrum report carries.
+    essential_flag on a single model marks the order hitting the ambient
+    ceiling; sweeps across truncation dimensions refine it (see
+    essential_from_sweep).  Raises NoUnitRoot unless z = 1 is a usable
+    unit root (require_unit_root).
     """
-    rep = spectrum if spectrum is not None else spectrum_report(cp, tol=tol)
-    if not rep.unit_root_present:
-        raise NoUnitRoot("1 is not in the pencil spectrum")
+    rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
     proj = riesz_projection(cp, tol=tol, spectrum=rep)
     g = (cp.identity() - cp.a1) @ proj
-    index = _nilpotency_index_by_rank(proj, g, tol)
-    ascent = ascent_at_one(cp.a1, tol)
+    index = _nilpotency_index_by_rank(proj, g)
     return PoleOrderReport(
         order=index,
         essential_flag=index >= cp.big_dim,
         nilpotency_index=index,
-        ascent=ascent,
-        routes_agree=(index == ascent),
+        ascent=rep.ascent,
+        routes_agree=(index == rep.ascent),
     )
 
 
@@ -252,7 +262,7 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
               radius=None, nodes=DEFAULT_NODES) -> LaurentExpansion:
     """Full expansion with coefficients for j in [-order, j_max].
 
-    Raises NoUnitRoot when 1 is not in the pencil spectrum.  Verifies,
+    Raises NoUnitRoot unless z = 1 is a usable unit root.  Verifies,
     before returning: reconstruction against direct resolvent
     evaluation at held-out points on a circle of half the contour radius
     (within a tail bound fitted from the computed coefficient decay),
@@ -261,7 +271,7 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    rep = spectrum_report(cp, tol=tol)
+    rep = spectrum_report(cp)
     order = pole_order(cp, tol=tol, spectrum=rep).order
     js = list(range(-order, j_max + 1))
     if -1 not in js:

@@ -12,7 +12,9 @@ Conventions
   is embedded with zero imaginary part.
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
-  only matter for reported norm values.
+  only matter for reported norm values.  They all cut at the fixed
+  RANK_REL relative to the largest singular value, so no caller tunes
+  them; a ``tol`` parameter means the function checks a residual.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
   conjugation, so the adjoint of an operator is its plain transpose and
   the space of functionals annihilating ``ran A`` is the left null space
@@ -30,6 +32,7 @@ import numpy as np
 
 NORM_KINDS = ("one", "two", "sup")
 DECAY_FIT_FLOOR = 1e-300  # fit_geometric_decay treats norms at or below it as zero
+RANK_REL = 1e-10  # rank cut-off: singular values <= RANK_REL * s_0 count as zero
 
 
 class NotComplementary(ValueError):
@@ -38,20 +41,17 @@ class NotComplementary(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerance pair used by every rank/residual decision.
-
-    rank_rel      relative singular-value cutoff (numerical rank)
-    residual_abs  absolute operator-norm cutoff for residual checks
+    """The one settable tolerance: residual_abs, the absolute operator-norm
+    cutoff of residual checks (resolvent solves; 10x of it bounds
+    quadrature settling and the projection and generalized-inverse
+    guards).  Rank decisions use the fixed RANK_REL instead.
     """
 
-    rank_rel: float = 1e-10
     residual_abs: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.rank_rel < 1):
-            raise ValueError("rank_rel must be in (0, 1)")
-        if self.residual_abs <= 0:
-            raise ValueError("residual_abs must be positive")
+        if not 0 < self.residual_abs < math.inf:  # nan or inf would pass every check
+            raise ValueError("residual_abs must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()
@@ -136,12 +136,12 @@ class Subspace:
         return self.basis.shape[1]
 
     @staticmethod
-    def from_columns(cols, tol: Tolerance = DEFAULT_TOL, floor: float = 0.0) -> "Subspace":
+    def from_columns(cols, floor: float = 0.0) -> "Subspace":
         """Orthonormalized span of the given columns (rank-truncated SVD).
 
         ``floor`` is an absolute singular-value cutoff for callers that
         know the columns' natural scale (e.g. images under a bounded
-        map, where components below rank_rel times the map norm are
+        map, where components below RANK_REL times the map norm are
         rounding noise, not directions).
         """
         c = np.asarray(cols, dtype=np.complex128)
@@ -151,7 +151,7 @@ class Subspace:
         if c.shape[1] == 0:
             return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
         u, s, _ = np.linalg.svd(c, full_matrices=False)
-        return Subspace(n, u[:, :_rank_of(s, tol, floor)])
+        return Subspace(n, u[:, :_rank_of(s, floor)])
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -187,55 +187,55 @@ def operator_norm(m, norm: str = "two") -> float:
 # tolerant rank / kernel / range
 # ---------------------------------------------------------------------------
 
-def _rank_of(s, tol: Tolerance, floor: float = 0.0) -> int:
+def _rank_of(s, floor: float = 0.0) -> int:
     """The rank rule every rank decision uses: the number of singular
-    values ``s`` (descending) above rank_rel * s_0, or above ``floor``
+    values ``s`` (descending) above RANK_REL * s_0, or above ``floor``
     when that is larger; 0 for an empty or zero matrix."""
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.sum(s > max(tol.rank_rel * s[0], floor)))
+    return int(np.sum(s > max(RANK_REL * s[0], floor)))
 
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    return _rank_of(np.linalg.svd(as_operator(m), compute_uv=False), tol)
+def numerical_rank(m) -> int:
+    return _rank_of(np.linalg.svd(as_operator(m), compute_uv=False))
 
 
-def kernel_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def kernel_basis(m) -> Subspace:
     """Orthonormal basis of the numerical null space (right singular vectors)."""
     m = as_operator(m)
     _, s, vh = np.linalg.svd(m)
-    basis = vh[_rank_of(s, tol):].conj().T  # cols x (cols-rank)
+    basis = vh[_rank_of(s):].conj().T  # cols x (cols-rank)
     return Subspace(m.shape[1], basis)
 
 
-def range_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def range_basis(m) -> Subspace:
     """Orthonormal basis of the numerical column space (left singular vectors)."""
     m = as_operator(m)
     u, s, _ = np.linalg.svd(m)
-    return Subspace(m.shape[0], u[:, :_rank_of(s, tol)])
+    return Subspace(m.shape[0], u[:, :_rank_of(s)])
 
 
 # ---------------------------------------------------------------------------
 # subspace arithmetic
 # ---------------------------------------------------------------------------
 
-def orthogonal_complement(s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def orthogonal_complement(s: Subspace) -> Subspace:
     """Euclidean orthogonal complement (default complement choice)."""
     if s.dim == 0:
         return Subspace.full(s.ambient_dim)
     if s.dim == s.ambient_dim:
         return Subspace.trivial(s.ambient_dim)
     # null space of B* gives the orthogonal complement of span(B)
-    return kernel_basis(s.basis.conj().T, tol)
+    return kernel_basis(s.basis.conj().T)
 
 
-def subspace_sum(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return Subspace.from_columns(np.hstack([a.basis, b.basis]), tol)
+    return Subspace.from_columns(np.hstack([a.basis, b.basis]))
 
 
-def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the null space of the stacked basis equation.
 
     x in A cap B  iff  x = U s = W t for some coefficient vectors, i.e.
@@ -246,19 +246,18 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
     if a.dim == 0 or b.dim == 0:
         return Subspace.trivial(a.ambient_dim)
     stacked = np.hstack([a.basis, -b.basis])
-    nz = kernel_basis(stacked, tol)
+    nz = kernel_basis(stacked)
     if nz.dim == 0:
         return Subspace.trivial(a.ambient_dim)
     vectors = a.basis @ nz.basis[: a.dim]
-    return Subspace.from_columns(vectors, tol)
+    return Subspace.from_columns(vectors)
 
 
-def apply_to_subspace(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def apply_to_subspace(m, s: Subspace) -> Subspace:
     """Image subspace M(S), rank-truncated against the map's own scale so
     a mathematically zero image cannot resurface as rounding noise."""
     m = as_operator(m)
-    return Subspace.from_columns(m @ s.basis, tol,
-                                 floor=tol.rank_rel * operator_norm(m))
+    return Subspace.from_columns(m @ s.basis, floor=RANK_REL * operator_norm(m))
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ class DirectSumResult:
     defect: int
 
 
-def direct_sum_check(u: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> DirectSumResult:
+def direct_sum_check(u: Subspace, w: Subspace) -> DirectSumResult:
     """Does the ambient space decompose as U (+) W?
 
     holds iff dim U + dim W = ambient and the concatenated basis has full
@@ -277,7 +276,7 @@ def direct_sum_check(u: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError("ambient dimensions differ")
     n = u.ambient_dim
     concat = np.hstack([u.basis, w.basis])
-    rank = numerical_rank(concat, tol) if concat.shape[1] else 0
+    rank = numerical_rank(concat) if concat.shape[1] else 0
     return DirectSumResult(holds=(u.dim + w.dim == n and rank == n), defect=n - rank)
 
 
@@ -291,7 +290,7 @@ def oblique_projection(onto: Subspace, along: Subspace, tol: Tolerance = DEFAULT
     With B = [U W] invertible (U, W bases of the two subspaces),
     P = B diag(I_k, 0) B^{-1}.
     """
-    check = direct_sum_check(onto, along, tol)
+    check = direct_sum_check(onto, along)
     if not check.holds:
         raise NotComplementary(
             f"subspaces do not decompose C^{onto.ambient_dim}: "
@@ -323,11 +322,11 @@ def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Su
     """
     m = as_operator(m, square=True)
     n = m.shape[0]
-    ker = kernel_basis(m, tol)
-    ran = range_basis(m, tol)
-    if not direct_sum_check(ker, ker_complement, tol).holds:
+    ker = kernel_basis(m)
+    ran = range_basis(m)
+    if not direct_sum_check(ker, ker_complement).holds:
         raise NotComplementary("ker_complement does not complement ker M")
-    if not direct_sum_check(ran, ran_complement, tol).holds:
+    if not direct_sum_check(ran, ran_complement).holds:
         raise NotComplementary("ran_complement does not complement ran M")
     p_ran = oblique_projection(ran, ran_complement, tol)
     kc = ker_complement.basis  # n x q with q = rank M
@@ -348,7 +347,7 @@ def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Su
 # Jordan ascent at eigenvalue 1
 # ---------------------------------------------------------------------------
 
-def _kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
+def _kernel_chain_at_one(m) -> list:
     """Kernel dimensions d_k = dim ker (I-M)^k for k = 0, 1, ..., K, with
     K the smallest k where d_{k+1} = d_k (at most the dimension of M).
 
@@ -361,7 +360,7 @@ def _kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
     dims = [0]
     power = d
     while len(dims) <= n:
-        null_k = n - numerical_rank(power, tol)
+        null_k = n - numerical_rank(power)
         if null_k == dims[-1]:
             break
         dims.append(null_k)
@@ -369,11 +368,11 @@ def _kernel_chain_at_one(m, tol: Tolerance = DEFAULT_TOL) -> list:
     return dims
 
 
-def ascent_at_one(m, tol: Tolerance = DEFAULT_TOL) -> int:
+def ascent_at_one(m) -> int:
     """Size of the largest Jordan block of M at eigenvalue 1, read off
     _kernel_chain_at_one (0 when 1 is not an eigenvalue).  This doubles as
     an independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
-    return len(_kernel_chain_at_one(m, tol)) - 1
+    return len(_kernel_chain_at_one(m)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import (DEFAULT_TOL, NORM_KINDS, Tolerance, as_operator,
+from .numfield import (DEFAULT_TOL, NORM_KINDS, RANK_REL, Tolerance, as_operator,
                        _kernel_chain_at_one, matrix_from_json, matrix_to_json,
                        operator_norm)
 
@@ -172,6 +172,8 @@ class SpectrumReport:
     UNIT_CLUSTER_SCATTER of 1 and nothing else is in the closed disk of
     radius 1 + eta.  nearest_other is the distance from 1 to the closest other
     spectrum point (inf when none) -- used to pick contour radii.
+    ascent is the size of the largest Jordan block at 1, read off the same
+    kernel chain as the multiplicity (not part of to_json).
     """
 
     eigenvalues: np.ndarray
@@ -180,6 +182,7 @@ class SpectrumReport:
     unit_root_ok: bool
     unit_root_present: bool
     nearest_other: float
+    ascent: int
 
     def to_json(self) -> dict:
         return {
@@ -192,7 +195,7 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> SpectrumReport:
+def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     """Spectrum of the pencil from the eigenvalues of the companion operator.
 
     Finite dimensions give the exact reciprocal relationship between
@@ -200,7 +203,7 @@ def spectrum_report(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> Spectr
     det A(z) is kept only as a test oracle.
     """
     eigs = np.linalg.eigvals(cp.a1)
-    nonzero = eigs[np.abs(eigs) > tol.rank_rel]
+    nonzero = eigs[np.abs(eigs) > RANK_REL]  # a zero eigenvalue has no pencil root
     roots = np.sort_complex(1.0 / nonzero)
 
     # Eigenvalues of a defective unit root scatter like eps**(1/k) around 1
@@ -208,7 +211,8 @@ def spectrum_report(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> Spectr
     # membership in the unit cluster is decided by rank instead: the
     # algebraic multiplicity at 1 is the stabilized kernel dimension of
     # powers of (I - B), and that many nearest eigenvalues form the cluster.
-    multiplicity = _kernel_chain_at_one(cp.a1, tol)[-1]
+    chain = _kernel_chain_at_one(cp.a1)
+    multiplicity = chain[-1]
 
     order = np.argsort(np.abs(roots - 1.0), kind="stable")
     cluster_count = min(multiplicity, roots.size)
@@ -226,4 +230,5 @@ def spectrum_report(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> Spectr
         unit_root_ok=bool(ok),
         unit_root_present=bool(present),
         nearest_other=nearest,
+        ascent=len(chain) - 1,
     )

@@ -249,7 +249,6 @@ def _as_real(m, what: str):
 
 
 def verify_representation(path: SamplePath, report, j_max: int,
-                          tol: Tolerance = DEFAULT_TOL,
                           ar: ArPencil | None = None) -> RepresentationCheck:
     """Compare the stored path against the closed-form representation.
 
@@ -269,7 +268,7 @@ def verify_representation(path: SamplePath, report, j_max: int,
     if not report.holds:
         raise ClassMismatch("the report does not certify its own class")
     if ar is not None:
-        order = ascent_at_one(linearize(ar).a1, tol)
+        order = ascent_at_one(linearize(ar).a1)
         if order != expected_order:
             raise ClassMismatch(
                 f"model has unit-root ascent {order}, report class is {rep_class}")
@@ -454,8 +453,8 @@ def polynomial_cointegration_probe(states, i2: I2Report,
     lr2 = _as_real(i2.long_run2, "second-order loading")
     p_load = _as_real(i2.long_run1, "first-order loading") - lr2
 
-    ann2 = kernel_basis(lr2.T, tol)
-    ann_both = kernel_basis(np.vstack([lr2.T, p_load.T]), tol)
+    ann2 = kernel_basis(lr2.T)
+    ann_both = kernel_basis(np.vstack([lr2.T, p_load.T]))
     diffs = np.diff(states, axis=1)
 
     tier1 = []

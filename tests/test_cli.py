@@ -108,6 +108,8 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["verify", "ex-c0", "--radius", "0.001"],   # quadrature never settles
     ["verify", "ex-c0", "--radius", "1e-9"],    # resolvent singular on the circle
     ["analyze", "ex-c0", "--tol", "1e-300"],    # no solve meets the residual
+    ["analyze", "ex-c0", "--tol", "0"],
+    ["verify", "ex-c0", "--tol", "nan"],
 ], ids=lambda argv: " ".join(argv[i] for i in (0, 2, 3)))
 def test_bad_value_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
@@ -124,6 +126,16 @@ def test_seeded_model_defaults_to_seed_zero(capsys):
     _, implicit, _ = run(capsys, ["analyze", "ex-selfadjoint"])
     _, explicit, _ = run(capsys, ["analyze", "ex-selfadjoint", "--seed", "0"])
     assert implicit == explicit
+
+
+@pytest.mark.parametrize("name", ["ex-c0", "ex-evenodd"])
+def test_tol_moves_no_rank_decision(capsys, name):
+    # --tol sets the residual checks only; rank cut-offs are fixed, so a
+    # looser tolerance that every residual already meets changes no byte
+    _, default, _ = run(capsys, ["analyze", name])
+    code, loose, _ = run(capsys, ["analyze", name, "--tol", "1e-6"])
+    assert code == 0
+    assert loose == default
 
 
 def test_simulate_complex_model_exits_one(capsys, complex_model_path):

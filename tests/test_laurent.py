@@ -145,6 +145,36 @@ def test_no_unit_root_raises():
     assert operator_norm(coeffs[-2]) < 1e-10
 
 
+def test_non_isolated_unit_root_raises():
+    # Volterra n = 32: the rank route finds the unit root but leaves exact
+    # unit eigenvalues outside the cluster, at distance 0, so no contour
+    # fits; both entry points say so instead of failing in the quadrature
+    cp = linearize(volterra_model(32))
+    rep = spectrum_report(cp)
+    assert rep.unit_root_present and not rep.unit_root_ok
+    with pytest.raises(NoUnitRoot, match="not isolated"):
+        pole_order(cp)
+    with pytest.raises(NoUnitRoot, match="not isolated"):
+        expansion(cp, j_max=1)
+
+
+def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8_cp):
+    # the ascent comes from the spectrum report's chain, not a second one
+    import grjkit.numfield as numfield
+    import grjkit.pencil as pencil
+    chain = numfield._kernel_chain_at_one
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return chain(m)
+
+    monkeypatch.setattr(numfield, "_kernel_chain_at_one", counted)
+    monkeypatch.setattr(pencil, "_kernel_chain_at_one", counted)
+    assert pole_order(shift8_cp).ascent == 2
+    assert len(calls) == 1
+
+
 def test_radius_guard():
     cp = diag_fixture()      # nearest other pencil root at |2 - 1| = 1
     rep = spectrum_report(cp)

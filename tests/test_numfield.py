@@ -5,6 +5,7 @@ the JSON wire format.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -253,7 +254,14 @@ def test_dump_json_is_deterministic(tmp_path):
 
 def test_tolerance_rejects_nonpositive():
     with pytest.raises(ValueError):
-        Tolerance(rank_rel=0.0)
+        Tolerance(residual_abs=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tolerance_rejects_nan_and_inf(value):
+    # either would let every residual check pass
+    with pytest.raises(ValueError):
+        Tolerance(residual_abs=value)
 
 
 def test_fit_geometric_decay_recovers_rate():
