@@ -13,7 +13,8 @@ Exit codes are fixed for scriptability:
 
 Each subcommand accepts only the flags it reads, and every value is
 range-checked while the arguments are parsed, so bad input ends in one
-line on stderr.  Reports are JSON with sorted keys and fixed separators,
+line on stderr; a warning raised while a command runs is one stderr line
+too.  Reports are JSON with sorted keys and fixed separators,
 so a fixed (model, seed, flags) combination produces byte-identical
 output.  The env var GRJ_DEFAULT_TOL supplies the default residual
 tolerance; the --tol flag overrides it per run.  It drives only residual
@@ -27,6 +28,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -192,11 +194,21 @@ def build_parser() -> _Parser:
 _SIMULATING = ("simulate", "verify")  # --seed also seeds their simulated path
 
 
+def _example_defaults(name) -> dict:
+    """models.example_defaults as the CLI builds them: a seeded model
+    gets seed 0 when --seed is not given."""
+    defaults = models.example_defaults(name)
+    if "seed" in defaults:
+        defaults["seed"] = 0
+    return defaults
+
+
 def _build_example(args, n):
     seed = args.seed
     try:
-        if "seed" in models.example_defaults(args.name):
-            seed = seed or 0
+        defaults = _example_defaults(args.name)
+        if "seed" in defaults:
+            seed = defaults["seed"] if seed is None else seed
         elif args.command in _SIMULATING:
             seed = None
         return models.build_example(args.name, n=n, lam=args.lam, seed=seed,
@@ -267,13 +279,12 @@ def cmd_analyze(args) -> int:
     pole = pole_order(cp, tol=args.tol, spectrum=spectrum)
     i1 = check_i1(cp, tol=args.tol)
     i2 = check_i2(cp, tol=args.tol)
-    m = cp.identity() - cp.a1
     report.update({
         "pole_order": pole.to_json(),
         "i1": i1.to_json(),
         "i2": i2.to_json(),
-        "unit_kernel": subspace_to_json(kernel_basis(m)),
-        "unit_range": subspace_to_json(range_basis(m)),
+        "unit_kernel": subspace_to_json(cp.unit_kernel),
+        "unit_range": subspace_to_json(cp.unit_range),
         "verdict": (f"pole order {pole.order}, "
                     f"I(1) {'holds' if i1.holds else 'fails'}, "
                     f"I(2) {'holds' if i2.holds else 'fails'}"),
@@ -476,7 +487,7 @@ def _laurent_algebra_check(cp, args):
             worst = max(worst, gap / scale)
     for j in range(-2, 1):
         target = eye if j == 0 else np.zeros_like(eye)
-        gap = operator_norm(a1 @ n_at(j - 1) - (eye - a1) @ n_at(j) - target)
+        gap = operator_norm(a1 @ n_at(j - 1) - cp.m @ n_at(j) - target)
         worst = max(worst, gap / scale)
     return worst <= 1e-7, {"worst_scaled_gap": worst}
 
@@ -497,7 +508,7 @@ def _finish_verify(results, model_id, args, no_class=False) -> int:
 
 
 def cmd_examples(args) -> int:
-    _emit({"examples": [{"name": name, "defaults": models.example_defaults(name)}
+    _emit({"examples": [{"name": name, "defaults": _example_defaults(name)}
                          for name in models.EXAMPLE_NAMES]}, None)
     return _EXIT_OK
 
@@ -525,7 +536,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][0](args)
+        with warnings.catch_warnings():
+            # one stderr line per warning, without Python's file:line and source echo
+            warnings.showwarning = lambda message, *_: sys.stderr.write(
+                f"grj {args.command}: warning: {message}\n")
+            return _COMMANDS[args.command][0](args)
     except (_CliError, ContourTooWide, ContourNotConverged, SingularAt) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")
         return _EXIT_BAD_INPUT

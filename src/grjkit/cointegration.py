@@ -11,7 +11,6 @@ annihilators are plain-transpose null spaces.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,14 +22,10 @@ from .numfield import (
     Subspace,
     Tolerance,
     as_operator,
-    dump_json,
-    fit_geometric_decay,
     kernel_basis,
-    matrix_from_json,
     matrix_to_json,
     operator_norm,
     range_basis,
-    subspace_to_json,
 )
 
 
@@ -67,28 +62,6 @@ class MaRepresentation:
     def dim(self) -> int:
         return self.sum_operator.shape[0]
 
-    def tail_decay(self):
-        """Fitted (C, rho) with ||A_k||_2 <~ C rho^k, for truncation-error
-        reporting; rho < 1 is what makes sum k ||A_k||^2 finite in spirit."""
-        return fit_geometric_decay([operator_norm(c) for c in self.coeffs])
-
-    def to_json(self) -> dict:
-        return {"coeffs": [matrix_to_json(c) for c in self.coeffs],
-                "cov": matrix_to_json(self.innovation_cov)}
-
-    @staticmethod
-    def from_json(obj) -> "MaRepresentation":
-        return MaRepresentation([matrix_from_json(c) for c in obj["coeffs"]],
-                                matrix_from_json(obj["cov"]))
-
-    def save(self, path):
-        dump_json(self.to_json(), path)
-
-    @staticmethod
-    def load(path) -> "MaRepresentation":
-        with open(path, "r", encoding="utf-8") as fh:
-            return MaRepresentation.from_json(json.load(fh))
-
 
 def positive_definite_check(c, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Is the (symmetrized) covariance strictly positive definite?
@@ -117,13 +90,6 @@ class CointegrationReport:
     dims: dict
     long_run_cov: np.ndarray
     assumption_ok: bool
-
-    def to_json(self) -> dict:
-        return {"attractor": subspace_to_json(self.attractor),
-                "cointegrating": subspace_to_json(self.cointegrating),
-                "dims": dict(self.dims),
-                "long_run_cov": matrix_to_json(self.long_run_cov),
-                "assumption_ok": self.assumption_ok}
 
 
 def cointegration_report(ma: MaRepresentation,

@@ -30,15 +30,13 @@ from .numfield import (
     NotComplementary,
     Subspace,
     Tolerance,
+    _generalized_inverse,
     apply_to_subspace,
     direct_sum_check,
-    kernel_basis,
     matrix_to_json,
     oblique_projection,
     operator_norm,
     orthogonal_complement,
-    range_basis,
-    relative_generalized_inverse,
     subspace_intersection,
     subspace_sum,
     subspace_to_json,
@@ -102,9 +100,7 @@ def check_i1(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I1Report:
     observable long-run operator.
     """
     rep = require_unit_root(spectrum_report(cp))
-    m = cp.identity() - cp.a1
-    ker = kernel_basis(m)
-    ran = range_basis(m)
+    ker, ran = cp.unit_kernel, cp.unit_range
     split = direct_sum_check(ran, ker)
     if not split.holds:
         return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
@@ -239,9 +235,8 @@ class _OrderTwoGeometry:
 
     def __init__(self, cp, tol, ran_complement=None, ker_complement=None):
         n = cp.big_dim
-        m = cp.identity() - cp.a1
-        self.ker = kernel_basis(m)
-        self.ran = range_basis(m)
+        self.ker = cp.unit_kernel
+        self.ran = cp.unit_range
         self.ran_c = orthogonal_complement(self.ran) if ran_complement is None \
             else ran_complement
         self.ker_c = orthogonal_complement(self.ker) if ker_complement is None \
@@ -262,7 +257,7 @@ class _OrderTwoGeometry:
         # contour cross-check certifies the results do not depend on it.
         self.w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
         self.k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
-        self.gen_inverse = relative_generalized_inverse(m, self.ker_c, self.ran_c, tol)
+        self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran, tol)
         self.q = off_range @ self.p_ker
         self.off_range = off_range
 

@@ -206,7 +206,7 @@ def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
     proj = riesz_projection(cp, tol=tol, spectrum=rep)
-    g = (cp.identity() - cp.a1) @ proj
+    g = cp.m @ proj
     index = _nilpotency_index_by_rank(proj, g)
     return PoleOrderReport(
         order=index,
@@ -279,7 +279,7 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     coeffs, contour = contour_coefficients(cp, js, radius=radius, nodes=nodes,
                                            tol=tol, spectrum=rep)
     p_op = coeffs[-1] @ cp.a1
-    g_op = (cp.identity() - cp.a1) @ p_op
+    g_op = cp.m @ p_op
     exp = LaurentExpansion(
         pole_order=order,
         coeffs={j: coeffs[j] for j in range(-order, j_max + 1)},

@@ -318,24 +318,31 @@ def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Su
         G M = I - P_ker   and   M G = P_ran,
     where P_ker projects onto ker M along ker_complement and P_ran
     projects onto ran M along ran_complement.  G inverts M restricted to
-    ker_complement -> ran M and kills ran_complement.
+    ker_complement -> ran M and kills ran_complement.  This checks both
+    complements and builds both projections; the solve and the identity
+    guard are _generalized_inverse, which the order-two geometry calls
+    with the projections it already holds.
     """
     m = as_operator(m, square=True)
-    n = m.shape[0]
     ker = kernel_basis(m)
     ran = range_basis(m)
     if not direct_sum_check(ker, ker_complement).holds:
         raise NotComplementary("ker_complement does not complement ker M")
     if not direct_sum_check(ran, ran_complement).holds:
         raise NotComplementary("ran_complement does not complement ran M")
-    p_ran = oblique_projection(ran, ran_complement, tol)
-    kc = ker_complement.basis  # n x q with q = rank M
-    image = m @ kc
-    coeffs, *_ = np.linalg.lstsq(image, p_ran, rcond=None)
-    ginv = kc @ coeffs
+    return _generalized_inverse(m, ker_complement, oblique_projection(ker, ker_complement, tol),
+                                oblique_projection(ran, ran_complement, tol), tol)
 
-    p_ker = oblique_projection(ker, ker_complement, tol)
-    res1 = operator_norm(ginv @ m - (np.eye(n) - p_ker))
+
+def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran,
+                         tol: Tolerance) -> np.ndarray:
+    """G = K_C (M K_C)^+ P_ran, with K_C the basis of ker_complement,
+    checked against G M = I - P_ker and M G = P_ran within
+    10 x residual_abs (else NotComplementary)."""
+    kc = ker_complement.basis  # n x q with q = rank M
+    coeffs, *_ = np.linalg.lstsq(m @ kc, p_ran, rcond=None)
+    ginv = kc @ coeffs
+    res1 = operator_norm(ginv @ m - (np.eye(m.shape[0]) - p_ker))
     res2 = operator_norm(m @ ginv - p_ran)
     if max(res1, res2) > 10 * tol.residual_abs:
         raise NotComplementary(
@@ -383,8 +390,7 @@ def fit_geometric_decay(norms: Iterable[float]):
     """Least-squares fit of ``norms[j] ~ C * rho**j`` on the nonzero tail.
 
     Returns (C, rho).  All-zero input fits (0.0, 0.0); a single nonzero
-    point fits (that value, 0.0).  Used for the h-coefficient decay bound
-    and MA tail-decay reporting.
+    point fits (that value, 0.0).  Used for the h-coefficient decay bound.
     """
     vals = np.asarray(list(norms), dtype=float)
     idx = np.nonzero(vals > DECAY_FIT_FLOOR)[0]
@@ -398,11 +404,7 @@ def fit_geometric_decay(norms: Iterable[float]):
     return float(math.exp(intercept)), float(math.exp(slope))
 
 
-def dump_json(obj, path=None, **kwargs) -> str:
+def dump_json(obj) -> str:
     """Canonical JSON encoding (sorted keys, fixed separators) for
-    byte-stable reports; optionally written to ``path``."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), **kwargs)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+    byte-stable reports."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

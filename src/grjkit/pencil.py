@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numfield import (DEFAULT_TOL, NORM_KINDS, RANK_REL, Tolerance, as_operator,
-                       _kernel_chain_at_one, matrix_from_json, matrix_to_json,
-                       operator_norm)
+from .numfield import (DEFAULT_TOL, NORM_KINDS, RANK_REL, Subspace, Tolerance,
+                       as_operator, _kernel_chain_at_one, kernel_basis, matrix_from_json,
+                       matrix_to_json, operator_norm, range_basis)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
 UNIT_CLUSTER_SCATTER = 0.05  # farthest a unit-cluster eigenvalue may sit from 1
@@ -92,6 +93,10 @@ class CompanionPencil:
     a1         block companion operator on C^{pn}
     pi_p       n x pn coordinate projection onto the first block
     pi_p_star  pn x n embedding (transpose of pi_p)
+
+    M = I - a1 and its kernel and range, which the class checks and the
+    analyze report read, are computed once per pencil on first use
+    (``m``, ``unit_kernel``, ``unit_range``; read-only).
     """
 
     big_dim: int
@@ -114,6 +119,20 @@ class CompanionPencil:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.big_dim, dtype=np.complex128)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        m = self.identity() - self.a1
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def unit_kernel(self) -> Subspace:
+        return kernel_basis(self.m)
+
+    @cached_property
+    def unit_range(self) -> Subspace:
+        return range_basis(self.m)
 
 
 def linearize(ar: ArPencil) -> CompanionPencil:

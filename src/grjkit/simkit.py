@@ -234,12 +234,6 @@ class RepresentationCheck:
     tau1: np.ndarray
     rep_class: str
 
-    def to_json(self) -> dict:
-        return {"class": self.rep_class,
-                "tau0": [float(v) for v in self.tau0],
-                "tau1": [float(v) for v in self.tau1],
-                "max_residual": float(self.max_residual)}
-
 
 def _as_real(m, what: str):
     m = np.asarray(m)
@@ -424,10 +418,6 @@ class ProbeReport:
     tier2: list
     negative: dict | None
     all_pass: bool
-
-    def to_json(self) -> dict:
-        return {"tier1": self.tier1, "tier2": self.tier2,
-                "negative": self.negative, "all_pass": self.all_pass}
 
 
 def _probe_entry(functional, scalar_series) -> dict:

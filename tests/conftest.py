@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from grjkit.models import build_example, jordan_model, random_walk_model

@@ -14,15 +14,15 @@ import pytest
 from grjkit.cli import main as cli_main
 from grjkit.grj import check_i1, check_i2, i1_components, i2_components, \
     taylor_h_coefficients
-from grjkit.laurent import (contour_coefficients, essential_from_sweep,
-                            expansion, pole_order, riesz_projection)
+from grjkit.laurent import (contour_coefficients, essential_from_sweep, pole_order,
+                            riesz_projection)
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model,
                            ar3_unit_root_model, build_example, jordan_model,
                            oblique_ar1_model, random_walk_model,
                            volterra_model)
-from grjkit.numfield import (DEFAULT_TOL, Subspace, kernel_basis,
-                             operator_norm, orthogonal_complement, range_basis)
-from grjkit.pencil import ArPencil, eval_poly, linearize, resolvent
+from grjkit.numfield import (Subspace, kernel_basis, operator_norm,
+                             orthogonal_complement, range_basis)
+from grjkit.pencil import eval_poly, linearize, resolvent
 from grjkit.laurent import circle_coefficients
 from grjkit.simkit import (consistent_initial, polynomial_cointegration_probe,
                            simulate_ar, simulate_ensemble, stationarity_slope,

@@ -5,6 +5,7 @@ and file round-trips.  Everything runs in-process through main(argv).
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ def test_examples_listing(capsys):
             "ex-jordan"} <= names
 
 
+def test_examples_lists_the_seed_analyze_builds(capsys):
+    _, out, _ = run(capsys, ["examples"])
+    seeded = [(entry["name"], entry["defaults"]["seed"])
+              for entry in json.loads(out)["examples"] if "seed" in entry["defaults"]]
+    assert seeded
+    for name, seed in seeded:
+        _, implicit, _ = run(capsys, ["analyze", name])
+        _, listed, _ = run(capsys, ["analyze", name, "--seed", str(seed)])
+        assert implicit == listed, name
+
+
 def test_verify_all_invariants(capsys):
     code, out, _ = run(capsys, ["verify", "ex-evenodd", "--horizon", "60",
                                 "--jmax", "30"])
@@ -268,6 +280,16 @@ def test_verify_all_invariants(capsys):
     assert report["ok"] and not report["failed"]
     names = [item["name"] for item in report["invariants"]]
     assert "determinism" in names and "representation" in names
+
+
+def test_verify_warnings_are_one_line_each(capsys):
+    # the representation check warns about its h-coefficient tail here
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, ["verify", "ex-jordan", "--blocks", "2,1", "--seed", "5"])
+    assert code == 4
+    assert "grj verify: warning: h-coefficient tail bound" in err
+    assert all(line.startswith("grj verify:") for line in err.splitlines()), err
 
 
 def test_verify_fault_injection_names_the_invariant(capsys, monkeypatch):

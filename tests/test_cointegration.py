@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.cointegration import (BeveridgeNelson, MaRepresentation,
-                                  NotProjection, beveridge_nelson,
+from grjkit.cointegration import (MaRepresentation, NotProjection, beveridge_nelson,
                                   classify_integration, cointegration_report,
                                   extend_functional, positive_definite_check)
-from grjkit.numfield import DEFAULT_TOL, Subspace, operator_norm
+from grjkit.numfield import Subspace
 
 
 def geometric_ma(rho=0.5, terms=7, dim=2):
@@ -108,19 +107,3 @@ def test_classify_integration():
     dead = classify_integration(
         MaRepresentation([np.eye(2), -np.eye(2)], np.eye(2)))
     assert not dead.i0
-
-
-def test_ma_tail_decay():
-    scale, rate = geometric_ma().tail_decay()
-    assert rate == pytest.approx(0.5, rel=1e-6)
-
-
-def test_ma_json_round_trip(tmp_path):
-    ma = geometric_ma(terms=3)
-    path = tmp_path / "ma.json"
-    ma.save(path)
-    back = MaRepresentation.load(path)
-    assert len(back.coeffs) == 3
-    for a, b in zip(back.coeffs, ma.coeffs):
-        assert np.array_equal(a, b)
-    assert np.array_equal(back.innovation_cov, ma.innovation_cov)

@@ -6,6 +6,8 @@ to reproduce them through the similarity.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,9 +15,9 @@ from numpy.testing import assert_allclose
 from grjkit.grj import (NotI1, NotI2, check_i1, check_i2, i1_components,
                         i2_components, taylor_h_coefficients)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, riesz_projection
-from grjkit.models import build_example, jordan_model
-from grjkit.numfield import (DEFAULT_TOL, Subspace, kernel_basis, operator_norm,
-                             orthogonal_complement, range_basis)
+from grjkit.models import jordan_model
+from grjkit.numfield import (Subspace, kernel_basis, operator_norm, orthogonal_complement,
+                             range_basis)
 from grjkit.pencil import ArPencil, linearize
 
 
@@ -167,3 +169,26 @@ def test_long_run_operators_are_ambient(shift8, shift8_cp):
     assert rep.long_run1.shape == (shift8.dim, shift8.dim)
     # second-order loading never vanishes for a genuine double root
     assert operator_norm(rep.long_run2) > 1e-8
+
+
+def test_class_checks_decompose_m_once(monkeypatch):
+    # check_i1, the order-two geometry and its generalized inverse all read
+    # the pencil's one kernel and one range of M = I - B
+    import grjkit.numfield as numfield
+    cp = linearize(jordan_model(2, blocks_at_one=[2])[0])  # fresh: nothing cached yet
+    m = cp.identity() - cp.a1
+    calls = []
+    for name in ("kernel_basis", "range_basis"):
+        original = getattr(numfield, name)
+
+        def counted(a, _original=original, _name=name):
+            if np.array_equal(a, m):
+                calls.append(_name)
+            return _original(a)
+
+        for module in [mod for key, mod in sys.modules.items() if key.startswith("grjkit")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert not check_i1(cp).holds
+    assert check_i2(cp).holds
+    assert sorted(calls) == ["kernel_basis", "range_basis"]

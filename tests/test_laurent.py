@@ -13,9 +13,8 @@ from grjkit.laurent import (MAX_NODES, ContourTooWide, NoUnitRoot, circle_coeffi
                             contour_coefficients, essential_from_sweep,
                             expansion, pick_radius, pole_order,
                             riesz_projection)
-from grjkit.models import (build_example, jordan_model, random_walk_model,
-                           volterra_model)
-from grjkit.numfield import DEFAULT_TOL, ascent_at_one, operator_norm
+from grjkit.models import volterra_model
+from grjkit.numfield import ascent_at_one, operator_norm
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grjkit.numfield import (DEFAULT_TOL, NotComplementary, Subspace, Tolerance,
+from grjkit.numfield import (NotComplementary, Subspace, Tolerance,
                              apply_to_subspace, ascent_at_one, direct_sum_check,
                              dump_json, fit_geometric_decay, kernel_basis,
                              matrix_from_json, matrix_to_json, numerical_rank,
@@ -242,14 +242,11 @@ def test_subspace_json_round_trip():
     assert np.array_equal(back.basis, s.basis)
 
 
-def test_dump_json_is_deterministic(tmp_path):
+def test_dump_json_is_deterministic():
     payload = {"b": [1.5, 2.5], "a": {"z": 1, "y": 2}}
     first = dump_json(payload)
     second = dump_json(payload)
     assert first == second
-    target = tmp_path / "out.json"
-    dump_json(payload, target)
-    assert target.read_text() == first + "\n"
 
 
 def test_tolerance_rejects_nonpositive():

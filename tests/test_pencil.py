@@ -11,7 +11,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grjkit.models import jordan_model, random_walk_model, volterra_model
-from grjkit.numfield import DEFAULT_TOL
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
                            resolvent, spectrum_report)
 

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from grjkit.cointegration import beveridge_nelson
 from grjkit.grj import i1_components, i2_components
-from grjkit.models import (build_example, oblique_ar1_model, random_walk_model)
-from grjkit.numfield import DEFAULT_TOL, operator_norm
+from grjkit.models import oblique_ar1_model, random_walk_model
+from grjkit.numfield import operator_norm
 from grjkit.pencil import linearize
 from grjkit.simkit import (ClassMismatch, SamplePath, consistent_initial,
                            differenced_ma, polynomial_cointegration_probe,
