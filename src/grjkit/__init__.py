@@ -11,12 +11,8 @@ into a small command-line tool; models holds the built-in examples.
 
 from .cointegration import (
     BeveridgeNelson,
-    CointegrationReport,
     MaRepresentation,
     beveridge_nelson,
-    classify_integration,
-    cointegration_report,
-    extend_functional,
     positive_definite_check,
 )
 from .grj import (

@@ -12,11 +12,12 @@ Exit codes are fixed for scriptability:
   4  verify: an invariant failed (named on stderr); this wins over 3
 
 Each subcommand accepts only the flags it reads, and every value is
-range-checked while the arguments are parsed, so bad input ends in one
-line on stderr; a warning raised while a command runs is one stderr line
-too.  Reports are JSON with sorted keys and fixed separators,
-so a fixed (model, seed, flags) combination produces byte-identical
-output.  The env var GRJ_DEFAULT_TOL supplies the default residual
+range-checked before any work is done (verify's --jmax is at most
+simkit.PRESAMPLE, the pre-sample length its representation check
+reads), so bad input ends in one line on stderr; a warning raised while
+a command runs is one stderr line too.  Reports are JSON with sorted
+keys and fixed separators, so a fixed (model, seed, flags) combination
+produces byte-identical output.  The env var GRJ_DEFAULT_TOL supplies the default residual
 tolerance; the --tol flag overrides it per run.  It drives only residual
 checks (resolvent solves; 10x of it for quadrature settling and the
 projection guards): rank decisions cut at the fixed numfield.RANK_REL.
@@ -33,7 +34,7 @@ import warnings
 import numpy as np
 
 from . import models
-from .cointegration import beveridge_nelson
+from .cointegration import annihilators, beveridge_nelson
 from .grj import (
     I1Report,
     NotI1,
@@ -56,7 +57,6 @@ from .laurent import (
 from .numfield import (
     Tolerance,
     dump_json,
-    kernel_basis,
     matrix_to_json,
     operator_norm,
     range_basis,
@@ -64,6 +64,7 @@ from .numfield import (
 )
 from .pencil import ArPencil, SingularAt, linearize, spectrum_report
 from .simkit import (
+    PRESAMPLE,
     consistent_initial,
     differenced_ma,
     recursion_residual,
@@ -194,22 +195,10 @@ def build_parser() -> _Parser:
 _SIMULATING = ("simulate", "verify")  # --seed also seeds their simulated path
 
 
-def _example_defaults(name) -> dict:
-    """models.example_defaults as the CLI builds them: a seeded model
-    gets seed 0 when --seed is not given."""
-    defaults = models.example_defaults(name)
-    if "seed" in defaults:
-        defaults["seed"] = 0
-    return defaults
-
-
 def _build_example(args, n):
     seed = args.seed
     try:
-        defaults = _example_defaults(args.name)
-        if "seed" in defaults:
-            seed = defaults["seed"] if seed is None else seed
-        elif args.command in _SIMULATING:
+        if args.command in _SIMULATING and "seed" not in models.example_defaults(args.name):
             seed = None
         return models.build_example(args.name, n=n, lam=args.lam, seed=seed,
                                     blocks=getattr(args, "blocks", None))  # sweep has none
@@ -343,7 +332,7 @@ def cmd_represent(args) -> int:
             "class": "I1",
             "long_run": matrix_to_json(long_run),
             "p_operator": matrix_to_json(np.asarray(rep.p_operator)),
-            "cointegrating": subspace_to_json(kernel_basis(long_run.T)),
+            "cointegrating": subspace_to_json(annihilators(long_run)),
             "attractor": subspace_to_json(range_basis(long_run)),
             "bn": bn.to_json(),
         })
@@ -358,8 +347,8 @@ def cmd_represent(args) -> int:
         "long_run1": matrix_to_json(lr1),
         "n_minus2": matrix_to_json(np.asarray(rep.n_minus2)),
         "p_operator": matrix_to_json(np.asarray(rep.p_op)),
-        "tier1_annihilators": subspace_to_json(kernel_basis(lr2.T)),
-        "tier2_annihilators": subspace_to_json(kernel_basis(np.vstack([lr2.T, p_load.T]))),
+        "tier1_annihilators": subspace_to_json(annihilators(lr2)),
+        "tier2_annihilators": subspace_to_json(annihilators(lr2, p_load)),
     })
     _emit(report, args.out)
     return _EXIT_OK
@@ -380,6 +369,9 @@ def _check(results: list, name: str, ok: bool, detail):
 
 
 def cmd_verify(args) -> int:
+    if args.jmax > PRESAMPLE:
+        raise _CliError(f"verify --jmax must be at most {PRESAMPLE}, "
+                        "the pre-sample length of the simulated path")
     ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
     spectrum = _spectrum(cp, args)
@@ -447,7 +439,7 @@ def cmd_verify(args) -> int:
         initial = consistent_initial(ar, p_op, cov, seed, tol=tol)
         cpath = simulate_ar(ar, cov, args.horizon, seed, initial=initial,
                             model_id=model_id)
-        check = verify_representation(cpath, report, min(args.jmax, 100))
+        check = verify_representation(cpath, report, args.jmax)
         bound = 1e-6 * (1.0 + float(np.max(np.abs(cpath.states))))
         _check(results, "representation", check.max_residual <= bound,
                {"max_residual": check.max_residual, "bound": bound,
@@ -508,7 +500,7 @@ def _finish_verify(results, model_id, args, no_class=False) -> int:
 
 
 def cmd_examples(args) -> int:
-    _emit({"examples": [{"name": name, "defaults": _example_defaults(name)}
+    _emit({"examples": [{"name": name, "defaults": models.example_defaults(name)}
                          for name in models.EXAMPLE_NAMES]}, None)
     return _EXIT_OK
 

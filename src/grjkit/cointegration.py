@@ -1,12 +1,15 @@
-"""Attractor/cointegration analysis of truncated moving-average models.
+"""Moving-average structure of a solution and its cointegrating functionals.
 
-A linear process is described here by a finite list of MA coefficients
-A_0..A_J and a real innovation covariance.  The long-run operator is the
-plain coefficient sum A = sum_k A_k; its range is the attractor (the
-directions carrying the stochastic trend) and the functionals
-annihilating that range form the cointegrating space.  Functionals are
-bilinear throughout -- f(x) = sum_i f_i x_i with no conjugation -- so
-annihilators are plain-transpose null spaces.
+MaRepresentation is a truncated MA form: coefficients A_0..A_J, a real
+innovation covariance, and the long-run operator A = sum_k A_k, whose
+range is the attractor (the directions carrying the stochastic trend).
+beveridge_nelson splits A from the differenced stationary remainder.
+annihilators gives the functionals that vanish on the ranges of given
+long-run operators -- the cointegrating space of an order-one solution,
+and both tiers of an order-two one.  Functionals are bilinear throughout
+-- f(x) = sum_i f_i x_i with no conjugation -- so annihilators are
+plain-transpose null spaces.  positive_definite_check tests an
+innovation covariance.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ from .numfield import (
     kernel_basis,
     matrix_to_json,
     operator_norm,
-    range_basis,
 )
-
-
-class NotProjection(ValueError):
-    """The supplied operator is not (numerically) idempotent."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +61,12 @@ class MaRepresentation:
         return self.sum_operator.shape[0]
 
 
+def annihilators(*loadings) -> Subspace:
+    """Functionals vanishing on the range of every loading: the null
+    space of the stacked plain transposes."""
+    return kernel_basis(np.vstack([np.asarray(load).T for load in loadings]))
+
+
 def positive_definite_check(c, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Is the (symmetrized) covariance strictly positive definite?
 
@@ -81,61 +85,6 @@ def positive_definite_check(c, tol: Tolerance = DEFAULT_TOL) -> bool:
     if largest <= 0:
         return False
     return float(eigs[0]) > RANK_REL * largest
-
-
-@dataclass(frozen=True, eq=False)
-class CointegrationReport:
-    attractor: Subspace
-    cointegrating: Subspace
-    dims: dict
-    long_run_cov: np.ndarray
-    assumption_ok: bool
-
-
-def cointegration_report(ma: MaRepresentation,
-                         tol: Tolerance = DEFAULT_TOL) -> CointegrationReport:
-    """Attractor and cointegrating spaces of the long-run operator.
-
-    attractor = ran A; cointegrating = functionals with f A = 0, i.e. the
-    null space of the plain transpose; long-run covariance A C A^T.  A
-    degenerate innovation covariance does not stop the computation, it
-    just marks the report.
-    """
-    a = ma.sum_operator
-    n = ma.dim
-    attractor = range_basis(a)
-    cointegrating = kernel_basis(a.T)
-    return CointegrationReport(
-        attractor=attractor,
-        cointegrating=cointegrating,
-        dims={"attractor": attractor.dim, "cointegrating": cointegrating.dim,
-              "defect": n - attractor.dim - cointegrating.dim},
-        long_run_cov=a @ ma.innovation_cov @ a.T,
-        assumption_ok=positive_definite_check(ma.innovation_cov, tol),
-    )
-
-
-def extend_functional(f_on_v, p_v, tol: Tolerance = DEFAULT_TOL,
-                      v: Subspace | None = None) -> np.ndarray:
-    """Extend a functional given on a subspace to the ambient space.
-
-    ``f_on_v`` holds coordinates with respect to the (orthonormalized)
-    basis of V; the extension acts by x |-> f(P_V x), so it annihilates
-    ker P_V by construction.  V defaults to the numerical range of P_V.
-    """
-    p_v = as_operator(p_v, square=True)
-    idem = operator_norm(p_v @ p_v - p_v)
-    if idem > 10 * tol.residual_abs * max(1.0, operator_norm(p_v)):
-        raise NotProjection(f"operator is not idempotent (residual {idem:.2e})")
-    if v is None:
-        v = range_basis(p_v)
-    f = np.asarray(f_on_v, dtype=np.complex128).ravel()
-    if f.size != v.dim:
-        raise ValueError(f"functional has {f.size} coordinates for a {v.dim}-dim subspace")
-    if v.dim == 0:
-        return np.zeros(p_v.shape[0], dtype=np.complex128)
-    # coordinates of P_V x in the basis are basis^H P_V x (orthonormal columns)
-    return (f @ v.basis.conj().T) @ p_v
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,17 +117,3 @@ def beveridge_nelson(ma: MaRepresentation) -> BeveridgeNelson:
     tilde = [-suffix[k] for k in range(stacked.shape[0])]
     return BeveridgeNelson(a_operator=ma.sum_operator, tilde_coeffs=tilde)
 
-
-@dataclass(frozen=True)
-class IntegrationVerdict:
-    i0: bool
-    reason: str
-
-
-def classify_integration(ma: MaRepresentation,
-                         tol: Tolerance = DEFAULT_TOL) -> IntegrationVerdict:
-    """I(0) verdict for the linear process: nonzero long-run covariance."""
-    lrc_norm = operator_norm(ma.sum_operator @ ma.innovation_cov @ ma.sum_operator.T)
-    if lrc_norm > tol.residual_abs:
-        return IntegrationVerdict(True, f"long-run covariance norm {lrc_norm:.3e} is nonzero")
-    return IntegrationVerdict(False, f"long-run covariance norm {lrc_norm:.3e} vanishes")

@@ -239,15 +239,13 @@ class LaurentExpansion:
     """Computed Laurent data around z = 1.
 
     coeffs maps j -> N_j for j in [-pole_order, j_max]; p_operator is the
-    spectral projection N_{-1} B; g_operator its quasi-nilpotent part
-    (I - B) P.
+    spectral projection N_{-1} B.
     """
 
     pole_order: int
     coeffs: dict
     contour: dict
     p_operator: np.ndarray
-    g_operator: np.ndarray
 
     def evaluate(self, z: complex) -> np.ndarray:
         """Truncated series reconstruction -sum_j N_j (z-1)^j."""
@@ -279,13 +277,11 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     coeffs, contour = contour_coefficients(cp, js, radius=radius, nodes=nodes,
                                            tol=tol, spectrum=rep)
     p_op = coeffs[-1] @ cp.a1
-    g_op = cp.m @ p_op
     exp = LaurentExpansion(
         pole_order=order,
         coeffs={j: coeffs[j] for j in range(-order, j_max + 1)},
         contour=contour,
         p_operator=p_op,
-        g_operator=g_op,
     )
 
     norm = cp.norm

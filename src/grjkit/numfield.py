@@ -104,13 +104,6 @@ def subspace_to_json(s: "Subspace") -> dict:
     return {"ambient": s.ambient_dim, "basis": matrix_to_json(basis)}
 
 
-def subspace_from_json(obj) -> "Subspace":
-    n = int(obj["ambient"])
-    if obj.get("basis") is None:
-        return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
-    return Subspace(n, matrix_from_json(obj["basis"]))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of C^n held as an ambient dimension plus basis columns.

@@ -1,15 +1,20 @@
 """Seeded simulation of AR(p) laws and representation verification.
 
-Innovation streams are counter-based (Philox) and keyed by
-(seed, replication), with a separate key lane for pre-sample draws, so
+Every path comes from one recursion kernel, which advances a
+(replications, horizon, dim) innovation block from an initial state:
+simulate_ar runs it on one replication, simulate_ensemble on each chunk
+of replications from a zero initial state.  Innovations come from one
+draw helper over counter-based (Philox) streams keyed by
+(seed, replication), with a separate key lane for the PRESAMPLE = 128
+pre-sample draws, which simulate_ar and consistent_initial both take, so
 
   * a fixed (model, seed, horizon) reproduces a path bit-for-bit,
   * replication r of an ensemble equals, to rounding, the single path
     simulated with that replication index (the ensemble advances all
     replications of a chunk in one matrix product, whose summation order
     can differ from the single path's in the last bits), and
-  * enlarging the pre-sample window extends the same innovation history
-    backwards without disturbing the main sample.
+  * consistent_initial sees exactly the pre-sample innovations that
+    simulate_ar stores for the same (seed, replication).
 
 The pre-sample window exists because the stationary component
 nu_t = sum_j h_j eps_{t-j} reaches into the infinite past: with enough
@@ -32,19 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cointegration import MaRepresentation, positive_definite_check
+from .cointegration import MaRepresentation, annihilators, positive_definite_check
 from .grj import I1Report, I2Report, NotI2
 from .numfield import (
     DEFAULT_TOL,
     Tolerance,
     ascent_at_one,
     fit_geometric_decay,
-    kernel_basis,
     operator_norm,
 )
 from .pencil import ArPencil, linearize
 
-DEFAULT_PRESAMPLE = 128
+PRESAMPLE = 128  # pre-sample innovations per path; bounds verify_representation's j_max
 _MAIN_LANE = 0
 _PRESAMPLE_LANE = 1
 
@@ -53,10 +57,27 @@ class ClassMismatch(ArithmeticError):
     """The representation class of the report disagrees with the model."""
 
 
-def _stream(seed: int, replication: int, lane: int):
+def _draw(seed: int, replication: int, lane: int, rows: int, factor) -> np.ndarray:
+    """The first ``rows`` innovations of the stream keyed
+    (seed, replication, lane), coloured by the covariance factor."""
     key = [np.uint64(int(seed) % (1 << 64)),
            np.uint64((2 * int(replication) + lane) % (1 << 64))]
-    return np.random.Generator(np.random.Philox(key=key))
+    stream = np.random.Generator(np.random.Philox(key=key))
+    return stream.standard_normal((rows, factor.shape[0])) @ factor.T
+
+
+def _recurse(coeffs, eps, initial) -> np.ndarray:
+    """States of X_t = sum_j A_j X_{t-j} + eps_t for a (replications,
+    horizon, dim) innovation block; initial[i] is X_{-i}, shared by every
+    replication."""
+    states = np.empty_like(eps)
+    for t in range(eps.shape[1]):
+        acc = eps[:, t].copy()
+        for j, a in enumerate(coeffs, start=1):
+            past = states[:, t - j] if t >= j else initial[j - t - 1]
+            acc += past @ a.T
+        states[:, t] = acc
+    return states
 
 
 def _real_coeffs(ar: ArPencil):
@@ -120,18 +141,16 @@ class SamplePath:
 
 
 def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
-                presample: int = DEFAULT_PRESAMPLE, replication: int = 0,
-                model_id: str = "") -> SamplePath:
+                replication: int = 0, model_id: str = "") -> SamplePath:
     """Simulate X_t = sum_j A_j X_{t-j} + eps_t with Gaussian innovations.
 
     ``initial`` is a (p, dim) array with row i equal to X_{-i}; the
     recursion itself is applied exactly, so the stored states satisfy the
-    law to rounding by construction.
+    law to rounding by construction.  The path also stores the PRESAMPLE
+    innovations before t = 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if presample < 0:
-        raise ValueError("presample must be >= 0")
     coeffs = _real_coeffs(ar)
     n, p = ar.dim, ar.p
     factor = _covariance_factor(cov, DEFAULT_TOL)
@@ -144,22 +163,10 @@ def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
     if initial.shape != (p, n):
         raise ValueError(f"initial must have shape ({p}, {n})")
 
-    draws = _stream(seed, replication, _MAIN_LANE).standard_normal((horizon, n))
-    eps = draws @ factor.T
-    if presample:
-        pre_draws = _stream(seed, replication, _PRESAMPLE_LANE).standard_normal((presample, n))
-        pre = (pre_draws @ factor.T)[::-1]  # drawn backwards from t=0, stored chronologically
-    else:
-        pre = np.zeros((0, n))
-
-    states = np.empty((horizon, n))
-    for t in range(1, horizon + 1):
-        acc = eps[t - 1].copy()
-        for j, a in enumerate(coeffs, start=1):
-            back = t - j
-            past = states[back - 1] if back >= 1 else initial[-back]
-            acc += a @ past
-        states[t - 1] = acc
+    eps = _draw(seed, replication, _MAIN_LANE, horizon, factor)
+    # drawn backwards from t=0, stored chronologically
+    pre = _draw(seed, replication, _PRESAMPLE_LANE, PRESAMPLE, factor)[::-1]
+    states = _recurse(coeffs, eps[None], initial)[0]
     return SamplePath(model_id=model_id, seed=int(seed), horizon=int(horizon),
                       states=states, innovations=eps, initial=initial, presample=pre)
 
@@ -178,8 +185,7 @@ def recursion_residual(ar: ArPencil, path: SamplePath) -> float:
     return worst
 
 
-def consistent_initial(ar: ArPencil, p_op, cov, seed: int,
-                       presample: int = DEFAULT_PRESAMPLE, replication: int = 0,
+def consistent_initial(ar: ArPencil, p_op, cov, seed: int, replication: int = 0,
                        level=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Initial state vectors that remove the representation transient.
 
@@ -200,14 +206,11 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int,
     if p_op.shape != (pn, pn):
         raise ValueError("long-run projection has the wrong shape")
     factor = _covariance_factor(cov, tol)
-    if presample < 1:
-        raise ValueError("need at least one pre-sample innovation")
-    pre_draws = _stream(seed, replication, _PRESAMPLE_LANE).standard_normal((presample, n))
-    pre = pre_draws @ factor.T  # row j is eps_{-j}
+    pre = _draw(seed, replication, _PRESAMPLE_LANE, PRESAMPLE, factor)  # row j is eps_{-j}
 
     nu0 = np.zeros(pn, dtype=np.complex128)
     power = cp.identity() - p_op  # H_j = B^j (I - P), applied to lifted eps_{-j}
-    for j in range(presample):
+    for j in range(PRESAMPLE):
         lifted = cp.pi_p_star @ pre[j]
         nu0 += power @ lifted
         power = cp.a1 @ power
@@ -322,35 +325,24 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     """States array (replications, horizon, dim), every replication
     started from zero initial states; replication r uses the stream keyed
     (seed, r), so row r equals simulate_ar(..., replication=r) to
-    rounding.  Not bit for bit: each step multiplies
+    rounding.  Not bit for bit: the shared recursion kernel multiplies
     the states of a whole chunk of replications in one matrix product,
-    whose summation order can differ from the single path's
-    matrix-vector product (models.ar2_unit_root_model: about 6e-13 apart
-    after 2000 steps).  Work is chunked identically whatever
+    whose summation order can differ from the one-row product of a
+    single path (models.ar2_unit_root_model: about 6e-13 apart after
+    2000 steps).  Work is chunked identically whatever
     ``threads`` is, so the output is byte-stable across thread counts."""
     if replications < 1:
         raise ValueError("need at least one replication")
     coeffs = _real_coeffs(ar)
-    n = ar.dim
     factor = _covariance_factor(cov, DEFAULT_TOL)
+    initial = np.zeros((ar.p, ar.dim))
 
     chunk = 32  # fixed so chunking does not depend on the thread count
 
     def run_block(start):
-        stop = min(start + chunk, replications)
-        reps = stop - start
-        eps = np.empty((reps, horizon, n))
-        for i, r in enumerate(range(start, stop)):
-            eps[i] = _stream(seed, r, _MAIN_LANE).standard_normal((horizon, n)) @ factor.T
-        states = np.empty((reps, horizon, n))
-        for t in range(1, horizon + 1):
-            acc = eps[:, t - 1].copy()
-            for j, a in enumerate(coeffs, start=1):
-                back = t - j
-                if back >= 1:
-                    acc += states[:, back - 1] @ a.T
-            states[:, t - 1] = acc
-        return states
+        eps = np.stack([_draw(seed, r, _MAIN_LANE, horizon, factor)
+                        for r in range(start, min(start + chunk, replications))])
+        return _recurse(coeffs, eps, initial)
 
     starts = list(range(0, replications, chunk))
     if threads > 1:
@@ -443,8 +435,8 @@ def polynomial_cointegration_probe(states, i2: I2Report,
     lr2 = _as_real(i2.long_run2, "second-order loading")
     p_load = _as_real(i2.long_run1, "first-order loading") - lr2
 
-    ann2 = kernel_basis(lr2.T)
-    ann_both = kernel_basis(np.vstack([lr2.T, p_load.T]))
+    ann2 = annihilators(lr2)
+    ann_both = annihilators(lr2, p_load)
     diffs = np.diff(states, axis=1)
 
     tier1 = []

@@ -12,7 +12,9 @@ import pytest
 
 from grjkit.cli import main
 from grjkit.models import jordan_model
+from grjkit.numfield import matrix_from_json
 from grjkit.pencil import ArPencil
+from grjkit.simkit import PRESAMPLE
 
 
 @pytest.fixture()
@@ -41,6 +43,20 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def basis(subspace_json):
+    """Basis columns of a subspace in the report's JSON encoding."""
+    n = subspace_json["ambient"]
+    if subspace_json["basis"] is None:
+        return np.zeros((n, 0))
+    return matrix_from_json(subspace_json["basis"])
+
+
+def assert_annihilates(functionals, operator):
+    # bilinear pairing: f vanishes on ran L exactly when f^T L = 0
+    scale = max(1.0, float(np.max(np.abs(operator))))
+    assert np.max(np.abs(functionals.T @ operator), initial=0.0) < 1e-10 * scale
 
 
 def assert_one_line_error(capsys, argv):
@@ -94,6 +110,7 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["verify", "ex-c0", "--nodes", "8"],
     ["verify", "ex-c0", "--nodes", "4096"],
     ["verify", "ex-c0", "--jmax", "-1"],
+    ["verify", "ex-c0", "--jmax", str(PRESAMPLE + 1)],  # beyond the pre-sample window
     ["represent", "ex-c0", "--jmax", "-1"],
     ["verify", "ex-c0", "--radius", "5"],       # wider than the spectrum allows
     ["analyze", "ex-jordan", "--blocks", "0"],
@@ -197,6 +214,11 @@ def test_represent_i1_payload(capsys):
     assert report["class"] == "I1"
     assert "long_run" in report and "bn" in report
     assert report["cross_check_residual"] < 1e-6
+    long_run = matrix_from_json(report["long_run"])
+    cointegrating = basis(report["cointegrating"])
+    assert cointegrating.shape[1] > 0
+    assert_annihilates(cointegrating, long_run)
+    assert basis(report["attractor"]).shape[1] + cointegrating.shape[1] == long_run.shape[0]
 
 
 def test_represent_i2_payload(capsys):
@@ -206,6 +228,20 @@ def test_represent_i2_payload(capsys):
     assert report["class"] == "I2"
     assert "long_run2" in report and "tier1_annihilators" in report
     assert report["cross_check_residual"] < 1e-6
+    lr2 = matrix_from_json(report["long_run2"])
+    lr1 = matrix_from_json(report["long_run1"])
+    tier1 = basis(report["tier1_annihilators"])
+    tier2 = basis(report["tier2_annihilators"])
+    assert tier1.shape[1] > tier2.shape[1] > 0
+    assert_annihilates(tier1, lr2)
+    assert_annihilates(tier2, lr2)
+    assert_annihilates(tier2, lr1 - lr2)
+
+
+def test_verify_jmax_reaches_the_presample_length(capsys):
+    code, out, _ = run(capsys, ["verify", "ex-c0", "--jmax", str(PRESAMPLE)])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

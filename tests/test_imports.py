@@ -1,11 +1,16 @@
 """
 Every module of the package (except the re-exporting __init__), the tests
-and the scripts reads each name it imports.
+and the scripts reads each name it imports; and every public function or
+class is read by the package, the scripts or the benchmark, not only by
+the tests.
 """
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
+
+import grjkit
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -13,6 +18,27 @@ MODULES = sorted(path for path in [*(ROOT / "src" / "grjkit").glob("*.py"),
                                    *(ROOT / "tests").glob("*.py"),
                                    *(ROOT / "scripts").glob("*.py")]
                  if path.name != "__init__.py")
+# where a public name must be read for it to stay public
+CALLERS = sorted(path for path in [*(ROOT / "src" / "grjkit").glob("*.py"),
+                                   *(ROOT / "scripts").glob("*.py"),
+                                   *(ROOT / "perfbench").glob("*.py")]
+                 if path.name != "__init__.py")
+# public names only the tests read, kept as independent oracles
+TEST_ORACLES = (
+    "eval_poly",  # A(z) evaluated directly: the reference for the linearized pencil
+    "polynomial_cointegration_probe",  # Monte Carlo check of the order-two annihilator tiers
+    "relative_generalized_inverse",  # complement-checked form of the inverse grj calls unchecked
+)
+
+
+def quoted_names(node) -> set:
+    """Names read by a quoted annotation such as -> "Subspace" on node."""
+    names = set()
+    for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            quoted = ast.parse(annotation.value, mode="eval")
+            names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
 
 
 def unread_imports(source: str) -> list:
@@ -26,11 +52,7 @@ def unread_imports(source: str) -> list:
             imported |= {alias.asname or alias.name for alias in node.names}
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            # a quoted annotation such as -> "Subspace" reads its names too
-            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-                quoted = ast.parse(annotation.value, mode="eval")
-                read |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+        read |= quoted_names(node)
     return sorted(imported - read)
 
 
@@ -43,3 +65,35 @@ def test_every_module_reads_every_name_it_imports():
     unread = {str(path.relative_to(ROOT)): unread_imports(path.read_text(encoding="utf-8"))
               for path in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def names_read(source: str) -> set:
+    """Names and attributes a module reads, outside the top-level
+    definition of the same name (so recursion or a class naming itself
+    does not count)."""
+    read = set()
+    for top in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            names |= quoted_names(node)
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        read |= names
+    return read
+
+
+def test_the_scan_finds_an_unread_public_name():
+    source = "def f():\n    return f()\nclass C:\n    x: 'C'\ng = h.k\ndef e() -> 'C':\n    pass\n"
+    assert names_read(source) == {"h", "k", "C"}
+
+
+def test_every_public_callable_has_a_caller_outside_the_tests():
+    public = {name for name in grjkit.__all__
+              if inspect.isfunction(getattr(grjkit, name))
+              or inspect.isclass(getattr(grjkit, name))}
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
+    assert sorted(public - read) == sorted(TEST_ORACLES)

@@ -22,7 +22,7 @@ from grjkit.numfield import (NotComplementary, Subspace, Tolerance,
                              matrix_from_json, matrix_to_json, numerical_rank,
                              oblique_projection, operator_norm,
                              orthogonal_complement, range_basis,
-                             relative_generalized_inverse, subspace_from_json,
+                             relative_generalized_inverse,
                              subspace_intersection, subspace_sum,
                              subspace_to_json)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
@@ -237,9 +237,13 @@ def test_matrix_json_rejects_wrong_length():
 
 def test_subspace_json_round_trip():
     s = Subspace.from_columns(np.eye(5)[:, 1:3])
-    back = subspace_from_json(subspace_to_json(s))
-    assert back.ambient_dim == 5 and back.dim == 2
-    assert np.array_equal(back.basis, s.basis)
+    obj = subspace_to_json(s)
+    assert set(obj) == {"ambient", "basis"} and obj["ambient"] == 5
+    assert obj["basis"] == matrix_to_json(s.basis)
+    assert np.array_equal(matrix_from_json(obj["basis"]), s.basis)
+    # JSON matrices need a column, so the trivial subspace has no basis
+    trivial = Subspace(5, np.zeros((5, 0)))
+    assert subspace_to_json(trivial) == {"ambient": 5, "basis": None}
 
 
 def test_dump_json_is_deterministic():

@@ -16,7 +16,7 @@ from grjkit.grj import i1_components, i2_components
 from grjkit.models import oblique_ar1_model, random_walk_model
 from grjkit.numfield import operator_norm
 from grjkit.pencil import linearize
-from grjkit.simkit import (ClassMismatch, SamplePath, consistent_initial,
+from grjkit.simkit import (PRESAMPLE, ClassMismatch, SamplePath, consistent_initial,
                            differenced_ma, polynomial_cointegration_probe,
                            recursion_residual, simulate_ar, simulate_ensemble,
                            stationarity_slope, verify_representation)
@@ -65,11 +65,11 @@ def test_save_csv_matches_text(tmp_path):
 
 def test_extended_innovations_order():
     ar = random_walk_model(2)
-    path = simulate_ar(ar, np.eye(2), horizon=5, seed=2, presample=7)
+    path = simulate_ar(ar, np.eye(2), horizon=5, seed=2)
     ext = path.extended_innovations()
-    assert ext.shape == (12, 2)
-    assert np.array_equal(ext[7:], path.innovations)
-    assert np.array_equal(ext[:7], path.presample)
+    assert ext.shape == (PRESAMPLE + 5, 2)
+    assert np.array_equal(ext[PRESAMPLE:], path.innovations)
+    assert np.array_equal(ext[:PRESAMPLE], path.presample)
 
 
 def test_ensemble_slice_equals_single_run():
