@@ -1,8 +1,8 @@
 """
 Long-run MA structure: sum operator, the two-sided decomposition into a
 permanent loading plus differenced remainder, and the covariance check.
-(The attractor/cointegration duality is checked on represent's output in
-the CLI suite.)
+The attractor/cointegration duality is checked here on a fixed long-run
+operator and on represent's output in the CLI suite.
 """
 from __future__ import annotations
 
@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.cointegration import MaRepresentation, beveridge_nelson, positive_definite_check
+from grjkit.cointegration import (
+    MaRepresentation,
+    annihilators,
+    beveridge_nelson,
+    positive_definite_check,
+)
+from grjkit.numfield import range_basis
 
 
 def geometric_ma(rho=0.5, terms=7, dim=2):
@@ -62,3 +68,17 @@ def test_positive_definite_check():
         ok = positive_definite_check(np.array([[1.0, 0.5], [0.0, 1.0]]))
     assert ok        # symmetrized part is positive definite
 
+
+def test_attractor_cointegration_duality():
+    a = np.zeros((4, 4))
+    a[0, 0] = 1.0
+    a[1, 0] = 2.0          # rank-1 long-run operator
+    ma = MaRepresentation([a], np.eye(4))
+    attractor = range_basis(ma.sum_operator)
+    cointegrating = annihilators(ma.sum_operator)
+    assert attractor.dim == 1
+    assert cointegrating.dim == 3
+    # every cointegrating functional annihilates the attractor (bilinear pairing)
+    gaps = cointegrating.basis.T @ attractor.basis
+    assert np.max(np.abs(gaps)) < 1e-12
+    assert np.max(np.abs(cointegrating.basis.T @ ma.sum_operator)) < 1e-12
