@@ -57,7 +57,6 @@ def main(argv=None) -> int:
     components = i1_components if check_i1(cp).holds else i2_components
     j_top = max(cfg.j_grid)
     rep = components(cp, j_max=j_top + 8)
-    p_op = rep.p_operator if hasattr(rep, "p_operator") else rep.p_op
 
     tail_norms = [operator_norm(h) for h in rep.h_coeffs]
     scale, rate = fit_geometric_decay(tail_norms)
@@ -65,7 +64,7 @@ def main(argv=None) -> int:
           f"h-tail ~ {scale:.2e} * {rate:.3f}^j")
 
     cov = np.eye(ar.dim)
-    init = consistent_initial(ar, p_op, cov, seed=cfg.path_seed)
+    init = consistent_initial(ar, rep.p_operator, cov, seed=cfg.path_seed)
     path = simulate_ar(ar, cov, horizon=cfg.horizon, seed=cfg.path_seed,
                        initial=init)
     peak = 1.0 + float(np.max(np.abs(path.states)))

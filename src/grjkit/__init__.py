@@ -28,7 +28,6 @@ from .grj import (
 )
 from .laurent import (
     ContourNotConverged,
-    ContourTooWide,
     LaurentExpansion,
     NoUnitRoot,
     PoleOrderReport,

@@ -5,8 +5,8 @@ Exit codes are fixed for scriptability:
   0  success
   1  malformed input: an unknown flag or a flag the subcommand or model
      does not take, a value out of range, an unreadable model file, or a
-     --radius or --tol that leaves no usable contour (too wide, never
-     settles, or singular within the tolerance)
+     --tol that leaves no usable contour (the quadrature never settles
+     within it, or a resolvent is singular within it)
   2  the model has no usable unit root (assumption failure)
   3  represent, verify: the pole is neither order one nor order two
   4  verify: an invariant failed (named on stderr); this wins over 3
@@ -17,10 +17,13 @@ simkit.PRESAMPLE, the pre-sample length its representation check
 reads), so bad input ends in one line on stderr; a warning raised while
 a command runs is one stderr line too.  Reports are JSON with sorted
 keys and fixed separators, so a fixed (model, seed, flags) combination
-produces byte-identical output.  The env var GRJ_DEFAULT_TOL supplies the default residual
-tolerance; the --tol flag overrides it per run.  It drives only residual
-checks (resolvent solves; 10x of it for quadrature settling and the
-projection guards): rank decisions cut at the fixed numfield.RANK_REL.
+produces byte-identical output.  No environment variable is read.
+
+The contour radius comes from the model's spectrum and the quadrature
+node count doubles until the result settles, so no flag sets either.
+--tol (default 1e-8) drives only residual checks (resolvent solves; 10x
+of it for quadrature settling and the projection guards): rank decisions
+cut at the fixed numfield.RANK_REL.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import numpy as np
 from . import models
 from .cointegration import annihilators, beveridge_nelson
 from .grj import (
-    I1Report,
     NotI1,
     NotI2,
     check_i1,
@@ -46,10 +48,7 @@ from .grj import (
     taylor_h_gap,
 )
 from .laurent import (
-    MAX_NODES,
-    MIN_NODES,
     ContourNotConverged,
-    ContourTooWide,
     essential_from_sweep,
     expansion,
     pole_order,
@@ -95,35 +94,26 @@ class _Parser(argparse.ArgumentParser):
 
 # -- argument types: each rejects an out-of-range value at parse time -------
 
-def _int_at_least(low: int, high: int | None = None):
-    bounds = f">= {low}" if high is None else f"in [{low}, {high})"
-
+def _int_at_least(low: int):
     def parse(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
             value = None
-        if value is None or value < low or (high is not None and value >= high):
-            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {raw!r}")
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {raw!r}")
         return value
     return parse
 
 
-def _positive_float(raw: str) -> float:
+def _tolerance(raw: str) -> Tolerance:
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"expected a positive number, got {raw!r}")
-    return value
-
-
-def _tolerance(raw: str) -> Tolerance:
-    try:
-        return Tolerance(residual_abs=_positive_float(raw))
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"{exc} (from --tol or GRJ_DEFAULT_TOL)") from exc
+    return Tolerance(residual_abs=value)
 
 
 def _int_list(raw: str) -> tuple:
@@ -159,15 +149,10 @@ def _flag_specs() -> dict:
                          help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
         "--seed": dict(type=int, default=None, help="seed of ex-selfadjoint, ex-jordan "
                        "and the simulated path of simulate and verify (default 0)"),
-        "--tol": dict(type=_tolerance, default=os.environ.get("GRJ_DEFAULT_TOL") or "1e-8",
-                      help="residual tolerance (default GRJ_DEFAULT_TOL or 1e-8)"),
+        "--tol": dict(type=_tolerance, default="1e-8", help="residual tolerance (default 1e-8)"),
         "--horizon": dict(type=_POSITIVE_INT, default=300),
         "--jmax": dict(type=_int_at_least(0), default=40,
                        help="stationary-sum truncation order"),
-        "--radius": dict(type=_positive_float, default=None,
-                         help="contour radius override"),
-        "--nodes": dict(type=_int_at_least(MIN_NODES, MAX_NODES), default=256,
-                        help="starting quadrature node count"),
         "--path": dict(default=None,
                        help="stored CSV path to check byte-for-byte determinism"),
         "--dims": dict(type=_dims, default="4,8,16",
@@ -322,34 +307,29 @@ def cmd_represent(args) -> int:
     if rep is None:
         sys.stderr.write(f"grj represent: {_NO_CLASS}\n")
         return _EXIT_NO_CLASS
-    report = {"model": model_id, "cross_check_residual": float(rep.cross_check_residual),
-              "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs]}
-    if isinstance(rep, I1Report):
+    report = {"model": model_id, "class": f"I{rep.order}",
+              "cross_check_residual": float(rep.cross_check_residual),
+              "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs],
+              "p_operator": matrix_to_json(np.asarray(rep.p_operator))}
+    if rep.order == 1:
         long_run = np.asarray(rep.long_run)
         ma = differenced_ma(rep, np.eye(long_run.shape[0]))
-        bn = beveridge_nelson(ma)
         report.update({
-            "class": "I1",
             "long_run": matrix_to_json(long_run),
-            "p_operator": matrix_to_json(np.asarray(rep.p_operator)),
             "cointegrating": subspace_to_json(annihilators(long_run)),
             "attractor": subspace_to_json(range_basis(long_run)),
-            "bn": bn.to_json(),
+            "bn": beveridge_nelson(ma).to_json(),
         })
-        _emit(report, args.out)
-        return _EXIT_OK
-    lr2 = np.asarray(rep.long_run2)
-    lr1 = np.asarray(rep.long_run1)
-    p_load = lr1 - lr2
-    report.update({
-        "class": "I2",
-        "long_run2": matrix_to_json(lr2),
-        "long_run1": matrix_to_json(lr1),
-        "n_minus2": matrix_to_json(np.asarray(rep.n_minus2)),
-        "p_operator": matrix_to_json(np.asarray(rep.p_op)),
-        "tier1_annihilators": subspace_to_json(annihilators(lr2)),
-        "tier2_annihilators": subspace_to_json(annihilators(lr2, p_load)),
-    })
+    else:
+        lr2 = np.asarray(rep.long_run2)
+        lr1 = np.asarray(rep.long_run1)
+        report.update({
+            "long_run2": matrix_to_json(lr2),
+            "long_run1": matrix_to_json(lr1),
+            "n_minus2": matrix_to_json(np.asarray(rep.n_minus2)),
+            "tier1_annihilators": subspace_to_json(annihilators(lr2)),
+            "tier2_annihilators": subspace_to_json(annihilators(lr2, lr1 - lr2)),
+        })
     _emit(report, args.out)
     return _EXIT_OK
 
@@ -412,21 +392,18 @@ def cmd_verify(args) -> int:
     report = _components(cp, args)
     if report is None:
         return _finish_verify(results, model_id, args, no_class=True)
-    order = 1 if isinstance(report, I1Report) else 2
     cross = float(report.cross_check_residual)
     _check(results, "p-cross-check", cross <= 1e-6, {"residual": cross})
 
     # contour-route Taylor coefficients against the closed-form h list
     j_cap = min(20, len(report.h_coeffs) - 1)
     closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
-    if os.environ.get("GRJ_INJECT_FAULT") == "h":
-        closed[0] = closed[0] + 1e-3
-    worst = taylor_h_gap(cp, closed, order, tol=tol,
-                         radius=args.radius, nodes=max(args.nodes, 512))
+    worst = taylor_h_gap(cp, closed, report.order, tol=tol,
+                         nodes=512)  # one level above the library's start
     _check(results, "h-coefficient cross-check", worst <= 1e-6,
            {"worst_gap": worst, "j_cap": j_cap})
 
-    if order == 2:
+    if report.order == 2:
         n2 = np.asarray(report.n_minus2)
         scale = max(1.0, operator_norm(n2))
         left = operator_norm(cp.a1 @ n2 - n2) / scale
@@ -434,9 +411,8 @@ def cmd_verify(args) -> int:
         _check(results, "n2-cross-check", max(left, right) <= 1e-7,
                {"left": left, "right": right})
 
-    p_op = np.asarray(report.p_operator if order == 1 else report.p_op)
     try:
-        initial = consistent_initial(ar, p_op, cov, seed, tol=tol)
+        initial = consistent_initial(ar, report.p_operator, cov, seed, tol=tol)
         cpath = simulate_ar(ar, cov, args.horizon, seed, initial=initial,
                             model_id=model_id)
         check = verify_representation(cpath, report, args.jmax)
@@ -457,7 +433,7 @@ def _laurent_algebra_check(cp, args):
     N_j B N_k = (1 - s_j - s_k) N_{j+k+1} with s_j = [j >= 0], and the
     defining equation forces B N_{j-1} - (I - B) N_j = [j == 0] I.
     """
-    exp = expansion(cp, j_max=2, tol=args.tol, radius=args.radius, nodes=args.nodes)
+    exp = expansion(cp, j_max=2, tol=args.tol)
     coeffs = dict(exp.coeffs)
     lo = -exp.pole_order
     a1 = cp.a1
@@ -516,8 +492,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "simulate one path to CSV",
                  _MODEL_FLAGS + ("--horizon", "--out")),
     "verify": (cmd_verify, "run the invariant suite for a model",
-               _MODEL_FLAGS + ("--tol", "--horizon", "--jmax", "--radius", "--nodes",
-                               "--path", "--out")),
+               _MODEL_FLAGS + ("--tol", "--horizon", "--jmax", "--path", "--out")),
     "sweep": (cmd_sweep, "pole order across truncation dimensions",
               ("--lam", "--seed", "--tol", "--dims", "--out")),
     "examples": (cmd_examples, "list built-in models", ()),
@@ -533,7 +508,7 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *_: sys.stderr.write(
                 f"grj {args.command}: warning: {message}\n")
             return _COMMANDS[args.command][0](args)
-    except (_CliError, ContourTooWide, ContourNotConverged, SingularAt) as exc:
+    except (_CliError, ContourNotConverged, SingularAt) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")
         return _EXIT_BAD_INPUT
     except SystemExit as exc:

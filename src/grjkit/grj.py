@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,6 +71,7 @@ def _jsonable_real(x):
 
 @dataclass(frozen=True, eq=False)
 class I1Report:
+    order: ClassVar[int] = 1  # pole order at z = 1 of the class the report certifies
     holds: bool
     ker_dim: int
     ran_dim: int
@@ -141,18 +143,15 @@ def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict,
 
 
 def taylor_h_gap(cp: CompanionPencil, closed: list, order: int,
-                 tol: Tolerance = DEFAULT_TOL, radius=None,
-                 nodes: int = DEFAULT_NODES) -> float:
+                 tol: Tolerance = DEFAULT_TOL, nodes: int = DEFAULT_NODES) -> float:
     """Largest gap, in the model's reporting norm, between the closed-form
     h_0 .. h_J (``closed``) and their Taylor-route counterparts.
 
     The principal part N_{-order} .. N_{-1} comes from a fresh contour
-    quadrature around 1 (``radius`` and ``nodes`` as in
-    contour_coefficients), so the check never reads the closed forms it
-    tests.
+    quadrature around 1 (``nodes`` as in contour_coefficients), so the
+    check never reads the closed forms it tests.
     """
-    principal, _ = contour_coefficients(cp, list(range(-order, 0)), tol=tol,
-                                        radius=radius, nodes=nodes)
+    principal, _ = contour_coefficients(cp, list(range(-order, 0)), tol=tol, nodes=nodes)
     taylor = taylor_h_coefficients(cp, len(closed) - 1, principal, tol=tol)
     return max(operator_norm(np.asarray(c) - t, cp.norm)
                for c, t in zip(closed, taylor))
@@ -191,6 +190,7 @@ def i1_components(cp: CompanionPencil, j_max: int,
 
 @dataclass(frozen=True, eq=False)
 class I2Report:
+    order: ClassVar[int] = 2
     holds: bool
     k_space: Subspace
     w_space: Subspace
@@ -200,7 +200,7 @@ class I2Report:
     q: np.ndarray
     q_g: np.ndarray | None
     n_minus2: np.ndarray | None
-    p_op: np.ndarray | None
+    p_operator: np.ndarray | None
     gamma_l: np.ndarray | None
     gamma_r: np.ndarray | None
     long_run2: np.ndarray | None
@@ -219,7 +219,7 @@ class I2Report:
             "q": _jsonable_matrix(self.q),
             "q_g": _jsonable_matrix(self.q_g),
             "n_minus2": _jsonable_matrix(self.n_minus2),
-            "p_op": _jsonable_matrix(self.p_op),
+            "p_op": _jsonable_matrix(self.p_operator),
             "gamma_l": _jsonable_matrix(self.gamma_l),
             "gamma_r": _jsonable_matrix(self.gamma_r),
             "long_run2": _jsonable_matrix(self.long_run2),
@@ -285,13 +285,13 @@ class _OrderTwoGeometry:
                 self.q_g_residual = operator_norm(images @ coords - p_w)
 
 
-def _report_from_geometry(geo: _OrderTwoGeometry, *, n_minus2=None, p_op=None,
+def _report_from_geometry(geo: _OrderTwoGeometry, *, n_minus2=None, p_operator=None,
                           gamma_l=None, gamma_r=None, long_run2=None,
                           long_run1=None, h_coeffs=None,
                           cross_check_residual=math.inf) -> I2Report:
     return I2Report(holds=geo.holds, k_space=geo.k_space, w_space=geo.w_space,
                     w_c=geo.w_c, k_c=geo.k_c, gen_inverse=geo.gen_inverse,
-                    q=geo.q, q_g=geo.q_g, n_minus2=n_minus2, p_op=p_op,
+                    q=geo.q, q_g=geo.q_g, n_minus2=n_minus2, p_operator=p_operator,
                     gamma_l=gamma_l, gamma_r=gamma_r, long_run2=long_run2,
                     long_run1=long_run1, h_coeffs=h_coeffs or [],
                     cross_check_residual=cross_check_residual)
@@ -368,6 +368,6 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     long_run2 = cp.pi_p @ n_minus2 @ cp.pi_p_star
     long_run1 = cp.pi_p @ (n_minus2 + p_op) @ cp.pi_p_star
     return _report_from_geometry(
-        geo, n_minus2=n_minus2, p_op=p_op, gamma_l=gamma_l, gamma_r=gamma_r,
+        geo, n_minus2=n_minus2, p_operator=p_op, gamma_l=gamma_l, gamma_r=gamma_r,
         long_run2=long_run2, long_run1=long_run1, h_coeffs=h_coeffs,
         cross_check_residual=residual)

@@ -62,17 +62,13 @@ def require_unit_root(rep: SpectrumReport) -> SpectrumReport:
     return rep
 
 
-class ContourTooWide(ArithmeticError):
-    """Another spectrum point sits within 1.5x the contour radius of 1."""
-
-
 class ContourNotConverged(ArithmeticError):
     """Node doubling hit the cap without the quadrature settling."""
 
 
 def pick_radius(report: SpectrumReport) -> float:
-    """Default contour radius: min(0.5, 0.4 * distance to the rest of
-    the spectrum)."""
+    """Radius of the contour around 1: min(0.5, 0.4 * distance to the
+    rest of the spectrum)."""
     if np.isfinite(report.nearest_other):
         return min(0.5, 0.4 * report.nearest_other)
     return 0.5
@@ -122,24 +118,17 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     return current, m, change
 
 
-def _guard_radius(rep: SpectrumReport, radius: float):
-    if rep.nearest_other < 1.5 * radius:
-        raise ContourTooWide(
-            f"spectrum point at distance {rep.nearest_other:.3g} from 1 "
-            f"inside 1.5 x radius {radius:.3g}")
-
-
-def contour_coefficients(cp: CompanionPencil, js, radius=None, nodes=DEFAULT_NODES,
+def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES,
                          tol: Tolerance = DEFAULT_TOL, spectrum=None):
     """Pencil Laurent coefficients N_j for every j in js (shared samples).
 
-    Applies the pencil sign convention N_j = -a_j to the standard
-    circle coefficients of the resolvent.
+    Integrates on the circle of radius pick_radius around 1, which keeps
+    the rest of the spectrum at least 2.5 radii away, and applies the
+    pencil sign convention N_j = -a_j to the standard circle
+    coefficients of the resolvent.
     """
     rep = spectrum if spectrum is not None else spectrum_report(cp)
-    if radius is None:
-        radius = pick_radius(rep)
-    _guard_radius(rep, radius)
+    radius = pick_radius(rep)
     coeffs, used_nodes, change = circle_coefficients(
         lambda z: resolvent(cp, z, tol), js, center=1.0, radius=radius, nodes=nodes)
     if change > 10 * tol.residual_abs:
@@ -256,8 +245,7 @@ class LaurentExpansion:
         return out
 
 
-def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
-              radius=None, nodes=DEFAULT_NODES) -> LaurentExpansion:
+def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL) -> LaurentExpansion:
     """Full expansion with coefficients for j in [-order, j_max].
 
     Raises NoUnitRoot unless z = 1 is a usable unit root.  Verifies,
@@ -274,8 +262,7 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     js = list(range(-order, j_max + 1))
     if -1 not in js:
         js = [-1] + js  # always compute the residue term for p_operator
-    coeffs, contour = contour_coefficients(cp, js, radius=radius, nodes=nodes,
-                                           tol=tol, spectrum=rep)
+    coeffs, contour = contour_coefficients(cp, js, tol=tol, spectrum=rep)
     p_op = coeffs[-1] @ cp.a1
     exp = LaurentExpansion(
         pole_order=order,

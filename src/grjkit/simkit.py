@@ -14,7 +14,7 @@ pre-sample draws, which simulate_ar and consistent_initial both take, so
     replications of a chunk in one matrix product, whose summation order
     can differ from the single path's in the last bits), and
   * consistent_initial sees exactly the pre-sample innovations that
-    simulate_ar stores for the same (seed, replication).
+    simulate_ar stores for replication 0 of the same seed.
 
 The pre-sample window exists because the stationary component
 nu_t = sum_j h_j eps_{t-j} reaches into the infinite past: with enough
@@ -185,8 +185,8 @@ def recursion_residual(ar: ArPencil, path: SamplePath) -> float:
     return worst
 
 
-def consistent_initial(ar: ArPencil, p_op, cov, seed: int, replication: int = 0,
-                       level=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None,
+                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Initial state vectors that remove the representation transient.
 
     Solving the companion recursion forward leaves a term
@@ -194,7 +194,7 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int, replication: int = 0,
     Xtilde_0 = nu_0 + level with level in ran P makes it vanish, so the
     closed-form representation is exact from t = 1 on.  The pre-sample
     innovations used here are exactly the ones simulate_ar will draw for
-    this (seed, replication), by the keyed-stream convention.
+    replication 0 of this seed, by the keyed-stream convention.
 
     ``level`` is a companion-space vector in ran P (defaults to zero);
     it becomes tau_0 (and feeds tau_1 for a double root).  Returns the
@@ -206,7 +206,7 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int, replication: int = 0,
     if p_op.shape != (pn, pn):
         raise ValueError("long-run projection has the wrong shape")
     factor = _covariance_factor(cov, tol)
-    pre = _draw(seed, replication, _PRESAMPLE_LANE, PRESAMPLE, factor)  # row j is eps_{-j}
+    pre = _draw(seed, 0, _PRESAMPLE_LANE, PRESAMPLE, factor)  # row j is eps_{-j}
 
     nu0 = np.zeros(pn, dtype=np.complex128)
     power = cp.identity() - p_op  # H_j = B^j (I - P), applied to lifted eps_{-j}
@@ -256,17 +256,14 @@ def verify_representation(path: SamplePath, report, j_max: int,
     passed, its unit-root ascent is checked against the report class
     first.
     """
-    if isinstance(report, I1Report):
-        rep_class, expected_order = "I1", 1
-    elif isinstance(report, I2Report):
-        rep_class, expected_order = "I2", 2
-    else:
+    if not isinstance(report, (I1Report, I2Report)):
         raise TypeError("report must be an order-one or order-two report")
+    rep_class = f"I{report.order}"
     if not report.holds:
         raise ClassMismatch("the report does not certify its own class")
     if ar is not None:
         order = ascent_at_one(linearize(ar).a1)
-        if order != expected_order:
+        if order != report.order:
             raise ClassMismatch(
                 f"model has unit-root ascent {order}, report class is {rep_class}")
     if len(report.h_coeffs) <= j_max:
@@ -292,7 +289,7 @@ def verify_representation(path: SamplePath, report, j_max: int,
         nu += extended[n_pre - j:n_pre - j + t_count] @ coeff.T
 
     xi = np.cumsum(path.innovations, axis=0)
-    if rep_class == "I1":
+    if report.order == 1:
         long_run = _as_real(report.long_run, "long-run operator")
         stochastic = xi @ long_run.T + nu
     else:
@@ -303,7 +300,7 @@ def verify_representation(path: SamplePath, report, j_max: int,
     deviation = path.states - stochastic
     window = min(max(path.initial.shape[0], 3), t_count)
     times = np.arange(1, t_count + 1, dtype=float)
-    if rep_class == "I1":
+    if report.order == 1:
         tau0 = deviation[:window].mean(axis=0)
         tau1 = np.zeros(n)
     else:

@@ -157,7 +157,7 @@ def test_criterion_3_closed_vs_contour():
             worst_i2 = max(
                 worst_i2,
                 operator_norm(rep.n_minus2 - contour[-2]),
-                operator_norm(rep.n_minus2 + rep.p_op - contour[-1]))
+                operator_norm(rep.n_minus2 + rep.p_operator - contour[-1]))
     ok = worst_i1 <= 1e-7 and worst_h <= 1e-6 and worst_i2 <= 1e-6
     verdict(3, ok, f"projection gap {worst_i1:.2e}, h gap {worst_h:.2e}, "
                    f"order-2 gap {worst_i2:.2e} over 3 complement choices")
@@ -217,9 +217,8 @@ def test_criterion_5_representation_exactness():
 
     def check(label, ar, rep, seed, level=None, want_trend=False):
         nonlocal ok
-        init = consistent_initial(ar, rep.p_operator
-                                  if hasattr(rep, "p_operator") else rep.p_op,
-                                  np.eye(ar.dim), seed=seed, level=level)
+        init = consistent_initial(ar, rep.p_operator, np.eye(ar.dim), seed=seed,
+                                  level=level)
         path = simulate_ar(ar, np.eye(ar.dim), horizon=horizon, seed=seed,
                            initial=init)
         chk = verify_representation(path, rep, j_max=j_max, ar=ar)
@@ -243,7 +242,7 @@ def test_criterion_5_representation_exactness():
     j2, _ = jordan_model(2, blocks_at_one=[2])
     cp = linearize(j2)
     rep = i2_components(cp, j_max=j_max + 8)
-    cols = range_basis(rep.p_op).basis
+    cols = range_basis(rep.p_operator).basis
     loads = np.linalg.norm(rep.n_minus2 @ cols, axis=0)
     level = 3.0 * cols[:, int(np.argmax(loads))]
     check("jordan-J2+trend", j2, rep, seed=5, level=level, want_trend=True)

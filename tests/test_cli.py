@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+from grjkit import cli
 from grjkit.cli import main
+from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
 from grjkit.numfield import matrix_from_json
 from grjkit.pencil import ArPencil
@@ -100,6 +102,8 @@ def test_unknown_flag_exits_one(capsys):
     ["simulate", "ex-c0", "--tol", "1e-6"],
     ["sweep", "ex-volterra", "--n", "8"],
     ["sweep", "ex-c0", "--blocks", "2"],
+    ["verify", "ex-c0", "--radius", "0.3"],     # the radius comes from the spectrum
+    ["verify", "ex-c0", "--nodes", "512"],      # node doubling finds its own level
 ], ids=lambda argv: " ".join(argv[i] for i in (0, 2)))
 def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
@@ -107,12 +111,9 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "ex-c0", "--horizon", "0"],
-    ["verify", "ex-c0", "--nodes", "8"],
-    ["verify", "ex-c0", "--nodes", "4096"],
     ["verify", "ex-c0", "--jmax", "-1"],
     ["verify", "ex-c0", "--jmax", str(PRESAMPLE + 1)],  # beyond the pre-sample window
     ["represent", "ex-c0", "--jmax", "-1"],
-    ["verify", "ex-c0", "--radius", "5"],       # wider than the spectrum allows
     ["analyze", "ex-jordan", "--blocks", "0"],
     ["sweep", "ex-volterra", "--dims", "8,8"],
     # a model flag the model does not take
@@ -122,9 +123,7 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["analyze", "ex-c0", "--seed", "5"],        # reads no seed and simulates nothing
     ["represent", "ex-evenodd", "--seed", "5"],
     ["sweep", "ex-volterra", "--seed", "5"],
-    # a contour the radius or tolerance makes unusable
-    ["verify", "ex-c0", "--radius", "0.001"],   # quadrature never settles
-    ["verify", "ex-c0", "--radius", "1e-9"],    # resolvent singular on the circle
+    # a tolerance that leaves no usable contour
     ["analyze", "ex-c0", "--tol", "1e-300"],    # no solve meets the residual
     ["analyze", "ex-c0", "--tol", "0"],
     ["verify", "ex-c0", "--tol", "nan"],
@@ -330,8 +329,13 @@ def test_verify_warnings_are_one_line_each(capsys):
 
 def test_verify_fault_injection_names_the_invariant(capsys, monkeypatch):
     # one I(2) and one I(1) model: both classes go through the same
-    # library h check that the fault hook feeds
-    monkeypatch.setenv("GRJ_INJECT_FAULT", "h")
+    # library h check, here fed a corrupted h_0
+    check = cli.taylor_h_gap
+
+    def corrupted(cp, closed, order, **kwargs):
+        return check(cp, [closed[0] + 1e-3, *closed[1:]], order, **kwargs)
+
+    monkeypatch.setattr(cli, "taylor_h_gap", corrupted)
     for model in (["ex-c0", "--n", "8"], ["ex-evenodd"]):
         code, out, err = run(capsys, ["verify", *model,
                                       "--horizon", "60", "--jmax", "30"])
@@ -377,11 +381,14 @@ def test_verify_two_lag_model(capsys, tmp_path):
     assert report["ok"]
 
 
-def test_bad_default_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("GRJ_DEFAULT_TOL", "not-a-number")
-    code, _, err = run(capsys, ["analyze", "ex-c0"])
-    assert code == 1
-    assert err
+def test_verify_contour_not_converged_exits_one(capsys, monkeypatch):
+    # no flag drives the quadrature past its node cap on a built-in model,
+    # so the expansion verify runs is made to fail the way it would
+    def unsettled(*args, **kwargs):
+        raise ContourNotConverged("quadrature change 1.00e-03 above 1e-10 at 4096 nodes")
+
+    monkeypatch.setattr(cli, "expansion", unsettled)
+    assert_one_line_error(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"])
 
 
 def test_model_file_round_trip(capsys, tmp_path):

@@ -44,7 +44,7 @@ def test_order_two_components_match_similarity_oracle():
     rep = i2_components(cp, j_max=8)
     assert rep.holds
     assert_allclose(rep.n_minus2, n2_target, atol=1e-10)
-    assert_allclose(rep.p_op, p_target, atol=1e-10)
+    assert_allclose(rep.p_operator, p_target, atol=1e-10)
     assert rep.cross_check_residual < 1e-8
 
 
@@ -78,7 +78,7 @@ def test_components_are_complement_independent(shift8_cp, mixed21_cp):
             rep = i2_components(cp, j_max=2, ran_complement=rc,
                                 ker_complement=kc)
             assert operator_norm(rep.n_minus2 - contour[-2]) < 1e-7
-            assert operator_norm(rep.n_minus2 + rep.p_op - contour[-1]) < 1e-7
+            assert operator_norm(rep.n_minus2 + rep.p_operator - contour[-1]) < 1e-7
 
 
 def test_mixed_block_geometry_exercises_graft(mixed21_cp):
@@ -89,7 +89,8 @@ def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     assert rep.w_c.dim == 1
     assert operator_norm(rep.q_g) > 1e-8
     full = i2_components(mixed21_cp, j_max=2)
-    assert operator_norm(full.p_op @ full.p_op - full.p_op) < 1e-10
+    p_op = full.p_operator
+    assert operator_norm(p_op @ p_op - p_op) < 1e-10
 
 
 def test_simple_pole_projection_is_riesz(evenodd_cp):

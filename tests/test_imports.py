@@ -1,8 +1,8 @@
 """
 Every module of the package (except the re-exporting __init__), the tests
-and the scripts reads each name it imports; and every public function or
+and the scripts reads each name it imports; every public function or
 class is read by the package, the scripts or the benchmark, not only by
-the tests.
+the tests; and the package reads no environment variable.
 """
 from __future__ import annotations
 
@@ -65,6 +65,24 @@ def test_every_module_reads_every_name_it_imports():
     unread = {str(path.relative_to(ROOT)): unread_imports(path.read_text(encoding="utf-8"))
               for path in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def environment_reads(source: str) -> list:
+    """Lines of a module that read os.environ or call os.getenv."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                  and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_the_scan_finds_an_environment_read():
+    source = "import os\na = os.environ.get('A')\nb = os.getenv('B')\nc = os.path.sep\n"
+    assert environment_reads(source) == [2, 3]
+
+
+def test_the_package_reads_no_environment_variable():
+    reads = {path.name: environment_reads(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "grjkit").glob("*.py")}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 def names_read(source: str) -> set:

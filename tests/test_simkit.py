@@ -106,7 +106,7 @@ def test_representation_random_walk_exact():
 
 def test_representation_shift_model(shift8, shift8_cp):
     rep = i2_components(shift8_cp, j_max=40)
-    init = consistent_initial(shift8, rep.p_op, np.eye(8), seed=11)
+    init = consistent_initial(shift8, rep.p_operator, np.eye(8), seed=11)
     path = simulate_ar(shift8, np.eye(8), horizon=150, seed=11, initial=init)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -126,9 +126,9 @@ def test_class_mismatch_raises(shift8, shift8_cp, evenodd_cp):
 def test_consistent_initial_rejects_level_outside_range(shift8, shift8_cp):
     rep = i2_components(shift8_cp, j_max=4)
     bad = np.ones(shift8_cp.big_dim)
-    assert np.linalg.norm(rep.p_op @ bad - bad) > 1e-3  # plainly not in ran P
+    assert np.linalg.norm(rep.p_operator @ bad - bad) > 1e-3  # plainly not in ran P
     with pytest.raises(ValueError):
-        consistent_initial(shift8, rep.p_op, np.eye(8), seed=0, level=bad)
+        consistent_initial(shift8, rep.p_operator, np.eye(8), seed=0, level=bad)
 
 
 def test_stationarity_slope_white_noise():
