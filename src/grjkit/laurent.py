@@ -18,7 +18,8 @@ ground-truth identities on validation models:
 
 Concretely: with the circle parametrized counterclockwise,
 N_j = -(1/M) sum_m R(z_m) (r e^{i theta_m})^{-j}, which the engine
-evaluates for all j at once via an FFT of the resolvent samples.
+evaluates for the requested j only, as one weighted sum of the resolvent
+samples with twiddles read from a table of the M-th roots of unity.
 
 The pole order is decided structurally.  Writing P for the spectral
 projection and G = (I - B) P for the quasi-nilpotent part, the order
@@ -82,8 +83,10 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     accurate; node count doubles from ``nodes`` (in [MIN_NODES,
     MAX_NODES)) until successive results differ by at most
     QUADRATURE_CONV_TOL, else ContourNotConverged at MAX_NODES.  Returns
-    (coeffs, nodes, last_change); coefficient extraction for all j shares
-    one FFT of the samples per refinement level.
+    (coeffs, nodes, last_change).  Each refinement level reads the
+    requested j from one product W @ samples, W[i, m] = e^{-i j_i theta_m};
+    the exponent j_i m is reduced mod M and looked up in a table of the
+    M-th roots of unity, so large |j| costs no accuracy.
     """
     js = list(js)
     if not MIN_NODES <= nodes < MAX_NODES:
@@ -100,8 +103,10 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
         samples[0] = first
         for k in range(1, m_nodes):
             samples[k] = fn(zs[k])
-        spectrum = np.fft.fft(samples, axis=0)  # index j holds sum_m f_m e^{-ij theta_m}
-        return {j: spectrum[j % m_nodes] / (m_nodes * radius ** j) for j in js}
+        roots = np.exp(-1j * theta)  # e^{-i theta_k} = e^{-2 pi i k / M}
+        twiddles = roots[np.outer(js, np.arange(m_nodes)) % m_nodes]
+        sums = (twiddles @ samples.reshape(m_nodes, -1)).reshape((len(js),) + first.shape)
+        return {j: sums[i] / (m_nodes * radius ** j) for i, j in enumerate(js)}
 
     current = evaluate(nodes)
     m = nodes
@@ -125,9 +130,13 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES,
     Integrates on the circle of radius pick_radius around 1, which keeps
     the rest of the spectrum at least 2.5 radii away, and applies the
     pencil sign convention N_j = -a_j to the standard circle
-    coefficients of the resolvent.
+    coefficients of the resolvent.  A unit root that is present but not
+    isolated raises NoUnitRoot (require_unit_root); without a unit root
+    the integrand is analytic and the principal coefficients vanish.
     """
     rep = spectrum if spectrum is not None else spectrum_report(cp)
+    if rep.unit_root_present:
+        require_unit_root(rep)
     radius = pick_radius(rep)
     coeffs, used_nodes, change = circle_coefficients(
         lambda z: resolvent(cp, z, tol), js, center=1.0, radius=radius, nodes=nodes)

@@ -168,15 +168,19 @@ def resolvent(cp: CompanionPencil, z: complex, tol: Tolerance = DEFAULT_TOL) -> 
     """(I - z*a1)^{-1}, with an explicit residual check.
 
     Raises SingularAt(z) when the solve is numerically singular or the
-    residual ||(I - z a1) X - I|| exceeds residual_abs.
+    spectral norm of the residual R = (I - z a1) X - I exceeds
+    residual_abs.  The O(n^2) Frobenius norm screens first: it bounds
+    ||R||_2 from above, so ||R||_F <= residual_abs accepts without an
+    SVD; any other R gets the exact spectral-norm test.
     """
-    n = cp.big_dim
-    lhs = np.eye(n, dtype=np.complex128) - z * cp.a1
+    eye = cp.identity()
+    lhs = eye - z * cp.a1
     try:
-        out = np.linalg.solve(lhs, np.eye(n, dtype=np.complex128))
+        out = np.linalg.solve(lhs, eye)
     except np.linalg.LinAlgError as exc:
         raise SingularAt(z) from exc
-    if operator_norm(lhs @ out - np.eye(n)) > tol.residual_abs:
+    res = lhs @ out - eye
+    if not np.linalg.norm(res) <= tol.residual_abs and operator_norm(res) > tol.residual_abs:
         raise SingularAt(z)
     return out
 

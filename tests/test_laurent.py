@@ -147,7 +147,7 @@ def test_no_unit_root_raises():
 def test_non_isolated_unit_root_raises():
     # Volterra n = 32: the rank route finds the unit root but leaves exact
     # unit eigenvalues outside the cluster, at distance 0, so no contour
-    # fits; both entry points say so instead of failing in the quadrature
+    # fits; every entry point says so instead of failing in the quadrature
     cp = linearize(volterra_model(32))
     rep = spectrum_report(cp)
     assert rep.unit_root_present and not rep.unit_root_ok
@@ -155,6 +155,13 @@ def test_non_isolated_unit_root_raises():
         pole_order(cp)
     with pytest.raises(NoUnitRoot, match="not isolated"):
         expansion(cp, j_max=1)
+    # the raw contour entry points too, with or without a report handed in
+    with pytest.raises(NoUnitRoot, match="not isolated"):
+        contour_coefficients(cp, [-1])
+    with pytest.raises(NoUnitRoot, match="not isolated"):
+        contour_coefficients(cp, [-1], spectrum=rep)
+    with pytest.raises(NoUnitRoot, match="not isolated"):
+        riesz_projection(cp)
 
 
 def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8_cp):
@@ -190,6 +197,36 @@ def test_quadrature_converges_on_analytic_function():
     assert_allclose(coeffs[1], target, atol=1e-10)
     assert_allclose(coeffs[2], target / 2.0, atol=1e-10)
     assert change < 1e-10
+
+
+def _fft_reference(fn, js, center, radius, m_nodes):
+    """Circle coefficients read from a full FFT of the m_nodes samples."""
+    zs = center + radius * np.exp(2j * np.pi * np.arange(m_nodes) / m_nodes)
+    spectrum = np.fft.fft(np.stack([fn(z) for z in zs]), axis=0)
+    return {j: spectrum[j % m_nodes] / (m_nodes * radius ** j) for j in js}
+
+
+@pytest.mark.parametrize("js", [[-3, -1, 0, 2, 5, 64], range(-64, 97, 32)],
+                         ids=["list", "range"])
+def test_per_index_sums_match_the_fft(js):
+    # a degree-5 polynomial with 3 x 4 coefficients: negative, zero and
+    # positive j, and j at or beyond the final node count (wrap-around)
+    rng = np.random.default_rng(3)
+    poly = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
+    center, radius = 0.3, 1.0
+
+    def fn(z):
+        return sum(c * (z - center) ** k for k, c in enumerate(poly))
+
+    coeffs, m_nodes, _ = circle_coefficients(fn, js, center=center, radius=radius,
+                                             nodes=16)
+    reference = _fft_reference(fn, js, center, radius, m_nodes)
+    assert sorted(coeffs) == sorted(js)
+    assert max(js) >= m_nodes
+    for j in js:
+        assert_allclose(coeffs[j], reference[j], rtol=0, atol=1e-13)
+    for j in set(js) & set(range(len(poly))):
+        assert_allclose(coeffs[j], poly[j], rtol=0, atol=1e-13)
 
 
 def test_quadrature_start_at_the_cap_is_rejected():

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grjkit.models import jordan_model, random_walk_model, volterra_model
+from grjkit.numfield import Tolerance
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
                            resolvent, spectrum_report)
 
@@ -63,6 +64,46 @@ def test_resolvent_singular_point_raises():
     cp = linearize(random_walk_model(2))
     with pytest.raises(SingularAt):
         resolvent(cp, 1.0)
+
+
+def _screen_case():
+    """A dense pencil, a regular point and the residual resolvent computes there."""
+    rng = np.random.default_rng(7)
+    cp = linearize(ArPencil(1, 12, [0.3 * rng.standard_normal((12, 12))]))
+    z = 0.8 + 0.3j
+    lhs = cp.identity() - z * cp.a1
+    res = lhs @ np.linalg.solve(lhs, cp.identity()) - cp.identity()
+    two, fro = np.linalg.norm(res, 2), np.linalg.norm(res)
+    assert 0 < two < fro  # rounding residual of rank > 1: the screen can miss
+    return cp, z, two, fro
+
+
+def _count_svd_norms(monkeypatch):
+    """List that grows by one per pencil.operator_norm call."""
+    import grjkit.pencil as pencil
+    calls, real = [], pencil.operator_norm
+    monkeypatch.setattr(pencil, "operator_norm", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_resolvent_screen_accepts_without_an_svd(monkeypatch):
+    cp, z, _, _ = _screen_case()
+    calls = _count_svd_norms(monkeypatch)
+    out = resolvent(cp, z)
+    assert calls == []
+    assert_allclose((cp.identity() - z * cp.a1) @ out, cp.identity(), atol=1e-12)
+
+
+def test_resolvent_screen_falls_back_to_the_spectral_norm(monkeypatch):
+    cp, z, two, fro = _screen_case()
+    calls = _count_svd_norms(monkeypatch)
+    # ||R||_2 <= residual_abs < ||R||_F: the screen misses, the exact test accepts
+    out = resolvent(cp, z, Tolerance(residual_abs=(two + fro) / 2))
+    assert calls == [1]
+    assert np.array_equal(out, resolvent(cp, z))
+    # residual_abs < ||R||_2: the exact test rejects
+    with pytest.raises(SingularAt):
+        resolvent(cp, z, Tolerance(residual_abs=0.5 * two))
 
 
 def test_spectrum_unit_root_detected():
