@@ -6,8 +6,10 @@ Both sides run from plain checkouts, each with its own perfbench/:
     python3 scripts/bench_compare.py --base /tmp/base --head . --out BENCH_label.json
 
 Every (workload, trace, seed) cell runs perfbench/run.py once in each
-checkout, back to back, so both runs of a pair see the same machine load;
-the side that runs first alternates from cell to cell.  The file keeps each run's result line (metric
+checkout, back to back, for the run_seconds that BENCHMARK.json sets, so
+both runs of a pair see the same machine load; the side that runs first
+alternates from cell to cell.  Workloads default to all that
+BENCHMARK.json lists.  The file keeps each run's result line (metric
 values, pass/fail counts, traced call counts, output digests) and, per
 workload and metric, the median over seeds at base and at head, their
 ratio, and the number of seed pairs in which head was better.
@@ -21,8 +23,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-WORKLOADS = ("analyze-wide", "jordan-batch", "verify-represent", "simulate-io")
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -67,15 +67,15 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="parent checkout")
     parser.add_argument("--head", type=Path, required=True, help="changed checkout")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--workloads", help="comma-separated; default: all in BENCHMARK.json")
     parser.add_argument("--seeds", default="0,1,2")
     parser.add_argument("--traces", default="0,1")
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
+    spec = json.loads((args.head / "BENCHMARK.json").read_text())
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in spec["workloads"]])
     seeds = [int(s) for s in args.seeds.split(",")]
     traces = [int(t) for t in args.traces.split(",")]
-    spec = json.loads((args.head / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
     runs, machine = [], None
@@ -85,7 +85,8 @@ def main(argv=None) -> int:
             for seed in seeds:
                 cell = {"workload": workload, "trace": trace, "seed": seed}
                 for side, checkout in sides[::1 if len(runs) % 2 == 0 else -1]:
-                    run = run_once(checkout, workload, seed, trace, args.seconds)
+                    run = run_once(checkout, workload, seed, trace,
+                                   spec["run_seconds"])
                     machine = machine or {k: run["info"][k] for k in
                                           ("nproc", "python", "numpy", "blas", "blas_threads",
                                            "machine")}
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
                                    for c in cells for s in ("base", "head")),
                 "metrics": compare([c["base"] for c in cells], [c["head"] for c in cells],
                                    better)}
-    record = {"machine": machine, "seconds": args.seconds, "seeds": seeds,
+    record = {"machine": machine, "seconds": spec["run_seconds"], "seeds": seeds,
               "summary": summary, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

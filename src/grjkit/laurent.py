@@ -131,8 +131,12 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES,
     the rest of the spectrum at least 2.5 radii away, and applies the
     pencil sign convention N_j = -a_j to the standard circle
     coefficients of the resolvent.  A unit root that is present but not
-    isolated raises NoUnitRoot (require_unit_root); without a unit root
-    the integrand is analytic and the principal coefficients vanish.
+    usable raises NoUnitRoot (require_unit_root): that is any report with
+    unit_root_ok false, so a unit cluster scattered wider than
+    UNIT_CLUSTER_SCATTER or another pencil root in the closed disk of
+    radius 1 + eta is refused even when pick_radius would be positive.
+    Without a unit root the integrand is analytic and the principal
+    coefficients vanish.
     """
     rep = spectrum if spectrum is not None else spectrum_report(cp)
     if rep.unit_root_present:
