@@ -40,10 +40,8 @@ from .laurent import (
     riesz_projection,
 )
 from .numfield import (
-    DEFAULT_TOL,
     NotComplementary,
     Subspace,
-    Tolerance,
     ascent_at_one,
     direct_sum_check,
     kernel_basis,

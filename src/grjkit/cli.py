@@ -4,9 +4,9 @@ Exit codes are fixed for scriptability:
 
   0  success
   1  malformed input: an unknown flag or a flag the subcommand or model
-     does not take, a value out of range, an unreadable model file, or a
-     --tol that leaves no usable contour (the quadrature never settles
-     within it, or a resolvent is singular within it)
+     does not take, a value out of range, an unreadable model file or an
+     unwritable --out; or no usable contour (the quadrature never
+     settles, or a resolvent is singular within numfield.RESIDUAL_ABS)
   2  the model has no usable unit root (assumption failure)
   3  represent, verify: the pole is neither order one nor order two
   4  verify: an invariant failed (named on stderr); this wins over 3
@@ -21,15 +21,13 @@ produces byte-identical output.  No environment variable is read.
 
 The contour radius comes from the model's spectrum and the quadrature
 node count doubles until the result settles, so no flag sets either.
---tol (default 1e-8) drives only residual checks (resolvent solves; 10x
-of it for quadrature settling and the projection guards): rank decisions
-cut at the fixed numfield.RANK_REL.
+No flag sets a tolerance: rank decisions cut at the fixed
+numfield.RANK_REL and residual checks at the fixed numfield.RESIDUAL_ABS.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
@@ -54,7 +52,6 @@ from .laurent import (
     pole_order,
 )
 from .numfield import (
-    Tolerance,
     dump_json,
     matrix_to_json,
     operator_norm,
@@ -106,16 +103,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _tolerance(raw: str) -> Tolerance:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {raw!r}")
-    return Tolerance(residual_abs=value)
-
-
 def _int_list(raw: str) -> tuple:
     """Comma list of positive integers, e.g. 4,8,16."""
     try:
@@ -149,7 +136,6 @@ def _flag_specs() -> dict:
                          help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
         "--seed": dict(type=int, default=None, help="seed of ex-selfadjoint, ex-jordan "
                        "and the simulated path of simulate and verify (default 0)"),
-        "--tol": dict(type=_tolerance, default="1e-8", help="residual tolerance (default 1e-8)"),
         "--horizon": dict(type=_POSITIVE_INT, default=300),
         "--jmax": dict(type=_int_at_least(0), default=40,
                        help="stationary-sum truncation order"),
@@ -209,6 +195,8 @@ def _load_model(args):
             ar = ArPencil.load(args.model)
         except FileNotFoundError as exc:
             raise _CliError(f"model file not found: {args.model}") from exc
+        except OSError as exc:
+            raise _CliError(f"cannot read model file {args.model}: {exc.strerror}") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise _CliError(f"bad model file {args.model}: {exc}") from exc
         return ar, os.path.basename(args.model), {}
@@ -235,8 +223,11 @@ def _spectrum(cp, args, where=""):
 def _emit(report: dict, out: str | None):
     text = dump_json(report)
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -250,9 +241,9 @@ def cmd_analyze(args) -> int:
         report["verdict"] = "no usable unit root"
         _emit(report, args.out)
         return _EXIT_NO_UNIT_ROOT
-    pole = pole_order(cp, tol=args.tol, spectrum=spectrum)
-    i1 = check_i1(cp, tol=args.tol)
-    i2 = check_i2(cp, tol=args.tol)
+    pole = pole_order(cp, spectrum=spectrum)
+    i1 = check_i1(cp)
+    i2 = check_i2(cp)
     report.update({
         "pole_order": pole.to_json(),
         "i1": i1.to_json(),
@@ -276,7 +267,7 @@ def cmd_sweep(args) -> int:
         spectrum = _spectrum(cp, args, f" (sweep stops at n = {n})")
         if not spectrum.unit_root_ok:
             return _EXIT_NO_UNIT_ROOT
-        report = pole_order(cp, tol=args.tol, spectrum=spectrum)
+        report = pole_order(cp, spectrum=spectrum)
         orders.append(report.order)
         points.append({"n": int(n), "order": report.order,
                        "nilpotency_index": report.nilpotency_index})
@@ -289,11 +280,11 @@ def cmd_sweep(args) -> int:
 def _components(cp, args):
     """Order-one components if the model is I(1), else order-two, else None."""
     try:
-        return i1_components(cp, args.jmax, tol=args.tol)
+        return i1_components(cp, args.jmax)
     except NotI1:
         pass
     try:
-        return i2_components(cp, args.jmax, tol=args.tol)
+        return i2_components(cp, args.jmax)
     except NotI2:
         return None
 
@@ -313,7 +304,7 @@ def cmd_represent(args) -> int:
               "p_operator": matrix_to_json(np.asarray(rep.p_operator))}
     if rep.order == 1:
         long_run = np.asarray(rep.long_run)
-        ma = differenced_ma(rep, np.eye(long_run.shape[0]))
+        ma = differenced_ma(rep)
         report.update({
             "long_run": matrix_to_json(long_run),
             "cointegrating": subspace_to_json(annihilators(long_run)),
@@ -338,7 +329,10 @@ def cmd_simulate(args) -> int:
     ar, model_id, _ = _load_model(args)
     path = _simulate(ar, args.horizon, args.seed or 0, model_id)
     if args.out:
-        path.save_csv(args.out)
+        try:
+            path.save_csv(args.out)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(path.to_csv_text())
     return _EXIT_OK
@@ -357,7 +351,6 @@ def cmd_verify(args) -> int:
     spectrum = _spectrum(cp, args)
     if not spectrum.unit_root_ok:
         return _EXIT_NO_UNIT_ROOT
-    tol = args.tol
     seed = args.seed or 0
     results: list = []
     cov = np.eye(ar.dim)
@@ -382,7 +375,7 @@ def cmd_verify(args) -> int:
     residual = recursion_residual(ar, path)
     _check(results, "recursion", residual <= 1e-8, {"residual": residual})
 
-    pole = pole_order(cp, tol=tol, spectrum=spectrum)
+    pole = pole_order(cp, spectrum=spectrum)
     _check(results, "pole-order-routes", pole.routes_agree,
            {"order": pole.order, "ascent": pole.ascent})
 
@@ -398,8 +391,8 @@ def cmd_verify(args) -> int:
     # contour-route Taylor coefficients against the closed-form h list
     j_cap = min(20, len(report.h_coeffs) - 1)
     closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
-    worst = taylor_h_gap(cp, closed, report.order, tol=tol,
-                         nodes=512)  # one level above the library's start
+    # 512 start nodes: one level above the library's start
+    worst = taylor_h_gap(cp, closed, report.order, nodes=512)
     _check(results, "h-coefficient cross-check", worst <= 1e-6,
            {"worst_gap": worst, "j_cap": j_cap})
 
@@ -412,7 +405,7 @@ def cmd_verify(args) -> int:
                {"left": left, "right": right})
 
     try:
-        initial = consistent_initial(ar, report.p_operator, cov, seed, tol=tol)
+        initial = consistent_initial(ar, report.p_operator, cov, seed)
         cpath = simulate_ar(ar, cov, args.horizon, seed, initial=initial,
                             model_id=model_id)
         check = verify_representation(cpath, report, args.jmax)
@@ -433,7 +426,7 @@ def _laurent_algebra_check(cp, args):
     N_j B N_k = (1 - s_j - s_k) N_{j+k+1} with s_j = [j >= 0], and the
     defining equation forces B N_{j-1} - (I - B) N_j = [j == 0] I.
     """
-    exp = expansion(cp, j_max=2, tol=args.tol)
+    exp = expansion(cp, j_max=2)
     coeffs = dict(exp.coeffs)
     lo = -exp.pole_order
     a1 = cp.a1
@@ -486,15 +479,15 @@ _MODEL_FLAGS = ("--model", "--n", "--lam", "--blocks", "--seed")
 # subcommand -> (handler, help, the flags it reads); nothing else is accepted
 _COMMANDS = {
     "analyze": (cmd_analyze, "spectrum, pole order, class verdicts",
-                _MODEL_FLAGS + ("--tol", "--out")),
+                _MODEL_FLAGS + ("--out",)),
     "represent": (cmd_represent, "long-run operators and h-coefficients",
-                  _MODEL_FLAGS + ("--tol", "--jmax", "--out")),
+                  _MODEL_FLAGS + ("--jmax", "--out")),
     "simulate": (cmd_simulate, "simulate one path to CSV",
                  _MODEL_FLAGS + ("--horizon", "--out")),
     "verify": (cmd_verify, "run the invariant suite for a model",
-               _MODEL_FLAGS + ("--tol", "--horizon", "--jmax", "--path", "--out")),
+               _MODEL_FLAGS + ("--horizon", "--jmax", "--path", "--out")),
     "sweep": (cmd_sweep, "pole order across truncation dimensions",
-              ("--lam", "--seed", "--tol", "--dims", "--out")),
+              ("--lam", "--seed", "--dims", "--out")),
     "examples": (cmd_examples, "list built-in models", ()),
 }
 

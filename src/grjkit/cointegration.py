@@ -1,8 +1,8 @@
 """Moving-average structure of a solution and its cointegrating functionals.
 
-MaRepresentation is a truncated MA form: coefficients A_0..A_J, a real
-innovation covariance, and the long-run operator A = sum_k A_k, whose
-range is the attractor (the directions carrying the stochastic trend).
+MaRepresentation is a truncated MA form: coefficients A_0..A_J and the
+long-run operator A = sum_k A_k, whose range is the attractor (the
+directions carrying the stochastic trend).
 beveridge_nelson splits A from the differenced stationary remainder.
 annihilators gives the functionals that vanish on the ranges of given
 long-run operators -- the cointegrating space of an order-one solution,
@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numfield import (
-    DEFAULT_TOL,
     RANK_REL,
+    RESIDUAL_ABS,
     Subspace,
-    Tolerance,
     as_operator,
     kernel_basis,
     matrix_to_json,
@@ -33,13 +32,12 @@ from .numfield import (
 
 @dataclass(frozen=True, eq=False)
 class MaRepresentation:
-    """Truncated MA model: coefficients A_0..A_J plus innovation covariance.
+    """Truncated MA model: coefficients A_0..A_J.
 
     ``sum_operator`` (the long-run operator A) is derived on construction.
     """
 
     coeffs: list
-    innovation_cov: np.ndarray
     sum_operator: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -49,16 +47,8 @@ class MaRepresentation:
         n = mats[0].shape[0]
         if any(m.shape != (n, n) for m in mats):
             raise ValueError("MA coefficients must share one square shape")
-        cov = as_operator(self.innovation_cov, square=True)
-        if cov.shape != (n, n):
-            raise ValueError("innovation covariance shape does not match coefficients")
         object.__setattr__(self, "coeffs", mats)
-        object.__setattr__(self, "innovation_cov", cov)
         object.__setattr__(self, "sum_operator", sum(mats[1:], start=mats[0].copy()))
-
-    @property
-    def dim(self) -> int:
-        return self.sum_operator.shape[0]
 
 
 def annihilators(*loadings) -> Subspace:
@@ -67,17 +57,17 @@ def annihilators(*loadings) -> Subspace:
     return kernel_basis(np.vstack([np.asarray(load).T for load in loadings]))
 
 
-def positive_definite_check(c, tol: Tolerance = DEFAULT_TOL) -> bool:
+def positive_definite_check(c) -> bool:
     """Is the (symmetrized) covariance strictly positive definite?
 
     True iff the smallest eigenvalue exceeds RANK_REL times the largest
-    (the fixed rank cut-off).  Asymmetry above 10 x tol.residual_abs
+    (the fixed rank cut-off).  Asymmetry above 10 x RESIDUAL_ABS
     (relative to the norm, at least 1) is reported as a warning, not an
     error.
     """
     c = as_operator(c, square=True)
     asym = operator_norm(c - c.T)
-    if asym > 10 * tol.residual_abs * max(1.0, operator_norm(c)):
+    if asym > 10 * RESIDUAL_ABS * max(1.0, operator_norm(c)):
         warnings.warn(f"covariance asymmetry {asym:.2e}; symmetrizing", stacklevel=2)
     sym = (c + c.T) / 2.0
     eigs = np.linalg.eigvalsh((sym + sym.conj().T) / 2.0)

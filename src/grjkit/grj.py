@@ -27,10 +27,9 @@ from typing import ClassVar
 import numpy as np
 
 from .numfield import (
-    DEFAULT_TOL,
     NotComplementary,
+    RESIDUAL_ABS,
     Subspace,
-    Tolerance,
     _generalized_inverse,
     apply_to_subspace,
     direct_sum_check,
@@ -94,7 +93,7 @@ class I1Report:
         }
 
 
-def check_i1(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I1Report:
+def check_i1(cp: CompanionPencil) -> I1Report:
     """Decide the order-one condition: companion space = ran M (+) ker M.
 
     When it holds, the report carries the oblique projection onto ker M
@@ -108,8 +107,8 @@ def check_i1(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I1Report:
         return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
                         defect=split.defect, p_operator=None, long_run=None,
                         h_coeffs=[], cross_check_residual=math.inf)
-    p_op = oblique_projection(ker, ran, tol)
-    contour, _ = contour_coefficients(cp, [-1], tol=tol, spectrum=rep)
+    p_op = oblique_projection(ker, ran)
+    contour, _ = contour_coefficients(cp, [-1], spectrum=rep)
     residual = operator_norm(p_op - contour[-1], cp.norm)
     long_run = cp.pi_p @ p_op @ cp.pi_p_star
     return I1Report(holds=True, ker_dim=ker.dim, ran_dim=ran.dim, defect=0,
@@ -117,8 +116,7 @@ def check_i1(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I1Report:
                     cross_check_residual=residual)
 
 
-def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict,
-                          tol: Tolerance = DEFAULT_TOL):
+def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict):
     """Taylor coefficients (around 0) of the observable holomorphic part.
 
     ``principal`` maps negative exponents to the pole coefficients N_j;
@@ -132,7 +130,7 @@ def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict,
     items = sorted(principal.items())
 
     def holomorphic(z):
-        out = resolvent(cp, z, tol)
+        out = resolvent(cp, z)
         for j, coeff in items:
             out = out + coeff * (z - 1.0) ** j
         return cp.pi_p @ out @ cp.pi_p_star
@@ -143,7 +141,7 @@ def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict,
 
 
 def taylor_h_gap(cp: CompanionPencil, closed: list, order: int,
-                 tol: Tolerance = DEFAULT_TOL, nodes: int = DEFAULT_NODES) -> float:
+                 nodes: int = DEFAULT_NODES) -> float:
     """Largest gap, in the model's reporting norm, between the closed-form
     h_0 .. h_J (``closed``) and their Taylor-route counterparts.
 
@@ -151,8 +149,8 @@ def taylor_h_gap(cp: CompanionPencil, closed: list, order: int,
     quadrature around 1 (``nodes`` as in contour_coefficients), so the
     check never reads the closed forms it tests.
     """
-    principal, _ = contour_coefficients(cp, list(range(-order, 0)), tol=tol, nodes=nodes)
-    taylor = taylor_h_coefficients(cp, len(closed) - 1, principal, tol=tol)
+    principal, _ = contour_coefficients(cp, list(range(-order, 0)), nodes=nodes)
+    taylor = taylor_h_coefficients(cp, len(closed) - 1, principal)
     return max(operator_norm(np.asarray(c) - t, cp.norm)
                for c, t in zip(closed, taylor))
 
@@ -167,17 +165,16 @@ def _h_closed_form(cp: CompanionPencil, p_op, j_max: int):
     return out
 
 
-def i1_components(cp: CompanionPencil, j_max: int,
-                  tol: Tolerance = DEFAULT_TOL) -> I1Report:
+def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
     """Full order-one components: projection, long-run operator, and the
     h_j Taylor coefficients, each cross-checked against quadrature."""
-    base = check_i1(cp, tol)
+    base = check_i1(cp)
     if not base.holds:
         raise NotI1(
             f"range/kernel split fails with defect {base.defect} "
             f"(ker dim {base.ker_dim}, ran dim {base.ran_dim})")
     h_closed = _h_closed_form(cp, base.p_operator, j_max)
-    h_residual = taylor_h_gap(cp, h_closed, 1, tol)
+    h_residual = taylor_h_gap(cp, h_closed, 1)
     return I1Report(holds=True, ker_dim=base.ker_dim, ran_dim=base.ran_dim,
                     defect=0, p_operator=base.p_operator, long_run=base.long_run,
                     h_coeffs=h_closed,
@@ -233,7 +230,7 @@ class _OrderTwoGeometry:
     """All subspaces and operators entering the order-two formulas, built
     once for a given pair of complements and shared by check/components."""
 
-    def __init__(self, cp, tol, ran_complement=None, ker_complement=None):
+    def __init__(self, cp, ran_complement=None, ker_complement=None):
         n = cp.big_dim
         self.ker = cp.unit_kernel
         self.ran = cp.unit_range
@@ -247,8 +244,8 @@ class _OrderTwoGeometry:
             raise NotComplementary("supplied kernel complement is not complementary")
 
         self.k_space = subspace_intersection(self.ran, self.ker)
-        self.p_ran = oblique_projection(self.ran, self.ran_c, tol)
-        self.p_ker = oblique_projection(self.ker, self.ker_c, tol)
+        self.p_ran = oblique_projection(self.ran, self.ran_c)
+        self.p_ker = oblique_projection(self.ker, self.ker_c)
         off_range = np.eye(n, dtype=np.complex128) - self.p_ran
         self.w_space = apply_to_subspace(off_range, self.ker)
         # Inner complements: K_C completes K to the kernel and W_C completes
@@ -257,7 +254,7 @@ class _OrderTwoGeometry:
         # contour cross-check certifies the results do not depend on it.
         self.w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
         self.k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
-        self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran, tol)
+        self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran)
         self.q = off_range @ self.p_ker
         self.off_range = off_range
 
@@ -275,7 +272,7 @@ class _OrderTwoGeometry:
             self.q_g_residual = 0.0
         else:
             try:
-                p_w = oblique_projection(self.w_space, subspace_sum(self.ran, self.w_c), tol)
+                p_w = oblique_projection(self.w_space, subspace_sum(self.ran, self.w_c))
             except NotComplementary:
                 p_w = None
             if p_w is not None:
@@ -297,7 +294,7 @@ def _report_from_geometry(geo: _OrderTwoGeometry, *, n_minus2=None, p_operator=N
                     cross_check_residual=cross_check_residual)
 
 
-def check_i2(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I2Report:
+def check_i2(cp: CompanionPencil) -> I2Report:
     """Decide the order-two condition.
 
     Requires K = ran M /\\ ker M nontrivial and the companion space to
@@ -307,11 +304,11 @@ def check_i2(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL) -> I2Report:
     representation operators are filled in by i2_components.
     """
     require_unit_root(spectrum_report(cp))
-    geo = _OrderTwoGeometry(cp, tol)
+    geo = _OrderTwoGeometry(cp)
     return _report_from_geometry(geo)
 
 
-def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
+def i2_components(cp: CompanionPencil, j_max: int,
                   ran_complement: Subspace | None = None,
                   ker_complement: Subspace | None = None) -> I2Report:
     """Assemble the order-two representation operators.
@@ -323,7 +320,7 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     not depend on the complement choices.
     """
     rep = require_unit_root(spectrum_report(cp))
-    geo = _OrderTwoGeometry(cp, tol, ran_complement, ker_complement)
+    geo = _OrderTwoGeometry(cp, ran_complement, ker_complement)
     if not geo.holds:
         raise NotI2(
             f"order-two geometry fails: K dim {geo.k_space.dim}, "
@@ -332,7 +329,7 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
         raise NotI2(
             f"restricted map K -> W_C is not square "
             f"(dim K {geo.k_space.dim}, dim W_C {geo.w_c.dim})")
-    if geo.q_g is None or geo.q_g_residual > 10 * tol.residual_abs:
+    if geo.q_g is None or geo.q_g_residual > 10 * RESIDUAL_ABS:
         raise NotI2(
             f"Q^g construction failed (residual {geo.q_g_residual:.2e}); "
             "the W (+) W_C split is not usable")
@@ -340,7 +337,7 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     n = cp.big_dim
     eye = np.eye(n, dtype=np.complex128)
     k_dim = geo.k_space.dim
-    p_wc = oblique_projection(geo.w_c, subspace_sum(geo.ran, geo.w_space), tol)
+    p_wc = oblique_projection(geo.w_c, subspace_sum(geo.ran, geo.w_space))
 
     restricted = p_wc @ geo.gen_inverse @ geo.k_space.basis  # n x k, values in W_C
     in_wc_coords, *_ = np.linalg.lstsq(geo.w_c.basis, restricted, rcond=None)
@@ -360,7 +357,7 @@ def i2_components(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL,
     q_term = geo.q_g @ geo.off_range
     p_op = gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l)
 
-    contour, _ = contour_coefficients(cp, [-2, -1], tol=tol, spectrum=rep)
+    contour, _ = contour_coefficients(cp, [-2, -1], spectrum=rep)
     residual = max(operator_norm(n_minus2 - contour[-2], cp.norm),
                    operator_norm(n_minus2 + p_op - contour[-1], cp.norm))
 

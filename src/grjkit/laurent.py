@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import DEFAULT_TOL, Tolerance, numerical_rank, operator_norm, \
-    fit_geometric_decay
+from .numfield import RESIDUAL_ABS, fit_geometric_decay, numerical_rank, operator_norm
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
@@ -123,8 +122,7 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     return current, m, change
 
 
-def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES,
-                         tol: Tolerance = DEFAULT_TOL, spectrum=None):
+def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=None):
     """Pencil Laurent coefficients N_j for every j in js (shared samples).
 
     Integrates on the circle of radius pick_radius around 1, which keeps
@@ -142,19 +140,15 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES,
     if rep.unit_root_present:
         require_unit_root(rep)
     radius = pick_radius(rep)
-    coeffs, used_nodes, change = circle_coefficients(
-        lambda z: resolvent(cp, z, tol), js, center=1.0, radius=radius, nodes=nodes)
-    if change > 10 * tol.residual_abs:
-        raise ContourNotConverged(
-            f"quadrature change {change:.2e} above 10 x residual_abs")
+    coeffs, used_nodes, _ = circle_coefficients(
+        lambda z: resolvent(cp, z), js, center=1.0, radius=radius, nodes=nodes)
     return {j: -coeffs[j] for j in js}, {"center": 1.0, "radius": radius, "nodes": used_nodes}
 
 
-def riesz_projection(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
-                     spectrum=None) -> np.ndarray:
+def riesz_projection(cp: CompanionPencil, spectrum=None) -> np.ndarray:
     """Spectral projection for the unit eigenvalue group: N_{-1} composed
     with the companion operator, on the default contour."""
-    coeffs, _ = contour_coefficients(cp, [-1], tol=tol, spectrum=spectrum)
+    coeffs, _ = contour_coefficients(cp, [-1], spectrum=spectrum)
     return coeffs[-1] @ cp.a1
 
 
@@ -194,8 +188,7 @@ def _nilpotency_index_by_rank(proj, g) -> int:
     return n
 
 
-def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
-               spectrum=None) -> PoleOrderReport:
+def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
     Structural route: nilpotency index of G = (I - B) P by rank
@@ -207,7 +200,7 @@ def pole_order(cp: CompanionPencil, tol: Tolerance = DEFAULT_TOL,
     unit root (require_unit_root).
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    proj = riesz_projection(cp, tol=tol, spectrum=rep)
+    proj = riesz_projection(cp, spectrum=rep)
     g = cp.m @ proj
     index = _nilpotency_index_by_rank(proj, g)
     return PoleOrderReport(
@@ -225,8 +218,8 @@ def essential_from_sweep(dims, orders) -> bool:
     the truncation dimension is the desk-scale signature of one."""
     dims = list(dims)
     orders = list(orders)
-    if len(dims) < 2 or len(dims) != len(orders):
-        raise ValueError("need matching sweeps of at least two dimensions")
+    if len(set(dims)) < 2 or len(dims) != len(orders):
+        raise ValueError("need matching sweeps of at least two different dimensions")
     pairs = sorted(zip(dims, orders))
     ds = [d for d, _ in pairs]
     os = [o for _, o in pairs]
@@ -258,7 +251,7 @@ class LaurentExpansion:
         return out
 
 
-def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL) -> LaurentExpansion:
+def expansion(cp: CompanionPencil, j_max: int) -> LaurentExpansion:
     """Full expansion with coefficients for j in [-order, j_max].
 
     Raises NoUnitRoot unless z = 1 is a usable unit root.  Verifies,
@@ -271,11 +264,11 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL) -> 
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     rep = spectrum_report(cp)
-    order = pole_order(cp, tol=tol, spectrum=rep).order
+    order = pole_order(cp, spectrum=rep).order
     js = list(range(-order, j_max + 1))
     if -1 not in js:
         js = [-1] + js  # always compute the residue term for p_operator
-    coeffs, contour = contour_coefficients(cp, js, tol=tol, spectrum=rep)
+    coeffs, contour = contour_coefficients(cp, js, spectrum=rep)
     p_op = coeffs[-1] @ cp.a1
     exp = LaurentExpansion(
         pole_order=order,
@@ -287,7 +280,7 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL) -> 
     norm = cp.norm
     res_idem = operator_norm(p_op @ p_op - p_op, norm)
     res_comm = operator_norm(p_op @ cp.a1 - cp.a1 @ p_op, norm)
-    if max(res_idem, res_comm) > 10 * tol.residual_abs:
+    if max(res_idem, res_comm) > 10 * RESIDUAL_ABS:
         raise ContourNotConverged(
             f"projection residuals too large (idempotency {res_idem:.2e}, "
             f"commutation {res_comm:.2e})")
@@ -301,10 +294,10 @@ def expansion(cp: CompanionPencil, j_max: int, tol: Tolerance = DEFAULT_TOL) -> 
         tail = c_fit * decay ** (j_max + 1) / (1.0 - decay)
     else:
         tail = c_fit * max(decay, 1.0) ** (j_max + 1)
-    bound = 10.0 * tail + 100.0 * tol.residual_abs
+    bound = 10.0 * tail + 100.0 * RESIDUAL_ABS
     for theta in (0.3, 2.1, 4.0):
         z = 1.0 + r_eval * np.exp(1j * theta)
-        err = operator_norm(exp.evaluate(z) - resolvent(cp, z, tol), norm)
+        err = operator_norm(exp.evaluate(z) - resolvent(cp, z), norm)
         if err > bound:
             raise ContourNotConverged(
                 f"reconstruction error {err:.2e} above tail bound {bound:.2e} at z={z:.3f}")

@@ -170,12 +170,12 @@ def factor_product(factors) -> ArPencil:
     return ArPencil(p=len(ar_coeffs), dim=n, coeffs=ar_coeffs)
 
 
-def _semisimple_unit_factor(rng, n: int, unit_dim: int = 1) -> np.ndarray:
-    """S diag(1,...,1,0,...) S^{-1} with a mildly conditioned S: a
+def _semisimple_unit_factor(rng, n: int) -> np.ndarray:
+    """S diag(1, 0, ..., 0) S^{-1} with a mildly conditioned S: a
     semisimple factor whose unit eigenvalue yields a simple pole."""
     d = np.exp(rng.uniform(0.0, np.log(5.0), size=n))
     s = (_orthogonal(rng, n) * d) @ _orthogonal(rng, n)
-    eigs = np.concatenate([np.ones(unit_dim), np.zeros(n - unit_dim)])
+    eigs = np.concatenate([[1.0], np.zeros(n - 1)])
     return s @ np.diag(eigs) @ np.linalg.solve(s, np.eye(n))
 
 

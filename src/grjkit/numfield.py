@@ -13,8 +13,9 @@ Conventions
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
   only matter for reported norm values.  They all cut at the fixed
-  RANK_REL relative to the largest singular value, so no caller tunes
-  them; a ``tol`` parameter means the function checks a residual.
+  RANK_REL relative to the largest singular value.  Residual checks
+  (solves, projections, generalized inverses) cut at the fixed absolute
+  RESIDUAL_ABS, in the operator norm; no caller tunes either.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
   conjugation, so the adjoint of an operator is its plain transpose and
   the space of functionals annihilating ``ran A`` is the left null space
@@ -33,28 +34,11 @@ import numpy as np
 NORM_KINDS = ("one", "two", "sup")
 DECAY_FIT_FLOOR = 1e-300  # fit_geometric_decay treats norms at or below it as zero
 RANK_REL = 1e-10  # rank cut-off: singular values <= RANK_REL * s_0 count as zero
+RESIDUAL_ABS = 1e-8  # residual cut-off in the operator norm (10 x of it for the guards)
 
 
 class NotComplementary(ValueError):
     """Raised when two subspaces fail to decompose the ambient space."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """The one settable tolerance: residual_abs, the absolute operator-norm
-    cutoff of residual checks (resolvent solves; 10x of it bounds
-    quadrature settling and the projection and generalized-inverse
-    guards).  Rank decisions use the fixed RANK_REL instead.
-    """
-
-    residual_abs: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.residual_abs < math.inf:  # nan or inf would pass every check
-            raise ValueError("residual_abs must be positive and finite")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def as_operator(entries, *, square=False) -> np.ndarray:
@@ -277,7 +261,7 @@ def direct_sum_check(u: Subspace, w: Subspace) -> DirectSumResult:
 # oblique projections and relative generalized inverses
 # ---------------------------------------------------------------------------
 
-def oblique_projection(onto: Subspace, along: Subspace, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
     """The unique projection with range ``onto`` and kernel ``along``.
 
     With B = [U W] invertible (U, W bases of the two subspaces),
@@ -298,13 +282,13 @@ def oblique_projection(onto: Subspace, along: Subspace, tol: Tolerance = DEFAULT
     proj = onto.basis @ binv[:k]
     # degenerate-geometry guard: a formally complementary but nearly
     # touching pair blows up the projector and its idempotency residual
-    if operator_norm(proj @ proj - proj) > 10 * tol.residual_abs:
+    if operator_norm(proj @ proj - proj) > 10 * RESIDUAL_ABS:
         raise NotComplementary("complement pair too ill-conditioned for a reliable projection")
     return proj
 
 
-def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Subspace,
-                                 tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def relative_generalized_inverse(m, ker_complement: Subspace,
+                                 ran_complement: Subspace) -> np.ndarray:
     """Generalized inverse of M relative to complements of ker M and ran M.
 
     Returns the operator G with
@@ -323,21 +307,20 @@ def relative_generalized_inverse(m, ker_complement: Subspace, ran_complement: Su
         raise NotComplementary("ker_complement does not complement ker M")
     if not direct_sum_check(ran, ran_complement).holds:
         raise NotComplementary("ran_complement does not complement ran M")
-    return _generalized_inverse(m, ker_complement, oblique_projection(ker, ker_complement, tol),
-                                oblique_projection(ran, ran_complement, tol), tol)
+    return _generalized_inverse(m, ker_complement, oblique_projection(ker, ker_complement),
+                                oblique_projection(ran, ran_complement))
 
 
-def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran,
-                         tol: Tolerance) -> np.ndarray:
+def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran) -> np.ndarray:
     """G = K_C (M K_C)^+ P_ran, with K_C the basis of ker_complement,
     checked against G M = I - P_ker and M G = P_ran within
-    10 x residual_abs (else NotComplementary)."""
+    10 x RESIDUAL_ABS (else NotComplementary)."""
     kc = ker_complement.basis  # n x q with q = rank M
     coeffs, *_ = np.linalg.lstsq(m @ kc, p_ran, rcond=None)
     ginv = kc @ coeffs
     res1 = operator_norm(ginv @ m - (np.eye(m.shape[0]) - p_ker))
     res2 = operator_norm(m @ ginv - p_ran)
-    if max(res1, res2) > 10 * tol.residual_abs:
+    if max(res1, res2) > 10 * RESIDUAL_ABS:
         raise NotComplementary(
             f"generalized-inverse identities violated (residuals {res1:.2e}, {res2:.2e})")
     return ginv

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numfield import (DEFAULT_TOL, NORM_KINDS, RANK_REL, Subspace, Tolerance,
-                       as_operator, _kernel_chain_at_one, kernel_basis, matrix_from_json,
+from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator,
+                       _kernel_chain_at_one, kernel_basis, matrix_from_json,
                        matrix_to_json, operator_norm, range_basis)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
@@ -164,13 +164,13 @@ def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
     return out
 
 
-def resolvent(cp: CompanionPencil, z: complex, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
     """(I - z*a1)^{-1}, with an explicit residual check.
 
     Raises SingularAt(z) when the solve is numerically singular or the
     spectral norm of the residual R = (I - z a1) X - I exceeds
-    residual_abs.  The O(n^2) Frobenius norm screens first: it bounds
-    ||R||_2 from above, so ||R||_F <= residual_abs accepts without an
+    RESIDUAL_ABS.  The O(n^2) Frobenius norm screens first: it bounds
+    ||R||_2 from above, so ||R||_F <= RESIDUAL_ABS accepts without an
     SVD; any other R gets the exact spectral-norm test.
     """
     eye = cp.identity()
@@ -180,7 +180,7 @@ def resolvent(cp: CompanionPencil, z: complex, tol: Tolerance = DEFAULT_TOL) -> 
     except np.linalg.LinAlgError as exc:
         raise SingularAt(z) from exc
     res = lhs @ out - eye
-    if not np.linalg.norm(res) <= tol.residual_abs and operator_norm(res) > tol.residual_abs:
+    if not np.linalg.norm(res) <= RESIDUAL_ABS and operator_norm(res) > RESIDUAL_ABS:
         raise SingularAt(z)
     return out
 

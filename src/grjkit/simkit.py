@@ -39,13 +39,7 @@ import numpy as np
 
 from .cointegration import MaRepresentation, annihilators, positive_definite_check
 from .grj import I1Report, I2Report, NotI2
-from .numfield import (
-    DEFAULT_TOL,
-    Tolerance,
-    ascent_at_one,
-    fit_geometric_decay,
-    operator_norm,
-)
+from .numfield import RESIDUAL_ABS, ascent_at_one, fit_geometric_decay, operator_norm
 from .pencil import ArPencil, linearize
 
 PRESAMPLE = 128  # pre-sample innovations per path; bounds verify_representation's j_max
@@ -89,11 +83,11 @@ def _real_coeffs(ar: ArPencil):
     return mats
 
 
-def _covariance_factor(cov, tol: Tolerance):
+def _covariance_factor(cov):
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
-    if not positive_definite_check(cov, tol):
+    if not positive_definite_check(cov):
         warnings.warn("innovation covariance is not positive definite", stacklevel=3)
     sym = (cov + cov.T) / 2.0
     try:
@@ -153,7 +147,7 @@ def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
         raise ValueError("horizon must be >= 1")
     coeffs = _real_coeffs(ar)
     n, p = ar.dim, ar.p
-    factor = _covariance_factor(cov, DEFAULT_TOL)
+    factor = _covariance_factor(cov)
     if factor.shape[0] != n:
         raise ValueError("covariance dimension does not match the model")
 
@@ -185,8 +179,7 @@ def recursion_residual(ar: ArPencil, path: SamplePath) -> float:
     return worst
 
 
-def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None,
-                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None) -> np.ndarray:
     """Initial state vectors that remove the representation transient.
 
     Solving the companion recursion forward leaves a term
@@ -205,7 +198,7 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None,
     p_op = np.asarray(p_op, dtype=np.complex128)
     if p_op.shape != (pn, pn):
         raise ValueError("long-run projection has the wrong shape")
-    factor = _covariance_factor(cov, tol)
+    factor = _covariance_factor(cov)
     pre = _draw(seed, 0, _PRESAMPLE_LANE, PRESAMPLE, factor)  # row j is eps_{-j}
 
     nu0 = np.zeros(pn, dtype=np.complex128)
@@ -221,7 +214,7 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None,
     if level.shape != (pn,):
         raise ValueError("level must be a companion-space vector")
     drift = np.linalg.norm(p_op @ level - level)
-    if drift > 10 * tol.residual_abs * (1.0 + np.linalg.norm(level)):
+    if drift > 10 * RESIDUAL_ABS * (1.0 + np.linalg.norm(level)):
         raise ValueError("level must lie in the range of the long-run projection")
 
     start = nu0 + level
@@ -331,7 +324,7 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     if replications < 1:
         raise ValueError("need at least one replication")
     coeffs = _real_coeffs(ar)
-    factor = _covariance_factor(cov, DEFAULT_TOL)
+    factor = _covariance_factor(cov)
     initial = np.zeros((ar.p, ar.dim))
 
     chunk = 32  # fixed so chunking does not depend on the thread count
@@ -416,8 +409,7 @@ def _probe_entry(functional, scalar_series) -> dict:
             "stationary": slope.stationary}
 
 
-def polynomial_cointegration_probe(states, i2: I2Report,
-                                   tol: Tolerance = DEFAULT_TOL) -> ProbeReport:
+def polynomial_cointegration_probe(states, i2: I2Report) -> ProbeReport:
     """Check the two-tier stationarity pattern of a double unit root.
 
     ``states`` is an ensemble (replications, horizon, dim) of the model
@@ -447,7 +439,7 @@ def polynomial_cointegration_probe(states, i2: I2Report,
 
     negative = None
     u, s, _ = np.linalg.svd(lr2)
-    if s[0] > tol.residual_abs:
+    if s[0] > RESIDUAL_ABS:
         f = _as_real(u[:, 0], "functional")
         negative = _probe_entry(f, diffs @ f)
 
@@ -458,7 +450,7 @@ def polynomial_cointegration_probe(states, i2: I2Report,
                        all_pass=bool(all_pass))
 
 
-def differenced_ma(report: I1Report, innovation_cov) -> MaRepresentation:
+def differenced_ma(report: I1Report) -> MaRepresentation:
     """MA form of the first difference of an order-one solution:
     coefficient k is long_run * [k == 0] + h_k - h_{k-1}.  Its
     coefficient sum telescopes back to the long-run operator (up to the
@@ -470,4 +462,4 @@ def differenced_ma(report: I1Report, innovation_cov) -> MaRepresentation:
     coeffs = [lr + h[0]]
     for k in range(1, len(h)):
         coeffs.append(h[k] - h[k - 1])
-    return MaRepresentation(coeffs, np.asarray(innovation_cov, dtype=float))
+    return MaRepresentation(coeffs)

@@ -15,7 +15,7 @@ from grjkit.cli import main
 from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
 from grjkit.numfield import matrix_from_json
-from grjkit.pencil import ArPencil
+from grjkit.pencil import ArPencil, SingularAt
 from grjkit.simkit import PRESAMPLE
 
 
@@ -99,7 +99,11 @@ def test_unknown_flag_exits_one(capsys):
     ["analyze", "ex-c0", "--threads", "2"],
     ["analyze", "ex-c0", "--sweep", "4,8"],
     ["represent", "ex-c0", "--horizon", "3"],
+    ["analyze", "ex-c0", "--tol", "1e-300"],    # the residual cut-off is fixed
+    ["represent", "ex-c0", "--tol", "0"],
     ["simulate", "ex-c0", "--tol", "1e-6"],
+    ["verify", "ex-c0", "--tol", "nan"],
+    ["sweep", "ex-c0", "--tol", "1e-6"],
     ["sweep", "ex-volterra", "--n", "8"],
     ["sweep", "ex-c0", "--blocks", "2"],
     ["verify", "ex-c0", "--radius", "0.3"],     # the radius comes from the spectrum
@@ -123,10 +127,6 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["analyze", "ex-c0", "--seed", "5"],        # reads no seed and simulates nothing
     ["represent", "ex-evenodd", "--seed", "5"],
     ["sweep", "ex-volterra", "--seed", "5"],
-    # a tolerance that leaves no usable contour
-    ["analyze", "ex-c0", "--tol", "1e-300"],    # no solve meets the residual
-    ["analyze", "ex-c0", "--tol", "0"],
-    ["verify", "ex-c0", "--tol", "nan"],
 ], ids=lambda argv: " ".join(argv[i] for i in (0, 2, 3)))
 def test_bad_value_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
@@ -143,16 +143,6 @@ def test_seeded_model_defaults_to_seed_zero(capsys):
     _, implicit, _ = run(capsys, ["analyze", "ex-selfadjoint"])
     _, explicit, _ = run(capsys, ["analyze", "ex-selfadjoint", "--seed", "0"])
     assert implicit == explicit
-
-
-@pytest.mark.parametrize("name", ["ex-c0", "ex-evenodd"])
-def test_tol_moves_no_rank_decision(capsys, name):
-    # --tol sets the residual checks only; rank cut-offs are fixed, so a
-    # looser tolerance that every residual already meets changes no byte
-    _, default, _ = run(capsys, ["analyze", name])
-    code, loose, _ = run(capsys, ["analyze", name, "--tol", "1e-6"])
-    assert code == 0
-    assert loose == default
 
 
 def test_simulate_complex_model_exits_one(capsys, complex_model_path):
@@ -180,6 +170,15 @@ def test_malformed_model_exit_one(capsys, tmp_path):
     bad.write_text('{"p": 1, "dim": 2}')
     code, _, _ = run(capsys, ["analyze", "--model", str(bad)])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "{tmp}"],                    # a directory, not a file
+    ["analyze", "ex-c0", "--n", "4", "--out", "{tmp}/missing/x.json"],
+    ["simulate", "ex-c0", "--horizon", "5", "--out", "{tmp}/missing/x.csv"],
+], ids=["model-directory", "analyze-out-missing-dir", "simulate-out-missing-dir"])
+def test_file_error_exits_one(capsys, tmp_path, argv):
+    assert_one_line_error(capsys, [a.format(tmp=tmp_path) for a in argv])
 
 
 def test_represent_neither_class_exit_three(capsys, order3_model_path):
@@ -389,6 +388,17 @@ def test_verify_contour_not_converged_exits_one(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "expansion", unsettled)
     assert_one_line_error(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"])
+
+
+def test_singular_resolvent_exits_one(capsys, monkeypatch):
+    # the residual cut-off is fixed and no flag moves a contour onto the
+    # spectrum, so the pole-order route analyze runs is made to fail the
+    # way a singular resolvent would
+    def singular(*args, **kwargs):
+        raise SingularAt(1.4)
+
+    monkeypatch.setattr(cli, "pole_order", singular)
+    assert_one_line_error(capsys, ["analyze", "ex-c0", "--n", "4"])
 
 
 def test_model_file_round_trip(capsys, tmp_path):

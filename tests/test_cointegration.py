@@ -21,7 +21,7 @@ from grjkit.numfield import range_basis
 
 def geometric_ma(rho=0.5, terms=7, dim=2):
     coeffs = [rho ** j * np.eye(dim) for j in range(terms)]
-    return MaRepresentation(coeffs=coeffs, innovation_cov=np.eye(dim))
+    return MaRepresentation(coeffs=coeffs)
 
 
 def test_sum_operator():
@@ -73,7 +73,7 @@ def test_attractor_cointegration_duality():
     a = np.zeros((4, 4))
     a[0, 0] = 1.0
     a[1, 0] = 2.0          # rank-1 long-run operator
-    ma = MaRepresentation([a], np.eye(4))
+    ma = MaRepresentation([a])
     attractor = range_basis(ma.sum_operator)
     cointegrating = annihilators(ma.sum_operator)
     assert attractor.dim == 1

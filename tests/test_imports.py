@@ -2,7 +2,8 @@
 Every module of the package (except the re-exporting __init__), the tests
 and the scripts reads each name it imports; every public function or
 class is read by the package, the scripts or the benchmark, not only by
-the tests; and the package reads no environment variable.
+the tests; the package reads no environment variable; and no package
+function takes a tolerance (residual checks cut at numfield.RESIDUAL_ABS).
 """
 from __future__ import annotations
 
@@ -115,3 +116,23 @@ def test_every_public_callable_has_a_caller_outside_the_tests():
               or inspect.isclass(getattr(grjkit, name))}
     read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
     assert sorted(public - read) == sorted(TEST_ORACLES)
+
+
+def tol_parameters(source: str) -> list:
+    """Functions of a module that take a parameter named tol."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and "tol" in {a.arg for a in (node.args.posonlyargs + node.args.args
+                                                + node.args.kwonlyargs)})
+
+
+def test_the_scan_finds_a_tol_parameter():
+    source = ("def f(a, tol=1e-8):\n    pass\nclass C:\n    def m(self, *, tol):\n"
+              "        pass\ndef g(atol, rtol):\n    pass\n")
+    assert tol_parameters(source) == ["f", "m"]
+
+
+def test_no_package_function_takes_tol():
+    found = {path.name: tol_parameters(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "grjkit").glob("*.py")}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {}

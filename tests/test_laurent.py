@@ -133,6 +133,12 @@ def test_essential_from_sweep():
     assert not essential_from_sweep([4, 8, 16], [2, 2, 2])
 
 
+@pytest.mark.parametrize("dims, orders", [([4, 4], [1, 1]), ([8], [8]), ([4, 8], [4])])
+def test_essential_from_sweep_rejects_a_degenerate_sweep(dims, orders):
+    with pytest.raises(ValueError):
+        essential_from_sweep(dims, orders)
+
+
 def test_no_unit_root_raises():
     cp = linearize(ArPencil(1, 2, [np.diag([0.5, 0.2])]))
     with pytest.raises(NoUnitRoot):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from grjkit import pencil
 from grjkit.models import jordan_model, random_walk_model, volterra_model
-from grjkit.numfield import Tolerance
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
                            resolvent, spectrum_report)
 
@@ -80,7 +80,6 @@ def _screen_case():
 
 def _count_svd_norms(monkeypatch):
     """List that grows by one per pencil.operator_norm call."""
-    import grjkit.pencil as pencil
     calls, real = [], pencil.operator_norm
     monkeypatch.setattr(pencil, "operator_norm", lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
@@ -96,14 +95,17 @@ def test_resolvent_screen_accepts_without_an_svd(monkeypatch):
 
 def test_resolvent_screen_falls_back_to_the_spectral_norm(monkeypatch):
     cp, z, two, fro = _screen_case()
+    default = resolvent(cp, z)
     calls = _count_svd_norms(monkeypatch)
-    # ||R||_2 <= residual_abs < ||R||_F: the screen misses, the exact test accepts
-    out = resolvent(cp, z, Tolerance(residual_abs=(two + fro) / 2))
+    # ||R||_2 <= RESIDUAL_ABS < ||R||_F: the screen misses, the exact test accepts
+    monkeypatch.setattr(pencil, "RESIDUAL_ABS", (two + fro) / 2)
+    out = resolvent(cp, z)
     assert calls == [1]
-    assert np.array_equal(out, resolvent(cp, z))
-    # residual_abs < ||R||_2: the exact test rejects
+    assert np.array_equal(out, default)
+    # RESIDUAL_ABS < ||R||_2: the exact test rejects
+    monkeypatch.setattr(pencil, "RESIDUAL_ABS", 0.5 * two)
     with pytest.raises(SingularAt):
-        resolvent(cp, z, Tolerance(residual_abs=0.5 * two))
+        resolvent(cp, z)
 
 
 def test_spectrum_unit_root_detected():

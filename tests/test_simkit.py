@@ -156,7 +156,7 @@ def test_differenced_ma_long_run_matches_projection(evenodd_cp):
     """The permanent loading of the differenced series equals the ambient
     compression of the spectral projection."""
     i1 = i1_components(evenodd_cp, j_max=60)
-    ma = differenced_ma(i1, np.eye(16))
+    ma = differenced_ma(i1)
     bn = beveridge_nelson(ma)
     assert operator_norm(bn.a_operator - i1.long_run) < 1e-7
 
