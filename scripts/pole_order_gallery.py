@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from grjkit.grj import check_i1, check_i2
 from grjkit.laurent import NoUnitRoot, pole_order
@@ -21,17 +20,14 @@ from grjkit.models import (EXAMPLE_NAMES, ar2_double_root_model,
 from grjkit.pencil import linearize
 
 
-@dataclass
-class Config:
-    jordan_seeds: list = field(default_factory=lambda: [0, 1, 2, 3])
-    blocks: list = field(default_factory=lambda: [[2], [2, 1], [3]])
+BLOCKS = ([2], [2, 1], [3])  # planted block sizes at the unit root
 
 
-def parse_args(argv) -> Config:
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--jordan-seeds", default="0,1,2,3")
-    ns = ap.parse_args(argv)
-    return Config(jordan_seeds=[int(s) for s in ns.jordan_seeds.split(",")])
+    ap.add_argument("--jordan-seeds", type=lambda raw: [int(s) for s in raw.split(",")],
+                    default="0,1,2,3")
+    return ap.parse_args(argv)
 
 
 def verdict_row(label, ar, expected_order=None):
@@ -53,7 +49,7 @@ def verdict_row(label, ar, expected_order=None):
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     print("== registry examples ==")
     for name in EXAMPLE_NAMES:
         ar, _ = build_example(name)
@@ -61,8 +57,8 @@ def main(argv=None) -> int:
     verdict_row("ar2-unit", ar2_unit_root_model())
     verdict_row("ar2-double", ar2_double_root_model())
     print("== planted jordan structures ==")
-    for blocks in cfg.blocks:
-        for seed in cfg.jordan_seeds:
+    for blocks in BLOCKS:
+        for seed in args.jordan_seeds:
             ar, info = jordan_model(seed, blocks_at_one=blocks)
             verdict_row(f"jordan{blocks}@{seed}", ar,
                         expected_order=max(blocks))

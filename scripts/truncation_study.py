@@ -16,7 +16,6 @@ import argparse
 import csv
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,50 +26,40 @@ from grjkit.pencil import linearize
 from grjkit.simkit import consistent_initial, simulate_ar, verify_representation
 
 
-@dataclass
-class Config:
-    model: str = "ex-c0"
-    n: int | None = None
-    seed: int | None = None
-    horizon: int = 400
-    path_seed: int = 42
-    j_grid: tuple = (8, 16, 24, 32, 48, 64, 96)
-    csv_path: str | None = None
+J_GRID = (8, 16, 24, 32, 48, 64, 96)  # tail-sum cutoffs j_max, one table row each
+PATH_SEED = 42  # seed of the simulated path
 
 
-def parse_args(argv) -> Config:
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--model", default="ex-c0")
     ap.add_argument("--n", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--horizon", type=int, default=400)
     ap.add_argument("--csv", dest="csv_path", default=None)
-    ns = ap.parse_args(argv)
-    return Config(model=ns.model, n=ns.n, seed=ns.seed,
-                  horizon=ns.horizon, csv_path=ns.csv_path)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    ar, info = build_example(cfg.model, n=cfg.n, seed=cfg.seed)
+    args = parse_args(argv)
+    ar, info = build_example(args.model, n=args.n, seed=args.seed)
     cp = linearize(ar)
     components = i1_components if check_i1(cp).holds else i2_components
-    j_top = max(cfg.j_grid)
+    j_top = max(J_GRID)
     rep = components(cp, j_max=j_top + 8)
 
     tail_norms = [operator_norm(h) for h in rep.h_coeffs]
     scale, rate = fit_geometric_decay(tail_norms)
-    print(f"model {cfg.model}  (companion dim {cp.big_dim}); "
+    print(f"model {args.model}  (companion dim {cp.big_dim}); "
           f"h-tail ~ {scale:.2e} * {rate:.3f}^j")
 
     cov = np.eye(ar.dim)
-    init = consistent_initial(ar, rep.p_operator, cov, seed=cfg.path_seed)
-    path = simulate_ar(ar, cov, horizon=cfg.horizon, seed=cfg.path_seed,
-                       initial=init)
+    init = consistent_initial(ar, rep.p_operator, cov, seed=PATH_SEED)
+    path = simulate_ar(ar, cov, horizon=args.horizon, seed=PATH_SEED, initial=init)
     peak = 1.0 + float(np.max(np.abs(path.states)))
 
     rows = []
-    for j_max in cfg.j_grid:
+    for j_max in J_GRID:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             check = verify_representation(path, rep, j_max=j_max, ar=ar)
@@ -81,12 +70,12 @@ def main(argv=None) -> int:
         print(f"  j_max {j_max:4d}   residual {check.max_residual:.3e}   "
               f"tail floor {predicted_floor:.3e}")
 
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as fh:
+    if args.csv_path:
+        with open(args.csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        print(f"wrote {cfg.csv_path}")
+        print(f"wrote {args.csv_path}")
     return 0
 
 

@@ -13,38 +13,28 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from grjkit.cointegration import annihilators
 from grjkit.grj import i1_components
 from grjkit.models import ar2_unit_root_model, oblique_ar1_model
-from grjkit.numfield import kernel_basis
 from grjkit.pencil import linearize
 from grjkit.simkit import simulate_ensemble, stationarity_slope
 
 
-@dataclass
-class Config:
-    reps: list = field(default_factory=lambda: [50, 100, 200, 400])
-    horizon: int = 2000
-    seeds: int = 5
-    threads: int = 4
-
-
-def parse_args(argv) -> Config:
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--reps", default="50,100,200,400")
+    ap.add_argument("--reps", type=lambda raw: [int(r) for r in raw.split(",")],
+                    default="50,100,200,400")
     ap.add_argument("--horizon", type=int, default=2000)
     ap.add_argument("--seeds", type=int, default=5,
                     help="ensemble seeds per setting (spread of the estimate)")
     ap.add_argument("--threads", type=int, default=4)
-    ns = ap.parse_args(argv)
-    return Config(reps=[int(r) for r in ns.reps.split(",")],
-                  horizon=ns.horizon, seeds=ns.seeds, threads=ns.threads)
+    return ap.parse_args(argv)
 
 
-def study(label, ar, cfg: Config):
+def study(label, ar, args):
     cp = linearize(ar)
     rep = i1_components(cp, j_max=24)
     a_op = rep.long_run.real
@@ -52,15 +42,15 @@ def study(label, ar, cfg: Config):
     u, _, _ = np.linalg.svd(a_op)
     f = u[:, 0].real
     predicted = float(f @ a_op @ cov @ a_op.T @ f)
-    coint = kernel_basis(a_op.T)
+    coint = annihilators(a_op)
     print(f"{label}: predicted slope {predicted:.4f}, "
           f"{coint.dim} cointegrating direction(s)")
-    for n_rep in cfg.reps:
+    for n_rep in args.reps:
         rels, coint_ok = [], 0
-        for seed in range(cfg.seeds):
-            ens = simulate_ensemble(ar, cov, horizon=cfg.horizon,
+        for seed in range(args.seeds):
+            ens = simulate_ensemble(ar, cov, horizon=args.horizon,
                                     seed=1000 + seed, replications=n_rep,
-                                    threads=cfg.threads)
+                                    threads=args.threads)
             # min_replications is deliberately relaxed: the sweep is about
             # how bad small R gets, which the default guard would veto.
             slope = stationarity_slope(ens @ f, min_replications=10).slope
@@ -71,13 +61,13 @@ def study(label, ar, cfg: Config):
                 for i in range(coint.dim))
         rels = np.asarray(rels)
         print(f"  R={n_rep:4d}   rel err median {np.median(rels):6.1%}   "
-              f"worst {rels.max():6.1%}   cointegrating flat {coint_ok}/{cfg.seeds}")
+              f"worst {rels.max():6.1%}   cointegrating flat {coint_ok}/{args.seeds}")
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    study("oblique-ar1", oblique_ar1_model(), cfg)
-    study("ar2-unit", ar2_unit_root_model(seed=11), cfg)
+    args = parse_args(argv)
+    study("oblique-ar1", oblique_ar1_model(), args)
+    study("ar2-unit", ar2_unit_root_model(seed=11), args)
     return 0
 
 

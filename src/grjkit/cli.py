@@ -131,7 +131,8 @@ def _flag_specs() -> dict:
     return {
         "--model": dict(default=None, help="path to a model JSON file"),
         "--n": dict(type=_POSITIVE_INT, default=None, help="truncation dimension"),
-        "--lam": dict(type=float, default=None, help="decay parameter for ex-c0 (default 0.5)"),
+        "--lam": dict(type=float, default=None, help="decay parameter for ex-c0 (default "
+                      f"{models.example_defaults('ex-c0')['lam']})"),
         "--blocks": dict(type=_int_list, default=None,
                          help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
         "--seed": dict(type=int, default=None, help="seed of ex-selfadjoint, ex-jordan "
@@ -220,8 +221,8 @@ def _spectrum(cp, args, where=""):
     return spectrum
 
 
-def _emit(report: dict, out: str | None):
-    text = dump_json(report)
+def _emit(text: str, out: str | None):
+    """Write text (a JSON report or a CSV path) to --out, or to stdout without one."""
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -239,7 +240,7 @@ def cmd_analyze(args) -> int:
     report = {"model": model_id, "info": info, "spectrum": spectrum.to_json()}
     if not spectrum.unit_root_ok:
         report["verdict"] = "no usable unit root"
-        _emit(report, args.out)
+        _emit(dump_json(report), args.out)
         return _EXIT_NO_UNIT_ROOT
     pole = pole_order(cp, spectrum=spectrum)
     i1 = check_i1(cp)
@@ -254,7 +255,7 @@ def cmd_analyze(args) -> int:
                     f"I(1) {'holds' if i1.holds else 'fails'}, "
                     f"I(2) {'holds' if i2.holds else 'fails'}"),
     })
-    _emit(report, args.out)
+    _emit(dump_json(report), args.out)
     return _EXIT_OK
 
 
@@ -273,7 +274,7 @@ def cmd_sweep(args) -> int:
                        "nilpotency_index": report.nilpotency_index})
     sweep = {"points": points,
              "essential_flag": essential_from_sweep(list(args.dims), orders)}
-    _emit({"model": args.name, "sweep": sweep}, args.out)
+    _emit(dump_json({"model": args.name, "sweep": sweep}), args.out)
     return _EXIT_OK
 
 
@@ -321,20 +322,14 @@ def cmd_represent(args) -> int:
             "tier1_annihilators": subspace_to_json(annihilators(lr2)),
             "tier2_annihilators": subspace_to_json(annihilators(lr2, lr1 - lr2)),
         })
-    _emit(report, args.out)
+    _emit(dump_json(report), args.out)
     return _EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     ar, model_id, _ = _load_model(args)
     path = _simulate(ar, args.horizon, args.seed or 0, model_id)
-    if args.out:
-        try:
-            path.save_csv(args.out)
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(path.to_csv_text())
+    _emit(path.to_csv_text(), args.out)
     return _EXIT_OK
 
 
@@ -458,7 +453,7 @@ def _finish_verify(results, model_id, args, no_class=False) -> int:
     failed = [r["name"] for r in results if not r["ok"]]
     report = {"model": model_id, "invariants": results, "failed": failed,
               "ok": not failed and not no_class}
-    _emit(report, args.out)
+    _emit(dump_json(report), args.out)
     if failed:
         sys.stderr.write("grj verify: invariant failure: " + ", ".join(failed) + "\n")
         return _EXIT_INVARIANT
@@ -469,8 +464,8 @@ def _finish_verify(results, model_id, args, no_class=False) -> int:
 
 
 def cmd_examples(args) -> int:
-    _emit({"examples": [{"name": name, "defaults": models.example_defaults(name)}
-                         for name in models.EXAMPLE_NAMES]}, None)
+    _emit(dump_json({"examples": [{"name": name, "defaults": models.example_defaults(name)}
+                                  for name in models.EXAMPLE_NAMES]}), None)
     return _EXIT_OK
 
 

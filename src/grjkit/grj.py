@@ -110,7 +110,7 @@ def check_i1(cp: CompanionPencil) -> I1Report:
     p_op = oblique_projection(ker, ran)
     contour, _ = contour_coefficients(cp, [-1], spectrum=rep)
     residual = operator_norm(p_op - contour[-1], cp.norm)
-    long_run = cp.pi_p @ p_op @ cp.pi_p_star
+    long_run = p_op[:cp.dim, :cp.dim]
     return I1Report(holds=True, ker_dim=ker.dim, ran_dim=ran.dim, defect=0,
                     p_operator=p_op, long_run=long_run, h_coeffs=[],
                     cross_check_residual=residual)
@@ -133,7 +133,7 @@ def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict):
         out = resolvent(cp, z)
         for j, coeff in items:
             out = out + coeff * (z - 1.0) ** j
-        return cp.pi_p @ out @ cp.pi_p_star
+        return out[:cp.dim, :cp.dim]
 
     coeffs, _, _ = circle_coefficients(holomorphic, range(j_max + 1), center=0.0,
                                        radius=H_TAYLOR_RADIUS, nodes=H_TAYLOR_NODES)
@@ -160,7 +160,7 @@ def _h_closed_form(cp: CompanionPencil, p_op, j_max: int):
     out = []
     power = cp.identity() - p_op
     for _ in range(j_max + 1):
-        out.append(cp.pi_p @ power @ cp.pi_p_star)
+        out.append(power[:cp.dim, :cp.dim])
         power = cp.a1 @ power
     return out
 
@@ -362,8 +362,8 @@ def i2_components(cp: CompanionPencil, j_max: int,
                    operator_norm(n_minus2 + p_op - contour[-1], cp.norm))
 
     h_coeffs = _h_closed_form(cp, p_op, j_max)
-    long_run2 = cp.pi_p @ n_minus2 @ cp.pi_p_star
-    long_run1 = cp.pi_p @ (n_minus2 + p_op) @ cp.pi_p_star
+    long_run2 = n_minus2[:cp.dim, :cp.dim]
+    long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
     return _report_from_geometry(
         geo, n_minus2=n_minus2, p_operator=p_op, gamma_l=gamma_l, gamma_r=gamma_r,
         long_run2=long_run2, long_run1=long_run1, h_coeffs=h_coeffs,

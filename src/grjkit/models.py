@@ -43,7 +43,7 @@ def _orthogonal(rng, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def sequence_shift_model(n: int = 8, lam: float = 0.5) -> ArPencil:
+def sequence_shift_model(n: int, lam: float) -> ArPencil:
     """Truncation of the c0-sequence operator
     (a1, a2, a3, a4, ...) -> (a1, a1+a2, lam*a3, lam^2*a4, ...).
 
@@ -63,7 +63,7 @@ def sequence_shift_model(n: int = 8, lam: float = 0.5) -> ArPencil:
     return ArPencil(p=1, dim=n, coeffs=[a])
 
 
-def volterra_model(n: int = 8) -> ArPencil:
+def volterra_model(n: int) -> ArPencil:
     """Left-rectangle discretization of integration on [0, 1]:
     V[i, j] = 1/n for j < i, and the model operator is I - V.
 
@@ -76,7 +76,7 @@ def volterra_model(n: int = 8) -> ArPencil:
     return ArPencil(p=1, dim=n, coeffs=[np.eye(n) - v])
 
 
-def selfadjoint_model(n: int = 6, seed: int = 0) -> ArPencil:
+def selfadjoint_model(n: int, seed: int) -> ArPencil:
     """Random symmetric operator with an isolated unit eigenvalue group of
     SELFADJOINT_UNIT_MULTIPLICITY eigenvalues.
 
@@ -93,7 +93,7 @@ def selfadjoint_model(n: int = 6, seed: int = 0) -> ArPencil:
     return ArPencil(p=1, dim=n, coeffs=[(q * eigs) @ q.T])
 
 
-def evenodd_model(n: int = 16) -> ArPencil:
+def evenodd_model(n: int) -> ArPencil:
     """Reflection averaging g(x) |-> (g(x) + g(-x))/2 on a symmetric grid:
     the orthogonal projection onto even vectors, so the model operator
     coincides with its own long-run projection."""
@@ -225,24 +225,25 @@ def build_example(name: str, n: int | None = None, lam: float | None = None,
     A model takes the overrides its example_defaults entry lists: ``n``
     every model but ex-jordan, ``lam`` only ex-c0, ``seed`` ex-selfadjoint
     and ex-jordan, ``blocks`` only ex-jordan; any other raises ValueError.
+    An override left None takes its value from that entry.
     Returns (ArPencil, info) where info is {} except for ex-jordan.
     """
-    takes = example_defaults(name)
+    setting = example_defaults(name)
     for key, value in (("n", n), ("lam", lam), ("seed", seed), ("blocks", blocks)):
-        if value is not None and key not in takes:
-            raise ValueError(f"{name} does not take {key}")
+        if value is not None:
+            if key not in setting:
+                raise ValueError(f"{name} does not take {key}")
+            setting[key] = value
     if name == "ex-c0":
-        return sequence_shift_model(n=n or 8, lam=0.5 if lam is None else lam), {}
+        return sequence_shift_model(setting["n"], setting["lam"]), {}
     if name == "ex-volterra":
-        return volterra_model(n=n or 8), {}
+        return volterra_model(setting["n"]), {}
     if name == "ex-selfadjoint":
-        return selfadjoint_model(n=n or 6, seed=0 if seed is None else seed), {}
+        return selfadjoint_model(setting["n"], setting["seed"]), {}
     if name == "ex-evenodd":
-        return evenodd_model(n=n or 16), {}
-    return jordan_model(0 if seed is None else seed, blocks_at_one=blocks)
+        return evenodd_model(setting["n"]), {}
+    return jordan_model(setting["seed"], blocks_at_one=setting["blocks"])
 
-
-EXAMPLE_NAMES = ("ex-c0", "ex-volterra", "ex-selfadjoint", "ex-evenodd", "ex-jordan")
 
 _EXAMPLE_DEFAULTS = {
     "ex-c0": {"n": 8, "lam": 0.5,
@@ -256,6 +257,8 @@ _EXAMPLE_DEFAULTS = {
     "ex-jordan": {"seed": 0, "blocks": None,
                   "about": "seeded Jordan-form builder with known block sizes"},
 }
+
+EXAMPLE_NAMES = tuple(_EXAMPLE_DEFAULTS)
 
 
 def example_defaults(name: str) -> dict:

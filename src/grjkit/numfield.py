@@ -67,9 +67,17 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 
+def _json_int(obj, key: str) -> int:
+    """obj[key] if it is a JSON integer; a float, bool or string raises ValueError."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, entries = int(obj["rows"]), int(obj["cols"]), obj["entries"]
+        rows, cols, entries = _json_int(obj, "rows"), _json_int(obj, "cols"), obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:

@@ -6,10 +6,9 @@ An AR(p) law on C^n is characterized by the polynomial pencil
 
 which linearizes to the degree-one pencil I - z*B on the p-fold product
 space C^{pn}, where B is the block companion operator (top block row
-A_1 ... A_p, identity sub-diagonal).  The coordinate projection onto the
-first block and its right inverse tie the two levels together: the
-(1,1) n x n block of (I - zB)^{-1} is exactly A(z)^{-1} (Schur
-complement identity), so both pencils share spectrum and pole structure.
+A_1 ... A_p, identity sub-diagonal).  The (1,1) n x n block of
+(I - zB)^{-1} is exactly A(z)^{-1} (Schur complement identity), so both
+pencils share spectrum and pole structure.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator,
-                       _kernel_chain_at_one, kernel_basis, matrix_from_json,
+                       _json_int, _kernel_chain_at_one, kernel_basis, matrix_from_json,
                        matrix_to_json, operator_norm, range_basis)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
@@ -69,7 +68,7 @@ class ArPencil:
     @staticmethod
     def from_json(obj) -> "ArPencil":
         try:
-            p, dim, norm = int(obj["p"]), int(obj["dim"]), obj.get("norm", "two")
+            p, dim, norm = _json_int(obj, "p"), _json_int(obj, "dim"), obj.get("norm", "two")
             coeffs = [matrix_from_json(c) for c in obj["coeffs"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model object: {exc}") from exc
@@ -90,9 +89,10 @@ class ArPencil:
 class CompanionPencil:
     """Companion linearization of an ArPencil.
 
-    a1         block companion operator on C^{pn}
-    pi_p       n x pn coordinate projection onto the first block
-    pi_p_star  pn x n embedding (transpose of pi_p)
+    a1  block companion operator on C^{pn}
+
+    The observable block of a companion-space operator X, its compression
+    to the first coordinate block, is X[:dim, :dim].
 
     M = I - a1 and its kernel and range, which the class checks and the
     analyze report read, are computed once per pencil on first use
@@ -101,8 +101,6 @@ class CompanionPencil:
 
     big_dim: int
     a1: np.ndarray
-    pi_p: np.ndarray
-    pi_p_star: np.ndarray
     ar: ArPencil
 
     @property
@@ -149,9 +147,7 @@ def linearize(ar: ArPencil) -> CompanionPencil:
         a1[:n, j * n:(j + 1) * n] = a
     for i in range(1, p):
         a1[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
-    pi_p = np.zeros((n, big), dtype=np.complex128)
-    pi_p[:, :n] = np.eye(n)
-    return CompanionPencil(big_dim=big, a1=a1, pi_p=pi_p, pi_p_star=pi_p.conj().T, ar=ar)
+    return CompanionPencil(big_dim=big, a1=a1, ar=ar)
 
 
 def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:

@@ -129,10 +129,6 @@ class SamplePath:
             lines.append(str(t) + "," + ",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
-    def save_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
-
 
 def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
                 replication: int = 0, model_id: str = "") -> SamplePath:
@@ -204,8 +200,7 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None) -> np.nda
     nu0 = np.zeros(pn, dtype=np.complex128)
     power = cp.identity() - p_op  # H_j = B^j (I - P), applied to lifted eps_{-j}
     for j in range(PRESAMPLE):
-        lifted = cp.pi_p_star @ pre[j]
-        nu0 += power @ lifted
+        nu0 += power[:, :n] @ pre[j]  # lifted eps_{-j} is zero past the first block
         power = cp.a1 @ power
 
     if level is None:

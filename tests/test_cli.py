@@ -165,11 +165,24 @@ def test_no_unit_root_exit_two(capsys, stable_model_path):
     assert "unit root" in err.lower()
 
 
-def test_malformed_model_exit_one(capsys, tmp_path):
+def model_text(p=1, dim=2, rows=2, cols=2) -> str:
+    """A well-formed unit-root AR(1) model file on C^2 unless a size is replaced."""
+    coeff = {"rows": rows, "cols": cols, "entries": [[1, 0], [0, 0], [0, 0], [0.5, 0]]}
+    return json.dumps({"p": p, "dim": dim, "coeffs": [coeff]})
+
+
+@pytest.mark.parametrize("text", [
+    '{"p": 1, "dim": 2}',
+    model_text(p=1.9, dim=2.2),
+    model_text(p=True, dim="2", rows=2.7),
+    model_text(cols=2.0),
+], ids=["no-coeffs", "float-p-dim", "bool-p-string-dim-float-rows", "float-cols"])
+def test_malformed_model_exit_one(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"p": 1, "dim": 2}')
-    code, _, _ = run(capsys, ["analyze", "--model", str(bad)])
+    bad.write_text(text)
+    code, out, err = run(capsys, ["analyze", "--model", str(bad)])
     assert code == 1
+    assert out == "" and len(err.splitlines()) == 1 and "bad model file" in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -255,9 +268,10 @@ def test_simulate_csv_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
-    capsys.readouterr()
+    code, out, _ = run(capsys, argv)
+    assert code == 0
     content = a.read_bytes()
-    assert content == b.read_bytes()
+    assert content == b.read_bytes() == out.encode("utf-8")
     assert content.startswith(b"t,coord_0")
 
 

@@ -1,14 +1,14 @@
 """
 Every module of the package (except the re-exporting __init__), the tests
-and the scripts reads each name it imports; every public function or
-class is read by the package, the scripts or the benchmark, not only by
-the tests; the package reads no environment variable; and no package
+and the scripts reads each name it imports; every public top-level
+function or class of every package module, re-exported by grjkit or not,
+is read by the package, the scripts or the benchmark, not only by the
+tests; the package reads no environment variable; and no package
 function takes a tolerance (residual checks cut at numfield.RESIDUAL_ABS).
 """
 from __future__ import annotations
 
 import ast
-import inspect
 from pathlib import Path
 
 import grjkit
@@ -24,11 +24,13 @@ CALLERS = sorted(path for path in [*(ROOT / "src" / "grjkit").glob("*.py"),
                                    *(ROOT / "scripts").glob("*.py"),
                                    *(ROOT / "perfbench").glob("*.py")]
                  if path.name != "__init__.py")
-# public names only the tests read, kept as independent oracles
-TEST_ORACLES = (
+# public names only the tests read: independent oracles and test fixtures
+TESTS_ONLY = (
     "eval_poly",  # A(z) evaluated directly: the reference for the linearized pencil
     "polynomial_cointegration_probe",  # Monte Carlo check of the order-two annihilator tiers
     "relative_generalized_inverse",  # complement-checked form of the inverse grj calls unchecked
+    "random_walk_model",  # X_t = X_{t-1} + eps_t: the simplest unit-root fixture
+    "ar3_unit_root_model",  # the one AR(3) fixture, in the I(1) and Schur-consistency tests
 )
 
 
@@ -110,12 +112,34 @@ def test_the_scan_finds_an_unread_public_name():
     assert names_read(source) == {"h", "k", "C"}
 
 
+def public_definitions(source: str) -> set:
+    """Public functions and classes a module defines at its top level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_the_scan_finds_a_public_definition():
+    source = "def f():\n    def g(): pass\nclass C:\n    def m(self): pass\n" \
+             "def _h(): pass\nclass _D: pass\nx = f\n"
+    assert public_definitions(source) == {"f", "C"}
+
+
+def package_public() -> set:
+    return set().union(*(public_definitions(path.read_text(encoding="utf-8"))
+                         for path in (ROOT / "src" / "grjkit").glob("*.py")
+                         if path.name != "__init__.py"))
+
+
+def test_the_scan_sees_names_grjkit_does_not_reexport():
+    public = package_public()
+    assert set(grjkit.__all__) < public
+    assert "random_walk_model" in public and "random_walk_model" not in grjkit.__all__
+
+
 def test_every_public_callable_has_a_caller_outside_the_tests():
-    public = {name for name in grjkit.__all__
-              if inspect.isfunction(getattr(grjkit, name))
-              or inspect.isclass(getattr(grjkit, name))}
     read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
-    assert sorted(public - read) == sorted(TEST_ORACLES)
+    assert sorted(package_public() - read) == sorted(TESTS_ONLY)
 
 
 def tol_parameters(source: str) -> list:

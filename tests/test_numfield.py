@@ -234,6 +234,15 @@ def test_matrix_json_rejects_wrong_length():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize("rows, cols", [(2.0, 1), (1.9, 1), (True, 1), ("2", 1), (2, 1.0)],
+                         ids=["rows-2.0", "rows-1.9", "rows-true", "rows-string", "cols-1.0"])
+def test_matrix_json_rejects_a_size_that_is_not_an_integer(rows, cols):
+    entries = [[1.0, 0.0], [2.0, 0.0]]
+    assert matrix_from_json({"rows": 2, "cols": 1, "entries": entries}).shape == (2, 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+
+
 def test_subspace_json_round_trip():
     s = Subspace.from_columns(np.eye(5)[:, 1:3])
     obj = subspace_to_json(s)

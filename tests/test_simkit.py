@@ -55,14 +55,6 @@ def test_csv_format():
     assert lines[1].startswith("1,")
 
 
-def test_save_csv_matches_text(tmp_path):
-    ar = random_walk_model(2)
-    path = simulate_ar(ar, np.eye(2), horizon=6, seed=1)
-    target = tmp_path / "path.csv"
-    path.save_csv(target)
-    assert target.read_text() == path.to_csv_text()
-
-
 def test_extended_innovations_order():
     ar = random_walk_model(2)
     path = simulate_ar(ar, np.eye(2), horizon=5, seed=2)
