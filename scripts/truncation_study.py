@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 
+from grjkit.cli import _int_at_least
 from grjkit.grj import check_i1, i1_components, i2_components
 from grjkit.models import build_example
 from grjkit.numfield import fit_geometric_decay, operator_norm
@@ -30,19 +31,24 @@ J_GRID = (8, 16, 24, 32, 48, 64, 96)  # tail-sum cutoffs j_max, one table row ea
 PATH_SEED = 42  # seed of the simulated path
 
 
-def parse_args(argv) -> argparse.Namespace:
+def parse_args(argv):
+    """The parsed namespace, with the model it names built (argparse error if none)."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--model", default="ex-c0")
-    ap.add_argument("--n", type=int, default=None)
+    ap.add_argument("--n", type=_int_at_least(1), default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--horizon", type=int, default=400)
+    ap.add_argument("--horizon", type=_int_at_least(1), default=400)
     ap.add_argument("--csv", dest="csv_path", default=None)
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    try:
+        ar, _ = build_example(args.model, n=args.n, seed=args.seed)
+    except (KeyError, ValueError) as exc:
+        ap.error(str(exc.args[0]))
+    return args, ar
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    ar, info = build_example(args.model, n=args.n, seed=args.seed)
+    args, ar = parse_args(argv)
     cp = linearize(ar)
     components = i1_components if check_i1(cp).holds else i2_components
     j_top = max(J_GRID)

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from grjkit.cli import _int_at_least
 from grjkit.cointegration import annihilators
 from grjkit.grj import i1_components
 from grjkit.models import ar2_unit_root_model, oblique_ar1_model
@@ -23,14 +24,21 @@ from grjkit.pencil import linearize
 from grjkit.simkit import simulate_ensemble, stationarity_slope
 
 
+MIN_REPLICATIONS = 10  # smallest ensemble the slope fit takes here
+MIN_HORIZON = 8  # shortest path stationarity_slope's quarter-point design takes
+
+
+def _replication_counts(raw: str) -> list:
+    return [_int_at_least(MIN_REPLICATIONS)(r) for r in raw.split(",")]
+
+
 def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--reps", type=lambda raw: [int(r) for r in raw.split(",")],
-                    default="50,100,200,400")
-    ap.add_argument("--horizon", type=int, default=2000)
-    ap.add_argument("--seeds", type=int, default=5,
+    ap.add_argument("--reps", type=_replication_counts, default="50,100,200,400")
+    ap.add_argument("--horizon", type=_int_at_least(MIN_HORIZON), default=2000)
+    ap.add_argument("--seeds", type=_int_at_least(1), default=5,
                     help="ensemble seeds per setting (spread of the estimate)")
-    ap.add_argument("--threads", type=int, default=4)
+    ap.add_argument("--threads", type=_int_at_least(1), default=4)
     return ap.parse_args(argv)
 
 
@@ -53,11 +61,11 @@ def study(label, ar, args):
                                     threads=args.threads)
             # min_replications is deliberately relaxed: the sweep is about
             # how bad small R gets, which the default guard would veto.
-            slope = stationarity_slope(ens @ f, min_replications=10).slope
+            slope = stationarity_slope(ens @ f, min_replications=MIN_REPLICATIONS).slope
             rels.append(abs(slope - predicted) / predicted)
             coint_ok += all(
                 stationarity_slope(ens @ coint.basis[:, i].real,
-                                   min_replications=10).stationary
+                                   min_replications=MIN_REPLICATIONS).stationary
                 for i in range(coint.dim))
         rels = np.asarray(rels)
         print(f"  R={n_rep:4d}   rel err median {np.median(rels):6.1%}   "

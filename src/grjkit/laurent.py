@@ -44,6 +44,7 @@ DEFAULT_NODES = 256
 MIN_NODES = 16
 MAX_NODES = 4096  # node doubling stops here; a start must lie below it
 QUADRATURE_CONV_TOL = 1e-10  # largest change between levels that counts as settled
+SAMPLE_BLOCK_BYTES = 4 << 20  # samples held at once per level; a block holds >= 1 node
 
 
 class NoUnitRoot(ArithmeticError):
@@ -83,9 +84,16 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     MAX_NODES)) until successive results differ by at most
     QUADRATURE_CONV_TOL, else ContourNotConverged at MAX_NODES.  Returns
     (coeffs, nodes, last_change).  Each refinement level reads the
-    requested j from one product W @ samples, W[i, m] = e^{-i j_i theta_m};
+    requested j as the weighted sum W @ samples, W[i, m] = e^{-i j_i theta_m};
     the exponent j_i m is reduced mod M and looked up in a table of the
     M-th roots of unity, so large |j| costs no accuracy.
+
+    Samples stream through one block of at most SAMPLE_BLOCK_BYTES (at
+    least one node), and each block adds its share of W @ samples to the
+    running sums, so a level holds at most SAMPLE_BLOCK_BYTES (or one
+    sample, if larger) plus J = len(js) sample-sized sums at once instead
+    of all M samples.  A level that fits in one block is one product and
+    rounds as if unblocked.
     """
     js = list(js)
     if not MIN_NODES <= nodes < MAX_NODES:
@@ -96,15 +104,25 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     def evaluate(m_nodes):
         theta = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
         zs = center + radius * np.exp(1j * theta)
-        # filled in place, so no list of samples is held beside a stacked copy
-        first = np.asarray(fn(zs[0]), dtype=np.complex128)
-        samples = np.empty((m_nodes,) + first.shape, dtype=np.complex128)
-        samples[0] = first
-        for k in range(1, m_nodes):
-            samples[k] = fn(zs[k])
         roots = np.exp(-1j * theta)  # e^{-i theta_k} = e^{-2 pi i k / M}
         twiddles = roots[np.outer(js, np.arange(m_nodes)) % m_nodes]
-        sums = (twiddles @ samples.reshape(m_nodes, -1)).reshape((len(js),) + first.shape)
+        first = np.asarray(fn(zs[0]), dtype=np.complex128)
+        per_block = min(m_nodes, max(1, SAMPLE_BLOCK_BYTES // max(first.nbytes, 1)))
+        block = np.empty((per_block,) + first.shape, dtype=np.complex128)
+        block[0] = first
+        sums = None
+        for start in range(0, m_nodes, per_block):
+            stop = min(start + per_block, m_nodes)
+            for k in range(max(start, 1), stop):
+                block[k - start] = fn(zs[k])
+            part = twiddles[:, start:stop] @ block[:stop - start].reshape(stop - start, -1)
+            # the first block's product is the sum itself, so a level that
+            # fits in one block rounds exactly as an unblocked product
+            if sums is None:
+                sums = part
+            else:
+                sums += part
+        sums = sums.reshape((len(js),) + first.shape)
         return {j: sums[i] / (m_nodes * radius ** j) for i, j in enumerate(js)}
 
     current = evaluate(nodes)

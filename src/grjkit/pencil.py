@@ -96,7 +96,8 @@ class CompanionPencil:
 
     M = I - a1 and its kernel and range, which the class checks and the
     analyze report read, are computed once per pencil on first use
-    (``m``, ``unit_kernel``, ``unit_range``; read-only).
+    (``m``, ``unit_kernel``, ``unit_range``; read-only), and so is the
+    identity that ``identity()`` returns.
     """
 
     big_dim: int
@@ -116,7 +117,14 @@ class CompanionPencil:
         return self.ar.norm
 
     def identity(self) -> np.ndarray:
-        return np.eye(self.big_dim, dtype=np.complex128)
+        """I on C^{pn}; one read-only array per pencil."""
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> np.ndarray:
+        eye = np.eye(self.big_dim, dtype=np.complex128)
+        eye.flags.writeable = False
+        return eye
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -170,12 +178,14 @@ def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
     SVD; any other R gets the exact spectral-norm test.
     """
     eye = cp.identity()
-    lhs = eye - z * cp.a1
+    lhs = z * cp.a1
+    np.subtract(eye, lhs, out=lhs)
     try:
         out = np.linalg.solve(lhs, eye)
     except np.linalg.LinAlgError as exc:
         raise SingularAt(z) from exc
-    res = lhs @ out - eye
+    res = lhs @ out
+    res -= eye
     if not np.linalg.norm(res) <= RESIDUAL_ABS and operator_norm(res) > RESIDUAL_ABS:
         raise SingularAt(z)
     return out

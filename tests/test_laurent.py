@@ -5,17 +5,20 @@ for all.  Convention under test: R(z) = -(sum_j N_j (z-1)^j).
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from grjkit import laurent
 from grjkit.laurent import (MAX_NODES, NoUnitRoot, circle_coefficients,
                             contour_coefficients, essential_from_sweep,
                             expansion, pick_radius, pole_order,
                             riesz_projection)
-from grjkit.models import volterra_model
+from grjkit.models import evenodd_model, volterra_model
 from grjkit.numfield import ascent_at_one, operator_norm
-from grjkit.pencil import ArPencil, linearize, spectrum_report
+from grjkit.pencil import ArPencil, SingularAt, linearize, resolvent, spectrum_report
 
 
 def diag_fixture():
@@ -212,18 +215,25 @@ def _fft_reference(fn, js, center, radius, m_nodes):
     return {j: spectrum[j % m_nodes] / (m_nodes * radius ** j) for j in js}
 
 
-@pytest.mark.parametrize("js", [[-3, -1, 0, 2, 5, 64], range(-64, 97, 32)],
-                         ids=["list", "range"])
-def test_per_index_sums_match_the_fft(js):
-    # a degree-5 polynomial with 3 x 4 coefficients: negative, zero and
-    # positive j, and j at or beyond the final node count (wrap-around)
+def _random_polynomial():
+    """Degree-5 polynomial with random 3 x 4 complex coefficients around 0.3."""
     rng = np.random.default_rng(3)
     poly = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
-    center, radius = 0.3, 1.0
+    center = 0.3
 
     def fn(z):
         return sum(c * (z - center) ** k for k, c in enumerate(poly))
 
+    return poly, fn, center
+
+
+@pytest.mark.parametrize("js", [[-3, -1, 0, 2, 5, 64], range(-64, 97, 32)],
+                         ids=["list", "range"])
+def test_per_index_sums_match_the_fft(js):
+    # negative, zero and positive j, and j at or beyond the final node
+    # count (wrap-around)
+    poly, fn, center = _random_polynomial()
+    radius = 1.0
     coeffs, m_nodes, _ = circle_coefficients(fn, js, center=center, radius=radius,
                                              nodes=16)
     reference = _fft_reference(fn, js, center, radius, m_nodes)
@@ -233,6 +243,56 @@ def test_per_index_sums_match_the_fft(js):
         assert_allclose(coeffs[j], reference[j], rtol=0, atol=1e-13)
     for j in set(js) & set(range(len(poly))):
         assert_allclose(coeffs[j], poly[j], rtol=0, atol=1e-13)
+
+
+def test_sums_over_ragged_node_blocks_match_one_block(monkeypatch):
+    poly, fn, center = _random_polynomial()
+    js = [-3, -1, 0, 2, 5, 64]
+    one_block, m_nodes, _ = circle_coefficients(fn, js, center=center, radius=1.0,
+                                                nodes=16)
+    per_block = 7  # 16 nodes: blocks of 7, 7, 2; 32 nodes: 7, 7, 7, 7, 4
+    monkeypatch.setattr(laurent, "SAMPLE_BLOCK_BYTES", per_block * fn(center).nbytes)
+    coeffs, blocked_nodes, _ = circle_coefficients(fn, js, center=center, radius=1.0,
+                                                   nodes=16)
+    assert blocked_nodes == m_nodes > 2 * per_block and m_nodes % per_block
+    reference = _fft_reference(fn, js, center, 1.0, m_nodes)
+    for j in js:
+        assert_allclose(coeffs[j], reference[j], rtol=0, atol=1e-13)
+        assert_allclose(coeffs[j], one_block[j], rtol=0, atol=1e-13)
+
+
+def test_singular_node_in_a_later_block_propagates(monkeypatch):
+    _, fn, center = _random_polynomial()
+    monkeypatch.setattr(laurent, "SAMPLE_BLOCK_BYTES", 4 * fn(center).nbytes)
+    raised, calls = SingularAt(0.0), []
+
+    def integrand(z):
+        calls.append(z)
+        if len(calls) == 11:  # third block of the 16-node level
+            raise raised
+        return fn(z)
+
+    with pytest.raises(SingularAt) as info:
+        circle_coefficients(integrand, [0, 1], center=center, nodes=16)
+    assert info.value is raised
+    assert len(calls) == 11
+
+
+def test_level_memory_is_bounded_by_the_sample_block():
+    cp = linearize(evenodd_model(96))
+    radius = pick_radius(spectrum_report(cp))
+    js = [-1, 0, 1]
+    tracemalloc.start()
+    try:
+        _, m_nodes, _ = circle_coefficients(lambda z: resolvent(cp, z), js,
+                                            radius=radius, nodes=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m_nodes == 512  # two levels, each several blocks long
+    sample = cp.big_dim ** 2 * 16
+    assert 512 * sample > 8 * laurent.SAMPLE_BLOCK_BYTES
+    assert peak < 2 * laurent.SAMPLE_BLOCK_BYTES + len(js) * sample
 
 
 def test_quadrature_start_at_the_cap_is_rejected():

@@ -39,6 +39,18 @@ def test_eval_poly():
     assert_allclose(eval_poly(ar, z), direct, atol=1e-14)
 
 
+def test_identity_is_one_read_only_array_per_pencil():
+    cp = linearize(two_lag_fixture())
+    eye = cp.identity()
+    assert eye is cp.identity()
+    assert_allclose(eye, np.eye(4))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+    # resolvent solves against it and leaves it as it was
+    resolvent(cp, 0.3 + 0.1j)
+    assert_allclose(cp.identity(), np.eye(4), rtol=0, atol=0)
+
+
 def test_block_inverse_identity():
     """Ambient A(z)^-1 equals the observable block of the companion resolvent."""
     ar = two_lag_fixture()

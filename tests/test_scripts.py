@@ -5,6 +5,7 @@ unnoticed.
 """
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,14 +25,74 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_runs(name):
-    args, expected = SCRIPTS[name]
+# (script, arguments): each is refused, so argparse exits 2 before any work
+# (and before variance_law_mc starts a thread)
+BAD_ARGUMENTS = [
+    ("truncation_study", ["--horizon", "0"]),
+    ("truncation_study", ["--n", "0"]),
+    ("truncation_study", ["--n", "-3"]),
+    ("truncation_study", ["--seed", "0"]),  # ex-c0 takes no seed: the builder refuses
+    ("truncation_study", ["--model", "ex-nope"]),
+    ("variance_law_mc", ["--seeds", "0"]),
+    ("variance_law_mc", ["--horizon", "0"]),
+    ("variance_law_mc", ["--reps", "0"]),
+    ("variance_law_mc", ["--reps", "50,-1"]),
+    ("variance_law_mc", ["--threads", "0"]),
+]
+
+
+def _run(name, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args],
+                            capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_runs(name):
+    args, expected = SCRIPTS[name]
+    done = _run(name, args)
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout
     assert "EXPECTED" not in done.stdout  # the gallery flags a wrong planted order
+
+
+@pytest.mark.parametrize("name, args", BAD_ARGUMENTS,
+                         ids=[f"{n} {' '.join(a)}" for n, a in BAD_ARGUMENTS])
+def test_bad_argument_is_a_usage_error(name, args):
+    done = _run(name, args)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert f"{name}.py: error:" in done.stderr
+
+
+def _bench_compare():
+    spec = importlib.util.spec_from_file_location(
+        "bench_compare", ROOT / "scripts" / "bench_compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_compare_counts_head_better_pairs():
+    # per pair: (base, head); a tie counts for neither side
+    run_s = [(1.0, 0.8), (1.2, 1.3), (1.1, 1.1), (0.9, 0.7)]
+    rate = [(5.0, 6.0), (5.0, 4.0), (4.0, 4.0), (6.0, 7.0)]
+    idle = [(0.0, 0.0), (0.0, 0.1), (0.0, 0.0), (0.0, 0.2)]
+    base = [{"metrics": {"run_s": b, "rate": r, "idle": i}}
+            for (b, _), (r, _), (i, _) in zip(run_s, rate, idle)]
+    head = [{"metrics": {"run_s": h, "rate": r, "idle": i}}
+            for (_, h), (_, r), (_, i) in zip(run_s, rate, idle)]
+    table = _bench_compare().compare(
+        base, head, {"run_s": "lower", "rate": "higher", "idle": "lower"})
+    assert table["run_s"] == {"base_median": pytest.approx(1.05),
+                              "head_median": pytest.approx(0.95),
+                              "ratio": pytest.approx(0.95 / 1.05),
+                              "head_better_pairs": 2, "pairs": 4}
+    assert table["rate"]["head_better_pairs"] == 2
+    assert (table["rate"]["base_median"], table["rate"]["head_median"]) == (5.0, 5.0)
+    assert table["rate"]["ratio"] == 1.0
+    assert table["idle"]["base_median"] == 0.0
+    assert table["idle"]["ratio"] is None
+    assert table["idle"]["head_better_pairs"] == 0
