@@ -17,7 +17,9 @@ simkit.PRESAMPLE, the pre-sample length its representation check
 reads), so bad input ends in one line on stderr; a warning raised while
 a command runs is one stderr line too.  Reports are JSON with sorted
 keys and fixed separators, so a fixed (model, seed, flags) combination
-produces byte-identical output.  No environment variable is read.
+produces byte-identical output under a fixed BLAS thread count (BLAS
+sums in a thread-dependent order, so another count can move the last
+digits of residual fields).  grjkit reads no environment variable.
 
 The contour radius comes from the model's spectrum and the quadrature
 node count doubles until the result settles, so no flag sets either.

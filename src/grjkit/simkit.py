@@ -2,8 +2,8 @@
 
 Every path comes from one recursion kernel, which advances a
 (replications, horizon, dim) innovation block from an initial state:
-simulate_ar runs it on one replication, simulate_ensemble on each chunk
-of replications from a zero initial state.  Innovations come from one
+simulate_ar runs it on one replication, simulate_ensemble once on all
+replications from a zero initial state.  Innovations come from one
 draw helper over counter-based (Philox) streams keyed by
 (seed, replication), with a separate key lane for the PRESAMPLE = 128
 pre-sample draws, which simulate_ar and consistent_initial both take, so
@@ -11,8 +11,9 @@ pre-sample draws, which simulate_ar and consistent_initial both take, so
   * a fixed (model, seed, horizon) reproduces a path bit-for-bit,
   * replication r of an ensemble equals, to rounding, the single path
     simulated with that replication index (the ensemble advances all
-    replications of a chunk in one matrix product, whose summation order
-    can differ from the single path's in the last bits), and
+    replications in one matrix product per lag, whose summation order
+    can differ from the single path's in the last bits; thread pools
+    spread only the draws, never the recursion), and
   * consistent_initial sees exactly the pre-sample innovations that
     simulate_ar stores for replication 0 of the same seed.
 
@@ -310,32 +311,31 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     """States array (replications, horizon, dim), every replication
     started from zero initial states; replication r uses the stream keyed
     (seed, r), so row r equals simulate_ar(..., replication=r) to
-    rounding.  Not bit for bit: the shared recursion kernel multiplies
-    the states of a whole chunk of replications in one matrix product,
-    whose summation order can differ from the one-row product of a
-    single path (models.ar2_unit_root_model: about 6e-13 apart after
-    2000 steps).  Work is chunked identically whatever
-    ``threads`` is, so the output is byte-stable across thread counts."""
+    rounding.  The recursion kernel advances all replications in one
+    pass, one matrix product per lag, whose summation order can differ
+    from a single path's (models.ar2_unit_root_model: about 6e-13 apart
+    after 2000 steps).  ``threads`` > 1 spreads only the draws, each into
+    its own row, so the output is byte-stable across thread counts."""
     if replications < 1:
         raise ValueError("need at least one replication")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     coeffs = _real_coeffs(ar)
     factor = _covariance_factor(cov)
-    initial = np.zeros((ar.p, ar.dim))
+    eps = np.empty((replications, horizon, ar.dim))
 
-    chunk = 32  # fixed so chunking does not depend on the thread count
+    def draw(r):
+        eps[r] = _draw(seed, r, _MAIN_LANE, horizon, factor)
 
-    def run_block(start):
-        eps = np.stack([_draw(seed, r, _MAIN_LANE, horizon, factor)
-                        for r in range(start, min(start + chunk, replications))])
-        return _recurse(coeffs, eps, initial)
-
-    starts = list(range(0, replications, chunk))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run_block, starts))
+            list(pool.map(draw, range(replications)))
     else:
-        blocks = [run_block(s) for s in starts]
-    return np.concatenate(blocks, axis=0)
+        for r in range(replications):
+            draw(r)
+    return _recurse(coeffs, eps, np.zeros((ar.p, ar.dim)))
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,8 @@ def test_extended_innovations_order():
 def test_ensemble_slice_equals_single_run():
     ar = oblique_ar1_model()
     ens = simulate_ensemble(ar, np.eye(ar.dim), horizon=40, seed=5,
-                            replications=6)
-    for r in (0, 3, 5):
+                            replications=70)
+    for r in (0, 33, 69):
         single = simulate_ar(ar, np.eye(ar.dim), horizon=40, seed=5,
                              replication=r)
         assert np.array_equal(ens[r], single.states)
@@ -81,6 +81,15 @@ def test_ensemble_thread_count_does_not_change_bytes():
     threaded = simulate_ensemble(ar, np.eye(ar.dim), horizon=30, seed=6,
                                  replications=70, threads=4)
     assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("bad", [{"horizon": 0}, {"replications": 0}, {"threads": 0},
+                                 {"threads": -1}])
+def test_ensemble_rejects_empty_sizes_and_thread_counts(bad):
+    ar = oblique_ar1_model()
+    args = {"horizon": 10, "seed": 0, "replications": 4, "threads": 1} | bad
+    with pytest.raises(ValueError):
+        simulate_ensemble(ar, np.eye(ar.dim), **args)
 
 
 def test_representation_random_walk_exact():
