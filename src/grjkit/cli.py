@@ -251,8 +251,6 @@ def cmd_analyze(args) -> int:
         "pole_order": pole.to_json(),
         "i1": i1.to_json(),
         "i2": i2.to_json(),
-        "unit_kernel": subspace_to_json(cp.unit_kernel),
-        "unit_range": subspace_to_json(cp.unit_range),
         "verdict": (f"pole order {pole.order}, "
                     f"I(1) {'holds' if i1.holds else 'fails'}, "
                     f"I(2) {'holds' if i2.holds else 'fails'}"),
@@ -272,8 +270,7 @@ def cmd_sweep(args) -> int:
             return _EXIT_NO_UNIT_ROOT
         report = pole_order(cp, spectrum=spectrum)
         orders.append(report.order)
-        points.append({"n": int(n), "order": report.order,
-                       "nilpotency_index": report.nilpotency_index})
+        points.append({"n": int(n), "order": report.order})
     sweep = {"points": points,
              "essential_flag": essential_from_sweep(list(args.dims), orders)}
     _emit(dump_json({"model": args.name, "sweep": sweep}), args.out)

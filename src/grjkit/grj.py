@@ -33,13 +33,11 @@ from .numfield import (
     _generalized_inverse,
     apply_to_subspace,
     direct_sum_check,
-    matrix_to_json,
     oblique_projection,
     operator_norm,
     orthogonal_complement,
     subspace_intersection,
     subspace_sum,
-    subspace_to_json,
 )
 from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
 from .pencil import CompanionPencil, resolvent, spectrum_report
@@ -54,10 +52,6 @@ class NotI1(ArithmeticError):
 
 class NotI2(ArithmeticError):
     """Requested order-two components for a model that is not order two."""
-
-
-def _jsonable_matrix(m):
-    return None if m is None else matrix_to_json(m)
 
 
 def _jsonable_real(x):
@@ -86,9 +80,6 @@ class I1Report:
             "ker_dim": self.ker_dim,
             "ran_dim": self.ran_dim,
             "defect": self.defect,
-            "p_operator": _jsonable_matrix(self.p_operator),
-            "long_run": _jsonable_matrix(self.long_run),
-            "h_coeffs": [matrix_to_json(h) for h in self.h_coeffs],
             "cross_check_residual": _jsonable_real(self.cross_check_residual),
         }
 
@@ -189,41 +180,21 @@ def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
 class I2Report:
     order: ClassVar[int] = 2
     holds: bool
+    defect: int  # of the split (ran M + ker M) (+) M^g K
     k_space: Subspace
     w_space: Subspace
     w_c: Subspace
-    k_c: Subspace
-    gen_inverse: np.ndarray
-    q: np.ndarray
     q_g: np.ndarray | None
     n_minus2: np.ndarray | None
     p_operator: np.ndarray | None
-    gamma_l: np.ndarray | None
-    gamma_r: np.ndarray | None
     long_run2: np.ndarray | None
     long_run1: np.ndarray | None
     h_coeffs: list
     cross_check_residual: float
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "k_space": subspace_to_json(self.k_space),
-            "w_space": subspace_to_json(self.w_space),
-            "w_c": subspace_to_json(self.w_c),
-            "k_c": subspace_to_json(self.k_c),
-            "gen_inverse": _jsonable_matrix(self.gen_inverse),
-            "q": _jsonable_matrix(self.q),
-            "q_g": _jsonable_matrix(self.q_g),
-            "n_minus2": _jsonable_matrix(self.n_minus2),
-            "p_op": _jsonable_matrix(self.p_operator),
-            "gamma_l": _jsonable_matrix(self.gamma_l),
-            "gamma_r": _jsonable_matrix(self.gamma_r),
-            "long_run2": _jsonable_matrix(self.long_run2),
-            "long_run1": _jsonable_matrix(self.long_run1),
-            "h_coeffs": [matrix_to_json(h) for h in self.h_coeffs],
-            "cross_check_residual": _jsonable_real(self.cross_check_residual),
-        }
+        return {"holds": self.holds, "k_dim": self.k_space.dim,
+                "w_dim": self.w_space.dim, "defect": self.defect}
 
 
 class _OrderTwoGeometry:
@@ -255,7 +226,6 @@ class _OrderTwoGeometry:
         self.w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
         self.k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
         self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran)
-        self.q = off_range @ self.p_ker
         self.off_range = off_range
 
         self.split = direct_sum_check(subspace_sum(self.ran, self.ker),
@@ -283,15 +253,12 @@ class _OrderTwoGeometry:
 
 
 def _report_from_geometry(geo: _OrderTwoGeometry, *, n_minus2=None, p_operator=None,
-                          gamma_l=None, gamma_r=None, long_run2=None,
-                          long_run1=None, h_coeffs=None,
+                          long_run2=None, long_run1=None, h_coeffs=None,
                           cross_check_residual=math.inf) -> I2Report:
-    return I2Report(holds=geo.holds, k_space=geo.k_space, w_space=geo.w_space,
-                    w_c=geo.w_c, k_c=geo.k_c, gen_inverse=geo.gen_inverse,
-                    q=geo.q, q_g=geo.q_g, n_minus2=n_minus2, p_operator=p_operator,
-                    gamma_l=gamma_l, gamma_r=gamma_r, long_run2=long_run2,
-                    long_run1=long_run1, h_coeffs=h_coeffs or [],
-                    cross_check_residual=cross_check_residual)
+    return I2Report(holds=geo.holds, defect=geo.split.defect, k_space=geo.k_space,
+                    w_space=geo.w_space, w_c=geo.w_c, q_g=geo.q_g, n_minus2=n_minus2,
+                    p_operator=p_operator, long_run2=long_run2, long_run1=long_run1,
+                    h_coeffs=h_coeffs or [], cross_check_residual=cross_check_residual)
 
 
 def check_i2(cp: CompanionPencil) -> I2Report:
@@ -299,9 +266,9 @@ def check_i2(cp: CompanionPencil) -> I2Report:
 
     Requires K = ran M /\\ ker M nontrivial and the companion space to
     split as (ran M + ker M) (+) M^g K.  The constructed spaces, built
-    with orthogonal complements of ran M and ker M, and the generalized
-    inverse are returned whether or not the condition holds; the
-    representation operators are filled in by i2_components.
+    with orthogonal complements of ran M and ker M, and the split defect
+    are returned whether or not the condition holds; the representation
+    operators are filled in by i2_components.
     """
     require_unit_root(spectrum_report(cp))
     geo = _OrderTwoGeometry(cp)
@@ -365,6 +332,5 @@ def i2_components(cp: CompanionPencil, j_max: int,
     long_run2 = n_minus2[:cp.dim, :cp.dim]
     long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
     return _report_from_geometry(
-        geo, n_minus2=n_minus2, p_operator=p_op, gamma_l=gamma_l, gamma_r=gamma_r,
-        long_run2=long_run2, long_run1=long_run1, h_coeffs=h_coeffs,
-        cross_check_residual=residual)
+        geo, n_minus2=n_minus2, p_operator=p_op, long_run2=long_run2,
+        long_run1=long_run1, h_coeffs=h_coeffs, cross_check_residual=residual)

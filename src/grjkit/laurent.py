@@ -174,14 +174,12 @@ def riesz_projection(cp: CompanionPencil, spectrum=None) -> np.ndarray:
 class PoleOrderReport:
     order: int
     essential_flag: bool
-    nilpotency_index: int
     ascent: int
     routes_agree: bool
 
     def to_json(self) -> dict:
         return {"order": self.order, "essential_flag": self.essential_flag,
-                "nilpotency_index": self.nilpotency_index, "ascent": self.ascent,
-                "routes_agree": self.routes_agree}
+                "ascent": self.ascent, "routes_agree": self.routes_agree}
 
 
 def _nilpotency_index_by_rank(proj, g) -> int:
@@ -224,7 +222,6 @@ def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
     return PoleOrderReport(
         order=index,
         essential_flag=index >= cp.big_dim,
-        nilpotency_index=index,
         ascent=rep.ascent,
         routes_agree=(index == rep.ascent),
     )

@@ -94,10 +94,10 @@ class CompanionPencil:
     The observable block of a companion-space operator X, its compression
     to the first coordinate block, is X[:dim, :dim].
 
-    M = I - a1 and its kernel and range, which the class checks and the
-    analyze report read, are computed once per pencil on first use
-    (``m``, ``unit_kernel``, ``unit_range``; read-only), and so is the
-    identity that ``identity()`` returns.
+    M = I - a1 and its kernel and range, which the class checks read,
+    are computed once per pencil on first use (``m``, ``unit_kernel``,
+    ``unit_range``; read-only), and so is the identity that
+    ``identity()`` returns.
     """
 
     big_dim: int
@@ -199,7 +199,7 @@ class SpectrumReport:
     companion operator (the points where I - z a1 is singular).
     unit_root_ok is true iff the unit cluster lies within
     UNIT_CLUSTER_SCATTER of 1 and nothing else is in the closed disk of
-    radius 1 + eta.  nearest_other is the distance from 1 to the closest other
+    radius 1 + ETA.  nearest_other is the distance from 1 to the closest other
     spectrum point (inf when none) -- used to pick contour radii.
     ascent is the size of the largest Jordan block at 1, read off the same
     kernel chain as the multiplicity (not part of to_json).
@@ -207,7 +207,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     pencil_spectrum: np.ndarray
-    eta: float
     unit_root_ok: bool
     unit_root_present: bool
     nearest_other: float
@@ -217,7 +216,7 @@ class SpectrumReport:
         return {
             "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
             "pencil_spectrum": [[float(v.real), float(v.imag)] for v in self.pencil_spectrum],
-            "eta": self.eta,
+            "eta": ETA,
             "unit_root_ok": self.unit_root_ok,
             "unit_root_present": self.unit_root_present,
             "nearest_other": self.nearest_other if np.isfinite(self.nearest_other) else None,
@@ -255,7 +254,6 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=eigs,
         pencil_spectrum=roots,
-        eta=ETA,
         unit_root_ok=bool(ok),
         unit_root_present=bool(present),
         nearest_other=nearest,

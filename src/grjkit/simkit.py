@@ -84,10 +84,12 @@ def _real_coeffs(ar: ArPencil):
     return mats
 
 
-def _covariance_factor(cov):
+def _covariance_factor(cov, dim: int):
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
+    if cov.shape[0] != dim:
+        raise ValueError("covariance dimension does not match the model")
     if not positive_definite_check(cov):
         warnings.warn("innovation covariance is not positive definite", stacklevel=3)
     sym = (cov + cov.T) / 2.0
@@ -144,9 +146,7 @@ def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
         raise ValueError("horizon must be >= 1")
     coeffs = _real_coeffs(ar)
     n, p = ar.dim, ar.p
-    factor = _covariance_factor(cov)
-    if factor.shape[0] != n:
-        raise ValueError("covariance dimension does not match the model")
+    factor = _covariance_factor(cov, n)
 
     if initial is None:
         initial = np.zeros((p, n))
@@ -195,7 +195,7 @@ def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None) -> np.nda
     p_op = np.asarray(p_op, dtype=np.complex128)
     if p_op.shape != (pn, pn):
         raise ValueError("long-run projection has the wrong shape")
-    factor = _covariance_factor(cov)
+    factor = _covariance_factor(cov, n)
     pre = _draw(seed, 0, _PRESAMPLE_LANE, PRESAMPLE, factor)  # row j is eps_{-j}
 
     nu0 = np.zeros(pn, dtype=np.complex128)
@@ -323,7 +323,7 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     if threads < 1:
         raise ValueError("threads must be >= 1")
     coeffs = _real_coeffs(ar)
-    factor = _covariance_factor(cov)
+    factor = _covariance_factor(cov, ar.dim)
     eps = np.empty((replications, horizon, ar.dim))
 
     def draw(r):

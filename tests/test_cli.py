@@ -68,19 +68,38 @@ def assert_one_line_error(capsys, argv):
     assert len(err.splitlines()) == 1 and "error" in err, err
 
 
+def _analyze_report(out):
+    """The analyze report, after checking that it holds only decisions and
+    dimensions: operators and bases come from represent."""
+    report = json.loads(out)
+    assert set(report) == {"model", "info", "spectrum", "pole_order", "i1", "i2", "verdict"}
+    assert set(report["pole_order"]) == {"order", "essential_flag", "ascent", "routes_agree"}
+    assert set(report["i1"]) == {"holds", "ker_dim", "ran_dim", "defect",
+                                 "cross_check_residual"}
+    assert set(report["i2"]) == {"holds", "k_dim", "w_dim", "defect"}
+    assert len(out.encode("utf-8")) <= 1024
+    return report
+
+
 def test_analyze_verdict(capsys):
     code, out, _ = run(capsys, ["analyze", "ex-c0", "--n", "8"])
     assert code == 0
-    report = json.loads(out)
+    report = _analyze_report(out)
     assert report["verdict"] == "pole order 2, I(1) fails, I(2) holds"
     assert report["pole_order"]["order"] == 2
+    assert report["i2"]["k_dim"] == 1
+    assert report["i2"]["defect"] == 0
 
 
 def test_analyze_simple_pole(capsys):
     code, out, _ = run(capsys, ["analyze", "ex-evenodd"])
     assert code == 0
-    report = json.loads(out)
+    report = _analyze_report(out)
     assert report["verdict"].startswith("pole order 1, I(1) holds")
+    # K = ran M /\ ker M is trivial, so the order-two split cannot fail
+    # by its defect; the I(2) verdict fails on dim K alone
+    assert report["i2"]["k_dim"] == 0
+    assert report["i2"]["defect"] == 0
 
 
 def test_analyze_unknown_example(capsys):

@@ -92,6 +92,17 @@ def test_ensemble_rejects_empty_sizes_and_thread_counts(bad):
         simulate_ensemble(ar, np.eye(ar.dim), **args)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cov: simulate_ar(oblique_ar1_model(), cov, 10, 0),
+    lambda cov: simulate_ensemble(oblique_ar1_model(), cov, 10, 0, 4),
+    lambda cov: consistent_initial(random_walk_model(2), np.eye(2), cov, seed=0),
+], ids=["simulate_ar", "simulate_ensemble", "consistent_initial"])
+def test_covariance_of_the_wrong_dimension_is_refused(call):
+    # every model here is 2-dimensional
+    with pytest.raises(ValueError, match="covariance dimension does not match the model"):
+        call(np.eye(3))
+
+
 def test_representation_random_walk_exact():
     ar = random_walk_model(2)
     cp = linearize(ar)
