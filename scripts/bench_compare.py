@@ -12,7 +12,9 @@ alternates from cell to cell.  Workloads default to all that
 BENCHMARK.json lists.  The file keeps each run's result line (metric
 values, pass/fail counts, traced call counts, output digests) and, per
 workload and metric, the median over seeds at base and at head, their
-ratio, and the number of seed pairs in which head was better.
+ratio, the base quartiles, and the number of seed pairs in which head was
+better.  A gain counts when head wins nearly every pair and the gap
+between the medians exceeds the base's own spread, base_q3 - base_q1.
 """
 
 from __future__ import annotations
@@ -48,15 +50,19 @@ def summarize(run: dict) -> dict:
 
 
 def compare(base_runs: list, head_runs: list, better: dict) -> dict:
-    """Per metric: base and head medians, head/base and head-better pair count."""
+    """Per metric: base and head medians, head/base, base quartiles (linear
+    interpolation; one run is its own quartiles) and head-better pair count."""
     table = {}
     for name in base_runs[0]["metrics"]:
         b = [r["metrics"][name] for r in base_runs]
         h = [r["metrics"][name] for r in head_runs]
         sign = 1 if better[name] == "lower" else -1
         b_med, h_med = statistics.median(b), statistics.median(h)
+        b_q1, _, b_q3 = (statistics.quantiles(b, n=4, method="inclusive") if len(b) > 1
+                         else b * 3)
         table[name] = {"base_median": b_med, "head_median": h_med,
                        "ratio": h_med / b_med if b_med else None,
+                       "base_q1": b_q1, "base_q3": b_q3,
                        "head_better_pairs": sum(sign * (y - x) < 0 for x, y in zip(b, h)),
                        "pairs": len(b)}
     return table

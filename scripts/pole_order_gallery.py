@@ -14,10 +14,10 @@ import argparse
 import sys
 
 from grjkit.grj import check_i1, check_i2
-from grjkit.laurent import NoUnitRoot, pole_order
+from grjkit.laurent import contour_coefficients, pole_order
 from grjkit.models import (EXAMPLE_NAMES, ar2_double_root_model,
                            ar2_unit_root_model, build_example, jordan_model)
-from grjkit.pencil import linearize
+from grjkit.pencil import linearize, spectrum_report
 
 
 BLOCKS = ([2], [2, 1], [3])  # planted block sizes at the unit root
@@ -32,13 +32,16 @@ def parse_args(argv) -> argparse.Namespace:
 
 def verdict_row(label, ar, expected_order=None):
     cp = linearize(ar)
-    try:
-        rep = pole_order(cp)
-    except NoUnitRoot:
+    spectrum = spectrum_report(cp)
+    if not spectrum.unit_root_ok:
         print(f"{label:28s}  no unit root")
         return
-    i1 = check_i1(cp).holds
-    i2 = check_i2(cp).holds
+    # as in grj analyze: one spectrum and one contour residue N_{-1} serve
+    # all three decisions
+    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[0][-1]
+    rep = pole_order(cp, spectrum=spectrum, residue=residue)
+    i1 = check_i1(cp, spectrum=spectrum, residue=residue).holds
+    i2 = check_i2(cp, spectrum=spectrum).holds
     cls = "I(1)" if i1 else ("I(2)" if i2 else "I(>=3)")
     routes = "agree" if rep.routes_agree else "SPLIT"
     tag = ""

@@ -49,6 +49,7 @@ from .grj import (
 )
 from .laurent import (
     ContourNotConverged,
+    contour_coefficients,
     essential_from_sweep,
     expansion,
     pole_order,
@@ -244,9 +245,11 @@ def cmd_analyze(args) -> int:
         report["verdict"] = "no usable unit root"
         _emit(dump_json(report), args.out)
         return _EXIT_NO_UNIT_ROOT
-    pole = pole_order(cp, spectrum=spectrum)
-    i1 = check_i1(cp)
-    i2 = check_i2(cp)
+    # one spectrum and one contour residue N_{-1} serve all three decisions
+    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[0][-1]
+    pole = pole_order(cp, spectrum=spectrum, residue=residue)
+    i1 = check_i1(cp, spectrum=spectrum, residue=residue)
+    i2 = check_i2(cp, spectrum=spectrum)
     report.update({
         "pole_order": pole.to_json(),
         "i1": i1.to_json(),

@@ -84,14 +84,20 @@ class I1Report:
         }
 
 
-def check_i1(cp: CompanionPencil) -> I1Report:
+def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
     """Decide the order-one condition: companion space = ran M (+) ker M.
 
     When it holds, the report carries the oblique projection onto ker M
     along ran M together with its contour cross-check residual and the
     observable long-run operator.
+
+    ``spectrum`` may be the spectrum_report of this same cp, and
+    ``residue`` the contour N_{-1} that contour_coefficients(cp, [-1],
+    spectrum=spectrum) returns on its default circle; without them both
+    are computed here.  The cross-check always compares the closed form
+    with a contour residue, never with another closed form.
     """
-    rep = require_unit_root(spectrum_report(cp))
+    rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
     ker, ran = cp.unit_kernel, cp.unit_range
     split = direct_sum_check(ran, ker)
     if not split.holds:
@@ -99,8 +105,9 @@ def check_i1(cp: CompanionPencil) -> I1Report:
                         defect=split.defect, p_operator=None, long_run=None,
                         h_coeffs=[], cross_check_residual=math.inf)
     p_op = oblique_projection(ker, ran)
-    contour, _ = contour_coefficients(cp, [-1], spectrum=rep)
-    residual = operator_norm(p_op - contour[-1], cp.norm)
+    if residue is None:
+        residue = contour_coefficients(cp, [-1], spectrum=rep)[0][-1]
+    residual = operator_norm(p_op - residue, cp.norm)
     long_run = p_op[:cp.dim, :cp.dim]
     return I1Report(holds=True, ker_dim=ker.dim, ran_dim=ran.dim, defect=0,
                     p_operator=p_op, long_run=long_run, h_coeffs=[],
@@ -219,12 +226,12 @@ class _OrderTwoGeometry:
         self.p_ker = oblique_projection(self.ker, self.ker_c)
         off_range = np.eye(n, dtype=np.complex128) - self.p_ran
         self.w_space = apply_to_subspace(off_range, self.ker)
-        # Inner complements: K_C completes K to the kernel and W_C completes
-        # W = (I - P_ran) ker to the range complement.  Taking them orthogonal
-        # within the enclosing space is one valid choice among many; the
-        # contour cross-check certifies the results do not depend on it.
+        # Inner complements: K_C (built with Q^g) completes K to the kernel
+        # and W_C completes W = (I - P_ran) ker to the range complement.
+        # Taking them orthogonal within the enclosing space is one valid
+        # choice among many; the contour cross-check certifies the results
+        # do not depend on it.
         self.w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
-        self.k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
         self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran)
         self.off_range = off_range
 
@@ -232,45 +239,45 @@ class _OrderTwoGeometry:
                                       apply_to_subspace(self.gen_inverse, self.k_space))
         self.holds = self.k_space.dim > 0 and self.split.holds
 
-        # Q restricted to K_C inverts onto W; build Q^g = [Q|_{K_C}]^{-1} P_W.
-        # On a model without the order-two geometry the W (+) W_C split can
-        # fail, in which case Q^g stays None and only the verdict is usable.
-        self.q_g = None
-        self.q_g_residual = math.inf
+    def q_g(self):
+        """(Q^g, its residual): Q restricted to K_C inverts onto W, and
+        Q^g = [Q|_{K_C}]^{-1} P_W.  Built on demand: only i2_components
+        reads it.  On a model without the order-two geometry the
+        W (+) W_C split can fail, and then Q^g is None, the residual inf."""
+        n = self.off_range.shape[0]
         if self.w_space.dim == 0:
-            self.q_g = np.zeros((n, n), dtype=np.complex128)
-            self.q_g_residual = 0.0
-        else:
-            try:
-                p_w = oblique_projection(self.w_space, subspace_sum(self.ran, self.w_c))
-            except NotComplementary:
-                p_w = None
-            if p_w is not None:
-                images = off_range @ self.k_c.basis
-                coords, *_ = np.linalg.lstsq(images, p_w, rcond=None)
-                self.q_g = self.k_c.basis @ coords
-                self.q_g_residual = operator_norm(images @ coords - p_w)
+            return np.zeros((n, n), dtype=np.complex128), 0.0
+        try:
+            p_w = oblique_projection(self.w_space, subspace_sum(self.ran, self.w_c))
+        except NotComplementary:
+            return None, math.inf
+        k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
+        images = self.off_range @ k_c.basis
+        coords, *_ = np.linalg.lstsq(images, p_w, rcond=None)
+        return k_c.basis @ coords, operator_norm(images @ coords - p_w)
 
 
-def _report_from_geometry(geo: _OrderTwoGeometry, *, n_minus2=None, p_operator=None,
-                          long_run2=None, long_run1=None, h_coeffs=None,
+def _report_from_geometry(geo: _OrderTwoGeometry, *, q_g=None, n_minus2=None,
+                          p_operator=None, long_run2=None, long_run1=None, h_coeffs=None,
                           cross_check_residual=math.inf) -> I2Report:
     return I2Report(holds=geo.holds, defect=geo.split.defect, k_space=geo.k_space,
-                    w_space=geo.w_space, w_c=geo.w_c, q_g=geo.q_g, n_minus2=n_minus2,
+                    w_space=geo.w_space, w_c=geo.w_c, q_g=q_g, n_minus2=n_minus2,
                     p_operator=p_operator, long_run2=long_run2, long_run1=long_run1,
                     h_coeffs=h_coeffs or [], cross_check_residual=cross_check_residual)
 
 
-def check_i2(cp: CompanionPencil) -> I2Report:
+def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
     """Decide the order-two condition.
 
     Requires K = ran M /\\ ker M nontrivial and the companion space to
     split as (ran M + ker M) (+) M^g K.  The constructed spaces, built
     with orthogonal complements of ran M and ker M, and the split defect
-    are returned whether or not the condition holds; the representation
-    operators are filled in by i2_components.
+    are returned whether or not the condition holds; Q^g and the
+    representation operators are filled in by i2_components.
+    ``spectrum`` may be the spectrum_report of this same cp; without it
+    one is computed here.  The verdict reads no contour result.
     """
-    require_unit_root(spectrum_report(cp))
+    require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
     geo = _OrderTwoGeometry(cp)
     return _report_from_geometry(geo)
 
@@ -296,9 +303,10 @@ def i2_components(cp: CompanionPencil, j_max: int,
         raise NotI2(
             f"restricted map K -> W_C is not square "
             f"(dim K {geo.k_space.dim}, dim W_C {geo.w_c.dim})")
-    if geo.q_g is None or geo.q_g_residual > 10 * RESIDUAL_ABS:
+    q_g, q_g_residual = geo.q_g()
+    if q_g is None or q_g_residual > 10 * RESIDUAL_ABS:
         raise NotI2(
-            f"Q^g construction failed (residual {geo.q_g_residual:.2e}); "
+            f"Q^g construction failed (residual {q_g_residual:.2e}); "
             "the W (+) W_C split is not usable")
 
     n = cp.big_dim
@@ -321,7 +329,7 @@ def i2_components(cp: CompanionPencil, j_max: int,
     # Q^g (I - P_ran), and gamma_l.  The summand order matters: with the
     # correction factors applied from the left, the sum is independent of
     # the complement choices even though each factor alone is not.
-    q_term = geo.q_g @ geo.off_range
+    q_term = q_g @ geo.off_range
     p_op = gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l)
 
     contour, _ = contour_coefficients(cp, [-2, -1], spectrum=rep)
@@ -332,5 +340,5 @@ def i2_components(cp: CompanionPencil, j_max: int,
     long_run2 = n_minus2[:cp.dim, :cp.dim]
     long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
     return _report_from_geometry(
-        geo, n_minus2=n_minus2, p_operator=p_op, long_run2=long_run2,
+        geo, q_g=q_g, n_minus2=n_minus2, p_operator=p_op, long_run2=long_run2,
         long_run1=long_run1, h_coeffs=h_coeffs, cross_check_residual=residual)

@@ -204,7 +204,7 @@ def _nilpotency_index_by_rank(proj, g) -> int:
     return n
 
 
-def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
+def pole_order(cp: CompanionPencil, spectrum=None, residue=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
     Structural route: nilpotency index of G = (I - B) P by rank
@@ -214,9 +214,14 @@ def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
     ceiling; sweeps across truncation dimensions refine it (see
     essential_from_sweep).  Raises NoUnitRoot unless z = 1 is a usable
     unit root (require_unit_root).
+
+    A caller that already holds them may pass ``spectrum``, the
+    spectrum_report of this same cp, and ``residue``, the N_{-1} that
+    contour_coefficients(cp, [-1], spectrum=spectrum) returns on its
+    default circle; P is then residue @ B and no quadrature runs here.
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    proj = riesz_projection(cp, spectrum=rep)
+    proj = riesz_projection(cp, spectrum=rep) if residue is None else residue @ cp.a1
     g = cp.m @ proj
     index = _nilpotency_index_by_rank(proj, g)
     return PoleOrderReport(

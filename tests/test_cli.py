@@ -5,12 +5,13 @@ and file round-trips.  Everything runs in-process through main(argv).
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from grjkit import cli
+from grjkit import cli, laurent, pencil
 from grjkit.cli import main
 from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
@@ -100,6 +101,26 @@ def test_analyze_simple_pole(capsys):
     # by its defect; the I(2) verdict fails on dim K alone
     assert report["i2"]["k_dim"] == 0
     assert report["i2"]["defect"] == 0
+
+
+@pytest.mark.parametrize("argv", [["analyze", "ex-evenodd"],        # I(1)
+                                  ["analyze", "ex-c0", "--n", "8"]])  # I(2)
+def test_analyze_builds_one_spectrum_and_one_quadrature(capsys, monkeypatch, argv):
+    # pole_order, check_i1 and check_i2 share analyze's spectrum report and
+    # its one contour residue N_{-1}
+    calls = []
+    for original in (pencil.spectrum_report, laurent.circle_coefficients):
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in [mod for key, mod in sys.modules.items() if key.startswith("grjkit")]:
+            for name, value in vars(module).items():
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert sorted(calls) == ["circle_coefficients", "spectrum_report"]
 
 
 def test_analyze_unknown_example(capsys):

@@ -6,19 +6,20 @@ to reproduce them through the similarity.
 """
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.grj import (NotI1, NotI2, check_i1, check_i2, i1_components,
+from grjkit.grj import (I1Report, NotI1, NotI2, check_i1, check_i2, i1_components,
                         i2_components, taylor_h_coefficients)
-from grjkit.laurent import NoUnitRoot, contour_coefficients, riesz_projection
-from grjkit.models import jordan_model
+from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
+from grjkit.models import build_example, jordan_model
 from grjkit.numfield import (Subspace, kernel_basis, operator_norm, orthogonal_complement,
                              range_basis)
-from grjkit.pencil import ArPencil, linearize
+from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
 def similarity_fixture():
@@ -87,8 +88,9 @@ def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     assert rep.k_space.dim == 1
     assert rep.w_space.dim == 1          # nontrivial W: Q^g actually used
     assert rep.w_c.dim == 1
-    assert operator_norm(rep.q_g) > 1e-8
+    assert rep.q_g is None               # the verdict does not build Q^g
     full = i2_components(mixed21_cp, j_max=2)
+    assert operator_norm(full.q_g) > 1e-8
     p_op = full.p_operator
     assert operator_norm(p_op @ p_op - p_op) < 1e-10
 
@@ -162,6 +164,40 @@ def test_gate_requires_unit_root():
         check_i1(cp)
     with pytest.raises(NoUnitRoot):
         check_i2(cp)
+
+
+@pytest.mark.parametrize("name", ["ex-evenodd", "ex-selfadjoint", "ex-c0"])
+def test_shared_spectrum_and_residue_change_no_field(name):
+    # analyze hands one spectrum report and one contour N_{-1} to all three
+    # decisions; each must come out as if it had computed its own, floats
+    # (cross_check_residual) bit for bit
+    cp = linearize(build_example(name)[0])
+    rep = spectrum_report(cp)
+    residue = contour_coefficients(cp, [-1], spectrum=rep)[0][-1]
+    shared, own = check_i1(cp, spectrum=rep, residue=residue), check_i1(cp)
+    assert shared.holds == (name != "ex-c0")
+    for field in dataclasses.fields(I1Report):
+        a, b = getattr(shared, field.name), getattr(own, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+    assert pole_order(cp, spectrum=rep, residue=residue) == pole_order(cp)
+    shared2, own2 = check_i2(cp, spectrum=rep), check_i2(cp)
+    assert (shared2.holds, shared2.k_space.dim, shared2.w_space.dim, shared2.defect) == \
+        (own2.holds, own2.k_space.dim, own2.w_space.dim, own2.defect)
+
+
+@pytest.mark.parametrize("ar", [ArPencil(1, 2, [np.diag([0.3, 0.4])]),  # 1 is no root
+                                build_example("ex-volterra", n=32)[0]],  # 1 is not isolated
+                         ids=["stable", "volterra32"])
+def test_shared_spectrum_without_unit_root_is_refused(ar):
+    cp = linearize(ar)
+    rep = spectrum_report(cp)
+    assert not rep.unit_root_ok
+    residue = np.zeros((cp.big_dim, cp.big_dim), dtype=np.complex128)
+    for check in (lambda: pole_order(cp, spectrum=rep, residue=residue),
+                  lambda: check_i1(cp, spectrum=rep, residue=residue),
+                  lambda: check_i2(cp, spectrum=rep)):
+        with pytest.raises(NoUnitRoot):
+            check()
 
 
 def test_long_run_operators_are_ambient(shift8, shift8_cp):

@@ -86,9 +86,12 @@ def test_bench_compare_counts_head_better_pairs():
             for (_, h), (_, r), (_, i) in zip(run_s, rate, idle)]
     table = _bench_compare().compare(
         base, head, {"run_s": "lower", "rate": "higher", "idle": "lower"})
+    # base run_s sorted: 0.9, 1.0, 1.1, 1.2; quartiles interpolate linearly
     assert table["run_s"] == {"base_median": pytest.approx(1.05),
                               "head_median": pytest.approx(0.95),
                               "ratio": pytest.approx(0.95 / 1.05),
+                              "base_q1": pytest.approx(0.975),
+                              "base_q3": pytest.approx(1.125),
                               "head_better_pairs": 2, "pairs": 4}
     assert table["rate"]["head_better_pairs"] == 2
     assert (table["rate"]["base_median"], table["rate"]["head_median"]) == (5.0, 5.0)
@@ -96,3 +99,7 @@ def test_bench_compare_counts_head_better_pairs():
     assert table["idle"]["base_median"] == 0.0
     assert table["idle"]["ratio"] is None
     assert table["idle"]["head_better_pairs"] == 0
+    assert (table["idle"]["base_q1"], table["idle"]["base_q3"]) == (0.0, 0.0)
+    one = _bench_compare().compare(base[:1], head[:1], {"run_s": "lower", "rate": "higher",
+                                                        "idle": "lower"})
+    assert (one["run_s"]["base_q1"], one["run_s"]["base_q3"]) == (1.0, 1.0)
