@@ -63,7 +63,8 @@ def as_operator(entries, *, square=False) -> np.ndarray:
 
 def matrix_to_json(m) -> dict:
     m = as_operator(m)
-    entries = [[float(v.real), float(v.imag)] for v in m.ravel(order="C")]
+    # (re, im) pairs as Python floats, without a numpy scalar per entry
+    entries = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 

@@ -1,12 +1,13 @@
 """Seeded simulation of AR(p) laws and representation verification.
 
-Every path comes from one recursion kernel, which advances a
-(replications, horizon, dim) innovation block from an initial state:
-simulate_ar runs it on one replication, simulate_ensemble once on all
-replications from a zero initial state.  Innovations come from one
-draw helper over counter-based (Philox) streams keyed by
-(seed, replication), with a separate key lane for the PRESAMPLE = 128
-pre-sample draws, which simulate_ar and consistent_initial both take, so
+Every path comes from one recursion kernel, which overwrites a
+time-major (horizon, replications, dim) block of innovations in place
+with the states they drive from an initial state: simulate_ar runs it on
+one replication, simulate_ensemble once on all replications from a zero
+initial state.  Innovations come from counter-based (Philox) streams
+keyed by (seed, replication), with a separate key lane for the
+PRESAMPLE = 128 pre-sample draws, which simulate_ar and
+consistent_initial both take, so
 
   * a fixed (model, seed, horizon) reproduces a path bit-for-bit,
   * replication r of an ensemble equals, to rounding, the single path
@@ -52,27 +53,32 @@ class ClassMismatch(ArithmeticError):
     """The representation class of the report disagrees with the model."""
 
 
+def _white(seed: int, replication: int, lane: int, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous ``out`` with the first standard normals of the
+    stream keyed (seed, replication, lane), in row order."""
+    key = [np.uint64(int(seed) % (1 << 64)),
+           np.uint64((2 * int(replication) + lane) % (1 << 64))]
+    np.random.Generator(np.random.Philox(key=key)).standard_normal(out=out)
+    return out
+
+
 def _draw(seed: int, replication: int, lane: int, rows: int, factor) -> np.ndarray:
     """The first ``rows`` innovations of the stream keyed
     (seed, replication, lane), coloured by the covariance factor."""
-    key = [np.uint64(int(seed) % (1 << 64)),
-           np.uint64((2 * int(replication) + lane) % (1 << 64))]
-    stream = np.random.Generator(np.random.Philox(key=key))
-    return stream.standard_normal((rows, factor.shape[0])) @ factor.T
+    return _white(seed, replication, lane, np.empty((rows, factor.shape[0]))) @ factor.T
 
 
-def _recurse(coeffs, eps, initial) -> np.ndarray:
-    """States of X_t = sum_j A_j X_{t-j} + eps_t for a (replications,
-    horizon, dim) innovation block; initial[i] is X_{-i}, shared by every
-    replication."""
-    states = np.empty_like(eps)
-    for t in range(eps.shape[1]):
-        acc = eps[:, t].copy()
+def _recurse(coeffs, block, initial) -> np.ndarray:
+    """Overwrite a time-major (horizon, replications, dim) block holding
+    eps_t with the states X_t = sum_j A_j X_{t-j} + eps_t and return it;
+    initial[i] is X_{-i}, shared by every replication.  Each step adds
+    one product per lag to the contiguous slice block[t]."""
+    for t in range(block.shape[0]):
+        acc = block[t]
         for j, a in enumerate(coeffs, start=1):
-            past = states[:, t - j] if t >= j else initial[j - t - 1]
+            past = block[t - j] if t >= j else initial[j - t - 1]
             acc += past @ a.T
-        states[:, t] = acc
-    return states
+    return block
 
 
 def _real_coeffs(ar: ArPencil):
@@ -125,12 +131,11 @@ class SamplePath:
         return np.vstack([self.presample, self.innovations])
 
     def to_csv_text(self) -> str:
-        header = "t," + ",".join(f"coord_{i}" for i in range(self.dim))
-        lines = [header]
+        parts = ["t," + ",".join(f"coord_{i}" for i in range(self.dim)) + "\n"]
         for t in range(1, self.horizon + 1):
-            row = self.states[t - 1]
-            lines.append(str(t) + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+            # one tolist() per row: Python floats, whose repr round-trips
+            parts.append(f"{t},{','.join(map(repr, self.states[t - 1].tolist()))}\n")
+        return "".join(parts)
 
 
 def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
@@ -157,7 +162,8 @@ def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
     eps = _draw(seed, replication, _MAIN_LANE, horizon, factor)
     # drawn backwards from t=0, stored chronologically
     pre = _draw(seed, replication, _PRESAMPLE_LANE, PRESAMPLE, factor)[::-1]
-    states = _recurse(coeffs, eps[None], initial)[0]
+    # the path keeps eps, so the kernel overwrites a time-major copy
+    states = _recurse(coeffs, eps[:, None].copy(), initial)[:, 0]
     return SamplePath(model_id=model_id, seed=int(seed), horizon=int(horizon),
                       states=states, innovations=eps, initial=initial, presample=pre)
 
@@ -311,11 +317,13 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     """States array (replications, horizon, dim), every replication
     started from zero initial states; replication r uses the stream keyed
     (seed, r), so row r equals simulate_ar(..., replication=r) to
-    rounding.  The recursion kernel advances all replications in one
-    pass, one matrix product per lag, whose summation order can differ
-    from a single path's (models.ar2_unit_root_model: about 6e-13 apart
-    after 2000 steps).  ``threads`` > 1 spreads only the draws, each into
-    its own row, so the output is byte-stable across thread counts."""
+    rounding.  The array is a transposed view of the time-major
+    (horizon, replications, dim) block that the recursion kernel
+    overwrites in place, advancing all replications in one pass, one
+    matrix product per lag, whose summation order can differ from a
+    single path's (models.ar2_unit_root_model: about 6e-13 apart after
+    2000 steps).  ``threads`` > 1 spreads only the draws, each into its
+    own row, so the output is byte-stable across thread counts."""
     if replications < 1:
         raise ValueError("need at least one replication")
     if horizon < 1:
@@ -324,10 +332,10 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
         raise ValueError("threads must be >= 1")
     coeffs = _real_coeffs(ar)
     factor = _covariance_factor(cov, ar.dim)
-    eps = np.empty((replications, horizon, ar.dim))
+    white = np.empty((replications, horizon, ar.dim))
 
     def draw(r):
-        eps[r] = _draw(seed, r, _MAIN_LANE, horizon, factor)
+        _white(seed, r, _MAIN_LANE, white[r])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -335,7 +343,8 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     else:
         for r in range(replications):
             draw(r)
-    return _recurse(coeffs, eps, np.zeros((ar.p, ar.dim)))
+    block = white.transpose(1, 0, 2) @ factor.T
+    return _recurse(coeffs, block, np.zeros((ar.p, ar.dim))).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

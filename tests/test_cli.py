@@ -189,6 +189,14 @@ def test_simulate_complex_model_exits_one(capsys, complex_model_path):
     assert_one_line_error(capsys, ["simulate", "--model", complex_model_path])
 
 
+def test_size_too_large_to_allocate_exits_one(capsys):
+    # 1e14 rows of 8 floats exceed any 48-bit address space, so the
+    # allocation fails at once without touching memory
+    code, out, err = run(capsys, ["simulate", "ex-c0", "--horizon", "100000000000000"])
+    assert code == 1 and out == ""
+    assert err.startswith("grj: error: ") and len(err.splitlines()) == 1, err
+
+
 @pytest.mark.parametrize("blocks", [[3], [2, 1]])
 def test_analyze_jordan_block_list(capsys, blocks):
     code, out, _ = run(capsys, ["analyze", "ex-jordan",

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from grjkit.cointegration import beveridge_nelson
 from grjkit.grj import i1_components, i2_components
-from grjkit.models import oblique_ar1_model, random_walk_model
+from grjkit.models import ar2_unit_root_model, oblique_ar1_model, random_walk_model
 from grjkit.numfield import operator_norm
 from grjkit.pencil import linearize
 from grjkit.simkit import (PRESAMPLE, ClassMismatch, SamplePath, consistent_initial,
@@ -55,6 +55,20 @@ def test_csv_format():
     assert lines[1].startswith("1,")
 
 
+def test_csv_rows_keep_the_shortest_round_trip_repr():
+    values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -123.456]
+    states = np.array(values).reshape(3, 2)
+    path = SamplePath(model_id="", seed=0, horizon=3, states=states,
+                      innovations=np.zeros((3, 2)), initial=np.zeros((1, 2)),
+                      presample=np.zeros((0, 2)))
+    # the per-element formatting that to_csv_text must reproduce byte for byte
+    lines = ["t,coord_0,coord_1"] + [
+        str(t) + "," + ",".join(repr(float(v)) for v in states[t - 1])
+        for t in range(1, 4)]
+    assert path.to_csv_text() == "\n".join(lines) + "\n"
+    assert path.to_csv_text().splitlines()[1] == "1,-0.0,5e-324"
+
+
 def test_extended_innovations_order():
     ar = random_walk_model(2)
     path = simulate_ar(ar, np.eye(2), horizon=5, seed=2)
@@ -81,6 +95,20 @@ def test_ensemble_thread_count_does_not_change_bytes():
     threaded = simulate_ensemble(ar, np.eye(ar.dim), horizon=30, seed=6,
                                  replications=70, threads=4)
     assert np.array_equal(serial, threaded)
+
+
+def test_ar2_ensemble_with_correlated_innovations_matches_single_paths():
+    ar = ar2_unit_root_model()
+    cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+    serial = simulate_ensemble(ar, cov, horizon=200, seed=4, replications=9, threads=1)
+    threaded = simulate_ensemble(ar, cov, horizon=200, seed=4, replications=9, threads=3)
+    assert serial.shape == (9, 200, 3)
+    assert serial.tobytes() == threaded.tobytes()
+    assert serial.tobytes() == np.ascontiguousarray(serial).tobytes()
+    for r in range(9):
+        single = simulate_ar(ar, cov, horizon=200, seed=4, replication=r).states
+        gap = float(np.max(np.abs(serial[r] - single)))
+        assert gap <= 1e-12 * (1.0 + float(np.max(np.abs(single))))
 
 
 @pytest.mark.parametrize("bad", [{"horizon": 0}, {"replications": 0}, {"threads": 0},
