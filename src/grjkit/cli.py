@@ -5,9 +5,10 @@ Exit codes are fixed for scriptability:
   0  success
   1  malformed input: an unknown flag or a flag the subcommand or model
      does not take, a value out of range, an unreadable model file or an
-     unwritable --out; a size too large to allocate; or no usable
-     contour (the quadrature never settles, or a resolvent is singular
-     within numfield.RESIDUAL_ABS)
+     unwritable --out; a size too large to allocate; no usable contour
+     (the quadrature never settles, or a resolvent is singular within
+     numfield.RESIDUAL_ABS); or a kernel and range of I - B too
+     ill-conditioned for a reliable projection (numfield.NotComplementary)
   2  the model has no usable unit root (assumption failure)
   3  represent, verify: the pole is neither order one nor order two
   4  verify: an invariant failed (named on stderr); this wins over 3
@@ -56,6 +57,7 @@ from .laurent import (
     pole_order,
 )
 from .numfield import (
+    NotComplementary,
     dump_json,
     matrix_to_json,
     operator_norm,
@@ -499,7 +501,8 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *_: sys.stderr.write(
                 f"grj {args.command}: warning: {message}\n")
             return _COMMANDS[args.command][0](args)
-    except (_CliError, ContourNotConverged, SingularAt, MemoryError) as exc:
+    except (_CliError, ContourNotConverged, SingularAt, NotComplementary,
+            MemoryError) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")
         return _EXIT_BAD_INPUT
     except SystemExit as exc:

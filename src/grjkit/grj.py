@@ -130,7 +130,7 @@ def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict):
     def holomorphic(z):
         out = resolvent(cp, z)
         for j, coeff in items:
-            out = out + coeff * (z - 1.0) ** j
+            out += coeff * (z - 1.0) ** j  # out is resolvent's own array
         return out[:cp.dim, :cp.dim]
 
     coeffs, _, _ = circle_coefficients(holomorphic, range(j_max + 1), center=0.0,

@@ -171,22 +171,27 @@ def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
 def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
     """(I - z*a1)^{-1}, with an explicit residual check.
 
-    Raises SingularAt(z) when the solve is numerically singular or the
-    spectral norm of the residual R = (I - z a1) X - I exceeds
-    RESIDUAL_ABS.  The O(n^2) Frobenius norm screens first: it bounds
-    ||R||_2 from above, so ||R||_F <= RESIDUAL_ABS accepts without an
-    SVD; any other R gets the exact spectral-norm test.
+    The inverse is one LAPACK gesv against the identity right-hand side
+    (``np.linalg.inv``), the same factorization and the same bits as
+    ``np.linalg.solve(I - z*a1, I)``.  Raises SingularAt(z) when the
+    solve is numerically singular or the spectral norm of the residual
+    R = (I - z a1) X - I exceeds RESIDUAL_ABS.  The O(n^2) squared
+    Frobenius norm screens first, compared with RESIDUAL_ABS squared: it
+    bounds ||R||_2 from above, so sum |R_ij|^2 <= RESIDUAL_ABS^2 accepts
+    without an SVD; any other R (NaN too) gets the exact spectral-norm
+    test.
     """
     eye = cp.identity()
     lhs = z * cp.a1
     np.subtract(eye, lhs, out=lhs)
     try:
-        out = np.linalg.solve(lhs, eye)
+        out = np.linalg.inv(lhs)
     except np.linalg.LinAlgError as exc:
         raise SingularAt(z) from exc
     res = lhs @ out
     res -= eye
-    if not np.linalg.norm(res) <= RESIDUAL_ABS and operator_norm(res) > RESIDUAL_ABS:
+    if (not np.vdot(res, res).real <= RESIDUAL_ABS * RESIDUAL_ABS
+            and operator_norm(res) > RESIDUAL_ABS):
         raise SingularAt(z)
     return out
 

@@ -463,6 +463,26 @@ def test_singular_resolvent_exits_one(capsys, monkeypatch):
     assert_one_line_error(capsys, ["analyze", "ex-c0", "--n", "4"])
 
 
+def ill_conditioned_model(k, seed):
+    """AR(1) with B = S diag(1, 0.5, -0.3) S^-1, S = Q1 diag(1, 10^(k/2), 10^k) Q2:
+    a unit root whose kernel and range of I - B are nearly parallel."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    s = q1 @ np.diag([1.0, 10 ** (k / 2), 10.0 ** k]) @ q2
+    return ArPencil(1, 3, [s @ np.diag([1.0, 0.5, -0.3]) @ np.linalg.inv(s)])
+
+
+@pytest.mark.parametrize("k, seed", [(7, 0), (5, 5)])
+@pytest.mark.parametrize("command", ["represent", "analyze", "verify"])
+def test_ill_conditioned_split_exits_one(capsys, tmp_path, k, seed, command):
+    # represent reaches the oblique-projection guard (NotComplementary),
+    # analyze and verify a singular contour node; each is one stderr line
+    path = tmp_path / "ill.json"
+    ill_conditioned_model(k, seed).save(path)
+    assert_one_line_error(capsys, [command, "--model", str(path)])
+
+
 def test_model_file_round_trip(capsys, tmp_path):
     from grjkit.models import build_example
     ar, _ = build_example("ex-c0", n=8)

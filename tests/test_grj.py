@@ -130,9 +130,15 @@ def test_h_coefficients_cross_check(evenodd_cp, shift8_cp):
 def test_taylor_route_agrees_with_closed_h(evenodd_cp):
     i1 = i1_components(evenodd_cp, j_max=12)
     principal, _ = contour_coefficients(evenodd_cp, [-1])
+    kept = {j: c.copy() for j, c in principal.items()}
     taylor = taylor_h_coefficients(evenodd_cp, 12, principal)
     for closed, quad in zip(i1.h_coeffs, taylor):
         assert operator_norm(closed - quad) < 1e-6
+    # the principal part is added into each fresh resolvent, never into N_j
+    assert all(np.array_equal(principal[j], kept[j]) for j in kept)
+    again = taylor_h_coefficients(evenodd_cp, 12, principal)
+    assert len(again) == len(taylor)
+    assert all(np.array_equal(a, b) for a, b in zip(taylor, again))
 
 
 def test_class_exclusivity():

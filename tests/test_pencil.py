@@ -72,6 +72,21 @@ def test_resolvent_is_the_inverse():
     assert_allclose((cp.identity() - z * cp.a1) @ r, cp.identity(), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 12, 64])
+@pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+def test_resolvent_matches_solve_against_identity_to_the_bit(n, complex_coeffs):
+    rng = np.random.default_rng(n)
+    a = 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    if complex_coeffs:
+        a = a + 0.3j * rng.standard_normal((n, n)) / np.sqrt(n)
+    cp = linearize(ArPencil(1, n, [a]))
+    nodes = np.exp(2j * np.pi * np.arange(16) / 16)
+    # the contour circle around 1 and the Taylor circle around 0
+    for z in np.concatenate([1.0 + 0.5 * nodes, 0.9 * nodes]):
+        lhs = cp.identity() - z * cp.a1
+        assert np.array_equal(resolvent(cp, z), np.linalg.solve(lhs, cp.identity()))
+
+
 def test_resolvent_singular_point_raises():
     cp = linearize(random_walk_model(2))
     with pytest.raises(SingularAt):
