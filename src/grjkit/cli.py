@@ -15,10 +15,10 @@ Exit codes are fixed for scriptability:
 
 Each subcommand accepts only the flags it reads, and every value is
 range-checked before any work is done (verify's --jmax is at most
-simkit.PRESAMPLE, the pre-sample length its representation check
-reads), so bad input ends in one line on stderr; a warning raised while
-a command runs is one stderr line too.  Reports are JSON with sorted
-keys and fixed separators, so a fixed (model, seed, flags) combination
+grj.H_TAYLOR_JMAX, the highest h index whose Taylor cross-check
+settles), so bad input ends in one line on stderr; a warning raised
+while a command runs is one stderr line too.  Reports are JSON with
+sorted keys and fixed separators, so a fixed (model, seed, flags) combination
 produces byte-identical output under a fixed BLAS thread count (BLAS
 sums in a thread-dependent order, so another count can move the last
 digits of residual fields).  grjkit reads no environment variable.
@@ -41,6 +41,7 @@ import numpy as np
 from . import models
 from .cointegration import annihilators, beveridge_nelson
 from .grj import (
+    H_TAYLOR_JMAX,
     NotI1,
     NotI2,
     check_i1,
@@ -66,8 +67,6 @@ from .numfield import (
 )
 from .pencil import ArPencil, SingularAt, linearize, spectrum_report
 from .simkit import (
-    PRESAMPLE,
-    consistent_initial,
     differenced_ma,
     recursion_residual,
     simulate_ar,
@@ -145,7 +144,8 @@ def _flag_specs() -> dict:
                        "and the simulated path of simulate and verify (default 0)"),
         "--horizon": dict(type=_POSITIVE_INT, default=300),
         "--jmax": dict(type=_int_at_least(0), default=40,
-                       help="stationary-sum truncation order"),
+                       help="highest h-coefficient index: represent reports h_0..h_jmax, "
+                       f"verify cross-checks them (at most {H_TAYLOR_JMAX})"),
         "--path": dict(default=None,
                        help="stored CSV path to check byte-for-byte determinism"),
         "--dims": dict(type=_dims, default="4,8,16",
@@ -343,9 +343,9 @@ def _check(results: list, name: str, ok: bool, detail):
 
 
 def cmd_verify(args) -> int:
-    if args.jmax > PRESAMPLE:
-        raise _CliError(f"verify --jmax must be at most {PRESAMPLE}, "
-                        "the pre-sample length of the simulated path")
+    if args.jmax > H_TAYLOR_JMAX:
+        raise _CliError(f"verify --jmax must be at most {H_TAYLOR_JMAX}, "
+                        "the highest index whose Taylor h cross-check settles")
     ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
     spectrum = _spectrum(cp, args)
@@ -353,10 +353,10 @@ def cmd_verify(args) -> int:
         return _EXIT_NO_UNIT_ROOT
     seed = args.seed or 0
     results: list = []
-    cov = np.eye(ar.dim)
 
     # determinism: same seed twice is byte-identical; a stored path must
-    # match a fresh simulation under the same settings.
+    # match a fresh simulation under the same settings.  The representation
+    # check below reads the same path.
     path = _simulate(ar, args.horizon, seed, model_id)
     again = _simulate(ar, args.horizon, seed, model_id)
     ok = path.to_csv_text() == again.to_csv_text()
@@ -405,14 +405,11 @@ def cmd_verify(args) -> int:
                {"left": left, "right": right})
 
     try:
-        initial = consistent_initial(ar, report.p_operator, cov, seed)
-        cpath = simulate_ar(ar, cov, args.horizon, seed, initial=initial,
-                            model_id=model_id)
-        check = verify_representation(cpath, report, args.jmax)
-        bound = 1e-6 * (1.0 + float(np.max(np.abs(cpath.states))))
+        check = verify_representation(ar, path, report)
+        bound = 1e-6 * (1.0 + float(np.max(np.abs(path.states))))
         _check(results, "representation", check.max_residual <= bound,
                {"max_residual": check.max_residual, "bound": bound,
-                "class": check.rep_class})
+                "class": check.rep_class, "transient": check.transient})
     except (ValueError, ArithmeticError) as exc:
         _check(results, "representation", False, str(exc))
 

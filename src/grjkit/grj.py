@@ -44,6 +44,9 @@ from .pencil import CompanionPencil, resolvent, spectrum_report
 
 H_TAYLOR_RADIUS = 0.9  # circle around 0 on which the Taylor route samples
 H_TAYLOR_NODES = 512
+# highest j_max verify takes: i1_components compares every h_j up to j_max
+# on the Taylor circle, and at 200 that quadrature no longer settles (ex-evenodd)
+H_TAYLOR_JMAX = 128
 
 
 class NotI1(ArithmeticError):
@@ -154,7 +157,12 @@ def taylor_h_gap(cp: CompanionPencil, closed: list, order: int,
 
 
 def _h_closed_form(cp: CompanionPencil, p_op, j_max: int):
-    """Observable coefficients h_j from the closed form B^j (I - P)."""
+    """Observable coefficients h_j from the closed form B^j (I - P).
+
+    simkit.verify_representation builds its rows as (I - P) B^j instead:
+    both equal h_j when P is the spectral projection, but B^j (I - P)
+    makes the unrolled recursion an identity for every projection onto
+    ker M, so a check built on it could not tell a wrong P."""
     out = []
     power = cp.identity() - p_op
     for _ in range(j_max + 1):

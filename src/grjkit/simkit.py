@@ -5,30 +5,22 @@ time-major (horizon, replications, dim) block of innovations in place
 with the states they drive from an initial state: simulate_ar runs it on
 one replication, simulate_ensemble once on all replications from a zero
 initial state.  Innovations come from counter-based (Philox) streams
-keyed by (seed, replication), with a separate key lane for the
-PRESAMPLE = 128 pre-sample draws, which simulate_ar and
-consistent_initial both take, so
+keyed by (seed, replication), so
 
-  * a fixed (model, seed, horizon) reproduces a path bit-for-bit,
+  * a fixed (model, seed, horizon) reproduces a path bit-for-bit, and
   * replication r of an ensemble equals, to rounding, the single path
     simulated with that replication index (the ensemble advances all
     replications in one matrix product per lag, whose summation order
     can differ from the single path's in the last bits; thread pools
-    spread only the draws, never the recursion), and
-  * consistent_initial sees exactly the pre-sample innovations that
-    simulate_ar stores for replication 0 of the same seed.
+    spread only the draws, never the recursion).
 
-The pre-sample window exists because the stationary component
-nu_t = sum_j h_j eps_{t-j} reaches into the infinite past: with enough
-pre-sample innovations (and coefficient decay), nu_t is computable
-essentially exactly at t = 0, which turns the representation check into
-an equality test rather than a burn-in approximation.  The check fits
-only the free constants the theory actually leaves free -- a constant
-level for a simple unit root, an affine level for a double one -- over
-the first few time points, then demands the remaining residual be flat
-at rounding scale.  Exactness requires the path's initial state to be
-representation-consistent (see consistent_initial); an arbitrary initial
-state adds a geometric transient that no constant/affine fit absorbs.
+The representation check needs nothing before t = 1.  Unrolling the
+companion recursion from the stored initial state splits every path
+into closed-form pieces -- the initial-state levels, the random walk
+(and its sum, for a double root), the decaying initial-state transient
+and the finite stationary sum of the innovations drawn so far -- so the
+check predicts the path exactly from any initial state, fits nothing
+and truncates nothing (see verify_representation).
 """
 
 from __future__ import annotations
@@ -41,31 +33,22 @@ import numpy as np
 
 from .cointegration import MaRepresentation, annihilators, positive_definite_check
 from .grj import I1Report, I2Report, NotI2
-from .numfield import RESIDUAL_ABS, ascent_at_one, fit_geometric_decay, operator_norm
+from .numfield import RESIDUAL_ABS, ascent_at_one, operator_norm
 from .pencil import ArPencil, linearize
-
-PRESAMPLE = 128  # pre-sample innovations per path; bounds verify_representation's j_max
-_MAIN_LANE = 0
-_PRESAMPLE_LANE = 1
 
 
 class ClassMismatch(ArithmeticError):
     """The representation class of the report disagrees with the model."""
 
 
-def _white(seed: int, replication: int, lane: int, out: np.ndarray) -> np.ndarray:
+def _white(seed: int, replication: int, out: np.ndarray) -> np.ndarray:
     """Fill the contiguous ``out`` with the first standard normals of the
-    stream keyed (seed, replication, lane), in row order."""
+    stream keyed (seed, replication), in row order.  The counter stays
+    2 * replication so that every path keeps its bytes."""
     key = [np.uint64(int(seed) % (1 << 64)),
-           np.uint64((2 * int(replication) + lane) % (1 << 64))]
+           np.uint64(2 * int(replication) % (1 << 64))]
     np.random.Generator(np.random.Philox(key=key)).standard_normal(out=out)
     return out
-
-
-def _draw(seed: int, replication: int, lane: int, rows: int, factor) -> np.ndarray:
-    """The first ``rows`` innovations of the stream keyed
-    (seed, replication, lane), coloured by the covariance factor."""
-    return _white(seed, replication, lane, np.empty((rows, factor.shape[0]))) @ factor.T
 
 
 def _recurse(coeffs, block, initial) -> np.ndarray:
@@ -108,10 +91,10 @@ def _covariance_factor(cov, dim: int):
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """One simulated trajectory plus the innovation history that made it.
+    """One simulated trajectory plus the innovations that made it.
 
-    states[t-1] is X_t for t = 1..horizon; initial[i] is X_{-i}; and
-    presample[k] is eps_{k - n_pre + 1} (chronological, ending at eps_0).
+    states[t-1] is X_t and innovations[t-1] is eps_t for t = 1..horizon;
+    initial[i] is X_{-i}.
     """
 
     model_id: str
@@ -120,15 +103,10 @@ class SamplePath:
     states: np.ndarray
     innovations: np.ndarray
     initial: np.ndarray
-    presample: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def extended_innovations(self) -> np.ndarray:
-        """Innovation rows for t = 1 - n_pre .. horizon, chronological."""
-        return np.vstack([self.presample, self.innovations])
 
     def to_csv_text(self) -> str:
         parts = ["t," + ",".join(f"coord_{i}" for i in range(self.dim)) + "\n"]
@@ -142,10 +120,9 @@ def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
                 replication: int = 0, model_id: str = "") -> SamplePath:
     """Simulate X_t = sum_j A_j X_{t-j} + eps_t with Gaussian innovations.
 
-    ``initial`` is a (p, dim) array with row i equal to X_{-i}; the
-    recursion itself is applied exactly, so the stored states satisfy the
-    law to rounding by construction.  The path also stores the PRESAMPLE
-    innovations before t = 1.
+    ``initial`` is a (p, dim) array with row i equal to X_{-i} (zeros by
+    default); the recursion itself is applied exactly, so the stored
+    states satisfy the law to rounding by construction.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -159,13 +136,11 @@ def simulate_ar(ar: ArPencil, cov, horizon: int, seed: int, initial=None,
     if initial.shape != (p, n):
         raise ValueError(f"initial must have shape ({p}, {n})")
 
-    eps = _draw(seed, replication, _MAIN_LANE, horizon, factor)
-    # drawn backwards from t=0, stored chronologically
-    pre = _draw(seed, replication, _PRESAMPLE_LANE, PRESAMPLE, factor)[::-1]
+    eps = _white(seed, replication, np.empty((horizon, n))) @ factor.T
     # the path keeps eps, so the kernel overwrites a time-major copy
     states = _recurse(coeffs, eps[:, None].copy(), initial)[:, 0]
     return SamplePath(model_id=model_id, seed=int(seed), horizon=int(horizon),
-                      states=states, innovations=eps, initial=initial, presample=pre)
+                      states=states, innovations=eps, initial=initial)
 
 
 def recursion_residual(ar: ArPencil, path: SamplePath) -> float:
@@ -182,55 +157,13 @@ def recursion_residual(ar: ArPencil, path: SamplePath) -> float:
     return worst
 
 
-def consistent_initial(ar: ArPencil, p_op, cov, seed: int, level=None) -> np.ndarray:
-    """Initial state vectors that remove the representation transient.
-
-    Solving the companion recursion forward leaves a term
-    B^t (I - P)(Xtilde_0 - nu_0) that decays only geometrically; choosing
-    Xtilde_0 = nu_0 + level with level in ran P makes it vanish, so the
-    closed-form representation is exact from t = 1 on.  The pre-sample
-    innovations used here are exactly the ones simulate_ar will draw for
-    replication 0 of this seed, by the keyed-stream convention.
-
-    ``level`` is a companion-space vector in ran P (defaults to zero);
-    it becomes tau_0 (and feeds tau_1 for a double root).  Returns the
-    (p, dim) initial array for simulate_ar.
-    """
-    cp = linearize(ar)
-    pn, n, p = cp.big_dim, ar.dim, ar.p
-    p_op = np.asarray(p_op, dtype=np.complex128)
-    if p_op.shape != (pn, pn):
-        raise ValueError("long-run projection has the wrong shape")
-    factor = _covariance_factor(cov, n)
-    pre = _draw(seed, 0, _PRESAMPLE_LANE, PRESAMPLE, factor)  # row j is eps_{-j}
-
-    nu0 = np.zeros(pn, dtype=np.complex128)
-    power = cp.identity() - p_op  # H_j = B^j (I - P), applied to lifted eps_{-j}
-    for j in range(PRESAMPLE):
-        nu0 += power[:, :n] @ pre[j]  # lifted eps_{-j} is zero past the first block
-        power = cp.a1 @ power
-
-    if level is None:
-        level = np.zeros(pn)
-    level = np.asarray(level, dtype=np.complex128).ravel()
-    if level.shape != (pn,):
-        raise ValueError("level must be a companion-space vector")
-    drift = np.linalg.norm(p_op @ level - level)
-    if drift > 10 * RESIDUAL_ABS * (1.0 + np.linalg.norm(level)):
-        raise ValueError("level must lie in the range of the long-run projection")
-
-    start = nu0 + level
-    if np.max(np.abs(start.imag)) > 1e-9 * (1.0 + np.max(np.abs(start.real))):
-        raise ValueError("consistent initial state came out non-real")
-    return start.real.reshape(p, n)
-
-
 @dataclass(frozen=True, eq=False)
 class RepresentationCheck:
     max_residual: float
     tau0: np.ndarray
     tau1: np.ndarray
     rep_class: str
+    transient: float  # ||[(I - P) B^T]_obs||_2 at T = horizon
 
 
 def _as_real(m, what: str):
@@ -240,72 +173,61 @@ def _as_real(m, what: str):
     return m.real
 
 
-def verify_representation(path: SamplePath, report, j_max: int,
-                          ar: ArPencil | None = None) -> RepresentationCheck:
-    """Compare the stored path against the closed-form representation.
+def verify_representation(ar: ArPencil, path: SamplePath, report) -> RepresentationCheck:
+    """Compare the stored path with the exact representation of ``ar``
+    from the path's own initial state.
 
-    Builds the stochastic part from the report's long-run operators and
-    h-coefficients plus the path's innovation history, fits the free
-    level (and trend, for a double root) on the first few points, and
-    returns the worst remaining deviation.  When the generating model is
-    passed, its unit-root ascent is checked against the report class
-    first.
+    With B the companion operator, P the report's long-run projection,
+    D = (B - I)P (zero for a simple root, -N_{-2} for a double one),
+    Xtilde_0 the stacked initial state and R_j = [(I - P) B^j]_obs,
+    unrolling Xtilde_t = B^t Xtilde_0 + sum_s B^{t-s} epstilde_s gives
+
+      X_t = [(P + tD) Xtilde_0]_obs + R_t Xtilde_0 + P_obs xi_t
+            + D_obs sum_{s<=t} (t-s) eps_s + sum_{j<t} R_j[:, :n] eps_{t-j}.
+
+    The levels tau0 = [P Xtilde_0]_obs and tau1 = [D Xtilde_0]_obs are
+    predicted, not fitted, and nothing is truncated.  Each R_j comes
+    from the row recursion R_{j+1} = R_j B: the identity above then
+    needs P to commute with B, whereas in the order B^j (I - P) it holds
+    for every projection onto ker M.  Returns the largest Euclidean
+    deviation over t = 1..horizon; ``transient`` is ||R_T||_2, how far
+    the initial-state term has decayed by the last step.
     """
     if not isinstance(report, (I1Report, I2Report)):
         raise TypeError("report must be an order-one or order-two report")
     rep_class = f"I{report.order}"
     if not report.holds:
         raise ClassMismatch("the report does not certify its own class")
-    if ar is not None:
-        order = ascent_at_one(linearize(ar).a1)
-        if order != report.order:
-            raise ClassMismatch(
-                f"model has unit-root ascent {order}, report class is {rep_class}")
-    if len(report.h_coeffs) <= j_max:
-        raise ValueError(f"report carries {len(report.h_coeffs)} h-coefficients, "
-                         f"need j_max+1 = {j_max + 1}")
-    if path.presample.shape[0] < j_max:
-        raise ValueError("path pre-sample window is shorter than j_max")
-
-    h = [_as_real(c, "h-coefficient") for c in report.h_coeffs[:j_max + 1]]
-    decay_c, decay_rho = fit_geometric_decay([operator_norm(c) for c in h])
-    if 0 < decay_rho < 1:
-        tail = decay_c * decay_rho ** (j_max + 1) / (1.0 - decay_rho)
-        if tail > 1e-10:
-            warnings.warn(f"h-coefficient tail bound {tail:.2e} above 1e-10; "
-                          "the residual floor is limited by truncation", stacklevel=2)
-
+    cp = linearize(ar)
+    order = ascent_at_one(cp.a1)
+    if order != report.order:
+        raise ClassMismatch(f"model has unit-root ascent {order}, report class is {rep_class}")
+    if report.p_operator is None:
+        raise ValueError("the report carries no long-run projection")
     t_count, n = path.states.shape
-    extended = path.extended_innovations()
-    n_pre = path.presample.shape[0]
-    nu = np.zeros((t_count, n))
-    for j, coeff in enumerate(h):
-        # rows for times (1-j)..(T-j) start at offset n_pre - j
-        nu += extended[n_pre - j:n_pre - j + t_count] @ coeff.T
+    if (n, path.initial.shape[0]) != (ar.dim, ar.p):
+        raise ValueError("path dimensions do not match the model")
 
-    xi = np.cumsum(path.innovations, axis=0)
-    if report.order == 1:
-        long_run = _as_real(report.long_run, "long-run operator")
-        stochastic = xi @ long_run.T + nu
-    else:
-        lr2 = _as_real(report.long_run2, "second-order long-run operator")
-        lr1 = _as_real(report.long_run1, "first-order long-run operator")
-        stochastic = -np.cumsum(xi, axis=0) @ lr2.T + xi @ lr1.T + nu
+    b = _as_real(cp.a1, "companion operator")
+    p_op = _as_real(report.p_operator, "long-run projection")
+    d_op = (b - np.eye(cp.big_dim)) @ p_op
+    start = path.initial.reshape(-1)
+    tau0, tau1 = (p_op @ start)[:n], (d_op @ start)[:n]
 
-    deviation = path.states - stochastic
-    window = min(max(path.initial.shape[0], 3), t_count)
-    times = np.arange(1, t_count + 1, dtype=float)
-    if report.order == 1:
-        tau0 = deviation[:window].mean(axis=0)
-        tau1 = np.zeros(n)
-    else:
-        design = np.column_stack([np.ones(window), times[:window]])
-        coef, *_ = np.linalg.lstsq(design, deviation[:window], rcond=None)
-        tau0, tau1 = coef[0], coef[1]
-    fitted = tau0[None, :] + times[:, None] * tau1[None, :]
-    residual = float(np.max(np.linalg.norm(deviation - fitted, axis=1)))
+    eps = path.innovations
+    xi = np.cumsum(eps, axis=0)
+    times = np.arange(1, t_count + 1, dtype=float)[:, None]
+    # sum_{s<=t} (t - s) eps_s = xi_1 + ... + xi_{t-1}
+    predicted = (tau0 + times * tau1 + xi @ p_op[:n, :n].T
+                 + (np.cumsum(xi, axis=0) - xi) @ d_op[:n, :n].T)
+    rows = np.eye(n, cp.big_dim) - p_op[:n]  # R_0
+    for j in range(t_count):
+        predicted[j:] += eps[:t_count - j] @ rows[:, :n].T
+        rows = rows @ b
+        predicted[j] += rows @ start  # R_t Xtilde_0 at t = j + 1
+    residual = float(np.max(np.linalg.norm(path.states - predicted, axis=1)))
     return RepresentationCheck(max_residual=residual, tau0=tau0, tau1=tau1,
-                               rep_class=rep_class)
+                               rep_class=rep_class, transient=operator_norm(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +257,7 @@ def simulate_ensemble(ar: ArPencil, cov, horizon: int, seed: int,
     white = np.empty((replications, horizon, ar.dim))
 
     def draw(r):
-        _white(seed, r, _MAIN_LANE, white[r])
+        _white(seed, r, white[r])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # script -> (its smallest arguments, a line its output must contain)
 SCRIPTS = {
     "pole_order_gallery": (["--jordan-seeds", "0"], "jordan[3]@0"),
-    "truncation_study": (["--model", "ex-c0", "--horizon", "50"], "j_max   96"),
     "variance_law_mc": (["--reps", "10", "--horizon", "8", "--seeds", "1",
                          "--threads", "1"], "ar2-unit: predicted slope"),
 }
@@ -28,11 +27,6 @@ SCRIPTS = {
 # (script, arguments): each is refused, so argparse exits 2 before any work
 # (and before variance_law_mc starts a thread)
 BAD_ARGUMENTS = [
-    ("truncation_study", ["--horizon", "0"]),
-    ("truncation_study", ["--n", "0"]),
-    ("truncation_study", ["--n", "-3"]),
-    ("truncation_study", ["--seed", "0"]),  # ex-c0 takes no seed: the builder refuses
-    ("truncation_study", ["--model", "ex-nope"]),
     ("variance_law_mc", ["--seeds", "0"]),
     ("variance_law_mc", ["--horizon", "0"]),
     ("variance_law_mc", ["--reps", "0"]),

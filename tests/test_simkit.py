@@ -5,7 +5,7 @@ T=500 representation sweep lives in the acceptance suite.)
 """
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,10 +13,12 @@ from numpy.testing import assert_allclose
 
 from grjkit.cointegration import beveridge_nelson
 from grjkit.grj import i1_components, i2_components
-from grjkit.models import ar2_unit_root_model, oblique_ar1_model, random_walk_model
-from grjkit.numfield import operator_norm
+from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
+                           build_example, jordan_model, oblique_ar1_model,
+                           random_walk_model)
+from grjkit.numfield import oblique_projection, operator_norm, orthogonal_complement
 from grjkit.pencil import linearize
-from grjkit.simkit import (PRESAMPLE, ClassMismatch, SamplePath, consistent_initial,
+from grjkit.simkit import (ClassMismatch, SamplePath,
                            differenced_ma, polynomial_cointegration_probe,
                            recursion_residual, simulate_ar, simulate_ensemble,
                            stationarity_slope, verify_representation)
@@ -42,7 +44,7 @@ def test_recursion_residual_detects_tampering(shift8):
     states = path.states.copy()
     states[40, 2] += 1e-3
     broken = SamplePath(path.model_id, path.seed, path.horizon, states,
-                        path.innovations, path.initial, path.presample)
+                        path.innovations, path.initial)
     assert recursion_residual(shift8, broken) > 1e-6
 
 
@@ -59,23 +61,13 @@ def test_csv_rows_keep_the_shortest_round_trip_repr():
     values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -123.456]
     states = np.array(values).reshape(3, 2)
     path = SamplePath(model_id="", seed=0, horizon=3, states=states,
-                      innovations=np.zeros((3, 2)), initial=np.zeros((1, 2)),
-                      presample=np.zeros((0, 2)))
+                      innovations=np.zeros((3, 2)), initial=np.zeros((1, 2)))
     # the per-element formatting that to_csv_text must reproduce byte for byte
     lines = ["t,coord_0,coord_1"] + [
         str(t) + "," + ",".join(repr(float(v)) for v in states[t - 1])
         for t in range(1, 4)]
     assert path.to_csv_text() == "\n".join(lines) + "\n"
     assert path.to_csv_text().splitlines()[1] == "1,-0.0,5e-324"
-
-
-def test_extended_innovations_order():
-    ar = random_walk_model(2)
-    path = simulate_ar(ar, np.eye(2), horizon=5, seed=2)
-    ext = path.extended_innovations()
-    assert ext.shape == (PRESAMPLE + 5, 2)
-    assert np.array_equal(ext[PRESAMPLE:], path.innovations)
-    assert np.array_equal(ext[:PRESAMPLE], path.presample)
 
 
 def test_ensemble_slice_equals_single_run():
@@ -123,52 +115,101 @@ def test_ensemble_rejects_empty_sizes_and_thread_counts(bad):
 @pytest.mark.parametrize("call", [
     lambda cov: simulate_ar(oblique_ar1_model(), cov, 10, 0),
     lambda cov: simulate_ensemble(oblique_ar1_model(), cov, 10, 0, 4),
-    lambda cov: consistent_initial(random_walk_model(2), np.eye(2), cov, seed=0),
-], ids=["simulate_ar", "simulate_ensemble", "consistent_initial"])
+], ids=["simulate_ar", "simulate_ensemble"])
 def test_covariance_of_the_wrong_dimension_is_refused(call):
     # every model here is 2-dimensional
     with pytest.raises(ValueError, match="covariance dimension does not match the model"):
         call(np.eye(3))
 
 
+def _bound(path):
+    return 1e-6 * (1.0 + float(np.max(np.abs(path.states))))
+
+
 def test_representation_random_walk_exact():
     ar = random_walk_model(2)
-    cp = linearize(ar)
-    rep = i1_components(cp, j_max=16)
-    init = consistent_initial(ar, rep.p_operator, np.eye(2), seed=7)
+    rep = i1_components(linearize(ar), j_max=16)
+    init = np.array([[3.0, -1.5]])
     path = simulate_ar(ar, np.eye(2), horizon=120, seed=7, initial=init)
-    check = verify_representation(path, rep, j_max=8, ar=ar)
-    bound = 1e-6 * (1.0 + float(np.max(np.abs(path.states))))
-    assert check.max_residual <= bound
+    check = verify_representation(ar, path, rep)
+    assert check.max_residual <= _bound(path)
     assert check.rep_class == "I1"
+    assert_allclose(check.tau0, init[0], atol=1e-12)  # P = I: the level is the start
     assert_allclose(check.tau1, 0.0, atol=1e-12)
 
 
 def test_representation_shift_model(shift8, shift8_cp):
     rep = i2_components(shift8_cp, j_max=40)
-    init = consistent_initial(shift8, rep.p_operator, np.eye(8), seed=11)
+    init = np.random.default_rng(11).standard_normal((1, 8))
     path = simulate_ar(shift8, np.eye(8), horizon=150, seed=11, initial=init)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        check = verify_representation(path, rep, j_max=32, ar=shift8)
-    bound = 1e-6 * (1.0 + float(np.max(np.abs(path.states))))
-    assert check.max_residual <= bound
+    check = verify_representation(shift8, path, rep)
+    assert check.max_residual <= _bound(path)
     assert check.rep_class == "I2"
+
+
+# label -> (model builder, pole order at z = 1)
+REPRESENTATION_MODELS = {
+    "oblique-ar1": (oblique_ar1_model, 1),
+    "ar2-unit": (lambda: ar2_unit_root_model(seed=11), 1),
+    "ar3-unit": (lambda: ar3_unit_root_model(seed=17), 1),
+    "ex-c0": (lambda: build_example("ex-c0", n=8)[0], 2),
+    "ar2-double": (lambda: ar2_double_root_model(seed=13), 2),
+    "jordan-[2,1]": (lambda: jordan_model(0, blocks_at_one=[2, 1])[0], 2),
+}
+
+
+@pytest.mark.parametrize("label", list(REPRESENTATION_MODELS))
+def test_representation_exact_from_a_random_initial_state(label):
+    build, order = REPRESENTATION_MODELS[label]
+    ar = build()
+    cp = linearize(ar)
+    rep = i1_components(cp, j_max=4) if order == 1 else i2_components(cp, j_max=4)
+    init = np.random.default_rng(sum(map(ord, label))).standard_normal((ar.p, ar.dim))
+    path = simulate_ar(ar, np.eye(ar.dim), horizon=200, seed=3, initial=init)
+    check = verify_representation(ar, path, rep)
+    assert check.max_residual <= _bound(path)
+    assert check.rep_class == f"I{order}"
+    # the levels are predicted from the start: [P x0]_obs and [D x0]_obs
+    # with D = -N_{-2}, which vanishes for a simple root
+    start = init.reshape(-1)
+    assert_allclose(check.tau0, (rep.p_operator @ start)[:ar.dim].real, atol=1e-12)
+    tau1 = 0.0 if order == 1 else -(rep.n_minus2 @ start)[:ar.dim].real
+    assert_allclose(check.tau1, tau1, atol=1e-12)
+    if order == 2:
+        assert np.linalg.norm(check.tau1) > 0.05  # the trend is really exercised
+    assert 0.0 <= check.transient < 1e-9
+
+
+def test_wrong_complement_fails_the_check():
+    # P onto ker M along (ker M)^perp instead of ran M: still a projection
+    # onto ker M, but one that does not commute with B
+    ar, _ = jordan_model(5, blocks_at_one=[1])
+    cp = linearize(ar)
+    rep = i1_components(cp, j_max=4)
+    wrong = oblique_projection(cp.unit_kernel, orthogonal_complement(cp.unit_kernel))
+    assert operator_norm(wrong - rep.p_operator) > 1.0
+    path = simulate_ar(ar, np.eye(ar.dim), horizon=300, seed=5)
+    assert verify_representation(ar, path, rep).max_residual <= _bound(path)
+    bad = verify_representation(ar, path, dataclasses.replace(rep, p_operator=wrong))
+    assert bad.max_residual > 1.0
+
+
+def test_perturbed_order_two_projection_fails_the_check():
+    ar, _ = jordan_model(3, blocks_at_one=[2, 1])
+    cp = linearize(ar)
+    rep = i2_components(cp, j_max=4)
+    noise = np.random.default_rng(0).standard_normal(rep.p_operator.shape)
+    path = simulate_ar(ar, np.eye(ar.dim), horizon=300, seed=3)
+    assert verify_representation(ar, path, rep).max_residual <= _bound(path)
+    bad = dataclasses.replace(rep, p_operator=rep.p_operator + 1e-2 * noise)
+    assert verify_representation(ar, path, bad).max_residual > 1.0
 
 
 def test_class_mismatch_raises(shift8, shift8_cp, evenodd_cp):
     i1 = i1_components(evenodd_cp, j_max=16)
     path = simulate_ar(shift8, np.eye(8), horizon=60, seed=1)
     with pytest.raises(ClassMismatch):
-        verify_representation(path, i1, j_max=8, ar=shift8)
-
-
-def test_consistent_initial_rejects_level_outside_range(shift8, shift8_cp):
-    rep = i2_components(shift8_cp, j_max=4)
-    bad = np.ones(shift8_cp.big_dim)
-    assert np.linalg.norm(rep.p_operator @ bad - bad) > 1e-3  # plainly not in ran P
-    with pytest.raises(ValueError):
-        consistent_initial(shift8, rep.p_operator, np.eye(8), seed=0, level=bad)
+        verify_representation(shift8, path, i1)
 
 
 def test_stationarity_slope_white_noise():
