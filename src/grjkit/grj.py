@@ -224,14 +224,10 @@ class _OrderTwoGeometry:
             else ran_complement
         self.ker_c = orthogonal_complement(self.ker) if ker_complement is None \
             else ker_complement
-        if not direct_sum_check(self.ran, self.ran_c).holds:
-            raise NotComplementary("supplied range complement is not complementary")
-        if not direct_sum_check(self.ker, self.ker_c).holds:
-            raise NotComplementary("supplied kernel complement is not complementary")
-
-        self.k_space = subspace_intersection(self.ran, self.ker)
+        # each projection raises NotComplementary for a complement that fails
         self.p_ran = oblique_projection(self.ran, self.ran_c)
         self.p_ker = oblique_projection(self.ker, self.ker_c)
+        self.k_space = subspace_intersection(self.ran, self.ker)
         off_range = np.eye(n, dtype=np.complex128) - self.p_ran
         self.w_space = apply_to_subspace(off_range, self.ker)
         # Inner complements: K_C (built with Q^g) completes K to the kernel

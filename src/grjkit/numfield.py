@@ -3,8 +3,8 @@
 Everything downstream (pencils, Laurent coefficients, representation
 components) reduces to a handful of primitives collected here: induced
 operator norms, tolerant rank / kernel / range decisions, subspace
-arithmetic, oblique projections, generalized inverses relative to a pair
-of complements, and the Jordan-ascent oracle at eigenvalue 1.
+arithmetic, oblique projections, the checked generalized inverse of the
+order-two geometry, and the Jordan-ascent oracle at eigenvalue 1.
 
 Conventions
 -----------
@@ -13,7 +13,9 @@ Conventions
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
   only matter for reported norm values.  They all cut at the fixed
-  RANK_REL relative to the largest singular value.  Residual checks
+  RANK_REL relative to the largest singular value.  A kernel and a
+  range come from one full SVD (kernel_and_range), so they agree on the
+  rank; rank-only decisions take singular values alone.  Residual checks
   (solves, projections, generalized inverses) cut at the fixed absolute
   RESIDUAL_ABS, in the operator norm; no caller tunes either.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
@@ -186,19 +188,22 @@ def numerical_rank(m) -> int:
     return _rank_of(np.linalg.svd(as_operator(m), compute_uv=False))
 
 
-def kernel_basis(m) -> Subspace:
-    """Orthonormal basis of the numerical null space (right singular vectors)."""
+def kernel_and_range(m) -> tuple:
+    """(ker M, ran M) from one full SVD, cut by the one rank rule: the
+    right singular vectors past the rank span the kernel, the left ones
+    up to it the range."""
     m = as_operator(m)
-    _, s, vh = np.linalg.svd(m)
-    basis = vh[_rank_of(s):].conj().T  # cols x (cols-rank)
-    return Subspace(m.shape[1], basis)
+    u, s, vh = np.linalg.svd(m)
+    rank = _rank_of(s)
+    return Subspace(m.shape[1], vh[rank:].conj().T), Subspace(m.shape[0], u[:, :rank])
+
+
+def kernel_basis(m) -> Subspace:
+    return kernel_and_range(m)[0]
 
 
 def range_basis(m) -> Subspace:
-    """Orthonormal basis of the numerical column space (left singular vectors)."""
-    m = as_operator(m)
-    u, s, _ = np.linalg.svd(m)
-    return Subspace(m.shape[0], u[:, :_rank_of(s)])
+    return kernel_and_range(m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,7 @@ def direct_sum_check(u: Subspace, w: Subspace) -> DirectSumResult:
 
 
 # ---------------------------------------------------------------------------
-# oblique projections and relative generalized inverses
+# oblique projections and generalized inverses
 # ---------------------------------------------------------------------------
 
 def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
@@ -296,30 +301,6 @@ def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
     return proj
 
 
-def relative_generalized_inverse(m, ker_complement: Subspace,
-                                 ran_complement: Subspace) -> np.ndarray:
-    """Generalized inverse of M relative to complements of ker M and ran M.
-
-    Returns the operator G with
-        G M = I - P_ker   and   M G = P_ran,
-    where P_ker projects onto ker M along ker_complement and P_ran
-    projects onto ran M along ran_complement.  G inverts M restricted to
-    ker_complement -> ran M and kills ran_complement.  This checks both
-    complements and builds both projections; the solve and the identity
-    guard are _generalized_inverse, which the order-two geometry calls
-    with the projections it already holds.
-    """
-    m = as_operator(m, square=True)
-    ker = kernel_basis(m)
-    ran = range_basis(m)
-    if not direct_sum_check(ker, ker_complement).holds:
-        raise NotComplementary("ker_complement does not complement ker M")
-    if not direct_sum_check(ran, ran_complement).holds:
-        raise NotComplementary("ran_complement does not complement ran M")
-    return _generalized_inverse(m, ker_complement, oblique_projection(ker, ker_complement),
-                                oblique_projection(ran, ran_complement))
-
-
 def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran) -> np.ndarray:
     """G = K_C (M K_C)^+ P_ran, with K_C the basis of ker_complement,
     checked against G M = I - P_ker and M G = P_ran within
@@ -339,32 +320,30 @@ def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran) -> np.ndarra
 # Jordan ascent at eigenvalue 1
 # ---------------------------------------------------------------------------
 
-def _kernel_chain_at_one(m) -> list:
-    """Kernel dimensions d_k = dim ker (I-M)^k for k = 0, 1, ..., K, with
-    K the smallest k where d_{k+1} = d_k (at most the dimension of M).
-
-    d_K is the algebraic multiplicity of the eigenvalue 1 and K the size
-    of its largest Jordan block; both are 0 when 1 is not an eigenvalue.
-    """
-    m = as_operator(m, square=True)
-    n = m.shape[0]
-    d = np.eye(n, dtype=np.complex128) - m
-    dims = [0]
-    power = d
-    while len(dims) <= n:
-        null_k = n - numerical_rank(power)
-        if null_k == dims[-1]:
-            break
+def _kernel_chain(d, d1: int) -> tuple:
+    """Kernel dimensions d_k = dim ker D^k for k = 0, 1, ..., K, given
+    d1 = dim ker D, with K the smallest k where d_{k+1} = d_k (at most the
+    dimension of D).  With D = I - M, d_K is the algebraic multiplicity of
+    the eigenvalue 1 of M and K the size of its largest Jordan block; both
+    are 0 when 1 is not an eigenvalue."""
+    n = d.shape[0]
+    dims, null_k, power = [0], d1, d
+    while null_k != dims[-1]:
         dims.append(null_k)
+        if len(dims) > n:
+            break
         power = power @ d
-    return dims
+        null_k = n - numerical_rank(power)
+    return tuple(dims)
 
 
 def ascent_at_one(m) -> int:
-    """Size of the largest Jordan block of M at eigenvalue 1, read off
-    _kernel_chain_at_one (0 when 1 is not an eigenvalue).  This doubles as
-    an independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
-    return len(_kernel_chain_at_one(m)) - 1
+    """Size of the largest Jordan block of M at eigenvalue 1 (0 when 1 is
+    not an eigenvalue), from a kernel chain of I - M of its own: an
+    independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
+    m = as_operator(m, square=True)
+    d = np.eye(m.shape[0], dtype=np.complex128) - m
+    return len(_kernel_chain(d, d.shape[0] - numerical_rank(d))) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator,
-                       _json_int, _kernel_chain_at_one, kernel_basis, matrix_from_json,
-                       matrix_to_json, operator_norm, range_basis)
+                       _json_int, _kernel_chain, kernel_and_range, matrix_from_json,
+                       matrix_to_json, operator_norm)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
 UNIT_CLUSTER_SCATTER = 0.05  # farthest a unit-cluster eigenvalue may sit from 1
@@ -94,10 +94,12 @@ class CompanionPencil:
     The observable block of a companion-space operator X, its compression
     to the first coordinate block, is X[:dim, :dim].
 
-    M = I - a1 and its kernel and range, which the class checks read,
-    are computed once per pencil on first use (``m``, ``unit_kernel``,
-    ``unit_range``; read-only), and so is the identity that
-    ``identity()`` returns.
+    M = I - a1 is decomposed once per pencil, on first use: one full SVD
+    gives its kernel and range, which the class checks read, and
+    d_1 = dim ker M, the first step of the kernel chain at 1 that every
+    spectrum_report of the pencil reads (``m``, ``unit_kernel``,
+    ``unit_range``, ``kernel_chain``; read-only).  The identity that
+    ``identity()`` returns is also built once.
     """
 
     big_dim: int
@@ -133,12 +135,20 @@ class CompanionPencil:
         return m
 
     @cached_property
+    def _kernel_and_range(self) -> tuple:
+        return kernel_and_range(self.m)
+
+    @property
     def unit_kernel(self) -> Subspace:
-        return kernel_basis(self.m)
+        return self._kernel_and_range[0]
+
+    @property
+    def unit_range(self) -> Subspace:
+        return self._kernel_and_range[1]
 
     @cached_property
-    def unit_range(self) -> Subspace:
-        return range_basis(self.m)
+    def kernel_chain(self) -> tuple:
+        return _kernel_chain(self.m, self.unit_kernel.dim)
 
 
 def linearize(ar: ArPencil) -> CompanionPencil:
@@ -233,7 +243,8 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
 
     Finite dimensions give the exact reciprocal relationship between
     companion eigenvalues and pencil singular points; a zero-scan of
-    det A(z) is kept only as a test oracle.
+    det A(z) is kept only as a test oracle.  The kernel chain at 1 is
+    cp.kernel_chain, so a repeat report on one pencil takes no SVD.
     """
     eigs = np.linalg.eigvals(cp.a1)
     nonzero = eigs[np.abs(eigs) > RANK_REL]  # a zero eigenvalue has no pencil root
@@ -244,7 +255,7 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     # membership in the unit cluster is decided by rank instead: the
     # algebraic multiplicity at 1 is the stabilized kernel dimension of
     # powers of (I - B), and that many nearest eigenvalues form the cluster.
-    chain = _kernel_chain_at_one(cp.a1)
+    chain = cp.kernel_chain
     multiplicity = chain[-1]
 
     order = np.argsort(np.abs(roots - 1.0), kind="stable")

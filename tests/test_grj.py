@@ -7,7 +7,6 @@ to reproduce them through the similarity.
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from grjkit.grj import (I1Report, NotI1, NotI2, check_i1, check_i2, i1_component
                         i2_components, taylor_h_coefficients)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
 from grjkit.models import build_example, jordan_model
-from grjkit.numfield import (Subspace, kernel_basis, operator_norm, orthogonal_complement,
-                             range_basis)
+from grjkit.numfield import (NotComplementary, Subspace, kernel_basis, operator_norm,
+                             orthogonal_complement, range_basis)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
@@ -80,6 +79,25 @@ def test_components_are_complement_independent(shift8_cp, mixed21_cp):
                                 ker_complement=kc)
             assert operator_norm(rep.n_minus2 - contour[-2]) < 1e-7
             assert operator_norm(rep.n_minus2 + rep.p_operator - contour[-1]) < 1e-7
+
+
+def test_supplied_complements_that_fail_are_rejected(shift8_cp):
+    # ker M is a line and ran M a hyperplane: a line inside ran M, or a
+    # hyperplane through ker M, has the right dimension but complements
+    # nothing; a space of the wrong dimension is rejected too.  The
+    # message names the pair, so the first split checked is the one
+    # that failed, not a later one downstream of it.
+    ker, ran = shift8_cp.unit_kernel, shift8_cp.unit_range
+    assert (ker.dim, ran.dim) == (1, 7)
+    inside_ran = Subspace.from_columns(ran.basis[:, :1])
+    through_ker = Subspace.from_columns(np.hstack([ker.basis,
+                                                   orthogonal_complement(ker).basis[:, :6]]))
+    for kwargs, dims in (({"ran_complement": inside_ran}, r"7\+1, defect 1"),
+                         ({"ker_complement": through_ker}, r"1\+7, defect 1"),
+                         ({"ran_complement": Subspace.trivial(8)}, r"7\+0, defect 1"),
+                         ({"ker_complement": Subspace.full(8)}, r"1\+8, defect 0")):
+        with pytest.raises(NotComplementary, match=rf"do not decompose C\^8: dims {dims}"):
+            i2_components(shift8_cp, j_max=2, **kwargs)
 
 
 def test_mixed_block_geometry_exercises_graft(mixed21_cp):
@@ -215,23 +233,23 @@ def test_long_run_operators_are_ambient(shift8, shift8_cp):
 
 
 def test_class_checks_decompose_m_once(monkeypatch):
-    # check_i1, the order-two geometry and its generalized inverse all read
-    # the pencil's one kernel and one range of M = I - B
-    import grjkit.numfield as numfield
-    cp = linearize(jordan_model(2, blocks_at_one=[2])[0])  # fresh: nothing cached yet
+    # the spectrum reports, the pole order, check_i1, the order-two
+    # geometry and its generalized inverse all read the pencil's one SVD
+    # of M = I - B (a fresh pencil: a fixture pencil keeps its caches)
+    cp = linearize(jordan_model(2, blocks_at_one=[2])[0])
     m = cp.identity() - cp.a1
+    svd = np.linalg.svd
     calls = []
-    for name in ("kernel_basis", "range_basis"):
-        original = getattr(numfield, name)
 
-        def counted(a, _original=original, _name=name):
-            if np.array_equal(a, m):
-                calls.append(_name)
-            return _original(a)
+    def counted(a, *args, **kwargs):
+        if np.array_equal(a, m):
+            calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
 
-        for module in [mod for key, mod in sys.modules.items() if key.startswith("grjkit")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for _ in range(3):
+        assert spectrum_report(cp).unit_root_ok
+    assert pole_order(cp).order == 2
     assert not check_i1(cp).holds
     assert check_i2(cp).holds
-    assert sorted(calls) == ["kernel_basis", "range_basis"]
+    assert calls == [True]  # one full SVD

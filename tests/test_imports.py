@@ -28,7 +28,6 @@ CALLERS = sorted(path for path in [*(ROOT / "src" / "grjkit").glob("*.py"),
 TESTS_ONLY = (
     "eval_poly",  # A(z) evaluated directly: the reference for the linearized pencil
     "polynomial_cointegration_probe",  # Monte Carlo check of the order-two annihilator tiers
-    "relative_generalized_inverse",  # complement-checked form of the inverse grj calls unchecked
     "random_walk_model",  # X_t = X_{t-1} + eps_t: the simplest unit-root fixture
     "ar3_unit_root_model",  # the one AR(3) fixture, in the I(1) and Schur-consistency tests
 )

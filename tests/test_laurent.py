@@ -173,21 +173,25 @@ def test_non_isolated_unit_root_raises():
         riesz_projection(cp)
 
 
-def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8_cp):
-    # the ascent comes from the spectrum report's chain, not a second one
-    import grjkit.numfield as numfield
-    import grjkit.pencil as pencil
-    chain = numfield._kernel_chain_at_one
+def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8):
+    # every spectrum report and the pole order read the pencil's one
+    # kernel chain: each power of M = I - B is decomposed once (a fresh
+    # pencil: a fixture pencil keeps its caches from test to test)
+    cp = linearize(shift8)
+    m = cp.identity() - cp.a1
+    powers = [m, m @ m, m @ m @ m]
+    svd = np.linalg.svd
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return chain(m)
+    def counted(a, *args, **kwargs):
+        calls.extend(k for k, power in enumerate(powers, 1) if np.array_equal(a, power))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(numfield, "_kernel_chain_at_one", counted)
-    monkeypatch.setattr(pencil, "_kernel_chain_at_one", counted)
-    assert pole_order(shift8_cp).ascent == 2
-    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for _ in range(3):
+        assert spectrum_report(cp).ascent == 2
+    assert pole_order(cp).ascent == 2
+    assert calls == [1, 2, 3]
 
 
 def test_radius_guard():

@@ -1,6 +1,6 @@
 """
 Tests for the dense linear-algebra layer: ranks and subspaces against an
-exact rational oracle, projections, the relative generalized inverse, and
+exact rational oracle, projections, the checked generalized inverse, and
 the JSON wire format.
 """
 from __future__ import annotations
@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grjkit.numfield import (NotComplementary, Subspace,
+from grjkit.numfield import (NotComplementary, Subspace, _generalized_inverse,
                              apply_to_subspace, ascent_at_one, direct_sum_check,
-                             dump_json, fit_geometric_decay, kernel_basis,
-                             matrix_from_json, matrix_to_json, numerical_rank,
-                             oblique_projection, operator_norm,
+                             dump_json, fit_geometric_decay, kernel_and_range,
+                             kernel_basis, matrix_from_json, matrix_to_json,
+                             numerical_rank, oblique_projection, operator_norm,
                              orthogonal_complement, range_basis,
-                             relative_generalized_inverse,
                              subspace_intersection, subspace_sum,
                              subspace_to_json)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
@@ -63,6 +62,17 @@ def test_rank_matches_rational_elimination(m):
 def test_rank_nullity(m):
     a = m.astype(float)
     assert numerical_rank(a) + kernel_basis(a).dim == a.shape[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices)
+def test_kernel_and_range_share_one_rank(m):
+    ker, ran = kernel_and_range(m.astype(float))
+    assert ran.dim == exact_rank(m)
+    assert ker.dim + ran.dim == m.shape[1]
+    assert (ker.ambient_dim, ran.ambient_dim) == (m.shape[1], m.shape[0])
+    if ker.dim:
+        assert np.max(np.abs(m @ ker.basis)) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,12 +168,20 @@ def test_oblique_projection_rejects_non_complementary():
         oblique_projection(u, w)
 
 
+def relative_inverse(m, ker_c, ran_c):
+    """M^g relative to the complements, from the projections the
+    order-two geometry hands _generalized_inverse."""
+    ker, ran = kernel_and_range(m)
+    return _generalized_inverse(m, ker_c, oblique_projection(ker, ker_c),
+                                oblique_projection(ran, ran_c))
+
+
 def test_generalized_inverse_of_invertible_matrix():
     rng = np.random.default_rng(21)
     m = rng.standard_normal((5, 5)) + 5 * np.eye(5)
     ker_c = Subspace.full(5)
     ran_c = Subspace.from_columns(np.zeros((5, 0)))
-    g = relative_generalized_inverse(m, ker_c, ran_c)
+    g = relative_inverse(m, ker_c, ran_c)
     assert_allclose(g, np.linalg.inv(m), atol=1e-10)
 
 
@@ -182,7 +200,7 @@ def test_generalized_inverse_defining_identities():
                                   + ker.basis @ mix)
     ran_c = Subspace.from_columns(orthogonal_complement(ran).basis
                                   + ran.basis @ (0.2 * rng.standard_normal((4, 2))))
-    g = relative_generalized_inverse(m, ker_c, ran_c)
+    g = relative_inverse(m, ker_c, ran_c)
     assert operator_norm(m @ g @ m - m) < 1e-9
     assert operator_norm(g @ m @ g - g) < 1e-9
     assert_allclose(m @ g, oblique_projection(ran, ran_c), atol=1e-9)
