@@ -14,7 +14,7 @@ Exit codes are fixed for scriptability:
   4  verify: an invariant failed (named on stderr); this wins over 3
 
 Each subcommand accepts only the flags it reads, and every value is
-range-checked before any work is done (verify's --jmax is at most
+range-checked before any work is done (--jmax is at most
 grj.H_TAYLOR_JMAX, the highest h index whose Taylor cross-check
 settles), so bad input ends in one line on stderr; a warning raised
 while a command runs is one stderr line too.  Reports are JSON with
@@ -131,6 +131,15 @@ def _dims(raw: str) -> tuple:
 _POSITIVE_INT = _int_at_least(1)
 
 
+def _jmax(raw: str) -> int:
+    value = _int_at_least(0)(raw)
+    if value > H_TAYLOR_JMAX:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {H_TAYLOR_JMAX}, the highest h index whose Taylor "
+            f"cross-check settles, got {raw!r}")
+    return value
+
+
 def _flag_specs() -> dict:
     """add_argument keywords of every flag; each default lives only here."""
     return {
@@ -143,9 +152,9 @@ def _flag_specs() -> dict:
         "--seed": dict(type=int, default=None, help="seed of ex-selfadjoint, ex-jordan "
                        "and the simulated path of simulate and verify (default 0)"),
         "--horizon": dict(type=_POSITIVE_INT, default=300),
-        "--jmax": dict(type=_int_at_least(0), default=40,
-                       help="highest h-coefficient index: represent reports h_0..h_jmax, "
-                       f"verify cross-checks them (at most {H_TAYLOR_JMAX})"),
+        "--jmax": dict(type=_jmax, default=40,
+                       help=f"highest h-coefficient index, at most {H_TAYLOR_JMAX}: "
+                       "represent reports h_0..h_jmax, verify cross-checks them"),
         "--path": dict(default=None,
                        help="stored CSV path to check byte-for-byte determinism"),
         "--dims": dict(type=_dims, default="4,8,16",
@@ -343,9 +352,6 @@ def _check(results: list, name: str, ok: bool, detail):
 
 
 def cmd_verify(args) -> int:
-    if args.jmax > H_TAYLOR_JMAX:
-        raise _CliError(f"verify --jmax must be at most {H_TAYLOR_JMAX}, "
-                        "the highest index whose Taylor h cross-check settles")
     ar, model_id, _ = _load_model(args)
     cp = linearize(ar)
     spectrum = _spectrum(cp, args)

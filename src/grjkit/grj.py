@@ -44,7 +44,7 @@ from .pencil import CompanionPencil, resolvent, spectrum_report
 
 H_TAYLOR_RADIUS = 0.9  # circle around 0 on which the Taylor route samples
 H_TAYLOR_NODES = 512
-# highest j_max verify takes: i1_components compares every h_j up to j_max
+# highest --jmax the CLI takes: i1_components compares every h_j up to j_max
 # on the Taylor circle, and at 200 that quadrature no longer settles (ex-evenodd)
 H_TAYLOR_JMAX = 128
 

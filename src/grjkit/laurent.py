@@ -44,7 +44,9 @@ DEFAULT_NODES = 256
 MIN_NODES = 16
 MAX_NODES = 4096  # node doubling stops here; a start must lie below it
 QUADRATURE_CONV_TOL = 1e-10  # largest change between levels that counts as settled
-SAMPLE_BLOCK_BYTES = 4 << 20  # samples held at once per level; a block holds >= 1 node
+SAMPLE_BLOCK_BYTES = 2 << 20  # samples and twiddle columns held at once per level;
+                              # a block holds >= 1 node
+TWIDDLE_BYTES_PER_INDEX = 32  # per node and index: a complex weight and two int64 exponents
 
 
 class NoUnitRoot(ArithmeticError):
@@ -89,11 +91,14 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     M-th roots of unity, so large |j| costs no accuracy.
 
     Samples stream through one block of at most SAMPLE_BLOCK_BYTES (at
-    least one node), and each block adds its share of W @ samples to the
-    running sums, so a level holds at most SAMPLE_BLOCK_BYTES (or one
-    sample, if larger) plus J = len(js) sample-sized sums at once instead
-    of all M samples.  A level that fits in one block is one product and
-    rounds as if unblocked.
+    least one node), and each node in a block is charged its sample plus
+    its column of W (TWIDDLE_BYTES_PER_INDEX per index: the complex
+    weight and the int64 exponent temporaries).  Each block builds only
+    its own columns of W and adds its share of W @ samples to the J =
+    len(js) running sums, so a level holds at most SAMPLE_BLOCK_BYTES (or
+    one node, if larger) plus J sample-sized sums at once, never all M
+    samples or the J x M table.  A level that fits in one block is one
+    product and rounds as if unblocked.
     """
     js = list(js)
     if not MIN_NODES <= nodes < MAX_NODES:
@@ -105,9 +110,9 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
         theta = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
         zs = center + radius * np.exp(1j * theta)
         roots = np.exp(-1j * theta)  # e^{-i theta_k} = e^{-2 pi i k / M}
-        twiddles = roots[np.outer(js, np.arange(m_nodes)) % m_nodes]
         first = np.asarray(fn(zs[0]), dtype=np.complex128)
-        per_block = min(m_nodes, max(1, SAMPLE_BLOCK_BYTES // max(first.nbytes, 1)))
+        node_bytes = first.nbytes + TWIDDLE_BYTES_PER_INDEX * len(js)
+        per_block = min(m_nodes, max(1, SAMPLE_BLOCK_BYTES // max(node_bytes, 1)))
         block = np.empty((per_block,) + first.shape, dtype=np.complex128)
         block[0] = first
         sums = None
@@ -115,7 +120,9 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
             stop = min(start + per_block, m_nodes)
             for k in range(max(start, 1), stop):
                 block[k - start] = fn(zs[k])
-            part = twiddles[:, start:stop] @ block[:stop - start].reshape(stop - start, -1)
+            # this block's columns of W, freed once the product is taken
+            part = (roots[np.outer(js, np.arange(start, stop)) % m_nodes]
+                    @ block[:stop - start].reshape(stop - start, -1))
             # the first block's product is the sum itself, so a level that
             # fits in one block rounds exactly as an unblocked product
             if sums is None:

@@ -18,6 +18,7 @@ from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
 from grjkit.numfield import matrix_from_json
 from grjkit.pencil import ArPencil, SingularAt
+from grjkit.simkit import ClassMismatch
 
 
 @pytest.fixture()
@@ -158,6 +159,7 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["verify", "ex-c0", "--jmax", "-1"],
     ["verify", "ex-c0", "--jmax", str(H_TAYLOR_JMAX + 1)],  # beyond the Taylor h check
     ["represent", "ex-c0", "--jmax", "-1"],
+    ["represent", "ex-c0", "--jmax", str(H_TAYLOR_JMAX + 1)],  # refused before any quadrature
     ["analyze", "ex-jordan", "--blocks", "0"],
     ["sweep", "ex-volterra", "--dims", "8,8"],
     # a model flag the model does not take
@@ -211,6 +213,14 @@ def test_no_unit_root_exit_two(capsys, stable_model_path):
     code, _, err = run(capsys, ["analyze", "--model", stable_model_path])
     assert code == 2
     assert "unit root" in err.lower()
+
+
+@pytest.mark.parametrize("command", ["represent", "verify"])
+def test_no_unit_root_exit_two_without_a_report(capsys, stable_model_path, command):
+    code, out, err = run(capsys, [command, "--model", stable_model_path])
+    assert code == 2
+    assert out == ""
+    assert err == f"grj {command}: no usable unit root at z=1\n"
 
 
 def model_text(p=1, dim=2, rows=2, cols=2) -> str:
@@ -445,6 +455,26 @@ def test_verify_path_mismatch_fails_determinism(capsys, tmp_path):
                                   "--jmax", "30"])
     assert code == 4
     assert "determinism" in err
+
+
+def test_verify_path_directory_exits_one(capsys, tmp_path):
+    assert_one_line_error(capsys, ["verify", "ex-c0", "--n", "4", "--horizon", "20",
+                                   "--path", str(tmp_path)])
+
+
+def test_verify_representation_error_fails_the_invariant(capsys, monkeypatch):
+    def mismatch(*args, **kwargs):
+        raise ClassMismatch("model has unit-root ascent 3, report class is 2")
+
+    monkeypatch.setattr(cli, "verify_representation", mismatch)
+    code, out, err = run(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"])
+    assert code == 4
+    assert err == "grj verify: invariant failure: representation\n"
+    report = json.loads(out)
+    assert report["failed"] == ["representation"] and not report["ok"]
+    detail = next(item["detail"] for item in report["invariants"]
+                  if item["name"] == "representation")
+    assert detail == "model has unit-root ascent 3, report class is 2"
 
 
 def test_verify_path_match_passes(capsys, tmp_path):

@@ -255,7 +255,8 @@ def test_sums_over_ragged_node_blocks_match_one_block(monkeypatch):
     one_block, m_nodes, _ = circle_coefficients(fn, js, center=center, radius=1.0,
                                                 nodes=16)
     per_block = 7  # 16 nodes: blocks of 7, 7, 2; 32 nodes: 7, 7, 7, 7, 4
-    monkeypatch.setattr(laurent, "SAMPLE_BLOCK_BYTES", per_block * fn(center).nbytes)
+    node_bytes = fn(center).nbytes + laurent.TWIDDLE_BYTES_PER_INDEX * len(js)
+    monkeypatch.setattr(laurent, "SAMPLE_BLOCK_BYTES", per_block * node_bytes)
     coeffs, blocked_nodes, _ = circle_coefficients(fn, js, center=center, radius=1.0,
                                                    nodes=16)
     assert blocked_nodes == m_nodes > 2 * per_block and m_nodes % per_block
@@ -267,7 +268,9 @@ def test_sums_over_ragged_node_blocks_match_one_block(monkeypatch):
 
 def test_singular_node_in_a_later_block_propagates(monkeypatch):
     _, fn, center = _random_polynomial()
-    monkeypatch.setattr(laurent, "SAMPLE_BLOCK_BYTES", 4 * fn(center).nbytes)
+    js = [0, 1]
+    node_bytes = fn(center).nbytes + laurent.TWIDDLE_BYTES_PER_INDEX * len(js)
+    monkeypatch.setattr(laurent, "SAMPLE_BLOCK_BYTES", 4 * node_bytes)  # 4 nodes a block
     raised, calls = SingularAt(0.0), []
 
     def integrand(z):
@@ -277,7 +280,7 @@ def test_singular_node_in_a_later_block_propagates(monkeypatch):
         return fn(z)
 
     with pytest.raises(SingularAt) as info:
-        circle_coefficients(integrand, [0, 1], center=center, nodes=16)
+        circle_coefficients(integrand, js, center=center, nodes=16)
     assert info.value is raised
     assert len(calls) == 11
 
@@ -297,6 +300,28 @@ def test_level_memory_is_bounded_by_the_sample_block():
     sample = cp.big_dim ** 2 * 16
     assert 512 * sample > 8 * laurent.SAMPLE_BLOCK_BYTES
     assert peak < 2 * laurent.SAMPLE_BLOCK_BYTES + len(js) * sample
+
+
+def test_level_memory_counts_the_twiddle_columns():
+    # many indices on a tiny integrand: the J x M weights, not the
+    # samples, are what a level must not hold at once
+    js = range(129)
+    sample = 2 * 2 * 16
+
+    def fn(z):
+        return np.array([[1.0, z], [z * z, 2.0]], dtype=np.complex128)
+
+    tracemalloc.start()
+    try:
+        coeffs, m_nodes, _ = circle_coefficients(fn, js, radius=1.0, nodes=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m_nodes == 4096
+    assert len(js) * m_nodes * 16 > 2 * laurent.SAMPLE_BLOCK_BYTES
+    assert peak < 2 * laurent.SAMPLE_BLOCK_BYTES + len(js) * sample
+    assert_allclose(coeffs[2], [[0, 0], [1, 0]], rtol=0, atol=1e-13)
+    assert_allclose(coeffs[128], np.zeros((2, 2)), rtol=0, atol=1e-13)
 
 
 def test_quadrature_start_at_the_cap_is_rejected():
