@@ -360,12 +360,13 @@ def cmd_verify(args) -> int:
     seed = args.seed or 0
     results: list = []
 
-    # determinism: same seed twice is byte-identical; a stored path must
-    # match a fresh simulation under the same settings.  The representation
-    # check below reads the same path.
+    # determinism: the same seed twice gives the same states bit for bit;
+    # a stored path must match the CSV bytes of a fresh simulation under
+    # the same settings, so the path is encoded only for --path.  The
+    # representation check below reads the same path.
     path = _simulate(ar, args.horizon, seed, model_id)
     again = _simulate(ar, args.horizon, seed, model_id)
-    ok = path.to_csv_text() == again.to_csv_text()
+    ok = path.states.tobytes() == again.states.tobytes()
     detail = "regenerated path matches" if ok else "same seed gave different bytes"
     if ok and args.path:
         try:

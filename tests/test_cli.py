@@ -18,7 +18,7 @@ from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
 from grjkit.numfield import matrix_from_json
 from grjkit.pencil import ArPencil, SingularAt
-from grjkit.simkit import ClassMismatch
+from grjkit.simkit import ClassMismatch, SamplePath
 
 
 @pytest.fixture()
@@ -455,6 +455,45 @@ def test_verify_path_mismatch_fails_determinism(capsys, tmp_path):
                                   "--jmax", "30"])
     assert code == 4
     assert "determinism" in err
+
+
+def test_verify_encodes_the_path_only_for_a_stored_comparison(capsys, monkeypatch,
+                                                             tmp_path):
+    stored = tmp_path / "path.csv"
+    assert main(["simulate", "ex-c0", "--horizon", "60", "--out", str(stored)]) == 0
+    capsys.readouterr()
+    encode, calls = SamplePath.to_csv_text, []
+
+    def counted(self):
+        calls.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(SamplePath, "to_csv_text", counted)
+    argv = ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    assert len(calls) == 0
+    code, _, err = run(capsys, [*argv, "--path", str(stored)])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_verify_one_ulp_apart_fails_determinism(capsys, monkeypatch):
+    simulate, made = cli._simulate, []
+
+    def nudged(*args):
+        path = simulate(*args)
+        made.append(path)
+        if len(made) == 2:
+            path.states[17, 3] = np.nextafter(path.states[17, 3], np.inf)
+        return path
+
+    monkeypatch.setattr(cli, "_simulate", nudged)
+    code, out, err = run(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"])
+    assert len(made) == 2
+    assert code == 4
+    assert err == "grj verify: invariant failure: determinism\n"
+    assert json.loads(out)["failed"] == ["determinism"]
 
 
 def test_verify_path_directory_exits_one(capsys, tmp_path):

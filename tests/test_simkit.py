@@ -48,6 +48,54 @@ def test_recursion_residual_detects_tampering(shift8):
     assert recursion_residual(shift8, broken) > 1e-6
 
 
+@pytest.mark.parametrize("t", [1, 21])
+def test_recursion_residual_is_not_finite_on_a_nan_state(shift8, t):
+    # one NaN state must not hide behind the finite steps around it
+    path = simulate_ar(shift8, np.eye(8), horizon=80, seed=3)
+    states = path.states.copy()
+    states[t - 1, 2] = np.nan
+    broken = dataclasses.replace(path, states=states)
+    assert not np.isfinite(recursion_residual(shift8, broken))
+
+
+def test_recursion_residual_keeps_step_rounding_on_a_fast_growing_path():
+    # a triple root reaches |X| ~ 4e7 by t = 1000, where a product that
+    # regroups each step's sums rounds by ~1e-16 |A| |X|: above verify's 1e-8
+    ar, _ = jordan_model(0, blocks_at_one=[3])
+    path = simulate_ar(ar, np.eye(ar.dim), horizon=1000, seed=0)
+    assert np.max(np.abs(path.states)) > 1e7
+    assert recursion_residual(ar, path) <= 1e-12
+
+
+def _stepwise_residual(ar, path):
+    """max |X_t - eps_t - sum_j A_j X_{t-j}|, one step at a time."""
+    coeffs = [np.asarray(c).real for c in ar.coeffs]
+    worst = 0.0
+    for t in range(1, path.horizon + 1):
+        acc = path.states[t - 1] - path.innovations[t - 1]
+        for j, a in enumerate(coeffs, start=1):
+            acc = acc - a @ (path.states[t - j - 1] if t > j else path.initial[j - t])
+        worst = max(worst, float(np.max(np.abs(acc))))
+    return worst
+
+
+@pytest.mark.parametrize("build", [ar2_unit_root_model, ar3_unit_root_model,
+                                   ar2_double_root_model])
+def test_recursion_residual_reads_every_lag_of_the_initial_state(build):
+    ar = build()
+    assert ar.p > 1
+    # row i of initial is X_{-i}
+    init = np.random.default_rng(ar.p * 10 + ar.dim).standard_normal((ar.p, ar.dim))
+    path = simulate_ar(ar, np.eye(ar.dim), horizon=120, seed=5, initial=init)
+    residual = recursion_residual(ar, path)
+    assert residual <= 1e-12
+    # both are rounding errors: they agree to a few ulps of the largest level
+    ulp = np.finfo(float).eps * np.max(np.abs(path.states))
+    assert abs(residual - _stepwise_residual(ar, path)) <= 4 * ulp
+    shifted = dataclasses.replace(path, initial=init + 1e-3)
+    assert recursion_residual(ar, shifted) > 1e-4
+
+
 def test_csv_format():
     ar = random_walk_model(2)
     path = simulate_ar(ar, np.eye(2), horizon=4, seed=0)
