@@ -3,8 +3,8 @@
 Pipeline: build an AR(p) pencil (pencil), locate and classify the
 singularity at z=1 by contour quadrature (laurent), compute the
 closed-form long-run operators and stationary-part coefficients for
-simple and double poles (grj), study the induced moving-average and
-cointegration structure (cointegration), and validate everything
+simple and double poles (grj), derive the cointegrating functionals
+(cointegration), and validate everything
 against seeded simulation (simkit).  The cli module ties the pieces
 into a small command-line tool; models holds the built-in examples.
 

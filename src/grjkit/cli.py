@@ -39,7 +39,7 @@ import warnings
 import numpy as np
 
 from . import models
-from .cointegration import annihilators, beveridge_nelson
+from .cointegration import annihilators
 from .grj import (
     H_TAYLOR_JMAX,
     NotI1,
@@ -67,7 +67,6 @@ from .numfield import (
 )
 from .pencil import ArPencil, SingularAt, linearize, spectrum_report
 from .simkit import (
-    differenced_ma,
     recursion_residual,
     simulate_ar,
     verify_representation,
@@ -319,12 +318,10 @@ def cmd_represent(args) -> int:
               "p_operator": matrix_to_json(np.asarray(rep.p_operator))}
     if rep.order == 1:
         long_run = np.asarray(rep.long_run)
-        ma = differenced_ma(rep)
         report.update({
             "long_run": matrix_to_json(long_run),
             "cointegrating": subspace_to_json(annihilators(long_run)),
             "attractor": subspace_to_json(range_basis(long_run)),
-            "bn": beveridge_nelson(ma).to_json(),
         })
     else:
         lr2 = np.asarray(rep.long_run2)
@@ -362,7 +359,8 @@ def cmd_verify(args) -> int:
 
     # determinism: the same seed twice gives the same states bit for bit;
     # a stored path must match the CSV bytes of a fresh simulation under
-    # the same settings, so the path is encoded only for --path.  The
+    # the same settings, read as bytes so that no line ending is
+    # translated; the path is encoded only for --path.  The
     # representation check below reads the same path.
     path = _simulate(ar, args.horizon, seed, model_id)
     again = _simulate(ar, args.horizon, seed, model_id)
@@ -370,11 +368,11 @@ def cmd_verify(args) -> int:
     detail = "regenerated path matches" if ok else "same seed gave different bytes"
     if ok and args.path:
         try:
-            with open(args.path, "r", encoding="utf-8") as fh:
+            with open(args.path, "rb") as fh:
                 stored = fh.read()
         except OSError as exc:
             raise _CliError(f"cannot read stored path {args.path}: {exc}") from exc
-        ok = stored == path.to_csv_text()
+        ok = stored == path.to_csv_text().encode("utf-8")
         detail = ("stored path matches" if ok
                   else "stored path differs from regeneration (seed mismatch?)")
     _check(results, "determinism", ok, detail)

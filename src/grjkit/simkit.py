@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cointegration import MaRepresentation, annihilators, positive_definite_check
+from .cointegration import annihilators, positive_definite_check
 from .grj import I1Report, I2Report, NotI2
 from .numfield import RESIDUAL_ABS, ascent_at_one, operator_norm
 from .pencil import ArPencil, linearize
@@ -378,18 +378,3 @@ def polynomial_cointegration_probe(states, i2: I2Report) -> ProbeReport:
                 and (negative is None or not negative["stationary"]))
     return ProbeReport(tier1=tier1, tier2=tier2, negative=negative,
                        all_pass=bool(all_pass))
-
-
-def differenced_ma(report: I1Report) -> MaRepresentation:
-    """MA form of the first difference of an order-one solution:
-    coefficient k is long_run * [k == 0] + h_k - h_{k-1}.  Its
-    coefficient sum telescopes back to the long-run operator (up to the
-    truncated tail), tying the pencil pipeline to the MA pipeline."""
-    if not report.holds or not report.h_coeffs:
-        raise ValueError("need a holding order-one report with h-coefficients")
-    h = [_as_real(c, "h-coefficient") for c in report.h_coeffs]
-    lr = _as_real(report.long_run, "long-run operator")
-    coeffs = [lr + h[0]]
-    for k in range(1, len(h)):
-        coeffs.append(h[k] - h[k - 1])
-    return MaRepresentation(coeffs)

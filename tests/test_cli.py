@@ -281,7 +281,8 @@ def test_represent_i1_payload(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["class"] == "I1"
-    assert "long_run" in report and "bn" in report
+    assert set(report) == {"attractor", "class", "cointegrating", "cross_check_residual",
+                           "h_coeffs", "long_run", "model", "p_operator"}
     assert report["cross_check_residual"] < 1e-6
     long_run = matrix_from_json(report["long_run"])
     cointegrating = basis(report["cointegrating"])
@@ -525,6 +526,25 @@ def test_verify_path_match_passes(capsys, tmp_path):
                               "--seed", "3", "--path", str(stored),
                               "--jmax", "30"])
     assert code == 0
+
+
+@pytest.mark.parametrize("mangle", [lambda text: text.replace(b"\n", b"\r\n"),
+                                    lambda text: text + b"\xff"],
+                         ids=["crlf", "not-utf8"])
+def test_verify_path_compares_bytes(capsys, tmp_path, mangle):
+    stored = tmp_path / "lf.csv"
+    assert main(["simulate", "ex-c0", "--seed", "3", "--horizon", "40",
+                 "--out", str(stored)]) == 0
+    mangled = tmp_path / "mangled.csv"
+    mangled.write_bytes(mangle(stored.read_bytes()))
+    capsys.readouterr()
+    argv = ["verify", "ex-c0", "--seed", "3", "--horizon", "40", "--path"]
+    code, _, err = run(capsys, [*argv, str(stored)])
+    assert code == 0, err
+    code, out, err = run(capsys, [*argv, str(mangled)])
+    assert code == 4
+    assert err == "grj verify: invariant failure: determinism\n"
+    assert json.loads(out)["failed"] == ["determinism"]
 
 
 def test_verify_two_lag_model(capsys, tmp_path):

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from grjkit.grj import (I1Report, NotI1, NotI2, check_i1, check_i2, i1_components,
                         i2_components, taylor_h_coefficients)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
-from grjkit.models import build_example, jordan_model
+from grjkit.models import ar2_unit_root_model, build_example, jordan_model
 from grjkit.numfield import (NotComplementary, Subspace, kernel_basis, operator_norm,
                              orthogonal_complement, range_basis)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
@@ -136,6 +136,20 @@ def test_h_series_inverts_the_pencil(evenodd_cp):
             power = evenodd_cp.a1 @ power
         gap = (eye - z * evenodd_cp.a1) @ h_z - (eye - p)
         assert operator_norm(gap) < 1e-8
+
+
+@pytest.mark.parametrize("build", [lambda: build_example("ex-evenodd", n=16)[0],
+                                   ar2_unit_root_model], ids=["ex-evenodd", "ar2"])
+def test_long_run_is_the_observable_projection_and_h_vanishes(build):
+    """The closed form's two facts: P_obs multiplies the random walk, and
+    the stationary coefficients h_j decay, so the h tail adds nothing to
+    the long-run sum.  On the AR(2) model the observable block is a real
+    compression of the companion projection."""
+    ar = build()
+    rep = i1_components(linearize(ar), j_max=60)
+    assert np.array_equal(rep.long_run, rep.p_operator[:ar.dim, :ar.dim])
+    assert len(rep.h_coeffs) == 61
+    assert operator_norm(rep.h_coeffs[60]) < 1e-7
 
 
 def test_h_coefficients_cross_check(evenodd_cp, shift8_cp):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.cointegration import beveridge_nelson
 from grjkit.grj import i1_components, i2_components
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
                            build_example, jordan_model, oblique_ar1_model,
@@ -19,7 +18,7 @@ from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_
 from grjkit.numfield import oblique_projection, operator_norm, orthogonal_complement
 from grjkit.pencil import linearize
 from grjkit.simkit import (ClassMismatch, SamplePath,
-                           differenced_ma, polynomial_cointegration_probe,
+                           polynomial_cointegration_probe,
                            recursion_residual, simulate_ar, simulate_ensemble,
                            stationarity_slope, verify_representation)
 
@@ -279,15 +278,6 @@ def test_stationarity_slope_random_walk():
 def test_stationarity_slope_needs_replications():
     with pytest.raises(ValueError):
         stationarity_slope(np.zeros((3, 100)))
-
-
-def test_differenced_ma_long_run_matches_projection(evenodd_cp):
-    """The permanent loading of the differenced series equals the ambient
-    compression of the spectral projection."""
-    i1 = i1_components(evenodd_cp, j_max=60)
-    ma = differenced_ma(i1)
-    bn = beveridge_nelson(ma)
-    assert operator_norm(bn.a_operator - i1.long_run) < 1e-7
 
 
 def test_probe_rejects_non_i2_report(evenodd_cp):
