@@ -60,10 +60,8 @@ from .laurent import (
 from .numfield import (
     NotComplementary,
     dump_json,
-    matrix_to_json,
     operator_norm,
     range_basis,
-    subspace_to_json,
 )
 from .pencil import ArPencil, SingularAt, linearize, spectrum_report
 from .simkit import (
@@ -314,24 +312,21 @@ def cmd_represent(args) -> int:
         return _EXIT_NO_CLASS
     report = {"model": model_id, "class": f"I{rep.order}",
               "cross_check_residual": float(rep.cross_check_residual),
-              "h_coeffs": [matrix_to_json(np.asarray(h)) for h in rep.h_coeffs],
-              "p_operator": matrix_to_json(np.asarray(rep.p_operator))}
+              "h_coeffs": rep.h_coeffs, "p_operator": rep.p_operator}
     if rep.order == 1:
-        long_run = np.asarray(rep.long_run)
         report.update({
-            "long_run": matrix_to_json(long_run),
-            "cointegrating": subspace_to_json(annihilators(long_run)),
-            "attractor": subspace_to_json(range_basis(long_run)),
+            "long_run": rep.long_run,
+            "cointegrating": annihilators(rep.long_run),
+            "attractor": range_basis(rep.long_run),
         })
     else:
-        lr2 = np.asarray(rep.long_run2)
-        lr1 = np.asarray(rep.long_run1)
+        lr2, lr1 = rep.long_run2, rep.long_run1
         report.update({
-            "long_run2": matrix_to_json(lr2),
-            "long_run1": matrix_to_json(lr1),
-            "n_minus2": matrix_to_json(np.asarray(rep.n_minus2)),
-            "tier1_annihilators": subspace_to_json(annihilators(lr2)),
-            "tier2_annihilators": subspace_to_json(annihilators(lr2, lr1 - lr2)),
+            "long_run2": lr2,
+            "long_run1": lr1,
+            "n_minus2": rep.n_minus2,
+            "tier1_annihilators": annihilators(lr2),
+            "tier2_annihilators": annihilators(lr2, lr1 - lr2),
         })
     _emit(dump_json(report), args.out)
     return _EXIT_OK

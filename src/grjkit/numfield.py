@@ -368,7 +368,21 @@ def fit_geometric_decay(norms: Iterable[float]):
     return float(math.exp(intercept)), float(math.exp(slope))
 
 
+def _wire_format(obj):
+    """json's default hook: a 2-d array as a matrix, a Subspace as a subspace."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        return matrix_to_json(obj)
+    if isinstance(obj, Subspace):
+        return subspace_to_json(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dump_json(obj) -> str:
     """Canonical JSON encoding (sorted keys, fixed separators) for
-    byte-stable reports."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    byte-stable reports.
+
+    Besides plain JSON values, ``obj`` may hold 2-d arrays and Subspaces,
+    written in the wire format above.  Each one is converted as the
+    encoder reaches it, so only one matrix's nested lists are alive at a
+    time; the bytes equal those of converting everything beforehand."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_wire_format)

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator,
-                       _json_int, _kernel_chain, kernel_and_range, matrix_from_json,
-                       matrix_to_json, operator_norm)
+                       _json_int, _kernel_chain, dump_json, kernel_and_range,
+                       matrix_from_json, matrix_to_json, operator_norm)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
 UNIT_CLUSTER_SCATTER = 0.05  # farthest a unit-cluster eigenvalue may sit from 1
@@ -81,8 +81,7 @@ class ArPencil:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(dump_json(self.to_json()) + "\n")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from grjkit.cli import main
 from grjkit.grj import H_TAYLOR_JMAX
 from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
-from grjkit.numfield import matrix_from_json
+from grjkit.numfield import Subspace, matrix_from_json, matrix_to_json, subspace_to_json
 from grjkit.pencil import ArPencil, SingularAt
 from grjkit.simkit import ClassMismatch, SamplePath
 
@@ -306,6 +307,45 @@ def test_represent_i2_payload(capsys):
     assert_annihilates(tier1, lr2)
     assert_annihilates(tier2, lr2)
     assert_annihilates(tier2, lr1 - lr2)
+
+
+def _eager_dump_json(obj) -> str:
+    """Reference encoding: every array and subspace converted to nested
+    lists up front, then one json.dumps with dump_json's settings."""
+    def convert(x):
+        if isinstance(x, dict):
+            return {k: convert(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [convert(v) for v in x]
+        if isinstance(x, np.ndarray):
+            return matrix_to_json(x)
+        if isinstance(x, Subspace):
+            return subspace_to_json(x)
+        return x
+    return json.dumps(convert(obj), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("model", [["ex-c0", "--n", "32"], ["ex-evenodd", "--n", "24"]],
+                         ids=["i2", "i1"])
+def test_represent_writes_the_eager_encoding(tmp_path, monkeypatch, model):
+    lazy, eager = tmp_path / "lazy.json", tmp_path / "eager.json"
+    assert main(["represent", *model, "--out", str(lazy)]) == 0
+    monkeypatch.setattr(cli, "dump_json", _eager_dump_json)
+    assert main(["represent", *model, "--out", str(eager)]) == 0
+    assert lazy.read_bytes() == eager.read_bytes()
+
+
+def test_represent_encodes_one_matrix_at_a_time(tmp_path):
+    argv = ["represent", "ex-c0", "--n", "32", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0  # warm-up: imports and first-call set-up stay out of the peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 45 matrices converted to lists up front peaked at 9.5 MiB; one at a time, 3.8 MiB
+    assert peak <= 6 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_verify_jmax_reaches_its_cap(capsys):

@@ -279,6 +279,24 @@ def test_dump_json_is_deterministic():
     assert first == second
 
 
+def test_dump_json_encodes_arrays_and_subspaces_as_converted_beforehand():
+    # signed zero, the smallest subnormal, a float past 2**53 and a
+    # fraction with no exact binary form, in real and imaginary parts
+    m = np.array([[-0.0, 5e-324], [1e16, 0.1 + 2j]])
+    tall = np.array([[1e16 - 0.1j], [-0.0j]])
+    s = Subspace.from_columns(np.eye(4)[:, 1:3])
+    trivial = Subspace.trivial(3)
+    payload = {"m": m, "h": [m, tall], "s": s, "nested": {"t": trivial, "x": 1.5}}
+    reference = {"m": matrix_to_json(m), "h": [matrix_to_json(m), matrix_to_json(tall)],
+                 "s": subspace_to_json(s),
+                 "nested": {"t": subspace_to_json(trivial), "x": 1.5}}
+    assert reference["nested"]["t"]["basis"] is None
+    assert dump_json(payload) == dump_json(reference)
+    for unsupported in (np.zeros(3), {1, 2}):
+        with pytest.raises(TypeError):
+            dump_json({"x": unsupported})
+
+
 def test_fit_geometric_decay_recovers_rate():
     norms = [3.0 * 0.6 ** k for k in range(12)]
     scale, rate = fit_geometric_decay(norms)

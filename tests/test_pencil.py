@@ -6,6 +6,8 @@ may work purely on the companion space.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -188,6 +190,15 @@ def test_save_load_round_trip(tmp_path):
     first = path.read_bytes()
     ar.save(path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("ar", [two_lag_fixture(), ArPencil(1, 2, [np.diag([1.0, 0.5j])])],
+                         ids=["real-ar2", "complex"])
+def test_save_writes_the_canonical_encoding(tmp_path, ar):
+    path = tmp_path / "model.json"
+    ar.save(path)
+    eager = json.dumps(ar.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == eager.encode("utf-8")
 
 
 def test_pencil_rejects_mismatched_blocks():
