@@ -256,57 +256,33 @@ def essential_from_sweep(dims, orders) -> bool:
     return slope >= 0.5
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
-    """Computed Laurent data around z = 1.
+def laurent_algebra_gap(cp: CompanionPencil) -> float:
+    """Worst scaled gap of the coefficient algebra of the expansion at z = 1.
 
-    coeffs maps j -> N_j for j in [-pole_order, j_max]; p_operator is the
-    spectral projection N_{-1} B.
+    With R(z) = -sum_j N_j (z-1)^j the resolvent-style identity forces
+    N_j B N_k = (1 - s_j - s_k) N_{j+k+1} with s_j = [j >= 0], and the
+    defining equation forces B N_{j-1} - (I - B) N_j = [j == 0] I.  Both
+    are checked on N_j for j in [-order, 2], from one contour on the
+    default circle, and each gap is divided by max(1, max_j ||N_j||).
+
+    Raises NoUnitRoot unless z = 1 is a usable unit root.  Before the
+    algebra, guards the coefficients themselves with ContourNotConverged:
+    N_{-1} B must be idempotent and commute with B, and the truncated
+    series must match the resolvent at three held-out points on a circle
+    of half the contour radius, within a tail bound fitted from the
+    decay of ||N_0||, ||N_1||, ||N_2||.
     """
-
-    pole_order: int
-    coeffs: dict
-    contour: dict
-    p_operator: np.ndarray
-
-    def evaluate(self, z: complex) -> np.ndarray:
-        """Truncated series reconstruction -sum_j N_j (z-1)^j."""
-        n = self.p_operator.shape[0]
-        out = np.zeros((n, n), dtype=np.complex128)
-        for j, c in self.coeffs.items():
-            out -= c * (z - 1.0) ** j
-        return out
-
-
-def expansion(cp: CompanionPencil, j_max: int) -> LaurentExpansion:
-    """Full expansion with coefficients for j in [-order, j_max].
-
-    Raises NoUnitRoot unless z = 1 is a usable unit root.  Verifies,
-    before returning: reconstruction against direct resolvent
-    evaluation at held-out points on a circle of half the contour radius
-    (within a tail bound fitted from the computed coefficient decay),
-    idempotency of the projection, and commutation with the companion
-    operator.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    j_max = 2
     rep = spectrum_report(cp)
     order = pole_order(cp, spectrum=rep).order
     js = list(range(-order, j_max + 1))
-    if -1 not in js:
-        js = [-1] + js  # always compute the residue term for p_operator
-    coeffs, contour = contour_coefficients(cp, js, spectrum=rep)
-    p_op = coeffs[-1] @ cp.a1
-    exp = LaurentExpansion(
-        pole_order=order,
-        coeffs={j: coeffs[j] for j in range(-order, j_max + 1)},
-        contour=contour,
-        p_operator=p_op,
-    )
-
-    norm = cp.norm
+    # the residue N_{-1} is computed even without a pole, for the projection
+    coeffs, contour = contour_coefficients(cp, list(range(min(-order, -1), j_max + 1)),
+                                           spectrum=rep)
+    b, norm = cp.a1, cp.norm
+    p_op = coeffs[-1] @ b
     res_idem = operator_norm(p_op @ p_op - p_op, norm)
-    res_comm = operator_norm(p_op @ cp.a1 - cp.a1 @ p_op, norm)
+    res_comm = operator_norm(p_op @ b - b @ p_op, norm)
     if max(res_idem, res_comm) > 10 * RESIDUAL_ABS:
         raise ContourNotConverged(
             f"projection residuals too large (idempotency {res_idem:.2e}, "
@@ -314,8 +290,8 @@ def expansion(cp: CompanionPencil, j_max: int) -> LaurentExpansion:
 
     # held-out reconstruction on the half-radius circle
     r_eval = contour["radius"] / 2.0
-    tail_norms = [operator_norm(exp.coeffs[j], norm) for j in range(0, j_max + 1)]
-    c_fit, rho_fit = fit_geometric_decay(tail_norms)
+    c_fit, rho_fit = fit_geometric_decay(
+        operator_norm(coeffs[j], norm) for j in range(0, j_max + 1))
     decay = rho_fit * r_eval
     if 0 < decay < 1:
         tail = c_fit * decay ** (j_max + 1) / (1.0 - decay)
@@ -324,8 +300,28 @@ def expansion(cp: CompanionPencil, j_max: int) -> LaurentExpansion:
     bound = 10.0 * tail + 100.0 * RESIDUAL_ABS
     for theta in (0.3, 2.1, 4.0):
         z = 1.0 + r_eval * np.exp(1j * theta)
-        err = operator_norm(exp.evaluate(z) - resolvent(cp, z), norm)
+        series = -sum(coeffs[j] * (z - 1.0) ** j for j in js)
+        err = operator_norm(series - resolvent(cp, z), norm)
         if err > bound:
             raise ContourNotConverged(
                 f"reconstruction error {err:.2e} above tail bound {bound:.2e} at z={z:.3f}")
-    return exp
+
+    zero = np.zeros_like(b)
+
+    def n_at(j):
+        return coeffs[j] if j >= -order else zero
+
+    scale = max(1.0, max(operator_norm(coeffs[j]) for j in js))
+    worst = 0.0
+    for j in range(max(-order, -2), 2):
+        for k in range(max(-order, -2), 2):
+            if j + k + 1 > 2:
+                continue
+            sign = 1 - (j >= 0) - (k >= 0)
+            gap = operator_norm(n_at(j) @ b @ n_at(k) - sign * n_at(j + k + 1))
+            worst = max(worst, gap / scale)
+    for j in range(-2, 1):
+        target = cp.identity() if j == 0 else zero
+        gap = operator_norm(b @ n_at(j - 1) - cp.m @ n_at(j) - target)
+        worst = max(worst, gap / scale)
+    return worst

@@ -354,7 +354,7 @@ def fit_geometric_decay(norms: Iterable[float]):
     """Least-squares fit of ``norms[j] ~ C * rho**j`` on the nonzero tail.
 
     Returns (C, rho).  All-zero input fits (0.0, 0.0); a single nonzero
-    point fits (that value, 0.0).  Used for the Laurent expansion's tail bound.
+    point fits (that value, 0.0).  laurent_algebra_gap's tail bound reads it.
     """
     vals = np.asarray(list(norms), dtype=float)
     idx = np.nonzero(vals > DECAY_FIT_FLOOR)[0]

@@ -20,7 +20,8 @@ into closed-form pieces -- the initial-state levels, the random walk
 (and its sum, for a double root), the decaying initial-state transient
 and the finite stationary sum of the innovations drawn so far -- so the
 check predicts the path exactly from any initial state, fits nothing
-and truncates nothing (see verify_representation).
+and truncates nothing, in one companion pass that is linear in the
+horizon (see verify_representation).
 """
 
 from __future__ import annotations
@@ -190,11 +191,13 @@ def verify_representation(ar: ArPencil, path: SamplePath, report) -> Representat
             + D_obs sum_{s<=t} (t-s) eps_s + sum_{j<t} R_j[:, :n] eps_{t-j}.
 
     The levels tau0 = [P Xtilde_0]_obs and tau1 = [D Xtilde_0]_obs are
-    predicted, not fitted, and nothing is truncated.  Each R_j comes
-    from the row recursion R_{j+1} = R_j B: the identity above then
-    needs P to commute with B, whereas in the order B^j (I - P) it holds
-    for every projection onto ker M.  Returns the largest Euclidean
-    deviation over t = 1..horizon; ``transient`` is ||R_T||_2, how far
+    predicted, not fitted, and nothing is truncated.  The last two terms
+    are [(I - P) U_t]_obs with U_t = B U_{t-1} + (eps_t, 0, ..., 0) and
+    U_0 = Xtilde_0, so one companion pass adds them in linear time.
+    With I - P left of B^j the identity needs P to commute with B,
+    whereas in the order B^j (I - P) it holds for every projection onto
+    ker M.  Returns the largest Euclidean deviation over t = 1..horizon;
+    ``transient`` is ||R_T||_2 (R_{j+1} = R_j B along the pass), how far
     the initial-state term has decayed by the last step.
     """
     if not isinstance(report, (I1Report, I2Report)):
@@ -224,11 +227,13 @@ def verify_representation(ar: ArPencil, path: SamplePath, report) -> Representat
     # sum_{s<=t} (t - s) eps_s = xi_1 + ... + xi_{t-1}
     predicted = (tau0 + times * tau1 + xi @ p_op[:n, :n].T
                  + (np.cumsum(xi, axis=0) - xi) @ d_op[:n, :n].T)
-    rows = np.eye(n, cp.big_dim) - p_op[:n]  # R_0
-    for j in range(t_count):
-        predicted[j:] += eps[:t_count - j] @ rows[:, :n].T
+    off = rows = np.eye(n, cp.big_dim) - p_op[:n]  # R_0
+    state = start
+    for t in range(t_count):
+        state = b @ state
+        state[:n] += eps[t]
+        predicted[t] += off @ state
         rows = rows @ b
-        predicted[j] += rows @ start  # R_t Xtilde_0 at t = j + 1
     residual = float(np.max(np.linalg.norm(path.states - predicted, axis=1)))
     return RepresentationCheck(max_residual=residual, tau0=tau0, tau1=tau1,
                                rep_class=rep_class, transient=operator_norm(rows))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from grjkit import laurent
 from grjkit.models import build_example, jordan_model, random_walk_model
 from grjkit.pencil import linearize
 
@@ -45,6 +46,24 @@ def mixed21_cp():
 @pytest.fixture(scope="session")
 def rw2():
     return random_walk_model(2)
+
+
+@pytest.fixture()
+def perturb_coefficient(monkeypatch):
+    """perturb(index) adds 1e-5 to every entry of N_index, only in the
+    [-order, 2] contour that laurent_algebra_gap reads; pole_order's
+    residue stays exact."""
+    exact = laurent.contour_coefficients
+
+    def perturb(index):
+        def perturbed(cp, js, **kwargs):
+            coeffs, contour = exact(cp, js, **kwargs)
+            if 2 in js:
+                coeffs[index] = coeffs[index] + 1e-5
+            return coeffs, contour
+
+        monkeypatch.setattr(laurent, "contour_coefficients", perturbed)
+    return perturb
 
 
 def pytest_configure(config):

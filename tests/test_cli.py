@@ -602,12 +602,30 @@ def test_verify_two_lag_model(capsys, tmp_path):
 
 def test_verify_contour_not_converged_exits_one(capsys, monkeypatch):
     # no flag drives the quadrature past its node cap on a built-in model,
-    # so the expansion verify runs is made to fail the way it would
+    # so the Laurent-algebra check verify runs is made to fail the way it would
     def unsettled(*args, **kwargs):
         raise ContourNotConverged("quadrature change 1.00e-03 above 1e-10 at 4096 nodes")
 
-    monkeypatch.setattr(cli, "expansion", unsettled)
+    monkeypatch.setattr(cli, "laurent_algebra_gap", unsettled)
     assert_one_line_error(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"])
+
+
+def test_verify_reconstruction_fault_exits_one(capsys, perturb_coefficient):
+    # N_2 + 1e-5: on ex-evenodd the held-out reconstruction guard catches it
+    perturb_coefficient(2)
+    assert_one_line_error(capsys, ["verify", "ex-evenodd", "--horizon", "60", "--jmax", "20"])
+
+
+def test_verify_laurent_algebra_fault_exits_four(capsys, perturb_coefficient):
+    # N_2 + 1e-5: on ex-c0 the guard admits it and the algebra names it
+    perturb_coefficient(2)
+    code, out, err = run(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "20"])
+    assert code == 4
+    report = json.loads(out)
+    assert report["failed"] == ["laurent-algebra"]
+    gap = next(r for r in report["invariants"] if r["name"] == "laurent-algebra")
+    assert gap["detail"]["worst_scaled_gap"] > 1e-7
+    assert err == "grj verify: invariant failure: laurent-algebra\n"
 
 
 def test_singular_resolvent_exits_one(capsys, monkeypatch):

@@ -12,10 +12,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grjkit import laurent
-from grjkit.laurent import (MAX_NODES, NoUnitRoot, circle_coefficients,
-                            contour_coefficients, essential_from_sweep,
-                            expansion, pick_radius, pole_order,
-                            riesz_projection)
+from grjkit.laurent import (MAX_NODES, ContourNotConverged, NoUnitRoot,
+                            circle_coefficients, contour_coefficients,
+                            essential_from_sweep, laurent_algebra_gap,
+                            pick_radius, pole_order, riesz_projection)
 from grjkit.models import evenodd_model, volterra_model
 from grjkit.numfield import ascent_at_one, operator_norm
 from grjkit.pencil import ArPencil, SingularAt, linearize, resolvent, spectrum_report
@@ -163,7 +163,7 @@ def test_non_isolated_unit_root_raises():
     with pytest.raises(NoUnitRoot, match="not isolated"):
         pole_order(cp)
     with pytest.raises(NoUnitRoot, match="not isolated"):
-        expansion(cp, j_max=1)
+        laurent_algebra_gap(cp)
     # the raw contour entry points too, with or without a report handed in
     with pytest.raises(NoUnitRoot, match="not isolated"):
         contour_coefficients(cp, [-1])
@@ -330,12 +330,26 @@ def test_quadrature_start_at_the_cap_is_rejected():
         circle_coefficients(lambda z: np.eye(2) * z, [0], nodes=MAX_NODES)
 
 
-def test_expansion_bundles_everything(shift8_cp):
-    exp = expansion(shift8_cp, j_max=3)
-    assert exp.pole_order == 2
-    assert set(range(-2, 4)) <= set(exp.coeffs)
-    assert_allclose(exp.p_operator,
-                    exp.coeffs[-1] @ shift8_cp.a1, atol=1e-12)
-    g = (shift8_cp.identity() - shift8_cp.a1) @ exp.p_operator
-    # order-2 pole: G is nilpotent of index exactly 2
-    assert operator_norm(g @ g) < 1e-9 < operator_norm(g)
+def test_laurent_algebra_gap_is_rounding_small(shift8_cp, evenodd_cp):
+    assert laurent_algebra_gap(shift8_cp) < 1e-14
+    assert laurent_algebra_gap(evenodd_cp) < 1e-14
+
+
+def test_laurent_algebra_guards_a_residue_that_is_no_projection(evenodd_cp, perturb_coefficient):
+    perturb_coefficient(-1)
+    with pytest.raises(ContourNotConverged, match="projection residuals too large"):
+        laurent_algebra_gap(evenodd_cp)
+
+
+def test_laurent_algebra_guards_the_held_out_reconstruction(evenodd_cp, perturb_coefficient):
+    perturb_coefficient(2)
+    with pytest.raises(ContourNotConverged,
+                       match="reconstruction error 1.00e-05 above tail bound 1.00e-06"):
+        laurent_algebra_gap(evenodd_cp)
+
+
+def test_laurent_algebra_gap_sees_a_perturbed_coefficient(shift8_cp, perturb_coefficient):
+    # on the order-two shift the fitted tail bound admits the fault, so
+    # the algebra itself has to catch it
+    perturb_coefficient(2)
+    assert laurent_algebra_gap(shift8_cp) == pytest.approx(4e-5, rel=1e-3)

@@ -227,6 +227,42 @@ def test_representation_exact_from_a_random_initial_state(label):
     assert 0.0 <= check.transient < 1e-9
 
 
+def _per_lag_representation(ar, path, p_operator):
+    """Reference for verify_representation: the stationary sum added one
+    lag at a time, T products in all, with the transient R_t Xtilde_0 read
+    off the row recursion.  Returns (max_residual, transient)."""
+    cp = linearize(ar)
+    b, p_op = cp.a1.real, np.asarray(p_operator).real
+    n, t_count = ar.dim, path.horizon
+    d_op = (b - np.eye(cp.big_dim)) @ p_op
+    start = path.initial.reshape(-1)
+    eps = path.innovations
+    xi = np.cumsum(eps, axis=0)
+    times = np.arange(1, t_count + 1, dtype=float)[:, None]
+    predicted = ((p_op @ start)[:n] + times * (d_op @ start)[:n] + xi @ p_op[:n, :n].T
+                 + (np.cumsum(xi, axis=0) - xi) @ d_op[:n, :n].T)
+    rows = np.eye(n, cp.big_dim) - p_op[:n]
+    for j in range(t_count):
+        predicted[j:] += eps[:t_count - j] @ rows[:, :n].T
+        rows = rows @ b
+        predicted[j] += rows @ start
+    return float(np.max(np.linalg.norm(path.states - predicted, axis=1))), operator_norm(rows)
+
+
+def test_companion_pass_matches_the_per_lag_sum():
+    # the check adds the stationary sum in one pass over t; the per-lag
+    # form above is the same identity in T^2 time
+    ar, _ = build_example("ex-c0", n=16)
+    rep = i2_components(linearize(ar), j_max=4)
+    init = np.random.default_rng(23).standard_normal((ar.p, ar.dim))
+    path = simulate_ar(ar, np.eye(ar.dim), horizon=2000, seed=9, initial=init)
+    check = verify_representation(ar, path, rep)
+    residual, transient = _per_lag_representation(ar, path, rep.p_operator)
+    assert check.max_residual <= _bound(path)
+    assert check.max_residual == pytest.approx(residual, rel=1e-2)
+    assert check.transient == transient
+
+
 def test_wrong_complement_fails_the_check():
     # P onto ker M along (ker M)^perp instead of ran M: still a projection
     # onto ker M, but one that does not commute with B
