@@ -38,7 +38,7 @@ def verdict_row(label, ar, expected_order=None):
         return
     # as in grj analyze: one spectrum and one contour residue N_{-1} serve
     # all three decisions
-    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[0][-1]
+    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[-1]
     rep = pole_order(cp, spectrum=spectrum, residue=residue)
     i1 = check_i1(cp, spectrum=spectrum, residue=residue).holds
     i2 = check_i2(cp, spectrum=spectrum).holds

@@ -42,7 +42,6 @@ from . import models
 from .cointegration import annihilators
 from .grj import (
     H_TAYLOR_JMAX,
-    NotI1,
     NotI2,
     check_i1,
     check_i2,
@@ -151,7 +150,9 @@ def _flag_specs() -> dict:
         "--horizon": dict(type=_POSITIVE_INT, default=300),
         "--jmax": dict(type=_jmax, default=40,
                        help=f"highest h-coefficient index, at most {H_TAYLOR_JMAX}: "
-                       "represent reports h_0..h_jmax, verify cross-checks them"),
+                       "represent reports h_0..h_jmax; verify folds the Taylor gap over "
+                       "h_0..h_jmax into p-cross-check on an I(1) model and compares "
+                       "h_0..h_min(20, jmax) in the h-coefficient cross-check"),
         "--path": dict(default=None,
                        help="stored CSV path to check byte-for-byte determinism"),
         "--dims": dict(type=_dims, default="4,8,16",
@@ -255,7 +256,7 @@ def cmd_analyze(args) -> int:
         _emit(dump_json(report), args.out)
         return _EXIT_NO_UNIT_ROOT
     # one spectrum and one contour residue N_{-1} serve all three decisions
-    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[0][-1]
+    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[-1]
     pole = pole_order(cp, spectrum=spectrum, residue=residue)
     i1 = check_i1(cp, spectrum=spectrum, residue=residue)
     i2 = check_i2(cp, spectrum=spectrum)
@@ -290,11 +291,9 @@ def cmd_sweep(args) -> int:
 
 
 def _components(cp, args):
-    """Order-one components if the model is I(1), else order-two, else None."""
-    try:
+    """Order-one components if K = ran M /\\ ker M is {0}, else order-two, else None."""
+    if not cp.unit_intersection.dim:
         return i1_components(cp, args.jmax)
-    except NotI1:
-        pass
     try:
         return i2_components(cp, args.jmax)
     except NotI2:

@@ -21,7 +21,7 @@ instead of trusting the formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -88,7 +88,9 @@ class I1Report:
 
 
 def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
-    """Decide the order-one condition: companion space = ran M (+) ker M.
+    """Decide the order-one condition: companion space = ran M (+) ker M,
+    which holds exactly when K = cp.unit_intersection is {0}; the defect
+    is dim K.
 
     When it holds, the report carries the oblique projection onto ker M
     along ran M together with its contour cross-check residual and the
@@ -101,15 +103,14 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
     with a contour residue, never with another closed form.
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    ker, ran = cp.unit_kernel, cp.unit_range
-    split = direct_sum_check(ran, ker)
-    if not split.holds:
+    ker, ran, k_dim = cp.unit_kernel, cp.unit_range, cp.unit_intersection.dim
+    if k_dim:
         return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
-                        defect=split.defect, p_operator=None, long_run=None,
+                        defect=k_dim, p_operator=None, long_run=None,
                         h_coeffs=[], cross_check_residual=math.inf)
     p_op = oblique_projection(ker, ran)
     if residue is None:
-        residue = contour_coefficients(cp, [-1], spectrum=rep)[0][-1]
+        residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
     residual = operator_norm(p_op - residue, cp.norm)
     long_run = p_op[:cp.dim, :cp.dim]
     return I1Report(holds=True, ker_dim=ker.dim, ran_dim=ran.dim, defect=0,
@@ -150,7 +151,7 @@ def taylor_h_gap(cp: CompanionPencil, closed: list, order: int,
     quadrature around 1 (``nodes`` as in contour_coefficients), so the
     check never reads the closed forms it tests.
     """
-    principal, _ = contour_coefficients(cp, list(range(-order, 0)), nodes=nodes)
+    principal = contour_coefficients(cp, list(range(-order, 0)), nodes=nodes)
     taylor = taylor_h_coefficients(cp, len(closed) - 1, principal)
     return max(operator_norm(np.asarray(c) - t, cp.norm)
                for c, t in zip(closed, taylor))
@@ -181,10 +182,8 @@ def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
             f"(ker dim {base.ker_dim}, ran dim {base.ran_dim})")
     h_closed = _h_closed_form(cp, base.p_operator, j_max)
     h_residual = taylor_h_gap(cp, h_closed, 1)
-    return I1Report(holds=True, ker_dim=base.ker_dim, ran_dim=base.ran_dim,
-                    defect=0, p_operator=base.p_operator, long_run=base.long_run,
-                    h_coeffs=h_closed,
-                    cross_check_residual=max(base.cross_check_residual, h_residual))
+    return replace(base, h_coeffs=h_closed,
+                   cross_check_residual=max(base.cross_check_residual, h_residual))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,6 @@ class _OrderTwoGeometry:
     once for a given pair of complements and shared by check/components."""
 
     def __init__(self, cp, ran_complement=None, ker_complement=None):
-        n = cp.big_dim
         self.ker = cp.unit_kernel
         self.ran = cp.unit_range
         self.ran_c = orthogonal_complement(self.ran) if ran_complement is None \
@@ -227,8 +225,8 @@ class _OrderTwoGeometry:
         # each projection raises NotComplementary for a complement that fails
         self.p_ran = oblique_projection(self.ran, self.ran_c)
         self.p_ker = oblique_projection(self.ker, self.ker_c)
-        self.k_space = subspace_intersection(self.ran, self.ker)
-        off_range = np.eye(n, dtype=np.complex128) - self.p_ran
+        self.k_space = cp.unit_intersection
+        off_range = cp.identity() - self.p_ran
         self.w_space = apply_to_subspace(off_range, self.ker)
         # Inner complements: K_C (built with Q^g) completes K to the kernel
         # and W_C completes W = (I - P_ran) ker to the range complement.
@@ -261,13 +259,12 @@ class _OrderTwoGeometry:
         return k_c.basis @ coords, operator_norm(images @ coords - p_w)
 
 
-def _report_from_geometry(geo: _OrderTwoGeometry, *, q_g=None, n_minus2=None,
-                          p_operator=None, long_run2=None, long_run1=None, h_coeffs=None,
-                          cross_check_residual=math.inf) -> I2Report:
+def _report_from_geometry(geo: _OrderTwoGeometry) -> I2Report:
+    """The verdict report: the geometry, without the representation operators."""
     return I2Report(holds=geo.holds, defect=geo.split.defect, k_space=geo.k_space,
-                    w_space=geo.w_space, w_c=geo.w_c, q_g=q_g, n_minus2=n_minus2,
-                    p_operator=p_operator, long_run2=long_run2, long_run1=long_run1,
-                    h_coeffs=h_coeffs or [], cross_check_residual=cross_check_residual)
+                    w_space=geo.w_space, w_c=geo.w_c, q_g=None, n_minus2=None,
+                    p_operator=None, long_run2=None, long_run1=None,
+                    h_coeffs=[], cross_check_residual=math.inf)
 
 
 def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
@@ -313,8 +310,7 @@ def i2_components(cp: CompanionPencil, j_max: int,
             f"Q^g construction failed (residual {q_g_residual:.2e}); "
             "the W (+) W_C split is not usable")
 
-    n = cp.big_dim
-    eye = np.eye(n, dtype=np.complex128)
+    eye = cp.identity()
     k_dim = geo.k_space.dim
     p_wc = oblique_projection(geo.w_c, subspace_sum(geo.ran, geo.w_space))
 
@@ -336,13 +332,13 @@ def i2_components(cp: CompanionPencil, j_max: int,
     q_term = q_g @ geo.off_range
     p_op = gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l)
 
-    contour, _ = contour_coefficients(cp, [-2, -1], spectrum=rep)
+    contour = contour_coefficients(cp, [-2, -1], spectrum=rep)
     residual = max(operator_norm(n_minus2 - contour[-2], cp.norm),
                    operator_norm(n_minus2 + p_op - contour[-1], cp.norm))
 
     h_coeffs = _h_closed_form(cp, p_op, j_max)
     long_run2 = n_minus2[:cp.dim, :cp.dim]
     long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
-    return _report_from_geometry(
-        geo, q_g=q_g, n_minus2=n_minus2, p_operator=p_op, long_run2=long_run2,
-        long_run1=long_run1, h_coeffs=h_coeffs, cross_check_residual=residual)
+    return replace(_report_from_geometry(geo), q_g=q_g, n_minus2=n_minus2,
+                   p_operator=p_op, long_run2=long_run2, long_run1=long_run1,
+                   h_coeffs=h_coeffs, cross_check_residual=residual)

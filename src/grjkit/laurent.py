@@ -148,7 +148,7 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
 
 
 def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=None):
-    """Pencil Laurent coefficients N_j for every j in js (shared samples).
+    """Pencil Laurent coefficients {j: N_j} for every j in js (shared samples).
 
     Integrates on the circle of radius pick_radius around 1, which keeps
     the rest of the spectrum at least 2.5 radii away, and applies the
@@ -164,17 +164,15 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=
     rep = spectrum if spectrum is not None else spectrum_report(cp)
     if rep.unit_root_present:
         require_unit_root(rep)
-    radius = pick_radius(rep)
-    coeffs, used_nodes, _ = circle_coefficients(
-        lambda z: resolvent(cp, z), js, center=1.0, radius=radius, nodes=nodes)
-    return {j: -coeffs[j] for j in js}, {"center": 1.0, "radius": radius, "nodes": used_nodes}
+    coeffs, _, _ = circle_coefficients(
+        lambda z: resolvent(cp, z), js, center=1.0, radius=pick_radius(rep), nodes=nodes)
+    return {j: -coeffs[j] for j in js}
 
 
 def riesz_projection(cp: CompanionPencil, spectrum=None) -> np.ndarray:
     """Spectral projection for the unit eigenvalue group: N_{-1} composed
     with the companion operator, on the default contour."""
-    coeffs, _ = contour_coefficients(cp, [-1], spectrum=spectrum)
-    return coeffs[-1] @ cp.a1
+    return contour_coefficients(cp, [-1], spectrum=spectrum)[-1] @ cp.a1
 
 
 @dataclass(frozen=True)
@@ -277,8 +275,7 @@ def laurent_algebra_gap(cp: CompanionPencil) -> float:
     order = pole_order(cp, spectrum=rep).order
     js = list(range(-order, j_max + 1))
     # the residue N_{-1} is computed even without a pole, for the projection
-    coeffs, contour = contour_coefficients(cp, list(range(min(-order, -1), j_max + 1)),
-                                           spectrum=rep)
+    coeffs = contour_coefficients(cp, list(range(min(-order, -1), j_max + 1)), spectrum=rep)
     b, norm = cp.a1, cp.norm
     p_op = coeffs[-1] @ b
     res_idem = operator_norm(p_op @ p_op - p_op, norm)
@@ -289,7 +286,7 @@ def laurent_algebra_gap(cp: CompanionPencil) -> float:
             f"commutation {res_comm:.2e})")
 
     # held-out reconstruction on the half-radius circle
-    r_eval = contour["radius"] / 2.0
+    r_eval = pick_radius(rep) / 2.0
     c_fit, rho_fit = fit_geometric_decay(
         operator_norm(coeffs[j], norm) for j in range(0, j_max + 1))
     decay = rho_fit * r_eval

@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator,
-                       _json_int, _kernel_chain, dump_json, kernel_and_range,
-                       matrix_from_json, matrix_to_json, operator_norm)
+from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator, _json_int,
+                       _kernel_chain, dump_json, kernel_and_range, matrix_from_json,
+                       matrix_to_json, operator_norm, subspace_intersection)
 
 ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
 UNIT_CLUSTER_SCATTER = 0.05  # farthest a unit-cluster eigenvalue may sit from 1
@@ -56,10 +56,6 @@ class ArPencil:
             if a.shape != (self.dim, self.dim):
                 raise ValueError(f"coefficient shape {a.shape} != ({self.dim}, {self.dim})")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def big_dim(self) -> int:
-        return self.p * self.dim
 
     def to_json(self) -> dict:
         return {"p": self.p, "dim": self.dim, "norm": self.norm,
@@ -97,17 +93,17 @@ class CompanionPencil:
     gives its kernel and range, which the class checks read, and
     d_1 = dim ker M, the first step of the kernel chain at 1 that every
     spectrum_report of the pencil reads (``m``, ``unit_kernel``,
-    ``unit_range``, ``kernel_chain``; read-only).  The identity that
-    ``identity()`` returns is also built once.
+    ``unit_range``, ``kernel_chain``; read-only).  K = ran M /\\ ker M,
+    which the class verdicts and the class dispatch read, is also decided
+    once (``unit_intersection``), as is the identity ``identity()`` returns.
     """
 
-    big_dim: int
     a1: np.ndarray
     ar: ArPencil
 
     @property
-    def p(self) -> int:
-        return self.ar.p
+    def big_dim(self) -> int:
+        return self.a1.shape[0]
 
     @property
     def dim(self) -> int:
@@ -146,6 +142,12 @@ class CompanionPencil:
         return self._kernel_and_range[1]
 
     @cached_property
+    def unit_intersection(self) -> Subspace:
+        """K = ran M /\\ ker M.  dim ran M + dim ker M = pn, so K = {0}
+        exactly when ran M (+) ker M is the whole companion space."""
+        return subspace_intersection(self.unit_range, self.unit_kernel)
+
+    @cached_property
     def kernel_chain(self) -> tuple:
         return _kernel_chain(self.m, self.unit_kernel.dim)
 
@@ -158,13 +160,12 @@ def linearize(ar: ArPencil) -> CompanionPencil:
     A_1 itself.
     """
     n, p = ar.dim, ar.p
-    big = p * n
-    a1 = np.zeros((big, big), dtype=np.complex128)
+    a1 = np.zeros((p * n, p * n), dtype=np.complex128)
     for j, a in enumerate(ar.coeffs):
         a1[:n, j * n:(j + 1) * n] = a
     for i in range(1, p):
         a1[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
-    return CompanionPencil(big_dim=big, a1=a1, ar=ar)
+    return CompanionPencil(a1=a1, ar=ar)
 
 
 def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:

@@ -134,7 +134,7 @@ def test_criterion_3_closed_vs_contour():
     for name, ar in i1_model_set():
         cp = linearize(ar)
         rep = check_i1(cp)
-        contour, _ = contour_coefficients(cp, [-1])
+        contour = contour_coefficients(cp, [-1])
         worst_i1 = max(worst_i1, operator_norm(rep.p_operator - contour[-1]))
         closed = i1_components(cp, j_max=20)
         quad = taylor_h_coefficients(cp, 20, contour)
@@ -144,7 +144,7 @@ def test_criterion_3_closed_vs_contour():
         cp = linearize(ar)
         m = cp.identity() - cp.a1
         ker, ran = kernel_basis(m), range_basis(m)
-        contour, _ = contour_coefficients(cp, [-2, -1])
+        contour = contour_coefficients(cp, [-2, -1])
         for trial in range(3):
             rc = None if trial == 0 else skewed(ran, rng, cp.big_dim)
             kc = None if trial == 0 else skewed(ker, rng, cp.big_dim)
@@ -175,7 +175,7 @@ def test_criterion_4_laurent_algebra():
         order = pole_order(cp).order
         lo = -order - 3
         js = list(range(lo, 4))
-        coeffs, _ = contour_coefficients(cp, js)
+        coeffs = contour_coefficients(cp, js)
         scale = max(operator_norm(c) for c in coeffs.values())
         for j in (-2, -1, 0, 1):
             for k in (-2, -1, 0, 1):

@@ -2,23 +2,28 @@
 How often each command decomposes a matrix: the np.linalg.svd calls of a
 grj command stay at or below fixed ceilings, and one full SVD of
 M = I - B serves every spectrum report and class check of the command.
+K = ran M /\\ ker M is decided once per command too, and the class
+dispatch reads it instead of trying order one first.
 The counts are taken with one BLAS thread, as the benchmark runs.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
+import json
+import sys
 
 import numpy as np
 import pytest
 
-from grjkit import cli
+from grjkit import cli, numfield, pencil
 
 CEILINGS = [
-    (["analyze", "ex-c0", "--n", "8"], 19),
-    (["analyze", "ex-evenodd", "--n", "32"], 16),
+    (["analyze", "ex-c0", "--n", "8"], 18),
+    (["analyze", "ex-evenodd", "--n", "32"], 15),
     (["verify", "ex-evenodd"], 10),
-    (["represent", "ex-c0"], 20),
+    (["represent", "ex-c0"], 19),
     (["represent", "ex-evenodd"], 6),
 ]
 
@@ -43,3 +48,58 @@ def test_svd_calls_per_command(monkeypatch, argv, ceiling):
     assert len(inputs) <= ceiling
     [cp] = pencils
     assert sum(full and np.array_equal(a, cp.m) for a, full in inputs) == 1
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Swap every binding of ``original`` in the grjkit modules."""
+    for name, mod in list(sys.modules.items()):
+        if name == "grjkit" or name.startswith("grjkit."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+@pytest.mark.parametrize("argv, reports", [(["represent", "ex-c0"], 2),
+                                           (["verify", "ex-c0"], 4)])
+def test_order_two_model_builds_no_order_one_spectrum_report(monkeypatch, argv, reports):
+    report, calls = pencil.spectrum_report, []
+
+    def counted(cp):
+        calls.append(cp)
+        return report(cp)
+
+    _patch_everywhere(monkeypatch, report, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(calls) == reports
+
+
+# every block structure jordan_model draws at the unit root (criterion 2)
+JORDAN_BLOCKS = [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
+
+
+@pytest.mark.parametrize("blocks", JORDAN_BLOCKS, ids=str)
+def test_one_intersection_decides_both_verdicts(monkeypatch, blocks):
+    intersect, pencils, pairs = numfield.subspace_intersection, [], []
+
+    def recorded(ar):
+        pencils.append(pencil.linearize(ar))
+        return pencils[-1]
+
+    def counted(a, b):
+        cp = pencils[-1]
+        pairs.append({id(a), id(b)} == {id(cp.unit_range), id(cp.unit_kernel)})
+        return intersect(a, b)
+
+    monkeypatch.setattr(cli, "linearize", recorded)
+    _patch_everywhere(monkeypatch, intersect, counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", "ex-jordan", "--blocks",
+                         ",".join(map(str, blocks))]) == 0
+    report = json.loads(out.getvalue())
+    i1, i2 = report["i1"], report["i2"]
+    assert i1["holds"] == (i2["k_dim"] == 0)
+    assert i1["defect"] == i2["k_dim"]
+    assert i2["k_dim"] == sum(b > 1 for b in blocks)
+    assert sum(pairs) == 1

@@ -62,7 +62,7 @@ def test_components_are_complement_independent(shift8_cp, mixed21_cp):
     for cp in (shift8_cp, mixed21_cp):
         m = cp.identity() - cp.a1
         ker, ran = kernel_basis(m), range_basis(m)
-        contour, _ = contour_coefficients(cp, [-2, -1])
+        contour = contour_coefficients(cp, [-2, -1])
         for trial in range(3):
             if trial == 0:
                 rc = kc = None
@@ -161,7 +161,7 @@ def test_h_coefficients_cross_check(evenodd_cp, shift8_cp):
 
 def test_taylor_route_agrees_with_closed_h(evenodd_cp):
     i1 = i1_components(evenodd_cp, j_max=12)
-    principal, _ = contour_coefficients(evenodd_cp, [-1])
+    principal = contour_coefficients(evenodd_cp, [-1])
     kept = {j: c.copy() for j, c in principal.items()}
     taylor = taylor_h_coefficients(evenodd_cp, 12, principal)
     for closed, quad in zip(i1.h_coeffs, taylor):
@@ -211,7 +211,7 @@ def test_shared_spectrum_and_residue_change_no_field(name):
     # (cross_check_residual) bit for bit
     cp = linearize(build_example(name)[0])
     rep = spectrum_report(cp)
-    residue = contour_coefficients(cp, [-1], spectrum=rep)[0][-1]
+    residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
     shared, own = check_i1(cp, spectrum=rep, residue=residue), check_i1(cp)
     assert shared.holds == (name != "ex-c0")
     for field in dataclasses.fields(I1Report):

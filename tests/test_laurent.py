@@ -38,7 +38,7 @@ def j2_fixture():
 
 def test_diagonal_closed_forms():
     cp = diag_fixture()
-    coeffs, info = contour_coefficients(cp, [-2, -1, 0, 1, 2])
+    coeffs = contour_coefficients(cp, [-2, -1, 0, 1, 2])
     assert_allclose(coeffs[-2], np.zeros((2, 2)), atol=1e-12)
     assert_allclose(coeffs[-1], np.diag([1.0, 0.0]), atol=1e-12)
     for j in (0, 1, 2):
@@ -46,7 +46,7 @@ def test_diagonal_closed_forms():
 
 
 def test_jordan_block_closed_forms():
-    coeffs, _ = contour_coefficients(j2_fixture(), [-3, -2, -1])
+    coeffs = contour_coefficients(j2_fixture(), [-3, -2, -1])
     assert_allclose(coeffs[-3], np.zeros((2, 2)), atol=1e-12)
     assert_allclose(coeffs[-2], [[0.0, -1.0], [0.0, 0.0]], atol=1e-12)
     assert_allclose(coeffs[-1], [[1.0, -1.0], [0.0, 1.0]], atol=1e-12)
@@ -61,14 +61,14 @@ def test_riesz_projection_idempotent_and_commuting():
 
 def test_riesz_equals_residue_for_simple_pole():
     cp = diag_fixture()
-    coeffs, _ = contour_coefficients(cp, [-1])
+    coeffs = contour_coefficients(cp, [-1])
     n_minus1 = coeffs[-1]
     assert_allclose(riesz_projection(cp), n_minus1, atol=1e-12)
     assert operator_norm(n_minus1 @ n_minus1 - n_minus1) < 1e-10
 
 
 def coefficient_table(cp, lo, hi):
-    coeffs, _ = contour_coefficients(cp, list(range(lo, hi + 1)))
+    coeffs = contour_coefficients(cp, list(range(lo, hi + 1)))
     return coeffs
 
 
@@ -134,6 +134,7 @@ def test_volterra_order_equals_dimension():
 def test_essential_from_sweep():
     assert essential_from_sweep([4, 8, 16], [4, 8, 16])
     assert not essential_from_sweep([4, 8, 16], [2, 2, 2])
+    assert not essential_from_sweep([4, 8, 16], [3, 2, 5])  # orders not monotone
 
 
 @pytest.mark.parametrize("dims, orders", [([4, 4], [1, 1]), ([8], [8]), ([4, 8], [4])])
@@ -148,7 +149,7 @@ def test_no_unit_root_raises():
         pole_order(cp)
     # the raw quadrature is defined regardless; it just sees an analytic
     # integrand and returns vanishing principal coefficients
-    coeffs, _ = contour_coefficients(cp, [-2, -1])
+    coeffs = contour_coefficients(cp, [-2, -1])
     assert operator_norm(coeffs[-1]) < 1e-10
     assert operator_norm(coeffs[-2]) < 1e-10
 
@@ -328,6 +329,14 @@ def test_quadrature_start_at_the_cap_is_rejected():
     # a start at MAX_NODES could never refine, so it is refused up front
     with pytest.raises(ValueError, match="start node count"):
         circle_coefficients(lambda z: np.eye(2) * z, [0], nodes=MAX_NODES)
+
+
+def test_quadrature_that_never_settles_raises_at_the_cap():
+    # |Im z| has a kink on the circle, so the trapezoid error decays only
+    # algebraically and node doubling runs out at MAX_NODES
+    with pytest.raises(ContourNotConverged, match=f"at {MAX_NODES} nodes"):
+        circle_coefficients(lambda z: np.array([[abs(z.imag)]]), [0], center=0.0,
+                            radius=1.0, nodes=16)
 
 
 def test_laurent_algebra_gap_is_rounding_small(shift8_cp, evenodd_cp):

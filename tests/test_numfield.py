@@ -302,3 +302,8 @@ def test_fit_geometric_decay_recovers_rate():
     scale, rate = fit_geometric_decay(norms)
     assert_allclose(scale, 3.0, rtol=1e-8)
     assert_allclose(rate, 0.6, rtol=1e-8)
+
+
+def test_fit_geometric_decay_without_a_tail():
+    assert fit_geometric_decay([0.0, 0.0, 0.0]) == (0.0, 0.0)
+    assert fit_geometric_decay([0.0, 2.0, 0.0]) == (2.0, 0.0)
