@@ -11,11 +11,9 @@ ker M and a complement W_C of W inside [ran M]_C.
 The closed forms depend on the complement choices; the contour-derived
 Laurent coefficients do not.  Every assembled component is therefore
 cross-checked against contour quadrature, and that residual is part of
-the returned report.  A caution on the derived spaces: on a simple-pole
-model the canonical W_C construction can overlap W (the textbook
-directness argument silently uses the order-two setting), so the
-builder validates each internal split and degrades to diagnostics
-instead of trusting the formulas.
+the returned report.  Off the order-two setting the canonical W_C can
+overlap W (the textbook directness argument uses that setting), so W_C
+is built only for the components, and its split is validated there.
 """
 
 from __future__ import annotations
@@ -192,12 +190,13 @@ def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
 
 @dataclass(frozen=True, eq=False)
 class I2Report:
+    """check_i2's verdict (w_c, q_g and the operators None) or i2_components' report."""
     order: ClassVar[int] = 2
     holds: bool
     defect: int  # of the split (ran M + ker M) (+) M^g K
     k_space: Subspace
     w_space: Subspace
-    w_c: Subspace
+    w_c: Subspace | None
     q_g: np.ndarray | None
     n_minus2: np.ndarray | None
     p_operator: np.ndarray | None
@@ -212,57 +211,52 @@ class I2Report:
 
 
 class _OrderTwoGeometry:
-    """All subspaces and operators entering the order-two formulas, built
-    once for a given pair of complements and shared by check/components."""
+    """The subspaces and operators the order-two verdict reads, built once
+    for a given pair of complements of ran M and ker M (by default the
+    orthogonal ones from the pencil's one SVD of M; a supplied pair runs
+    through the same code).  graft() adds what only the components read."""
 
     def __init__(self, cp, ran_complement=None, ker_complement=None):
-        self.ker = cp.unit_kernel
-        self.ran = cp.unit_range
-        self.ran_c = orthogonal_complement(self.ran) if ran_complement is None \
-            else ran_complement
-        self.ker_c = orthogonal_complement(self.ker) if ker_complement is None \
-            else ker_complement
+        self.ker, self.ran = cp.unit_kernel, cp.unit_range
+        self.ran_c = cp.unit_range_complement if ran_complement is None else ran_complement
+        self.ker_c = cp.unit_kernel_complement if ker_complement is None else ker_complement
         # each projection raises NotComplementary for a complement that fails
         self.p_ran = oblique_projection(self.ran, self.ran_c)
         self.p_ker = oblique_projection(self.ker, self.ker_c)
         self.k_space = cp.unit_intersection
-        off_range = cp.identity() - self.p_ran
-        self.w_space = apply_to_subspace(off_range, self.ker)
-        # Inner complements: K_C (built with Q^g) completes K to the kernel
-        # and W_C completes W = (I - P_ran) ker to the range complement.
-        # Taking them orthogonal within the enclosing space is one valid
-        # choice among many; the contour cross-check certifies the results
-        # do not depend on it.
-        self.w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
+        self.off_range = cp.identity() - self.p_ran
+        self.w_space = apply_to_subspace(self.off_range, self.ker)
         self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran)
-        self.off_range = off_range
-
         self.split = direct_sum_check(subspace_sum(self.ran, self.ker),
                                       apply_to_subspace(self.gen_inverse, self.k_space))
         self.holds = self.k_space.dim > 0 and self.split.holds
 
-    def q_g(self):
-        """(Q^g, its residual): Q restricted to K_C inverts onto W, and
-        Q^g = [Q|_{K_C}]^{-1} P_W.  Built on demand: only i2_components
-        reads it.  On a model without the order-two geometry the
-        W (+) W_C split can fail, and then Q^g is None, the residual inf."""
-        n = self.off_range.shape[0]
+    def graft(self):
+        """(W_C, P_{W_C}, Q^g, its residual), on demand: only i2_components
+        reads them.  W_C completes W to the range complement and K_C
+        completes K to ker M, each orthogonally: one valid choice among
+        many, which the contour cross-check certifies.  P_W decides
+        ran M (+) W (+) W_C once, P_{W_C} = (I - P_ran) - P_W, and
+        Q^g = [Q|_{K_C}]^{-1} P_W.  If that split fails (a model without the
+        order-two geometry), P_{W_C} and Q^g are None, the residual inf."""
+        w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
         if self.w_space.dim == 0:
-            return np.zeros((n, n), dtype=np.complex128), 0.0
+            return w_c, self.off_range, np.zeros_like(self.off_range), 0.0
         try:
-            p_w = oblique_projection(self.w_space, subspace_sum(self.ran, self.w_c))
+            p_w = oblique_projection(self.w_space, subspace_sum(self.ran, w_c))
         except NotComplementary:
-            return None, math.inf
+            return w_c, None, None, math.inf
         k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
         images = self.off_range @ k_c.basis
         coords, *_ = np.linalg.lstsq(images, p_w, rcond=None)
-        return k_c.basis @ coords, operator_norm(images @ coords - p_w)
+        return (w_c, self.off_range - p_w, k_c.basis @ coords,
+                operator_norm(images @ coords - p_w))
 
 
 def _report_from_geometry(geo: _OrderTwoGeometry) -> I2Report:
     """The verdict report: the geometry, without the representation operators."""
     return I2Report(holds=geo.holds, defect=geo.split.defect, k_space=geo.k_space,
-                    w_space=geo.w_space, w_c=geo.w_c, q_g=None, n_minus2=None,
+                    w_space=geo.w_space, w_c=None, q_g=None, n_minus2=None,
                     p_operator=None, long_run2=None, long_run1=None,
                     h_coeffs=[], cross_check_residual=math.inf)
 
@@ -271,16 +265,15 @@ def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
     """Decide the order-two condition.
 
     Requires K = ran M /\\ ker M nontrivial and the companion space to
-    split as (ran M + ker M) (+) M^g K.  The constructed spaces, built
-    with orthogonal complements of ran M and ker M, and the split defect
-    are returned whether or not the condition holds; Q^g and the
-    representation operators are filled in by i2_components.
+    split as (ran M + ker M) (+) M^g K.  K, W (built with the orthogonal
+    complements of ran M and ker M) and the split defect are returned
+    whether or not the condition holds; W_C, Q^g and the representation
+    operators are filled in by i2_components, so the verdict builds none.
     ``spectrum`` may be the spectrum_report of this same cp; without it
     one is computed here.  The verdict reads no contour result.
     """
     require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    geo = _OrderTwoGeometry(cp)
-    return _report_from_geometry(geo)
+    return _report_from_geometry(_OrderTwoGeometry(cp))
 
 
 def i2_components(cp: CompanionPencil, j_max: int,
@@ -300,27 +293,25 @@ def i2_components(cp: CompanionPencil, j_max: int,
         raise NotI2(
             f"order-two geometry fails: K dim {geo.k_space.dim}, "
             f"split defect {geo.split.defect}")
-    if geo.w_c.dim != geo.k_space.dim:
+    w_c, p_wc, q_g, q_g_residual = geo.graft()
+    k_dim = geo.k_space.dim
+    if w_c.dim != k_dim:
         raise NotI2(
             f"restricted map K -> W_C is not square "
-            f"(dim K {geo.k_space.dim}, dim W_C {geo.w_c.dim})")
-    q_g, q_g_residual = geo.q_g()
+            f"(dim K {k_dim}, dim W_C {w_c.dim})")
     if q_g is None or q_g_residual > 10 * RESIDUAL_ABS:
         raise NotI2(
             f"Q^g construction failed (residual {q_g_residual:.2e}); "
             "the W (+) W_C split is not usable")
 
     eye = cp.identity()
-    k_dim = geo.k_space.dim
-    p_wc = oblique_projection(geo.w_c, subspace_sum(geo.ran, geo.w_space))
-
-    restricted = p_wc @ geo.gen_inverse @ geo.k_space.basis  # n x k, values in W_C
-    in_wc_coords, *_ = np.linalg.lstsq(geo.w_c.basis, restricted, rcond=None)
+    # P_{W_C} maps into W_C, whose basis is orthonormal: W_C^H gives coordinates
+    wc_coords_of_pwc = w_c.basis.conj().T @ p_wc
+    restricted = wc_coords_of_pwc @ geo.gen_inverse @ geo.k_space.basis  # k x k
     try:
-        inverted = np.linalg.solve(in_wc_coords, np.eye(k_dim, dtype=np.complex128))
+        inverted = np.linalg.solve(restricted, np.eye(k_dim, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise NotI2(f"restricted map K -> W_C is singular: {exc}") from exc
-    wc_coords_of_pwc, *_ = np.linalg.lstsq(geo.w_c.basis, p_wc, rcond=None)
     n_minus2 = geo.k_space.basis @ inverted @ wc_coords_of_pwc
 
     gamma_l = geo.gen_inverse @ n_minus2
@@ -339,6 +330,6 @@ def i2_components(cp: CompanionPencil, j_max: int,
     h_coeffs = _h_closed_form(cp, p_op, j_max)
     long_run2 = n_minus2[:cp.dim, :cp.dim]
     long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
-    return replace(_report_from_geometry(geo), q_g=q_g, n_minus2=n_minus2,
+    return replace(_report_from_geometry(geo), w_c=w_c, q_g=q_g, n_minus2=n_minus2,
                    p_operator=p_op, long_run2=long_run2, long_run1=long_run1,
                    h_coeffs=h_coeffs, cross_check_residual=residual)

@@ -13,10 +13,10 @@ Conventions
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
   only matter for reported norm values.  They all cut at the fixed
-  RANK_REL relative to the largest singular value.  A kernel and a
-  range come from one full SVD (kernel_and_range), so they agree on the
-  rank; rank-only decisions take singular values alone.  Residual checks
-  (solves, projections, generalized inverses) cut at the fixed absolute
+  RANK_REL relative to the largest singular value.  A kernel, a range and both
+  orthogonal complements come from one full SVD (kernel_and_range), so they
+  agree on the rank; rank-only decisions take singular values alone.  Residual
+  checks (solves, projections, generalized inverses) cut at the fixed absolute
   RESIDUAL_ABS, in the operator norm; no caller tunes either.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
   conjugation, so the adjoint of an operator is its plain transpose and
@@ -189,13 +189,14 @@ def numerical_rank(m) -> int:
 
 
 def kernel_and_range(m) -> tuple:
-    """(ker M, ran M) from one full SVD, cut by the one rank rule: the
-    right singular vectors past the rank span the kernel, the left ones
-    up to it the range."""
+    """(ker M, ran M, (ker M)^perp, (ran M)^perp) from one full SVD, cut by
+    the one rank rule: the right singular vectors past the rank span ker M,
+    those up to it (ker M)^perp; the left ones up to it span ran M."""
     m = as_operator(m)
     u, s, vh = np.linalg.svd(m)
-    rank = _rank_of(s)
-    return Subspace(m.shape[1], vh[rank:].conj().T), Subspace(m.shape[0], u[:, :rank])
+    rank, v = _rank_of(s), vh.conj().T
+    return (Subspace(m.shape[1], v[:, rank:]), Subspace(m.shape[0], u[:, :rank]),
+            Subspace(m.shape[1], v[:, :rank]), Subspace(m.shape[0], u[:, rank:]))
 
 
 def kernel_basis(m) -> Subspace:

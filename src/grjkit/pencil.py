@@ -90,10 +90,11 @@ class CompanionPencil:
     to the first coordinate block, is X[:dim, :dim].
 
     M = I - a1 is decomposed once per pencil, on first use: one full SVD
-    gives its kernel and range, which the class checks read, and
+    gives its kernel and range, which the class checks read, their
+    orthogonal complements, the order-two geometry's default choices, and
     d_1 = dim ker M, the first step of the kernel chain at 1 that every
     spectrum_report of the pencil reads (``m``, ``unit_kernel``,
-    ``unit_range``, ``kernel_chain``; read-only).  K = ran M /\\ ker M,
+    ``unit_range``, ``unit_*_complement``, ``kernel_chain``; read-only).  K = ran M /\\ ker M,
     which the class verdicts and the class dispatch read, is also decided
     once (``unit_intersection``), as is the identity ``identity()`` returns.
     """
@@ -133,13 +134,11 @@ class CompanionPencil:
     def _kernel_and_range(self) -> tuple:
         return kernel_and_range(self.m)
 
-    @property
-    def unit_kernel(self) -> Subspace:
-        return self._kernel_and_range[0]
-
-    @property
-    def unit_range(self) -> Subspace:
-        return self._kernel_and_range[1]
+    # ker M, ran M, (ker M)^perp and (ran M)^perp: Subspaces of that one SVD
+    unit_kernel = property(lambda self: self._kernel_and_range[0])
+    unit_range = property(lambda self: self._kernel_and_range[1])
+    unit_kernel_complement = property(lambda self: self._kernel_and_range[2])
+    unit_range_complement = property(lambda self: self._kernel_and_range[3])
 
     @cached_property
     def unit_intersection(self) -> Subspace:

@@ -429,6 +429,28 @@ def test_verify_all_invariants(capsys):
     assert "determinism" in names and "representation" in names
 
 
+# the values each numeric invariant of verify compares with its bound
+BOUNDED_VALUES = {"recursion": ("residual",), "laurent-algebra": ("worst_scaled_gap",),
+                  "p-cross-check": ("residual",), "h-coefficient cross-check": ("worst_gap",),
+                  "n2-cross-check": ("left", "right"), "representation": ("max_residual",)}
+
+
+@pytest.mark.parametrize("model", ["ex-c0", "ex-evenodd"])
+def test_verify_names_each_bound(capsys, model):
+    code, out, _ = run(capsys, ["verify", model])
+    assert code == 0
+    invariants = {item["name"]: item for item in json.loads(out)["invariants"]}
+    assert set(invariants) - set(BOUNDED_VALUES) == {"determinism", "pole-order-routes"}
+    for name, keys in BOUNDED_VALUES.items():
+        if name == "n2-cross-check" and model == "ex-evenodd":  # order one
+            assert name not in invariants
+            continue
+        detail = invariants[name]["detail"]
+        if name in cli._VERIFY_BOUNDS:
+            assert detail["bound"] == cli._VERIFY_BOUNDS[name]
+        assert all(detail[key] <= detail["bound"] for key in keys), (name, detail)
+
+
 def test_verify_warnings_are_one_line_each(capsys, monkeypatch):
     # no built-in model makes verify warn, so its representation check is
     # made to warn the way a library warning would

@@ -3,7 +3,8 @@ How often each command decomposes a matrix: the np.linalg.svd calls of a
 grj command stay at or below fixed ceilings, and one full SVD of
 M = I - B serves every spectrum report and class check of the command.
 K = ran M /\\ ker M is decided once per command too, and the class
-dispatch reads it instead of trying order one first.
+dispatch reads it instead of trying order one first.  The order-two
+verdict takes its complements of ran M and ker M from that SVD as well.
 The counts are taken with one BLAS thread, as the benchmark runs.
 """
 from __future__ import annotations
@@ -17,14 +18,16 @@ import sys
 import numpy as np
 import pytest
 
-from grjkit import cli, numfield, pencil
+from grjkit import cli, grj, models, numfield, pencil
 
 CEILINGS = [
-    (["analyze", "ex-c0", "--n", "8"], 18),
-    (["analyze", "ex-evenodd", "--n", "32"], 15),
+    (["analyze", "ex-c0", "--n", "8"], 14),
+    (["analyze", "ex-evenodd", "--n", "32"], 11),
     (["verify", "ex-evenodd"], 10),
-    (["represent", "ex-c0"], 19),
+    (["represent", "ex-c0"], 15),
     (["represent", "ex-evenodd"], 6),
+    # the one row whose graft has a nontrivial W
+    (["represent", "ex-jordan", "--blocks", "2,1"], 21),
 ]
 
 
@@ -103,3 +106,28 @@ def test_one_intersection_decides_both_verdicts(monkeypatch, blocks):
     assert i1["defect"] == i2["k_dim"]
     assert i2["k_dim"] == sum(b > 1 for b in blocks)
     assert sum(pairs) == 1
+
+
+def test_order_two_verdict_builds_no_complement(monkeypatch):
+    """check_i2 reads both complements and K from the pencil: on a fresh
+    mixed [2, 1] pencil, once K is decided, it calls neither
+    orthogonal_complement nor subspace_intersection, and the complements
+    are the orthogonal ones of the pencil's one SVD of M."""
+    cp = pencil.linearize(models.jordan_model(0, blocks_at_one=[2, 1])[0])
+    assert cp.unit_intersection.dim == 1  # K, decided once per pencil
+    calls = []
+    for original in (numfield.orthogonal_complement, numfield.subspace_intersection):
+        def counted(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+        _patch_everywhere(monkeypatch, original, counted)
+    assert grj.check_i2(cp).holds
+    assert calls == []
+
+    size, rank = cp.big_dim, cp.unit_range.dim
+    for space, other, dim in ((cp.unit_range_complement, cp.unit_range, size - rank),
+                              (cp.unit_kernel_complement, cp.unit_kernel, rank)):
+        basis = space.basis
+        assert space.dim == dim
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-12)
+        assert np.max(np.abs(other.basis.conj().T @ basis)) < 1e-12

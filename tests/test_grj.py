@@ -58,8 +58,10 @@ def test_shift_model_second_order_operator(shift8_cp):
 
 
 def test_components_are_complement_independent(shift8_cp, mixed21_cp):
+    # jordan [2, 2] has dim K = 2, so the restricted map K -> W_C is 2 x 2
+    mixed22_cp = linearize(jordan_model(1, blocks_at_one=[2, 2])[0])
     rng = np.random.default_rng(77)
-    for cp in (shift8_cp, mixed21_cp):
+    for cp in (shift8_cp, mixed21_cp, mixed22_cp):
         m = cp.identity() - cp.a1
         ker, ran = kernel_basis(m), range_basis(m)
         contour = contour_coefficients(cp, [-2, -1])
@@ -105,9 +107,9 @@ def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     assert rep.holds
     assert rep.k_space.dim == 1
     assert rep.w_space.dim == 1          # nontrivial W: Q^g actually used
-    assert rep.w_c.dim == 1
-    assert rep.q_g is None               # the verdict does not build Q^g
+    assert rep.w_c is None and rep.q_g is None  # the verdict builds neither
     full = i2_components(mixed21_cp, j_max=2)
+    assert full.w_c.dim == 1
     assert operator_norm(full.q_g) > 1e-8
     p_op = full.p_operator
     assert operator_norm(p_op @ p_op - p_op) < 1e-10

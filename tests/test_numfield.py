@@ -67,7 +67,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(int_matrices)
 def test_kernel_and_range_share_one_rank(m):
-    ker, ran = kernel_and_range(m.astype(float))
+    ker, ran, *_ = kernel_and_range(m.astype(float))
     assert ran.dim == exact_rank(m)
     assert ker.dim + ran.dim == m.shape[1]
     assert (ker.ambient_dim, ran.ambient_dim) == (m.shape[1], m.shape[0])
@@ -171,7 +171,7 @@ def test_oblique_projection_rejects_non_complementary():
 def relative_inverse(m, ker_c, ran_c):
     """M^g relative to the complements, from the projections the
     order-two geometry hands _generalized_inverse."""
-    ker, ran = kernel_and_range(m)
+    ker, ran, *_ = kernel_and_range(m)
     return _generalized_inverse(m, ker_c, oblique_projection(ker, ker_c),
                                 oblique_projection(ran, ran_c))
 
