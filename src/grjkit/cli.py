@@ -7,7 +7,7 @@ Exit codes are fixed for scriptability:
      does not take, a value out of range, an unreadable model file or an
      unwritable --out; a size too large to allocate; no usable contour
      (the quadrature never settles, or a resolvent is singular within
-     numfield.RESIDUAL_ABS); or a kernel and range of I - B too
+     the residual cut-off); or a kernel and range of I - B too
      ill-conditioned for a reliable projection (numfield.NotComplementary)
   2  the model has no usable unit root (assumption failure)
   3  represent, verify: the pole is neither order one nor order two
@@ -25,8 +25,8 @@ digits of residual fields).  grjkit reads no environment variable.
 
 The contour radius comes from the model's spectrum and the quadrature
 node count doubles until the result settles, so no flag sets either.
-No flag sets a tolerance: rank decisions cut at the fixed
-numfield.RANK_REL and residual checks at the fixed numfield.RESIDUAL_ABS.
+No flag sets a tolerance: every decision, verify's bounds included, cuts
+at a fixed entry of the one table numfield.CUTOFFS.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .numfield import (
     dump_json,
     operator_norm,
     range_basis,
+    within,
 )
 from .pencil import ArPencil, SingularAt, linearize, spectrum_report
 from .simkit import (
@@ -338,17 +339,13 @@ def cmd_simulate(args) -> int:
     return _EXIT_OK
 
 
-_VERIFY_BOUNDS = {"recursion": 1e-8, "laurent-algebra": 1e-7, "p-cross-check": 1e-6,
-                  "h-coefficient cross-check": 1e-6, "n2-cross-check": 1e-7}
-
-
 def _check(results: list, name: str, ok: bool, detail):
     results.append({"name": name, "ok": bool(ok), "detail": detail})
 
 
 def _check_bounded(results: list, name: str, value: float, detail: dict):
-    bound = _VERIFY_BOUNDS[name]  # the invariant holds at value <= bound, named in its detail
-    _check(results, name, value <= bound, {**detail, "bound": bound})
+    decision = within(f"verify {name}", value)  # its detail names the bound
+    _check(results, name, decision.holds, {**detail, "bound": decision.bound})
 
 
 def cmd_verify(args) -> int:
@@ -415,9 +412,10 @@ def cmd_verify(args) -> int:
 
     try:
         check = verify_representation(ar, path, report)
-        bound = 1e-6 * (1.0 + float(np.max(np.abs(path.states))))
-        _check(results, "representation", check.max_residual <= bound,
-               {"max_residual": check.max_residual, "bound": bound,
+        fit = within("verify representation", check.max_residual,
+                     1.0 + float(np.max(np.abs(path.states))))
+        _check(results, "representation", fit.holds,
+               {"max_residual": fit.value, "bound": fit.bound,
                 "class": check.rep_class, "transient": check.transient})
     except (ValueError, ArithmeticError) as exc:
         _check(results, "representation", False, str(exc))

@@ -14,14 +14,7 @@ import warnings
 
 import numpy as np
 
-from .numfield import (
-    RANK_REL,
-    RESIDUAL_ABS,
-    Subspace,
-    as_operator,
-    kernel_basis,
-    operator_norm,
-)
+from .numfield import Subspace, as_operator, kernel_basis, operator_norm, within
 
 
 def annihilators(*loadings) -> Subspace:
@@ -33,18 +26,18 @@ def annihilators(*loadings) -> Subspace:
 def positive_definite_check(c) -> bool:
     """Is the (symmetrized) covariance strictly positive definite?
 
-    True iff the smallest eigenvalue exceeds RANK_REL times the largest
-    (the fixed rank cut-off).  Asymmetry above 10 x RESIDUAL_ABS
-    (relative to the norm, at least 1) is reported as a warning, not an
-    error.
+    True iff the smallest eigenvalue exceeds the "covariance definiteness"
+    cut-off times the largest.  Asymmetry above the "covariance asymmetry"
+    cut-off (relative to the norm, at least 1) is reported as a warning,
+    not an error.
     """
     c = as_operator(c, square=True)
-    asym = operator_norm(c - c.T)
-    if asym > 10 * RESIDUAL_ABS * max(1.0, operator_norm(c)):
-        warnings.warn(f"covariance asymmetry {asym:.2e}; symmetrizing", stacklevel=2)
+    asym = within("covariance asymmetry", operator_norm(c - c.T), max(1.0, operator_norm(c)))
+    if not asym.holds:
+        warnings.warn(f"covariance asymmetry {asym.value:.2e}; symmetrizing", stacklevel=2)
     sym = (c + c.T) / 2.0
     eigs = np.linalg.eigvalsh((sym + sym.conj().T) / 2.0)
     largest = float(eigs[-1])
     if largest <= 0:
         return False
-    return float(eigs[0]) > RANK_REL * largest
+    return not within("covariance definiteness", float(eigs[0]), largest).holds

@@ -26,7 +26,6 @@ import numpy as np
 
 from .numfield import (
     NotComplementary,
-    RESIDUAL_ABS,
     Subspace,
     _generalized_inverse,
     apply_to_subspace,
@@ -36,6 +35,7 @@ from .numfield import (
     orthogonal_complement,
     subspace_intersection,
     subspace_sum,
+    within,
 )
 from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
 from .pencil import CompanionPencil, resolvent, spectrum_report
@@ -299,7 +299,7 @@ def i2_components(cp: CompanionPencil, j_max: int,
         raise NotI2(
             f"restricted map K -> W_C is not square "
             f"(dim K {k_dim}, dim W_C {w_c.dim})")
-    if q_g is None or q_g_residual > 10 * RESIDUAL_ABS:
+    if q_g is None or not within("guard", q_g_residual).holds:
         raise NotI2(
             f"Q^g construction failed (residual {q_g_residual:.2e}); "
             "the W (+) W_C split is not usable")

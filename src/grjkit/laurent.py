@@ -37,13 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import RESIDUAL_ABS, fit_geometric_decay, numerical_rank, operator_norm
+from .numfield import fit_geometric_decay, numerical_rank, operator_norm, within
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
 MIN_NODES = 16
 MAX_NODES = 4096  # node doubling stops here; a start must lie below it
-QUADRATURE_CONV_TOL = 1e-10  # largest change between levels that counts as settled
 SAMPLE_BLOCK_BYTES = 2 << 20  # samples and twiddle columns held at once per level;
                               # a block holds >= 1 node
 TWIDDLE_BYTES_PER_INDEX = 32  # per node and index: a complex weight and two int64 exponents
@@ -84,7 +83,7 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     trapezoid rule on the circle |z - center| = radius is spectrally
     accurate; node count doubles from ``nodes`` (in [MIN_NODES,
     MAX_NODES)) until successive results differ by at most
-    QUADRATURE_CONV_TOL, else ContourNotConverged at MAX_NODES.  Returns
+    CUTOFFS["quadrature"], else ContourNotConverged at MAX_NODES.  Returns
     (coeffs, nodes, last_change).  Each refinement level reads the
     requested j as the weighted sum W @ samples, W[i, m] = e^{-i j_i theta_m};
     the exponent j_i m is reduced mod M and looked up in a table of the
@@ -137,14 +136,14 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     while m < MAX_NODES:
         m *= 2
         refined = evaluate(m)
-        change = max(operator_norm(refined[j] - current[j]) for j in js)
+        change = within("quadrature", max(operator_norm(refined[j] - current[j]) for j in js))
         current = refined
-        if change <= QUADRATURE_CONV_TOL:
+        if change.holds:
             break
-    if change > QUADRATURE_CONV_TOL:
+    if not change.holds:
         raise ContourNotConverged(
-            f"quadrature change {change:.2e} above {QUADRATURE_CONV_TOL:.0e} at {m} nodes")
-    return current, m, change
+            f"quadrature change {change.value:.2e} above {change.bound:.0e} at {m} nodes")
+    return current, m, change.value
 
 
 def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=None):
@@ -156,7 +155,7 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=
     coefficients of the resolvent.  A unit root that is present but not
     usable raises NoUnitRoot (require_unit_root): that is any report with
     unit_root_ok false, so a unit cluster scattered wider than
-    UNIT_CLUSTER_SCATTER or another pencil root in the closed disk of
+    CUTOFFS["cluster scatter"] or another pencil root in the closed disk of
     radius 1 + eta is refused even when pick_radius would be positive.
     Without a unit root the integrand is analytic and the principal
     coefficients vanish.
@@ -250,8 +249,7 @@ def essential_from_sweep(dims, orders) -> bool:
     os = [o for _, o in pairs]
     if any(b < a for a, b in zip(os, os[1:])):
         return False
-    slope = (os[-1] - os[0]) / (ds[-1] - ds[0])
-    return slope >= 0.5
+    return within("sweep slope", (os[-1] - os[0]) / (ds[-1] - ds[0])).holds
 
 
 def laurent_algebra_gap(cp: CompanionPencil) -> float:
@@ -280,7 +278,7 @@ def laurent_algebra_gap(cp: CompanionPencil) -> float:
     p_op = coeffs[-1] @ b
     res_idem = operator_norm(p_op @ p_op - p_op, norm)
     res_comm = operator_norm(p_op @ b - b @ p_op, norm)
-    if max(res_idem, res_comm) > 10 * RESIDUAL_ABS:
+    if not within("guard", max(res_idem, res_comm)).holds:
         raise ContourNotConverged(
             f"projection residuals too large (idempotency {res_idem:.2e}, "
             f"commutation {res_comm:.2e})")
@@ -294,14 +292,13 @@ def laurent_algebra_gap(cp: CompanionPencil) -> float:
         tail = c_fit * decay ** (j_max + 1) / (1.0 - decay)
     else:
         tail = c_fit * max(decay, 1.0) ** (j_max + 1)
-    bound = 10.0 * tail + 100.0 * RESIDUAL_ABS
     for theta in (0.3, 2.1, 4.0):
         z = 1.0 + r_eval * np.exp(1j * theta)
         series = -sum(coeffs[j] * (z - 1.0) ** j for j in js)
-        err = operator_norm(series - resolvent(cp, z), norm)
-        if err > bound:
-            raise ContourNotConverged(
-                f"reconstruction error {err:.2e} above tail bound {bound:.2e} at z={z:.3f}")
+        err = within("reconstruction", operator_norm(series - resolvent(cp, z), norm), tail)
+        if not err.holds:
+            raise ContourNotConverged(f"reconstruction error {err.value:.2e} above tail "
+                                      f"bound {err.bound:.2e} at z={z:.3f}")
 
     zero = np.zeros_like(b)
 

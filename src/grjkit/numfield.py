@@ -10,14 +10,19 @@ Conventions
 -----------
 * Operators are dense ``numpy`` arrays, complex128 throughout; real input
   is embedded with zero imaginary part.
+* Every cut-off sits in one table, CUTOFFS, one entry per kind of
+  decision; no caller tunes any.  A scalar decision goes through
+  within(kind, value, scale), which returns the value and its bound with
+  the verdict; vectorised ones (the rank rule, the unit-cluster masks, the
+  resolvent's per-node screen) read their entry directly.
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
-  only matter for reported norm values.  They all cut at the fixed
-  RANK_REL relative to the largest singular value.  A kernel, a range and both
+  only matter for reported norm values.  They all cut at CUTOFFS["rank"]
+  relative to the largest singular value.  A kernel, a range and both
   orthogonal complements come from one full SVD (kernel_and_range), so they
   agree on the rank; rank-only decisions take singular values alone.  Residual
-  checks (solves, projections, generalized inverses) cut at the fixed absolute
-  RESIDUAL_ABS, in the operator norm; no caller tunes either.
+  checks cut in the operator norm, at CUTOFFS["residual"] for solves and
+  CUTOFFS["guard"] for projections and generalized inverses.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
   conjugation, so the adjoint of an operator is its plain transpose and
   the space of functionals annihilating ``ran A`` is the left null space
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,6 +43,33 @@ NORM_KINDS = ("one", "two", "sup")
 DECAY_FIT_FLOOR = 1e-300  # fit_geometric_decay treats norms at or below it as zero
 RANK_REL = 1e-10  # rank cut-off: singular values <= RANK_REL * s_0 count as zero
 RESIDUAL_ABS = 1e-8  # residual cut-off in the operator norm (10 x of it for the guards)
+# every cut-off grjkit decides by, one entry per kind of decision (see within)
+CUTOFFS = {
+    "rank": RANK_REL,
+    "residual": RESIDUAL_ABS,  # resolvent solves; also "is the loading zero"
+    "guard": 10 * RESIDUAL_ABS,  # projections, generalized inverses, Q^g, the Laurent P
+    "reconstruction": (10.0, 100.0 * RESIDUAL_ABS),  # fitted contour tails, plus a floor
+    "quadrature": 1e-10,  # largest change between levels that counts as settled
+    "cluster scatter": 0.05,  # farthest a unit-cluster eigenvalue may sit from 1
+    "isolation": 0.1,  # eta: 1 the only pencil-spectrum point in |z| <= 1 + eta
+    "real coefficients": 1e-12, "real operator": 1e-8,  # imaginary over real part
+    "covariance asymmetry": 10 * RESIDUAL_ABS, "covariance definiteness": RANK_REL,
+    "stationarity": 3.0,  # |variance slope| within this many standard errors
+    "sweep slope": 0.5,  # pole order growing at least this fast in n flags essential
+    "verify recursion": 1e-8, "verify laurent-algebra": 1e-7, "verify p-cross-check": 1e-6,
+    "verify h-coefficient cross-check": 1e-6, "verify n2-cross-check": 1e-7,
+    "verify representation": 1e-6,  # verify's invariants; this one times 1 + max|x|
+}
+_AT_LEAST = frozenset({"sweep slope"})  # the kinds that hold at value >= bound
+Decision = namedtuple("Decision", "holds value bound")  # what within() decided
+
+
+def within(kind: str, value, scale=1.0) -> Decision:
+    """Decision(value <= bound, value, bound), bound = CUTOFFS[kind] * scale (factor *
+    scale + floor for a (factor, floor) entry); _AT_LEAST kinds hold at value >= bound."""
+    entry = CUTOFFS[kind]
+    bound = entry[0] * scale + entry[1] if isinstance(entry, tuple) else entry * scale
+    return Decision(bool(value >= bound if kind in _AT_LEAST else value <= bound), value, bound)
 
 
 class NotComplementary(ValueError):
@@ -103,13 +136,14 @@ def subspace_to_json(s: "Subspace") -> dict:
 class Subspace:
     """A subspace of C^n held as an ambient dimension plus basis columns.
 
-    Bases are orthonormalized on construction (columns of an isometry),
-    even when the ambient reporting norm is not Euclidean -- rank and
-    dimension bookkeeping stay SVD-based.
+    Subspace(n, basis) keeps the basis as given; from_columns, kernel_and_range
+    and the subspace arithmetic here give orthonormal columns (singular vectors,
+    whatever the reporting norm), which readers of coordinates as basis^H x,
+    such as i2_components' W_C, rely on.
     """
 
     ambient_dim: int
-    basis: np.ndarray  # ambient_dim x k, orthonormal columns
+    basis: np.ndarray  # ambient_dim x k
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.complex128)
@@ -129,7 +163,7 @@ class Subspace:
 
         ``floor`` is an absolute singular-value cutoff for callers that
         know the columns' natural scale (e.g. images under a bounded
-        map, where components below RANK_REL times the map norm are
+        map, where components below CUTOFFS["rank"] times the map norm are
         rounding noise, not directions).
         """
         c = np.asarray(cols, dtype=np.complex128)
@@ -177,11 +211,11 @@ def operator_norm(m, norm: str = "two") -> float:
 
 def _rank_of(s, floor: float = 0.0) -> int:
     """The rank rule every rank decision uses: the number of singular
-    values ``s`` (descending) above RANK_REL * s_0, or above ``floor``
+    values ``s`` (descending) above CUTOFFS["rank"] * s_0, or above ``floor``
     when that is larger; 0 for an empty or zero matrix."""
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.sum(s > max(RANK_REL * s[0], floor)))
+    return int(np.sum(s > max(CUTOFFS["rank"] * s[0], floor)))
 
 
 def numerical_rank(m) -> int:
@@ -249,7 +283,7 @@ def apply_to_subspace(m, s: Subspace) -> Subspace:
     """Image subspace M(S), rank-truncated against the map's own scale so
     a mathematically zero image cannot resurface as rounding noise."""
     m = as_operator(m)
-    return Subspace.from_columns(m @ s.basis, floor=RANK_REL * operator_norm(m))
+    return Subspace.from_columns(m @ s.basis, floor=CUTOFFS["rank"] * operator_norm(m))
 
 
 @dataclass(frozen=True)
@@ -297,7 +331,7 @@ def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
     proj = onto.basis @ binv[:k]
     # degenerate-geometry guard: a formally complementary but nearly
     # touching pair blows up the projector and its idempotency residual
-    if operator_norm(proj @ proj - proj) > 10 * RESIDUAL_ABS:
+    if not within("guard", operator_norm(proj @ proj - proj)).holds:
         raise NotComplementary("complement pair too ill-conditioned for a reliable projection")
     return proj
 
@@ -305,13 +339,13 @@ def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
 def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran) -> np.ndarray:
     """G = K_C (M K_C)^+ P_ran, with K_C the basis of ker_complement,
     checked against G M = I - P_ker and M G = P_ran within
-    10 x RESIDUAL_ABS (else NotComplementary)."""
+    CUTOFFS["guard"] (else NotComplementary)."""
     kc = ker_complement.basis  # n x q with q = rank M
     coeffs, *_ = np.linalg.lstsq(m @ kc, p_ran, rcond=None)
     ginv = kc @ coeffs
     res1 = operator_norm(ginv @ m - (np.eye(m.shape[0]) - p_ker))
     res2 = operator_norm(m @ ginv - p_ran)
-    if max(res1, res2) > 10 * RESIDUAL_ABS:
+    if not within("guard", max(res1, res2)).holds:
         raise NotComplementary(
             f"generalized-inverse identities violated (residuals {res1:.2e}, {res2:.2e})")
     return ginv

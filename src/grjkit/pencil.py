@@ -19,12 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .numfield import (NORM_KINDS, RANK_REL, RESIDUAL_ABS, Subspace, as_operator, _json_int,
-                       _kernel_chain, dump_json, kernel_and_range, matrix_from_json,
-                       matrix_to_json, operator_norm, subspace_intersection)
-
-ETA = 0.1  # 1 must be the only pencil-spectrum point in the disk |z| <= 1 + ETA
-UNIT_CLUSTER_SCATTER = 0.05  # farthest a unit-cluster eigenvalue may sit from 1
+from .numfield import (CUTOFFS, NORM_KINDS, Subspace, as_operator, _json_int, _kernel_chain,
+                       dump_json, kernel_and_range, matrix_from_json, matrix_to_json,
+                       operator_norm, subspace_intersection, within)
 
 
 class SingularAt(ArithmeticError):
@@ -184,11 +181,10 @@ def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
     (``np.linalg.inv``), the same factorization and the same bits as
     ``np.linalg.solve(I - z*a1, I)``.  Raises SingularAt(z) when the
     solve is numerically singular or the spectral norm of the residual
-    R = (I - z a1) X - I exceeds RESIDUAL_ABS.  The O(n^2) squared
-    Frobenius norm screens first, compared with RESIDUAL_ABS squared: it
-    bounds ||R||_2 from above, so sum |R_ij|^2 <= RESIDUAL_ABS^2 accepts
-    without an SVD; any other R (NaN too) gets the exact spectral-norm
-    test.
+    R = (I - z a1) X - I exceeds r = CUTOFFS["residual"].  The O(n^2)
+    squared Frobenius norm screens first, compared with r squared: it
+    bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts without an
+    SVD; any other R (NaN too) gets the exact spectral-norm test.
     """
     eye = cp.identity()
     lhs = z * cp.a1
@@ -199,8 +195,8 @@ def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
         raise SingularAt(z) from exc
     res = lhs @ out
     res -= eye
-    if (not np.vdot(res, res).real <= RESIDUAL_ABS * RESIDUAL_ABS
-            and operator_norm(res) > RESIDUAL_ABS):
+    cut = CUTOFFS["residual"]  # read once per node: the screen builds no Decision
+    if not (np.vdot(res, res).real <= cut * cut or within("residual", operator_norm(res)).holds):
         raise SingularAt(z)
     return out
 
@@ -211,10 +207,10 @@ class SpectrumReport:
 
     pencil_spectrum collects 1/lambda over the nonzero eigenvalues of the
     companion operator (the points where I - z a1 is singular).
-    unit_root_ok is true iff the unit cluster lies within
-    UNIT_CLUSTER_SCATTER of 1 and nothing else is in the closed disk of
-    radius 1 + ETA.  nearest_other is the distance from 1 to the closest other
-    spectrum point (inf when none) -- used to pick contour radii.
+    unit_root_ok is true iff the unit cluster lies within the "cluster
+    scatter" cut-off of 1 and nothing else is in the closed disk of radius
+    1 + eta ("isolation").  nearest_other is the distance from 1 to the
+    closest other spectrum point (inf when none) -- used to pick contour radii.
     ascent is the size of the largest Jordan block at 1, read off the same
     kernel chain as the multiplicity (not part of to_json).
     """
@@ -230,7 +226,7 @@ class SpectrumReport:
         return {
             "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
             "pencil_spectrum": [[float(v.real), float(v.imag)] for v in self.pencil_spectrum],
-            "eta": ETA,
+            "eta": CUTOFFS["isolation"],
             "unit_root_ok": self.unit_root_ok,
             "unit_root_present": self.unit_root_present,
             "nearest_other": self.nearest_other if np.isfinite(self.nearest_other) else None,
@@ -246,7 +242,7 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     cp.kernel_chain, so a repeat report on one pencil takes no SVD.
     """
     eigs = np.linalg.eigvals(cp.a1)
-    nonzero = eigs[np.abs(eigs) > RANK_REL]  # a zero eigenvalue has no pencil root
+    nonzero = eigs[np.abs(eigs) > CUTOFFS["rank"]]  # a zero eigenvalue has no pencil root
     roots = np.sort_complex(1.0 / nonzero)
 
     # Eigenvalues of a defective unit root scatter like eps**(1/k) around 1
@@ -262,10 +258,10 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     cluster = roots[order[:cluster_count]]
     others = roots[order[cluster_count:]]
     scatter = float(np.max(np.abs(cluster - 1.0))) if cluster.size else 0.0
-    inside = others[np.abs(others) <= 1.0 + ETA] if others.size else others
+    inside = others[np.abs(others) <= 1.0 + CUTOFFS["isolation"]] if others.size else others
     nearest = float(np.min(np.abs(others - 1.0))) if others.size else float("inf")
     present = multiplicity > 0
-    ok = present and inside.size == 0 and scatter <= UNIT_CLUSTER_SCATTER
+    ok = present and inside.size == 0 and within("cluster scatter", scatter).holds
     return SpectrumReport(
         eigenvalues=eigs,
         pencil_spectrum=roots,

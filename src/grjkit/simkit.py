@@ -34,7 +34,7 @@ import numpy as np
 
 from .cointegration import annihilators, positive_definite_check
 from .grj import I1Report, I2Report, NotI2
-from .numfield import RESIDUAL_ABS, ascent_at_one, operator_norm
+from .numfield import ascent_at_one, operator_norm, within
 from .pencil import ArPencil, linearize
 
 
@@ -68,7 +68,8 @@ def _recurse(coeffs, block, initial) -> np.ndarray:
 def _real_coeffs(ar: ArPencil):
     mats = []
     for c in ar.coeffs:
-        if np.max(np.abs(c.imag)) > 1e-12 * max(1.0, np.max(np.abs(c.real))):
+        if not within("real coefficients", np.max(np.abs(c.imag)),
+                      max(1.0, np.max(np.abs(c.real)))).holds:
             raise ValueError("simulation requires real AR coefficients")
         mats.append(np.ascontiguousarray(c.real))
     return mats
@@ -173,7 +174,7 @@ class RepresentationCheck:
 
 def _as_real(m, what: str):
     m = np.asarray(m)
-    if np.max(np.abs(m.imag)) > 1e-8 * (1.0 + np.max(np.abs(m.real))):
+    if not within("real operator", np.max(np.abs(m.imag)), 1.0 + np.max(np.abs(m.real))).holds:
         raise ValueError(f"{what} has a non-negligible imaginary part")
     return m.real
 
@@ -316,7 +317,8 @@ def stationarity_slope(series, min_replications: int = 100) -> SlopeReport:
     intercept = float(y.mean() - slope * x.mean())
     rss = float(np.sum((y - intercept - slope * x) ** 2))
     std_error = float(np.sqrt(rss / 2.0 / denom))
-    stationary = abs(slope) <= 3.0 * std_error if std_error > 0 else slope == 0.0
+    stationary = (within("stationarity", abs(slope), std_error).holds if std_error > 0
+                  else slope == 0.0)
     return SlopeReport(slope=slope, std_error=std_error, stationary=bool(stationary),
                        times=tuple(times), variances=tuple(float(v) for v in y))
 
@@ -374,7 +376,7 @@ def polynomial_cointegration_probe(states, i2: I2Report) -> ProbeReport:
 
     negative = None
     u, s, _ = np.linalg.svd(lr2)
-    if s[0] > RESIDUAL_ABS:
+    if not within("residual", s[0]).holds:
         f = _as_real(u[:, 0], "functional")
         negative = _probe_entry(f, diffs @ f)
 

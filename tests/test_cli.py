@@ -17,7 +17,8 @@ from grjkit.cli import main
 from grjkit.grj import H_TAYLOR_JMAX
 from grjkit.laurent import ContourNotConverged
 from grjkit.models import jordan_model
-from grjkit.numfield import Subspace, matrix_from_json, matrix_to_json, subspace_to_json
+from grjkit.numfield import (CUTOFFS, Subspace, matrix_from_json, matrix_to_json,
+                             subspace_to_json)
 from grjkit.pencil import ArPencil, SingularAt
 from grjkit.simkit import ClassMismatch, SamplePath
 
@@ -446,8 +447,8 @@ def test_verify_names_each_bound(capsys, model):
             assert name not in invariants
             continue
         detail = invariants[name]["detail"]
-        if name in cli._VERIFY_BOUNDS:
-            assert detail["bound"] == cli._VERIFY_BOUNDS[name]
+        if name != "representation":  # the one bound scaled by the path
+            assert detail["bound"] == CUTOFFS[f"verify {name}"]
         assert all(detail[key] <= detail["bound"] for key in keys), (name, detail)
 
 

@@ -3,8 +3,10 @@ Every module of the package (except the re-exporting __init__), the tests
 and the scripts reads each name it imports; every public top-level
 function or class of every package module, re-exported by grjkit or not,
 is read by the package, the scripts or the benchmark, not only by the
-tests; the package reads no environment variable; and no package
-function takes a tolerance (residual checks cut at numfield.RESIDUAL_ABS).
+tests; the package reads no environment variable; no package function
+takes a tolerance; and no package module but numfield names a cut-off
+constant or compares with a float literal, since every cut-off is an
+entry of the one table numfield.CUTOFFS.
 """
 from __future__ import annotations
 
@@ -159,3 +161,49 @@ def test_no_package_function_takes_tol():
     found = {path.name: tol_parameters(path.read_text(encoding="utf-8"))
              for path in (ROOT / "src" / "grjkit").glob("*.py")}
     assert {name: funcs for name, funcs in found.items() if funcs} == {}
+
+
+# the cut-off constants the table holds or replaced: only numfield may name them
+CUTOFF_NAMES = ("RANK_REL", "RESIDUAL_ABS", "QUADRATURE_CONV_TOL", "ETA",
+                "UNIT_CLUSTER_SCATTER", "_VERIFY_BOUNDS")
+# (module, comparison) -> why its float literal is no cut-off
+LITERAL_COMPARISONS = {
+    ("pencil", "np.abs(others) <= 1.0 + CUTOFFS['isolation']"):
+        "1.0 is the unit circle; the isolation margin eta is the table's",
+    ("simkit", "slope == 0.0"):
+        "an exact zero: with no scatter about the fit, only a flat slope is stationary",
+}
+
+
+def cutoff_leaks(source: str) -> list:
+    """A cut-off constant a module names, and each comparison with a float
+    literal anywhere in its operands, as (line, name or comparison)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if field and getattr(node, field) in CUTOFF_NAMES:
+            found.append((node.lineno, getattr(node, field)))
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(leaf, ast.Constant) and isinstance(leaf.value, float)
+                for operand in (node.left, *node.comparators) for leaf in ast.walk(operand)):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_cutoff_outside_the_table():
+    source = ("from .numfield import RESIDUAL_ABS\nimport pencil\n"
+              "if r > 10 * RESIDUAL_ABS or s <= 1e-8:\n    pass\n"
+              "ok = x < y and n == 0 and -t >= -(0.5 * u)\nz = pencil.ETA * 2.0\n")
+    assert cutoff_leaks(source) == [(1, "RESIDUAL_ABS"), (3, "RESIDUAL_ABS"), (3, "s <= 1e-08"),
+                                    (5, "-t >= -(0.5 * u)"), (6, "ETA")]
+
+
+def test_only_numfield_knows_a_cutoff():
+    found = {}
+    for path in (ROOT / "src" / "grjkit").glob("*.py"):
+        if path.stem != "numfield":
+            leaks = [leak for leak in cutoff_leaks(path.read_text(encoding="utf-8"))
+                     if (path.stem, leak[1]) not in LITERAL_COMPARISONS]
+            if leaks:
+                found[path.name] = leaks
+    assert found == {}

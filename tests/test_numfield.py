@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grjkit.numfield import (NotComplementary, Subspace, _generalized_inverse,
+from grjkit.laurent import essential_from_sweep
+from grjkit.numfield import (CUTOFFS, NotComplementary, Subspace, _generalized_inverse,
                              apply_to_subspace, ascent_at_one, direct_sum_check,
                              dump_json, fit_geometric_decay, kernel_and_range,
                              kernel_basis, matrix_from_json, matrix_to_json,
                              numerical_rank, oblique_projection, operator_norm,
                              orthogonal_complement, range_basis,
                              subspace_intersection, subspace_sum,
-                             subspace_to_json)
+                             subspace_to_json, within)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
@@ -307,3 +308,15 @@ def test_fit_geometric_decay_recovers_rate():
 def test_fit_geometric_decay_without_a_tail():
     assert fit_geometric_decay([0.0, 0.0, 0.0]) == (0.0, 0.0)
     assert fit_geometric_decay([0.0, 2.0, 0.0]) == (2.0, 0.0)
+
+
+def test_within_bounds_by_the_table_entry():
+    rank = CUTOFFS["rank"]
+    assert within("rank", rank) == (True, rank, rank)  # holds at value <= bound
+    assert within("guard", 1.0, 2.0) == (False, 1.0, CUTOFFS["guard"] * 2.0)
+    factor, floor = CUTOFFS["reconstruction"]  # a fitted tail plus a floor
+    assert within("reconstruction", 0.0, 3.0).bound == factor * 3.0 + floor
+    # the sweep slope is the one at-least rule, and equality holds: the
+    # order going 4 -> 8 from n = 8 to 16 is flagged essential
+    assert within("sweep slope", 0.5).holds and not within("sweep slope", 0.25).holds
+    assert essential_from_sweep([8, 16], [4, 8])

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from grjkit import pencil
 from grjkit.models import jordan_model, random_walk_model, volterra_model
+from grjkit.numfield import CUTOFFS
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
                            resolvent, spectrum_report)
 
@@ -126,13 +127,13 @@ def test_resolvent_screen_falls_back_to_the_spectral_norm(monkeypatch):
     cp, z, two, fro = _screen_case()
     default = resolvent(cp, z)
     calls = _count_svd_norms(monkeypatch)
-    # ||R||_2 <= RESIDUAL_ABS < ||R||_F: the screen misses, the exact test accepts
-    monkeypatch.setattr(pencil, "RESIDUAL_ABS", (two + fro) / 2)
+    # ||R||_2 <= cut < ||R||_F: the screen misses, the exact test accepts
+    monkeypatch.setitem(CUTOFFS, "residual", (two + fro) / 2)
     out = resolvent(cp, z)
     assert calls == [1]
     assert np.array_equal(out, default)
-    # RESIDUAL_ABS < ||R||_2: the exact test rejects
-    monkeypatch.setattr(pencil, "RESIDUAL_ABS", 0.5 * two)
+    # cut < ||R||_2: the exact test rejects
+    monkeypatch.setitem(CUTOFFS, "residual", 0.5 * two)
     with pytest.raises(SingularAt):
         resolvent(cp, z)
 

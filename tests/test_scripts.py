@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # script -> (its smallest arguments, a line its output must contain)
 SCRIPTS = {
+    "byte_grid": (["ex-selfadjoint"], "grj verify ex-selfadjoint  exit=0  stdout="),
     "pole_order_gallery": (["--jordan-seeds", "0"], "jordan[3]@0"),
     "variance_law_mc": (["--reps", "10", "--horizon", "8", "--seeds", "1",
                          "--threads", "1"], "ar2-unit: predicted slope"),
