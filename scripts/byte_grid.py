@@ -14,6 +14,20 @@ under one BLAS thread; set it outside the script, before numpy loads:
 FILTER keeps only the commands whose argv contains it as a substring
 (for example ``ex-volterra`` or ``represent``).  Model files the grid
 needs are written to a temporary directory and shown by file name.
+
+Digests say only that an output changed.  To see by how much, save the
+outputs of one checkout and compare another with them, value by value:
+
+    PYTHONPATH=src python3 scripts/byte_grid.py --save DIR [FILTER]
+    PYTHONPATH=src python3 scripts/byte_grid.py --against DIR [FILTER]
+
+--save writes each command's exit code, stdout and stderr to one JSON
+file in DIR.  --against runs the grid again and, for each command whose
+output differs from the saved one, prints the exit codes, the largest
+change per JSON field of stdout (list indices dropped, so one line
+covers every h_j), and for each subspace field the projector gap
+||P_old - P_new||_2 between the two bases, which is about 0 when a basis
+only rotated inside the same space.  A changed stderr is printed whole.
 """
 from __future__ import annotations
 
@@ -21,7 +35,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -49,6 +65,9 @@ MODEL_FILES = {
     "ar2_double_root.json": ar2_double_root_model,
     "ill_k5_seed5.json": lambda: ill_conditioned_model(5, 5),
     "ill_k7_seed0.json": lambda: ill_conditioned_model(7, 0),
+    # two random walks and a stationary AR(1): I(1), which the contour
+    # route misreads as pole order 2 (see CHANGES.md)
+    "walks_and_ar1.json": lambda: ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]),
 }
 
 # model arguments that analyze, represent and verify each run on
@@ -65,6 +84,7 @@ MODELS = (
     ("ex-jordan", "--blocks", "1", "--seed", "8"),
     ("ex-jordan", "--blocks", "3"),
     ("ex-jordan", "--blocks", "2,2", "--seed", "1"),
+    ("ex-jordan", "--blocks", "2,2,1", "--seed", "3"),
     *(("--model", name) for name in MODEL_FILES),
 )
 
@@ -91,14 +111,114 @@ def run(argv) -> tuple:
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
+def _is_matrix(value) -> bool:
+    return isinstance(value, dict) and value.keys() == {"rows", "cols", "entries"}
+
+
+def _is_subspace(value) -> bool:
+    return isinstance(value, dict) and value.keys() == {"ambient", "basis"}
+
+
+def _array(matrix) -> np.ndarray:
+    entries = np.asarray(matrix["entries"], dtype=float).reshape(-1, 2)
+    return (entries[:, 0] + 1j * entries[:, 1]).reshape(matrix["rows"], matrix["cols"])
+
+
+def _dim(subspace) -> int:
+    return 0 if subspace["basis"] is None else subspace["basis"]["cols"]
+
+
+def _projector(subspace) -> np.ndarray:
+    q, _ = np.linalg.qr(_array(subspace["basis"]))
+    return q @ q.conj().T
+
+
+def field_changes(old, new, path="", changes=None) -> dict:
+    """{field: {"max": largest numeric change, "gap": largest projector
+    gap of a subspace field (None for other fields), "other": description
+    of a non-numeric change}} over every field where the JSON values
+    ``old`` and ``new`` differ; list indices are dropped from the field
+    names."""
+    changes = {} if changes is None else changes
+    if old == new:
+        return changes
+    if (isinstance(old, dict) and isinstance(new, dict)
+            and not (_is_matrix(old) or _is_subspace(old))):
+        for key in sorted(old.keys() | new.keys()):
+            field = f"{path}.{key}" if path else key
+            if key in old and key in new:
+                field_changes(old[key], new[key], field, changes)
+            else:
+                changes[field] = {"max": 0.0, "gap": None,
+                                  "other": "added" if key in new else "removed"}
+        return changes
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            field_changes(a, b, path, changes)
+        return changes
+    entry = changes.setdefault(path or "(top)", {"max": 0.0, "gap": None, "other": None})
+    if _is_subspace(old) and _is_subspace(new):
+        if (old["ambient"], _dim(old)) != (new["ambient"], _dim(new)):
+            entry["other"] = "dimension changed"
+        else:
+            gap = float(np.linalg.norm(_projector(old) - _projector(new), 2))
+            entry["gap"] = max(entry["gap"] or 0.0, gap)
+            entry["max"] = max(entry["max"], float(np.max(np.abs(
+                _array(old["basis"]) - _array(new["basis"])))))
+    elif _is_matrix(old) and _is_matrix(new):
+        a, b = _array(old), _array(new)
+        if a.shape != b.shape:
+            entry["other"] = f"shape {a.shape} -> {b.shape}"
+        else:
+            entry["max"] = max(entry["max"], float(np.max(np.abs(a - b))))
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        entry["max"] = max(entry["max"], abs(new - old))
+    else:
+        entry["other"] = f"{json.dumps(old)[:60]} -> {json.dumps(new)[:60]}"
+    return changes
+
+
+def describe(saved: dict, code, out: bytes, err: bytes) -> list:
+    """Lines saying how a command's output differs from ``saved``; [] when
+    the exit code, stdout and stderr are all the same."""
+    stdout, stderr = out.decode("utf-8"), err.decode("utf-8")
+    lines = []
+    if saved["exit"] != code:
+        lines.append(f"  exit: {saved['exit']} -> {code}")
+    if saved["stdout"] != stdout:
+        try:
+            changes = field_changes(json.loads(saved["stdout"]), json.loads(stdout))
+        except ValueError:
+            lines.append("  stdout: changed (not JSON)")
+        else:
+            for field, entry in sorted(changes.items()):
+                parts = [f"max change {entry['max']:.1e}"]
+                if entry["gap"] is not None:
+                    parts.append(f"projector gap {entry['gap']:.1e}")
+                if entry["other"]:
+                    parts = [entry["other"]]
+                lines.append(f"  {field}: " + ", ".join(parts))
+    if saved["stderr"] != stderr:
+        lines.append(f"  stderr: {saved['stderr'].strip()!r} -> {stderr.strip()!r}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("filter", nargs="?", default="",
                     help="run only the commands whose argv contains this substring")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="DIR",
+                      help="write each command's exit code, stdout and stderr to DIR")
+    mode.add_argument("--against", metavar="DIR",
+                      help="compare each command's outputs with those saved in DIR")
     args = ap.parse_args(argv)
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         print("byte_grid.py: warning: OPENBLAS_NUM_THREADS is not 1, so residual digits "
               "and the digests may differ from a one-thread grid", file=sys.stderr)
+    if args.save:
+        os.makedirs(args.save, exist_ok=True)
+    changed = ran = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in MODEL_FILES.items():
             build().save(os.path.join(tmp, name))
@@ -108,8 +228,27 @@ def main(argv=None) -> int:
                 continue
             code, out, err = run(os.path.join(tmp, arg) if arg in MODEL_FILES else arg
                                  for arg in command)
-            print(f"grj {shown}  exit={code}  stdout={hashlib.sha256(out).hexdigest()}  "
-                  f"stderr={hashlib.sha256(err).hexdigest()}", flush=True)
+            ran += 1
+            record = os.path.join(args.save or args.against or "",
+                                  re.sub(r"[^A-Za-z0-9.,-]+", "_", shown) + ".json")
+            if args.save:
+                with open(record, "w", encoding="utf-8") as fh:
+                    json.dump({"argv": shown, "exit": code, "stdout": out.decode("utf-8"),
+                               "stderr": err.decode("utf-8")}, fh)
+            if args.against:
+                if not os.path.exists(record):
+                    print(f"grj {shown}  not saved", flush=True)
+                    continue
+                with open(record, encoding="utf-8") as fh:
+                    lines = describe(json.load(fh), code, out, err)
+                changed += bool(lines)
+                print(f"grj {shown}  " + ("changed" if lines else "same"), *lines,
+                      sep="\n", flush=True)
+            else:
+                print(f"grj {shown}  exit={code}  stdout={hashlib.sha256(out).hexdigest()}  "
+                      f"stderr={hashlib.sha256(err).hexdigest()}", flush=True)
+    if args.against:
+        print(f"{changed} of {ran} commands changed")
     return 0
 
 

@@ -1,12 +1,13 @@
 """Integration-order checks and closed-form representation components.
 
 Order one (simple pole) is a geometry statement about M = I - B on the
-companion space: the ambient space must split as ran M (+) ker M.  When
-it does, the long-run projection is the oblique projection onto ker M
-along ran M.  Order two replaces that split with a finer one built from
-the intersection K of ran M with ker M, a generalized inverse of M
-relative to chosen complements, and the derived spaces W = (I - P_ran)
-ker M and a complement W_C of W inside [ran M]_C.
+companion space: the ambient space splits as ran M (+) ker M if and only
+if the coupling C = alpha_perp^H beta_perp of orthonormal bases of
+(ran M)^perp and ker M is nonsingular, and the long-run projection is
+then beta_perp C^{-1} alpha_perp^H.  Order two reads K = beta_perp null(C),
+K_C = beta_perp row(C), W = (I - P_ran) K_C (so dim K + dim W = dim ker M)
+and W_C = (I - P_ran) alpha_perp null(C^H), with a generalized inverse of M
+relative to chosen complements.
 
 The closed forms depend on the complement choices; the contour-derived
 Laurent coefficients do not.  Every assembled component is therefore
@@ -29,12 +30,10 @@ from .numfield import (
     Subspace,
     _generalized_inverse,
     apply_to_subspace,
+    checked_projection,
     direct_sum_check,
     oblique_projection,
     operator_norm,
-    orthogonal_complement,
-    subspace_intersection,
-    subspace_sum,
     within,
 )
 from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
@@ -90,9 +89,10 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
     which holds exactly when K = cp.unit_intersection is {0}; the defect
     is dim K.
 
-    When it holds, the report carries the oblique projection onto ker M
-    along ran M together with its contour cross-check residual and the
-    observable long-run operator.
+    When it holds, the report carries the projection onto ker M along
+    ran M, beta_perp C^{-1} alpha_perp^H (NotComplementary unless it is
+    idempotent within the guard), with its contour cross-check residual
+    and the observable long-run operator.
 
     ``spectrum`` may be the spectrum_report of this same cp, and
     ``residue`` the contour N_{-1} that contour_coefficients(cp, [-1],
@@ -106,7 +106,9 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
         return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
                         defect=k_dim, p_operator=None, long_run=None,
                         h_coeffs=[], cross_check_residual=math.inf)
-    p_op = oblique_projection(ker, ran)
+    u, s, vh, _ = cp.coupling
+    p_op = checked_projection((ker.basis @ (vh.conj().T / s))
+                              @ (cp.unit_range_complement.basis @ u).conj().T)
     if residue is None:
         residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
     residual = operator_norm(p_op - residue, cp.norm)
@@ -190,14 +192,12 @@ def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
 
 @dataclass(frozen=True, eq=False)
 class I2Report:
-    """check_i2's verdict (w_c, q_g and the operators None) or i2_components' report."""
+    """check_i2's verdict (the operators None) or i2_components' report."""
     order: ClassVar[int] = 2
     holds: bool
     defect: int  # of the split (ran M + ker M) (+) M^g K
     k_space: Subspace
     w_space: Subspace
-    w_c: Subspace | None
-    q_g: np.ndarray | None
     n_minus2: np.ndarray | None
     p_operator: np.ndarray | None
     long_run2: np.ndarray | None
@@ -214,7 +214,9 @@ class _OrderTwoGeometry:
     """The subspaces and operators the order-two verdict reads, built once
     for a given pair of complements of ran M and ker M (by default the
     orthogonal ones from the pencil's one SVD of M; a supplied pair runs
-    through the same code).  graft() adds what only the components read."""
+    through the same code).  K and K_C come from the pencil's coupling,
+    and ran M + ker M = ran M (+) W is the plain basis [ran M | W].
+    graft() adds what only the components read."""
 
     def __init__(self, cp, ran_complement=None, ker_complement=None):
         self.ker, self.ran = cp.unit_kernel, cp.unit_range
@@ -223,40 +225,44 @@ class _OrderTwoGeometry:
         # each projection raises NotComplementary for a complement that fails
         self.p_ran = oblique_projection(self.ran, self.ran_c)
         self.p_ker = oblique_projection(self.ker, self.ker_c)
-        self.k_space = cp.unit_intersection
+        self.k_space, self.k_c = cp.unit_intersection, cp.unit_intersection_complement
+        self.sum_c, n = cp.unit_sum_complement, cp.big_dim
         self.off_range = cp.identity() - self.p_ran
-        self.w_space = apply_to_subspace(self.off_range, self.ker)
+        self.w_space = Subspace(n, self.off_range @ self.k_c.basis)  # = (I - P_ran) ker M
         self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran)
-        self.split = direct_sum_check(subspace_sum(self.ran, self.ker),
+        self.split = direct_sum_check(Subspace(n, np.hstack([self.ran.basis, self.w_space.basis])),
                                       apply_to_subspace(self.gen_inverse, self.k_space))
         self.holds = self.k_space.dim > 0 and self.split.holds
 
     def graft(self):
-        """(W_C, P_{W_C}, Q^g, its residual), on demand: only i2_components
-        reads them.  W_C completes W to the range complement and K_C
-        completes K to ker M, each orthogonally: one valid choice among
-        many, which the contour cross-check certifies.  P_W decides
+        """(W_C, P_{W_C}, Q^g), on demand: only i2_components reads them.
+        W_C = (I - P_ran) (ran M + ker M)^perp completes W to the range
+        complement, with dim W_C = dim K: one valid choice among many,
+        which the contour cross-check certifies.  P_W decides
         ran M (+) W (+) W_C once, P_{W_C} = (I - P_ran) - P_W, and
-        Q^g = [Q|_{K_C}]^{-1} P_W.  If that split fails (a model without the
-        order-two geometry), P_{W_C} and Q^g are None, the residual inf."""
-        w_c = subspace_intersection(self.ran_c, orthogonal_complement(self.w_space))
+        Q^g = [Q|_{K_C}]^{-1} P_W.  NotI2 when that split or Q^g fails."""
+        n, images = self.off_range.shape[0], self.w_space.basis  # (I - P_ran) K_C
+        w_c = Subspace(n, self.off_range @ self.sum_c.basis)
         if self.w_space.dim == 0:
-            return w_c, self.off_range, np.zeros_like(self.off_range), 0.0
+            return w_c, self.off_range, np.zeros_like(self.off_range)
+        ran_and_w_c = Subspace(n, np.hstack([self.ran.basis, w_c.basis]))
         try:
-            p_w = oblique_projection(self.w_space, subspace_sum(self.ran, w_c))
+            p_w = oblique_projection(self.w_space, ran_and_w_c)
         except NotComplementary:
-            return w_c, None, None, math.inf
-        k_c = subspace_intersection(self.ker, orthogonal_complement(self.k_space))
-        images = self.off_range @ k_c.basis
-        coords, *_ = np.linalg.lstsq(images, p_w, rcond=None)
-        return (w_c, self.off_range - p_w, k_c.basis @ coords,
-                operator_norm(images @ coords - p_w))
+            residual = math.inf
+        else:
+            coords, *_ = np.linalg.lstsq(images, p_w, rcond=None)
+            residual = operator_norm(images @ coords - p_w)
+        if not within("guard", residual).holds:
+            raise NotI2(f"Q^g construction failed (residual {residual:.2e}); "
+                        "the W (+) W_C split is not usable")
+        return w_c, self.off_range - p_w, self.k_c.basis @ coords
 
 
 def _report_from_geometry(geo: _OrderTwoGeometry) -> I2Report:
     """The verdict report: the geometry, without the representation operators."""
     return I2Report(holds=geo.holds, defect=geo.split.defect, k_space=geo.k_space,
-                    w_space=geo.w_space, w_c=None, q_g=None, n_minus2=None,
+                    w_space=geo.w_space, n_minus2=None,
                     p_operator=None, long_run2=None, long_run1=None,
                     h_coeffs=[], cross_check_residual=math.inf)
 
@@ -268,7 +274,7 @@ def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
     split as (ran M + ker M) (+) M^g K.  K, W (built with the orthogonal
     complements of ran M and ker M) and the split defect are returned
     whether or not the condition holds; W_C, Q^g and the representation
-    operators are filled in by i2_components, so the verdict builds none.
+    operators are built by i2_components only, so the verdict builds none.
     ``spectrum`` may be the spectrum_report of this same cp; without it
     one is computed here.  The verdict reads no contour result.
     """
@@ -282,10 +288,10 @@ def i2_components(cp: CompanionPencil, j_max: int,
     """Assemble the order-two representation operators.
 
     The second-order coefficient inverts P_{W_C} M^g restricted K -> W_C
-    in the computed bases (square exactly when the order-two geometry is
-    valid); the projection then follows from the Gamma operators and
-    Q^g.  Both are cross-checked against contour coefficients, which do
-    not depend on the complement choices.
+    in the computed bases (square, since dim W_C = dim K); the projection
+    then follows from the Gamma operators and Q^g.  Both are cross-checked
+    against contour coefficients, which do not depend on the complement
+    choices.
     """
     rep = require_unit_root(spectrum_report(cp))
     geo = _OrderTwoGeometry(cp, ran_complement, ker_complement)
@@ -293,19 +299,12 @@ def i2_components(cp: CompanionPencil, j_max: int,
         raise NotI2(
             f"order-two geometry fails: K dim {geo.k_space.dim}, "
             f"split defect {geo.split.defect}")
-    w_c, p_wc, q_g, q_g_residual = geo.graft()
+    w_c, p_wc, q_g = geo.graft()
     k_dim = geo.k_space.dim
-    if w_c.dim != k_dim:
-        raise NotI2(
-            f"restricted map K -> W_C is not square "
-            f"(dim K {k_dim}, dim W_C {w_c.dim})")
-    if q_g is None or not within("guard", q_g_residual).holds:
-        raise NotI2(
-            f"Q^g construction failed (residual {q_g_residual:.2e}); "
-            "the W (+) W_C split is not usable")
 
     eye = cp.identity()
-    # P_{W_C} maps into W_C, whose basis is orthonormal: W_C^H gives coordinates
+    # W_C^H P_{W_C} is P_{W_C}'s coordinates in W_C's basis times its Gram
+    # matrix, which cancels in N_{-2} = K (A M^g K)^{-1} A, orthonormal or not
     wc_coords_of_pwc = w_c.basis.conj().T @ p_wc
     restricted = wc_coords_of_pwc @ geo.gen_inverse @ geo.k_space.basis  # k x k
     try:
@@ -330,6 +329,6 @@ def i2_components(cp: CompanionPencil, j_max: int,
     h_coeffs = _h_closed_form(cp, p_op, j_max)
     long_run2 = n_minus2[:cp.dim, :cp.dim]
     long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
-    return replace(_report_from_geometry(geo), w_c=w_c, q_g=q_g, n_minus2=n_minus2,
+    return replace(_report_from_geometry(geo), n_minus2=n_minus2,
                    p_operator=p_op, long_run2=long_run2, long_run1=long_run1,
                    h_coeffs=h_coeffs, cross_check_residual=residual)

@@ -2,9 +2,13 @@
 
 Everything downstream (pencils, Laurent coefficients, representation
 components) reduces to a handful of primitives collected here: induced
-operator norms, tolerant rank / kernel / range decisions, subspace
-arithmetic, oblique projections, the checked generalized inverse of the
+operator norms, tolerant rank / kernel / range decisions, direct-sum
+checks, oblique projections, the checked generalized inverse of the
 order-two geometry, and the Jordan-ascent oracle at eigenvalue 1.
+
+The class checks read their spaces off the SVD of M = I - B and of the
+coupling C = alpha_perp^H beta_perp, which pencil.CompanionPencil owns:
+I(1) holds if and only if C is nonsingular, and dim K + dim W = dim ker M.
 
 Conventions
 -----------
@@ -136,10 +140,9 @@ def subspace_to_json(s: "Subspace") -> dict:
 class Subspace:
     """A subspace of C^n held as an ambient dimension plus basis columns.
 
-    Subspace(n, basis) keeps the basis as given; from_columns, kernel_and_range
-    and the subspace arithmetic here give orthonormal columns (singular vectors,
-    whatever the reporting norm), which readers of coordinates as basis^H x,
-    such as i2_components' W_C, rely on.
+    Subspace(n, basis) keeps the basis as given; from_columns and
+    kernel_and_range give orthonormal columns (singular vectors, whatever the
+    reporting norm).
     """
 
     ambient_dim: int
@@ -175,14 +178,6 @@ class Subspace:
         u, s, _ = np.linalg.svd(c, full_matrices=False)
         return Subspace(n, u[:, :_rank_of(s, floor)])
 
-    @staticmethod
-    def full(n: int) -> "Subspace":
-        return Subspace(n, np.eye(n, dtype=np.complex128))
-
-    @staticmethod
-    def trivial(n: int) -> "Subspace":
-        return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
-
 
 # ---------------------------------------------------------------------------
 # norms
@@ -206,7 +201,7 @@ def operator_norm(m, norm: str = "two") -> float:
 
 
 # ---------------------------------------------------------------------------
-# tolerant rank / kernel / range
+# tolerant rank / kernel / range, images and direct sums
 # ---------------------------------------------------------------------------
 
 def _rank_of(s, floor: float = 0.0) -> int:
@@ -239,44 +234,6 @@ def kernel_basis(m) -> Subspace:
 
 def range_basis(m) -> Subspace:
     return kernel_and_range(m)[1]
-
-
-# ---------------------------------------------------------------------------
-# subspace arithmetic
-# ---------------------------------------------------------------------------
-
-def orthogonal_complement(s: Subspace) -> Subspace:
-    """Euclidean orthogonal complement (default complement choice)."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
-    if s.dim == s.ambient_dim:
-        return Subspace.trivial(s.ambient_dim)
-    # null space of B* gives the orthogonal complement of span(B)
-    return kernel_basis(s.basis.conj().T)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return Subspace.from_columns(np.hstack([a.basis, b.basis]))
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the null space of the stacked basis equation.
-
-    x in A cap B  iff  x = U s = W t for some coefficient vectors, i.e.
-    (s, t) lies in the null space of [U  -W].
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.trivial(a.ambient_dim)
-    stacked = np.hstack([a.basis, -b.basis])
-    nz = kernel_basis(stacked)
-    if nz.dim == 0:
-        return Subspace.trivial(a.ambient_dim)
-    vectors = a.basis @ nz.basis[: a.dim]
-    return Subspace.from_columns(vectors)
 
 
 def apply_to_subspace(m, s: Subspace) -> Subspace:
@@ -328,9 +285,12 @@ def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
         return np.eye(n, dtype=np.complex128)
     b = np.hstack([onto.basis, along.basis])
     binv = np.linalg.solve(b, np.eye(n, dtype=np.complex128))
-    proj = onto.basis @ binv[:k]
-    # degenerate-geometry guard: a formally complementary but nearly
-    # touching pair blows up the projector and its idempotency residual
+    return checked_projection(onto.basis @ binv[:k])
+
+
+def checked_projection(proj) -> np.ndarray:
+    """``proj`` if idempotent within CUTOFFS["guard"], else NotComplementary:
+    a nearly touching complement pair blows up the idempotency residual."""
     if not within("guard", operator_norm(proj @ proj - proj)).holds:
         raise NotComplementary("complement pair too ill-conditioned for a reliable projection")
     return proj

@@ -9,6 +9,10 @@ space C^{pn}, where B is the block companion operator (top block row
 A_1 ... A_p, identity sub-diagonal).  The (1,1) n x n block of
 (I - zB)^{-1} is exactly A(z)^{-1} (Schur complement identity), so both
 pencils share spectrum and pole structure.
+At z = 1 the pencil reads the class geometry of M = I - B off the coupling
+C = alpha_perp^H beta_perp (orthonormal bases of (ran M)^perp and ker M):
+I(1) holds if and only if C is nonsingular, and dim K + dim W = dim ker M
+(K = ran M /\\ ker M = beta_perp null(C), W = (I - P_ran) ker M).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .numfield import (CUTOFFS, NORM_KINDS, Subspace, as_operator, _json_int, _kernel_chain,
                        dump_json, kernel_and_range, matrix_from_json, matrix_to_json,
-                       operator_norm, subspace_intersection, within)
+                       operator_norm, within)
 
 
 class SingularAt(ArithmeticError):
@@ -91,9 +95,9 @@ class CompanionPencil:
     orthogonal complements, the order-two geometry's default choices, and
     d_1 = dim ker M, the first step of the kernel chain at 1 that every
     spectrum_report of the pencil reads (``m``, ``unit_kernel``,
-    ``unit_range``, ``unit_*_complement``, ``kernel_chain``; read-only).  K = ran M /\\ ker M,
-    which the class verdicts and the class dispatch read, is also decided
-    once (``unit_intersection``), as is the identity ``identity()`` returns.
+    ``unit_range``, ``unit_*_complement``, ``kernel_chain``; read-only).
+    One SVD of the coupling C of those bases (``coupling``) decides K, which the
+    class verdicts and dispatch read, and the spaces below; ``identity()``'s I once too.
     """
 
     a1: np.ndarray
@@ -138,10 +142,27 @@ class CompanionPencil:
     unit_range_complement = property(lambda self: self._kernel_and_range[3])
 
     @cached_property
-    def unit_intersection(self) -> Subspace:
-        """K = ran M /\\ ker M.  dim ran M + dim ker M = pn, so K = {0}
-        exactly when ran M (+) ker M is the whole companion space."""
-        return subspace_intersection(self.unit_range, self.unit_kernel)
+    def coupling(self) -> tuple:
+        """(u, s, vh, rank), the SVD of C = U_0^H V_0 (U_0, V_0 the bases of
+        (ran M)^perp and ker M above).  s are the sines of the angles between ker M
+        and ran M, so the rank cuts at the absolute CUTOFFS["rank"], not at one
+        relative to s_0, which would call a 1 x 1 C of 1e-17 nonsingular."""
+        u0, v0 = self.unit_range_complement.basis, self.unit_kernel.basis
+        u, s, vh = np.linalg.svd(u0.conj().T @ v0)
+        return u, s, vh, int(np.sum(s > CUTOFFS["rank"]))
+
+    @cached_property
+    def _coupling_spaces(self) -> tuple:
+        u, _, vh, rank = self.coupling
+        v = self.unit_kernel.basis @ vh.conj().T
+        return (Subspace(self.big_dim, v[:, rank:]), Subspace(self.big_dim, v[:, :rank]),
+                Subspace(self.big_dim, self.unit_range_complement.basis @ u[:, rank:]))
+
+    # K = ran M /\ ker M = V_0 null(C), {0} exactly when C is nonsingular; K_C =
+    # V_0 row(C), K's orthogonal complement in ker M; (ran M + ker M)^perp = U_0 null(C^H)
+    unit_intersection = property(lambda self: self._coupling_spaces[0])
+    unit_intersection_complement = property(lambda self: self._coupling_spaces[1])
+    unit_sum_complement = property(lambda self: self._coupling_spaces[2])
 
     @cached_property
     def kernel_chain(self) -> tuple:

@@ -19,8 +19,7 @@ from grjkit.models import (ar2_double_root_model, ar2_unit_root_model,
                            ar3_unit_root_model, build_example, jordan_model,
                            oblique_ar1_model, random_walk_model,
                            volterra_model)
-from grjkit.numfield import (Subspace, kernel_basis, operator_norm,
-                             orthogonal_complement, range_basis)
+from grjkit.numfield import Subspace, kernel_basis, operator_norm
 from grjkit.pencil import eval_poly, linearize, resolvent
 from grjkit.laurent import circle_coefficients
 from grjkit.simkit import (polynomial_cointegration_probe, simulate_ar,
@@ -122,10 +121,10 @@ def test_criterion_2_jordan_oracle():
 
 # -- criterion 3: closed forms against the contour -----------------------
 
-def skewed(space, rng, big):
-    mix = 0.5 * rng.standard_normal((space.dim, big - space.dim))
-    return Subspace.from_columns(orthogonal_complement(space).basis
-                                 + space.basis @ mix)
+def skewed(space, perp, rng):
+    """A complement of ``space`` tilted off its orthogonal complement ``perp``."""
+    mix = 0.5 * rng.standard_normal((space.dim, perp.dim))
+    return Subspace.from_columns(perp.basis + space.basis @ mix)
 
 
 def test_criterion_3_closed_vs_contour():
@@ -142,12 +141,10 @@ def test_criterion_3_closed_vs_contour():
             worst_h = max(worst_h, operator_norm(a - b))
     for name, ar in i2_model_set():
         cp = linearize(ar)
-        m = cp.identity() - cp.a1
-        ker, ran = kernel_basis(m), range_basis(m)
         contour = contour_coefficients(cp, [-2, -1])
         for trial in range(3):
-            rc = None if trial == 0 else skewed(ran, rng, cp.big_dim)
-            kc = None if trial == 0 else skewed(ker, rng, cp.big_dim)
+            rc = None if trial == 0 else skewed(cp.unit_range, cp.unit_range_complement, rng)
+            kc = None if trial == 0 else skewed(cp.unit_kernel, cp.unit_kernel_complement, rng)
             rep = i2_components(cp, j_max=2, ran_complement=rc,
                                 ker_complement=kc)
             worst_i2 = max(

@@ -675,8 +675,9 @@ def ill_conditioned_model(k, seed):
 @pytest.mark.parametrize("k, seed", [(7, 0), (5, 5)])
 @pytest.mark.parametrize("command", ["represent", "analyze", "verify"])
 def test_ill_conditioned_split_exits_one(capsys, tmp_path, k, seed, command):
-    # represent reaches the oblique-projection guard (NotComplementary),
-    # analyze and verify a singular contour node; each is one stderr line
+    # represent reaches the order-one projection's guard (NotComplementary)
+    # or a singular contour node, analyze and verify a singular contour
+    # node; each is one stderr line
     path = tmp_path / "ill.json"
     ill_conditioned_model(k, seed).save(path)
     assert_one_line_error(capsys, [command, "--model", str(path)])

@@ -7,17 +7,18 @@ to reproduce them through the similarity.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.grj import (I1Report, NotI1, NotI2, check_i1, check_i2, i1_components,
-                        i2_components, taylor_h_coefficients)
+from grjkit.grj import (I1Report, NotI1, NotI2, _OrderTwoGeometry, check_i1, check_i2,
+                        i1_components, i2_components, taylor_h_coefficients)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
-from grjkit.models import ar2_unit_root_model, build_example, jordan_model
-from grjkit.numfield import (NotComplementary, Subspace, kernel_basis, operator_norm,
-                             orthogonal_complement, range_basis)
+from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
+                           jordan_model)
+from grjkit.numfield import NotComplementary, Subspace, kernel_basis, operator_norm
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
@@ -57,26 +58,24 @@ def test_shift_model_second_order_operator(shift8_cp):
     assert_allclose(rep.long_run2, expected, atol=1e-10)
 
 
+def skewed(space, perp, rng):
+    """A complement of ``space`` tilted off its orthogonal complement ``perp``."""
+    mix = 0.5 * rng.standard_normal((space.dim, perp.dim))
+    return Subspace.from_columns(perp.basis + space.basis @ mix)
+
+
 def test_components_are_complement_independent(shift8_cp, mixed21_cp):
     # jordan [2, 2] has dim K = 2, so the restricted map K -> W_C is 2 x 2
     mixed22_cp = linearize(jordan_model(1, blocks_at_one=[2, 2])[0])
     rng = np.random.default_rng(77)
     for cp in (shift8_cp, mixed21_cp, mixed22_cp):
-        m = cp.identity() - cp.a1
-        ker, ran = kernel_basis(m), range_basis(m)
         contour = contour_coefficients(cp, [-2, -1])
         for trial in range(3):
             if trial == 0:
                 rc = kc = None
             else:
-                rc = Subspace.from_columns(
-                    orthogonal_complement(ran).basis
-                    + ran.basis @ (0.5 * rng.standard_normal(
-                        (ran.dim, cp.big_dim - ran.dim))))
-                kc = Subspace.from_columns(
-                    orthogonal_complement(ker).basis
-                    + ker.basis @ (0.5 * rng.standard_normal(
-                        (ker.dim, cp.big_dim - ker.dim))))
+                rc = skewed(cp.unit_range, cp.unit_range_complement, rng)
+                kc = skewed(cp.unit_kernel, cp.unit_kernel_complement, rng)
             rep = i2_components(cp, j_max=2, ran_complement=rc,
                                 ker_complement=kc)
             assert operator_norm(rep.n_minus2 - contour[-2]) < 1e-7
@@ -92,12 +91,12 @@ def test_supplied_complements_that_fail_are_rejected(shift8_cp):
     ker, ran = shift8_cp.unit_kernel, shift8_cp.unit_range
     assert (ker.dim, ran.dim) == (1, 7)
     inside_ran = Subspace.from_columns(ran.basis[:, :1])
-    through_ker = Subspace.from_columns(np.hstack([ker.basis,
-                                                   orthogonal_complement(ker).basis[:, :6]]))
+    through_ker = Subspace.from_columns(
+        np.hstack([ker.basis, shift8_cp.unit_kernel_complement.basis[:, :6]]))
     for kwargs, dims in (({"ran_complement": inside_ran}, r"7\+1, defect 1"),
                          ({"ker_complement": through_ker}, r"1\+7, defect 1"),
-                         ({"ran_complement": Subspace.trivial(8)}, r"7\+0, defect 1"),
-                         ({"ker_complement": Subspace.full(8)}, r"1\+8, defect 0")):
+                         ({"ran_complement": Subspace(8, np.zeros((8, 0)))}, r"7\+0, defect 1"),
+                         ({"ker_complement": Subspace(8, np.eye(8))}, r"1\+8, defect 0")):
         with pytest.raises(NotComplementary, match=rf"do not decompose C\^8: dims {dims}"):
             i2_components(shift8_cp, j_max=2, **kwargs)
 
@@ -107,12 +106,59 @@ def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     assert rep.holds
     assert rep.k_space.dim == 1
     assert rep.w_space.dim == 1          # nontrivial W: Q^g actually used
-    assert rep.w_c is None and rep.q_g is None  # the verdict builds neither
-    full = i2_components(mixed21_cp, j_max=2)
-    assert full.w_c.dim == 1
-    assert operator_norm(full.q_g) > 1e-8
-    p_op = full.p_operator
+    assert rep.n_minus2 is None and rep.p_operator is None  # the verdict builds no operator
+    w_c, _, q_g = _OrderTwoGeometry(mixed21_cp).graft()
+    assert w_c.dim == 1
+    assert operator_norm(q_g) > 1e-8
+    p_op = i2_components(mixed21_cp, j_max=2).p_operator
     assert operator_norm(p_op @ p_op - p_op) < 1e-10
+
+
+def stacked_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Reference A /\\ B: x = U s = W t, so (s, t) spans the null space of
+    the stacked basis equation [U  -W] (orthonormal U, W)."""
+    null = kernel_basis(np.hstack([a.basis, -b.basis]))
+    return Subspace.from_columns(a.basis @ null.basis[:a.dim])
+
+
+def projector_gap(a, b) -> float:
+    """||P_a - P_b||_2 between the orthogonal projectors onto two spans."""
+    qa, qb = Subspace.from_columns(a).basis, Subspace.from_columns(b).basis
+    return operator_norm(qa @ qa.conj().T - qb @ qb.conj().T)
+
+
+# every block structure jordan_model draws at the unit root, and AR(2)
+# products of a unit-root factor with a stable one or with itself
+COUPLING_MODELS = (
+    [(f"jordan{list(b)}", lambda seed, b=b: jordan_model(seed, blocks_at_one=list(b))[0])
+     for b in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))]
+    + [("ar2-unit", ar2_unit_root_model), ("ar2-double", ar2_double_root_model)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, build", COUPLING_MODELS, ids=[n for n, _ in COUPLING_MODELS])
+def test_coupling_gives_the_order_two_spaces(name, build, seed):
+    """K, W and W_C read off the SVD of C = alpha_perp^H beta_perp: K spans
+    the stacked-SVD intersection of ran M and ker M, dim K + dim W =
+    dim ker M, dim W_C = dim K, W_C is orthogonal to ran M + ker M for the
+    default complements, and W (+) W_C = ran_c for a skewed pair."""
+    cp = linearize(build(seed))
+    ker, ran, k_space = cp.unit_kernel, cp.unit_range, cp.unit_intersection
+    reference = stacked_intersection(ran, ker)
+    assert k_space.dim == reference.dim
+    assert projector_gap(k_space.basis, reference.basis) <= 1e-10
+    geo = _OrderTwoGeometry(cp)
+    w_c = geo.graft()[0]
+    assert k_space.dim + geo.w_space.dim == ker.dim
+    assert w_c.dim == k_space.dim
+    assert np.max(np.abs(w_c.basis.conj().T @ np.hstack([ran.basis, ker.basis])),
+                  initial=0.0) <= 1e-10
+    rng = np.random.default_rng(seed)
+    ran_c = skewed(ran, cp.unit_range_complement, rng)
+    geo = _OrderTwoGeometry(cp, ran_c, skewed(ker, cp.unit_kernel_complement, rng))
+    w_and_w_c = np.hstack([geo.w_space.basis, geo.graft()[0].basis])
+    assert Subspace.from_columns(w_and_w_c).dim == ran_c.dim
+    assert projector_gap(w_and_w_c, ran_c.basis) <= 1e-10
 
 
 def test_simple_pole_projection_is_riesz(evenodd_cp):

@@ -6,12 +6,16 @@ unnoticed.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from grjkit.numfield import Subspace, dump_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,9 +66,8 @@ def test_bad_argument_is_a_usage_error(name, args):
     assert f"{name}.py: error:" in done.stderr
 
 
-def _bench_compare():
-    spec = importlib.util.spec_from_file_location(
-        "bench_compare", ROOT / "scripts" / "bench_compare.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -79,7 +82,7 @@ def test_bench_compare_counts_head_better_pairs():
             for (b, _), (r, _), (i, _) in zip(run_s, rate, idle)]
     head = [{"metrics": {"run_s": h, "rate": r, "idle": i}}
             for (_, h), (_, r), (_, i) in zip(run_s, rate, idle)]
-    table = _bench_compare().compare(
+    table = _load("bench_compare").compare(
         base, head, {"run_s": "lower", "rate": "higher", "idle": "lower"})
     # base run_s sorted: 0.9, 1.0, 1.1, 1.2; quartiles interpolate linearly
     assert table["run_s"] == {"base_median": pytest.approx(1.05),
@@ -95,6 +98,54 @@ def test_bench_compare_counts_head_better_pairs():
     assert table["idle"]["ratio"] is None
     assert table["idle"]["head_better_pairs"] == 0
     assert (table["idle"]["base_q1"], table["idle"]["base_q3"]) == (0.0, 0.0)
-    one = _bench_compare().compare(base[:1], head[:1], {"run_s": "lower", "rate": "higher",
+    one = _load("bench_compare").compare(base[:1], head[:1], {"run_s": "lower", "rate": "higher",
                                                         "idle": "lower"})
     assert (one["run_s"]["base_q1"], one["run_s"]["base_q3"]) == (1.0, 1.0)
+
+
+def test_byte_grid_saves_outputs_and_compares_them_by_value(tmp_path):
+    command = "analyze ex-selfadjoint"
+    saved = _run("byte_grid", ["--save", str(tmp_path), command])
+    assert saved.returncode == 0, saved.stderr
+    assert f"grj {command}  exit=0  stdout=" in saved.stdout
+    [record] = tmp_path.glob("*.json")
+    again = _run("byte_grid", ["--against", str(tmp_path), command])
+    assert again.stdout.splitlines() == [f"grj {command}  same", "0 of 1 commands changed"]
+
+    data = json.loads(record.read_text(encoding="utf-8"))
+    report = json.loads(data["stdout"])
+    report["i1"]["cross_check_residual"] += 0.25
+    report["verdict"] = "tampered"
+    data.update(stdout=json.dumps(report), stderr="old error\n", exit=3)
+    record.write_text(json.dumps(data), encoding="utf-8")
+    changed = _run("byte_grid", ["--against", str(tmp_path), command])
+    assert changed.returncode == 0, changed.stderr
+    assert changed.stdout.splitlines() == [
+        f"grj {command}  changed",
+        "  exit: 3 -> 0",
+        "  i1.cross_check_residual: max change 2.5e-01",
+        '  verdict: "tampered" -> "pole order 1, I(1) holds, I(2) fails"',
+        "  stderr: 'old error' -> ''",
+        "1 of 1 commands changed"]
+
+
+def test_byte_grid_tells_a_rotated_basis_from_a_moved_space():
+    field_changes = _load("byte_grid").field_changes
+    basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
+
+    def wire(value):
+        return json.loads(dump_json(value))
+
+    old = wire({"s": Subspace(4, basis), "h": [basis, 2 * basis], "x": 1.0})
+    rotated = wire(Subspace(4, basis @ np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    changes = field_changes(old, {**old, "s": rotated, "x": 1.5})
+    assert changes.keys() == {"s", "x"}
+    assert changes["s"]["gap"] < 1e-14 and changes["s"]["max"] > 0.1
+    assert changes["x"] == {"max": 0.5, "gap": None, "other": None}
+    complement = wire(Subspace(4, np.linalg.svd(basis)[0][:, 2:]))
+    assert field_changes(old, {**old, "s": complement})["s"]["gap"] == pytest.approx(1.0)
+    line = wire(Subspace(4, basis[:, :1]))
+    assert field_changes(old, {**old, "s": line})["s"]["other"] == "dimension changed"
+    shifted = wire(2 * basis + 0.125)
+    assert field_changes(old, {**old, "h": [old["h"][0], shifted]}) == {
+        "h": {"max": pytest.approx(0.125), "gap": None, "other": None}}

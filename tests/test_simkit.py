@@ -15,7 +15,7 @@ from grjkit.grj import i1_components, i2_components
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
                            build_example, jordan_model, oblique_ar1_model,
                            random_walk_model)
-from grjkit.numfield import oblique_projection, operator_norm, orthogonal_complement
+from grjkit.numfield import oblique_projection, operator_norm
 from grjkit.pencil import linearize
 from grjkit.simkit import (ClassMismatch, SamplePath,
                            polynomial_cointegration_probe,
@@ -269,7 +269,7 @@ def test_wrong_complement_fails_the_check():
     ar, _ = jordan_model(5, blocks_at_one=[1])
     cp = linearize(ar)
     rep = i1_components(cp, j_max=4)
-    wrong = oblique_projection(cp.unit_kernel, orthogonal_complement(cp.unit_kernel))
+    wrong = oblique_projection(cp.unit_kernel, cp.unit_kernel_complement)
     assert operator_norm(wrong - rep.p_operator) > 1.0
     path = simulate_ar(ar, np.eye(ar.dim), horizon=300, seed=5)
     assert verify_representation(ar, path, rep).max_residual <= _bound(path)
