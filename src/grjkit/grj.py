@@ -4,17 +4,18 @@ Order one (simple pole) is a geometry statement about M = I - B on the
 companion space: the ambient space splits as ran M (+) ker M if and only
 if the coupling C = alpha_perp^H beta_perp of orthonormal bases of
 (ran M)^perp and ker M is nonsingular, and the long-run projection is
-then beta_perp C^{-1} alpha_perp^H.  Order two reads K = beta_perp null(C),
-K_C = beta_perp row(C), W = (I - P_ran) K_C (so dim K + dim W = dim ker M)
-and W_C = (I - P_ran) alpha_perp null(C^H), with a generalized inverse of M
-relative to chosen complements.
+then beta_perp C^{-1} alpha_perp^H.  Order two splits the space as
+(ran M + ker M) (+) M^g K, K = beta_perp null(C): with
+Y = alpha_perp null(C^H) = (ran M + ker M)^perp this holds if and only if
+K is nontrivial and the dim K x dim K matrix J = Y^H M^+ K is nonsingular
+(Johansen, Econometric Theory 8, 1992), and then N_{-2} = K J^{-1} Y^H.
 
-The closed forms depend on the complement choices; the contour-derived
-Laurent coefficients do not.  Every assembled component is therefore
-cross-checked against contour quadrature, and that residual is part of
-the returned report.  Off the order-two setting the canonical W_C can
-overlap W (the textbook directness argument uses that setting), so W_C
-is built only for the components, and its split is validated there.
+The projection's closed form reads W = (I - P_ran) K_C (K_C =
+beta_perp row(C), so dim K + dim W = dim ker M), W_C = (I - P_ran) Y and
+a generalized inverse of M, all relative to chosen complements, which
+the contour-derived Laurent coefficients do not depend on.  Every
+assembled component is therefore cross-checked against contour
+quadrature, and that residual is part of the returned report.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .numfield import (
     NotComplementary,
     Subspace,
     _generalized_inverse,
-    apply_to_subspace,
     checked_projection,
-    direct_sum_check,
     oblique_projection,
     operator_norm,
     within,
@@ -195,9 +194,9 @@ class I2Report:
     """check_i2's verdict (the operators None) or i2_components' report."""
     order: ClassVar[int] = 2
     holds: bool
-    defect: int  # of the split (ran M + ker M) (+) M^g K
-    k_space: Subspace
-    w_space: Subspace
+    defect: int  # of the split (ran M + ker M) (+) M^g K: dim K - rank J
+    k_dim: int
+    w_dim: int
     n_minus2: np.ndarray | None
     p_operator: np.ndarray | None
     long_run2: np.ndarray | None
@@ -206,121 +205,84 @@ class I2Report:
     cross_check_residual: float
 
     def to_json(self) -> dict:
-        return {"holds": self.holds, "k_dim": self.k_space.dim,
-                "w_dim": self.w_space.dim, "defect": self.defect}
+        return {"holds": self.holds, "k_dim": self.k_dim,
+                "w_dim": self.w_dim, "defect": self.defect}
 
 
-class _OrderTwoGeometry:
-    """The subspaces and operators the order-two verdict reads, built once
-    for a given pair of complements of ran M and ker M (by default the
-    orthogonal ones from the pencil's one SVD of M; a supplied pair runs
-    through the same code).  K and K_C come from the pencil's coupling,
-    and ran M + ker M = ran M (+) W is the plain basis [ran M | W].
-    graft() adds what only the components read."""
-
-    def __init__(self, cp, ran_complement=None, ker_complement=None):
-        self.ker, self.ran = cp.unit_kernel, cp.unit_range
-        self.ran_c = cp.unit_range_complement if ran_complement is None else ran_complement
-        self.ker_c = cp.unit_kernel_complement if ker_complement is None else ker_complement
-        # each projection raises NotComplementary for a complement that fails
-        self.p_ran = oblique_projection(self.ran, self.ran_c)
-        self.p_ker = oblique_projection(self.ker, self.ker_c)
-        self.k_space, self.k_c = cp.unit_intersection, cp.unit_intersection_complement
-        self.sum_c, n = cp.unit_sum_complement, cp.big_dim
-        self.off_range = cp.identity() - self.p_ran
-        self.w_space = Subspace(n, self.off_range @ self.k_c.basis)  # = (I - P_ran) ker M
-        self.gen_inverse = _generalized_inverse(cp.m, self.ker_c, self.p_ker, self.p_ran)
-        self.split = direct_sum_check(Subspace(n, np.hstack([self.ran.basis, self.w_space.basis])),
-                                      apply_to_subspace(self.gen_inverse, self.k_space))
-        self.holds = self.k_space.dim > 0 and self.split.holds
-
-    def graft(self):
-        """(W_C, P_{W_C}, Q^g), on demand: only i2_components reads them.
-        W_C = (I - P_ran) (ran M + ker M)^perp completes W to the range
-        complement, with dim W_C = dim K: one valid choice among many,
-        which the contour cross-check certifies.  P_W decides
-        ran M (+) W (+) W_C once, P_{W_C} = (I - P_ran) - P_W, and
-        Q^g = [Q|_{K_C}]^{-1} P_W.  NotI2 when that split or Q^g fails."""
-        n, images = self.off_range.shape[0], self.w_space.basis  # (I - P_ran) K_C
-        w_c = Subspace(n, self.off_range @ self.sum_c.basis)
-        if self.w_space.dim == 0:
-            return w_c, self.off_range, np.zeros_like(self.off_range)
-        ran_and_w_c = Subspace(n, np.hstack([self.ran.basis, w_c.basis]))
-        try:
-            p_w = oblique_projection(self.w_space, ran_and_w_c)
-        except NotComplementary:
-            residual = math.inf
-        else:
-            coords, *_ = np.linalg.lstsq(images, p_w, rcond=None)
-            residual = operator_norm(images @ coords - p_w)
-        if not within("guard", residual).holds:
-            raise NotI2(f"Q^g construction failed (residual {residual:.2e}); "
-                        "the W (+) W_C split is not usable")
-        return w_c, self.off_range - p_w, self.k_c.basis @ coords
-
-
-def _report_from_geometry(geo: _OrderTwoGeometry) -> I2Report:
-    """The verdict report: the geometry, without the representation operators."""
-    return I2Report(holds=geo.holds, defect=geo.split.defect, k_space=geo.k_space,
-                    w_space=geo.w_space, n_minus2=None,
+def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
+    """Decide the order-two condition, the split (ran M + ker M) (+) M^g K:
+    it holds iff dim K > 0 and rank J = dim K (J = cp.order_two_coupling),
+    with defect dim K - rank J.  It reads these integers and dim W off the
+    pencil and builds no operator.  ``spectrum`` may be the spectrum_report
+    of this same cp; without it one is computed here.
+    """
+    require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
+    k_dim, rank = cp.unit_intersection.dim, cp.order_two_coupling[3]
+    return I2Report(holds=k_dim > 0 and rank == k_dim, defect=k_dim - rank, k_dim=k_dim,
+                    w_dim=cp.unit_intersection_complement.dim, n_minus2=None,
                     p_operator=None, long_run2=None, long_run1=None,
                     h_coeffs=[], cross_check_residual=math.inf)
 
 
-def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
-    """Decide the order-two condition.
+def _order_two_projection(cp: CompanionPencil, n_minus2, ran_complement=None,
+                          ker_complement=None) -> tuple:
+    """(P, W, W_C, Q^g): the parts of the order-two closed form that depend
+    on a pair of complements of ran M and ker M (by default the orthogonal
+    ones).  P_ran, P_ker and M^g raise NotComplementary for a supplied
+    complement that fails; W = (I - P_ran) K_C, W_C = (I - P_ran) Y, and
+    Q^g = [Q|_{K_C}]^{-1} P_W with P_W onto W along ran M (+) W_C, NotI2
+    when that split fails."""
+    ran, n, eye = cp.unit_range, cp.big_dim, cp.identity()
+    ran_c = cp.unit_range_complement if ran_complement is None else ran_complement
+    ker_c = cp.unit_kernel_complement if ker_complement is None else ker_complement
+    p_ran = oblique_projection(ran, ran_c)
+    gen_inverse = _generalized_inverse(cp.m, ker_c, oblique_projection(cp.unit_kernel, ker_c),
+                                       p_ran)
+    off_range, k_c = eye - p_ran, cp.unit_intersection_complement.basis
+    w = Subspace(n, off_range @ k_c)
+    w_c = Subspace(n, off_range @ cp.unit_sum_complement.basis)
+    q_g = np.zeros_like(off_range)
+    if w.dim:
+        try:
+            p_w = oblique_projection(w, Subspace(n, np.hstack([ran.basis, w_c.basis])))
+        except NotComplementary:
+            residual = math.inf
+        else:
+            coords, *_ = np.linalg.lstsq(w.basis, p_w, rcond=None)
+            residual = operator_norm(w.basis @ coords - p_w)
+        if not within("guard", residual).holds:
+            raise NotI2(f"Q^g construction failed (residual {residual:.2e}); "
+                        "the W (+) W_C split is not usable")
+        q_g = k_c @ coords
 
-    Requires K = ran M /\\ ker M nontrivial and the companion space to
-    split as (ran M + ker M) (+) M^g K.  K, W (built with the orthogonal
-    complements of ran M and ker M) and the split defect are returned
-    whether or not the condition holds; W_C, Q^g and the representation
-    operators are built by i2_components only, so the verdict builds none.
-    ``spectrum`` may be the spectrum_report of this same cp; without it
-    one is computed here.  The verdict reads no contour result.
-    """
-    require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    return _report_from_geometry(_OrderTwoGeometry(cp))
+    gamma_l = gen_inverse @ n_minus2
+    gamma_r = n_minus2 @ gen_inverse
+    # Assemble the spectral projection from gamma_r, the graft through
+    # Q^g (I - P_ran), and gamma_l.  The summand order matters: with the
+    # correction factors applied from the left, the sum is independent of
+    # the complement choices even though each factor alone is not.
+    q_term = q_g @ off_range
+    return gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l), w, w_c, q_g
 
 
 def i2_components(cp: CompanionPencil, j_max: int,
                   ran_complement: Subspace | None = None,
                   ker_complement: Subspace | None = None) -> I2Report:
-    """Assemble the order-two representation operators.
-
-    The second-order coefficient inverts P_{W_C} M^g restricted K -> W_C
-    in the computed bases (square, since dim W_C = dim K); the projection
-    then follows from the Gamma operators and Q^g.  Both are cross-checked
-    against contour coefficients, which do not depend on the complement
-    choices.
+    """Assemble the order-two representation operators: N_{-2} = K J^{-1} Y^H
+    from the SVD of J that decided check_i2, then the projection from the
+    Gamma operators and Q^g for the given complements.  Both are
+    cross-checked against contour coefficients, which do not depend on
+    the complement choices.
     """
     rep = require_unit_root(spectrum_report(cp))
-    geo = _OrderTwoGeometry(cp, ran_complement, ker_complement)
-    if not geo.holds:
-        raise NotI2(
-            f"order-two geometry fails: K dim {geo.k_space.dim}, "
-            f"split defect {geo.split.defect}")
-    w_c, p_wc, q_g = geo.graft()
-    k_dim = geo.k_space.dim
-
-    eye = cp.identity()
-    # W_C^H P_{W_C} is P_{W_C}'s coordinates in W_C's basis times its Gram
-    # matrix, which cancels in N_{-2} = K (A M^g K)^{-1} A, orthonormal or not
-    wc_coords_of_pwc = w_c.basis.conj().T @ p_wc
-    restricted = wc_coords_of_pwc @ geo.gen_inverse @ geo.k_space.basis  # k x k
-    try:
-        inverted = np.linalg.solve(restricted, np.eye(k_dim, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise NotI2(f"restricted map K -> W_C is singular: {exc}") from exc
-    n_minus2 = geo.k_space.basis @ inverted @ wc_coords_of_pwc
-
-    gamma_l = geo.gen_inverse @ n_minus2
-    gamma_r = n_minus2 @ geo.gen_inverse
-    # Assemble the spectral projection from gamma_r, the graft through
-    # Q^g (I - P_ran), and gamma_l.  The summand order matters: with the
-    # correction factors applied from the left, the sum is independent of
-    # the complement choices even though each factor alone is not.
-    q_term = q_g @ geo.off_range
-    p_op = gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l)
+    base = check_i2(cp, spectrum=rep)
+    if not base.holds:
+        raise NotI2(f"order-two geometry fails: K dim {base.k_dim}, "
+                    f"split defect {base.defect}")
+    u, s, vh, _ = cp.order_two_coupling
+    n_minus2 = ((cp.unit_intersection.basis @ (vh.conj().T / s))
+                @ (cp.unit_sum_complement.basis @ u).conj().T)
+    p_op = _order_two_projection(cp, n_minus2, ran_complement, ker_complement)[0]
 
     contour = contour_coefficients(cp, [-2, -1], spectrum=rep)
     residual = max(operator_norm(n_minus2 - contour[-2], cp.norm),
@@ -329,6 +291,6 @@ def i2_components(cp: CompanionPencil, j_max: int,
     h_coeffs = _h_closed_form(cp, p_op, j_max)
     long_run2 = n_minus2[:cp.dim, :cp.dim]
     long_run1 = (n_minus2 + p_op)[:cp.dim, :cp.dim]
-    return replace(_report_from_geometry(geo), n_minus2=n_minus2,
+    return replace(base, n_minus2=n_minus2,
                    p_operator=p_op, long_run2=long_run2, long_run1=long_run1,
                    h_coeffs=h_coeffs, cross_check_residual=residual)

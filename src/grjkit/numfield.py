@@ -6,9 +6,10 @@ operator norms, tolerant rank / kernel / range decisions, direct-sum
 checks, oblique projections, the checked generalized inverse of the
 order-two geometry, and the Jordan-ascent oracle at eigenvalue 1.
 
-The class checks read their spaces off the SVD of M = I - B and of the
-coupling C = alpha_perp^H beta_perp, which pencil.CompanionPencil owns:
-I(1) holds if and only if C is nonsingular, and dim K + dim W = dim ker M.
+The class checks read their spaces off the SVD of M = I - B and of two
+small matrices, which pencil.CompanionPencil owns: the coupling
+C = alpha_perp^H beta_perp, nonsingular if and only if I(1) holds, and
+J = Y^H M^+ K, which decides I(2) (K = ran M /\\ ker M, Y = (ran M + ker M)^perp).
 
 Conventions
 -----------
@@ -22,9 +23,10 @@ Conventions
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
   only matter for reported norm values.  They all cut at CUTOFFS["rank"]
-  relative to the largest singular value.  A kernel, a range and both
-  orthogonal complements come from one full SVD (kernel_and_range), so they
-  agree on the rank; rank-only decisions take singular values alone.  Residual
+  relative to the largest singular value.  A kernel, a range, both
+  orthogonal complements and the kept singular values come from one full
+  SVD (kernel_and_range), so they agree on the rank; rank-only decisions
+  take singular values alone.  Residual
   checks cut in the operator norm, at CUTOFFS["residual"] for solves and
   CUTOFFS["guard"] for projections and generalized inverses.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
@@ -161,14 +163,8 @@ class Subspace:
         return self.basis.shape[1]
 
     @staticmethod
-    def from_columns(cols, floor: float = 0.0) -> "Subspace":
-        """Orthonormalized span of the given columns (rank-truncated SVD).
-
-        ``floor`` is an absolute singular-value cutoff for callers that
-        know the columns' natural scale (e.g. images under a bounded
-        map, where components below CUTOFFS["rank"] times the map norm are
-        rounding noise, not directions).
-        """
+    def from_columns(cols) -> "Subspace":
+        """Orthonormalized span of the given columns (rank-truncated SVD)."""
         c = np.asarray(cols, dtype=np.complex128)
         if c.ndim != 2:
             raise ValueError("columns must form a 2-d array")
@@ -176,7 +172,7 @@ class Subspace:
         if c.shape[1] == 0:
             return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
         u, s, _ = np.linalg.svd(c, full_matrices=False)
-        return Subspace(n, u[:, :_rank_of(s, floor)])
+        return Subspace(n, u[:, :_rank_of(s)])
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +197,16 @@ def operator_norm(m, norm: str = "two") -> float:
 
 
 # ---------------------------------------------------------------------------
-# tolerant rank / kernel / range, images and direct sums
+# tolerant rank / kernel / range and direct sums
 # ---------------------------------------------------------------------------
 
-def _rank_of(s, floor: float = 0.0) -> int:
+def _rank_of(s) -> int:
     """The rank rule every rank decision uses: the number of singular
-    values ``s`` (descending) above CUTOFFS["rank"] * s_0, or above ``floor``
-    when that is larger; 0 for an empty or zero matrix."""
+    values ``s`` (descending) above CUTOFFS["rank"] * s_0; 0 for an empty
+    or zero matrix."""
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.sum(s > max(CUTOFFS["rank"] * s[0], floor)))
+    return int(np.sum(s > CUTOFFS["rank"] * s[0]))
 
 
 def numerical_rank(m) -> int:
@@ -218,14 +214,16 @@ def numerical_rank(m) -> int:
 
 
 def kernel_and_range(m) -> tuple:
-    """(ker M, ran M, (ker M)^perp, (ran M)^perp) from one full SVD, cut by
-    the one rank rule: the right singular vectors past the rank span ker M,
-    those up to it (ker M)^perp; the left ones up to it span ran M."""
+    """(ker M, ran M, (ker M)^perp, (ran M)^perp, s_r) from one full SVD, cut
+    by the one rank rule: the right singular vectors past the rank span
+    ker M, those up to it (ker M)^perp; the left ones up to it span ran M.
+    s_r are the kept singular values, so M^+ = V_r diag(1/s_r) U_r^H with
+    V_r, U_r the bases of (ker M)^perp and ran M."""
     m = as_operator(m)
     u, s, vh = np.linalg.svd(m)
     rank, v = _rank_of(s), vh.conj().T
     return (Subspace(m.shape[1], v[:, rank:]), Subspace(m.shape[0], u[:, :rank]),
-            Subspace(m.shape[1], v[:, :rank]), Subspace(m.shape[0], u[:, rank:]))
+            Subspace(m.shape[1], v[:, :rank]), Subspace(m.shape[0], u[:, rank:]), s[:rank])
 
 
 def kernel_basis(m) -> Subspace:
@@ -234,13 +232,6 @@ def kernel_basis(m) -> Subspace:
 
 def range_basis(m) -> Subspace:
     return kernel_and_range(m)[1]
-
-
-def apply_to_subspace(m, s: Subspace) -> Subspace:
-    """Image subspace M(S), rank-truncated against the map's own scale so
-    a mathematically zero image cannot resurface as rounding noise."""
-    m = as_operator(m)
-    return Subspace.from_columns(m @ s.basis, floor=CUTOFFS["rank"] * operator_norm(m))
 
 
 @dataclass(frozen=True)

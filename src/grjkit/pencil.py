@@ -12,7 +12,9 @@ pencils share spectrum and pole structure.
 At z = 1 the pencil reads the class geometry of M = I - B off the coupling
 C = alpha_perp^H beta_perp (orthonormal bases of (ran M)^perp and ker M):
 I(1) holds if and only if C is nonsingular, and dim K + dim W = dim ker M
-(K = ran M /\\ ker M = beta_perp null(C), W = (I - P_ran) ker M).
+(K = ran M /\\ ker M = beta_perp null(C), W = (I - P_ran) ker M).  I(2)
+holds if and only if K is nontrivial and J = Y^H M^+ K is nonsingular
+(Y = alpha_perp null(C^H) = (ran M + ker M)^perp).
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class CompanionPencil:
     spectrum_report of the pencil reads (``m``, ``unit_kernel``,
     ``unit_range``, ``unit_*_complement``, ``kernel_chain``; read-only).
     One SVD of the coupling C of those bases (``coupling``) decides K, which the
-    class verdicts and dispatch read, and the spaces below; ``identity()``'s I once too.
+    class verdicts and dispatch read, and the spaces below; one SVD of J
+    (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
     """
 
     a1: np.ndarray
@@ -163,6 +166,22 @@ class CompanionPencil:
     unit_intersection = property(lambda self: self._coupling_spaces[0])
     unit_intersection_complement = property(lambda self: self._coupling_spaces[1])
     unit_sum_complement = property(lambda self: self._coupling_spaces[2])
+
+    @cached_property
+    def order_two_coupling(self) -> tuple:
+        """(u, s, vh, rank), the SVD of J = Y^H M^+ K (Y = unit_sum_complement,
+        K = unit_intersection, M^+ = V_r diag(1/s_r) U_r^H), empty when K is
+        {0}.  J = Y^H M^g K for every complement pair, as M^g x - M^+ x is in
+        ker M for x in K: the restricted map P_{W_C} M^g|_K in the bases K and
+        Y = W_C.  s_r[-1] s <= 1, cut at the absolute CUTOFFS["rank"]."""
+        k = self.unit_intersection.basis
+        if not k.shape[1]:
+            return np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), 0
+        s_r = self._kernel_and_range[4]
+        j = ((self.unit_sum_complement.basis.conj().T @ self.unit_kernel_complement.basis) / s_r
+             @ (self.unit_range.basis.conj().T @ k))
+        u, s, vh = np.linalg.svd(j)
+        return u, s, vh, int(np.sum(s_r[-1] * s > CUTOFFS["rank"]))
 
     @cached_property
     def kernel_chain(self) -> tuple:

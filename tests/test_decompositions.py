@@ -4,8 +4,9 @@ grj command stay at or below fixed ceilings, and one full SVD of
 M = I - B serves every spectrum report and class check of the command.
 One SVD of the coupling C = alpha_perp^H beta_perp of its bases decides
 K = ran M /\\ ker M once per command, and the class dispatch reads it
-instead of trying order one first.  The order-two verdict takes its
-complements of ran M and ker M from the SVD of M, and K from that of C.
+instead of trying order one first.  The order-two verdict decomposes only
+the dim K x dim K matrix J = Y^H M^+ K, and the components take their
+complements of ran M and ker M from the SVD of M.
 The counts are taken with one BLAS thread, as the benchmark runs.
 """
 from __future__ import annotations
@@ -22,13 +23,13 @@ import pytest
 from grjkit import cli, grj, models, pencil
 
 CEILINGS = [
-    (["analyze", "ex-c0", "--n", "8"], 11),
-    (["analyze", "ex-evenodd", "--n", "32"], 8),
+    (["analyze", "ex-c0", "--n", "8"], 8),
+    (["analyze", "ex-evenodd", "--n", "32"], 5),
     (["verify", "ex-evenodd"], 9),
-    (["represent", "ex-c0"], 10),
+    (["represent", "ex-c0"], 9),
     (["represent", "ex-evenodd"], 5),
-    # the one row whose graft has a nontrivial W
-    (["represent", "ex-jordan", "--blocks", "2,1"], 11),
+    # the one row whose Q^g has a nontrivial W
+    (["represent", "ex-jordan", "--blocks", "2,1"], 10),
 ]
 
 
@@ -122,19 +123,23 @@ def test_one_intersection_decides_both_verdicts(svd_inputs, cli_pencils, blocks)
 
 
 def test_order_two_verdict_builds_no_complement(svd_inputs):
-    """check_i2 and i2_components read both complements, K, K_C and
-    (ran M + ker M)^perp from the pencil: on a fresh mixed [2, 1] pencil,
-    once K is decided by the one SVD of C, neither decomposes M or C
-    again, and the complements are the orthogonal ones of the pencil's
-    one SVD of M."""
+    """check_i2 reads integers off the pencil: on a fresh mixed [2, 1]
+    pencil, once K is decided by the one SVD of C, the verdict decomposes
+    the dim K x dim K matrix J = Y^H M^+ K and no n x n matrix, and
+    i2_components decomposes none of M, C and J again.  The complements
+    it uses by default are the orthogonal ones of the pencil's one SVD
+    of M."""
     cp = pencil.linearize(models.jordan_model(0, blocks_at_one=[2, 1])[0])
     assert cp.unit_intersection.dim == 1  # K, decided once per pencil
+    spectrum = pencil.spectrum_report(cp)
     decided = len(svd_inputs)
-    assert grj.check_i2(cp).holds
+    assert grj.check_i2(cp, spectrum=spectrum).holds
+    assert [a.shape for a, _ in svd_inputs[decided:]] == [(1, 1)]  # J, no n x n SVD
     assert grj.i2_components(cp, j_max=2).holds
-    later = svd_inputs[decided:]
+    later = svd_inputs[decided + 1:]
     assert svds_of(later, coupling(cp)) == 0
     assert svds_of(later, np.asarray(cp.m)) == 0
+    assert all(a.shape != (1, 1) for a, _ in later)
 
     size, rank = cp.big_dim, cp.unit_range.dim
     for space, other, dim in ((cp.unit_range_complement, cp.unit_range, size - rank),

@@ -8,17 +8,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit.grj import (I1Report, NotI1, NotI2, _OrderTwoGeometry, check_i1, check_i2,
+from grjkit.grj import (I1Report, NotI1, NotI2, _order_two_projection, check_i1, check_i2,
                         i1_components, i2_components, taylor_h_coefficients)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
                            jordan_model)
-from grjkit.numfield import NotComplementary, Subspace, kernel_basis, operator_norm
+from grjkit.numfield import (CUTOFFS, NotComplementary, Subspace, _generalized_inverse,
+                             direct_sum_check, kernel_basis, oblique_projection,
+                             operator_norm)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
@@ -65,7 +68,7 @@ def skewed(space, perp, rng):
 
 
 def test_components_are_complement_independent(shift8_cp, mixed21_cp):
-    # jordan [2, 2] has dim K = 2, so the restricted map K -> W_C is 2 x 2
+    # jordan [2, 2] has dim K = 2, so J = Y^H M^+ K is 2 x 2
     mixed22_cp = linearize(jordan_model(1, blocks_at_one=[2, 2])[0])
     rng = np.random.default_rng(77)
     for cp in (shift8_cp, mixed21_cp, mixed22_cp):
@@ -104,13 +107,14 @@ def test_supplied_complements_that_fail_are_rejected(shift8_cp):
 def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     rep = check_i2(mixed21_cp)
     assert rep.holds
-    assert rep.k_space.dim == 1
-    assert rep.w_space.dim == 1          # nontrivial W: Q^g actually used
+    assert rep.k_dim == 1
+    assert rep.w_dim == 1          # nontrivial W: Q^g actually used
     assert rep.n_minus2 is None and rep.p_operator is None  # the verdict builds no operator
-    w_c, _, q_g = _OrderTwoGeometry(mixed21_cp).graft()
+    rep = i2_components(mixed21_cp, j_max=2)
+    p_op, _, w_c, q_g = _order_two_projection(mixed21_cp, rep.n_minus2)
     assert w_c.dim == 1
     assert operator_norm(q_g) > 1e-8
-    p_op = i2_components(mixed21_cp, j_max=2).p_operator
+    assert np.array_equal(p_op, rep.p_operator)
     assert operator_norm(p_op @ p_op - p_op) < 1e-10
 
 
@@ -147,18 +151,104 @@ def test_coupling_gives_the_order_two_spaces(name, build, seed):
     reference = stacked_intersection(ran, ker)
     assert k_space.dim == reference.dim
     assert projector_gap(k_space.basis, reference.basis) <= 1e-10
-    geo = _OrderTwoGeometry(cp)
-    w_c = geo.graft()[0]
-    assert k_space.dim + geo.w_space.dim == ker.dim
+    no_pole = np.zeros_like(cp.m)  # N_{-2} enters P only, not W, W_C or Q^g
+    _, w, w_c, _ = _order_two_projection(cp, no_pole)
+    assert k_space.dim + w.dim == ker.dim
     assert w_c.dim == k_space.dim
     assert np.max(np.abs(w_c.basis.conj().T @ np.hstack([ran.basis, ker.basis])),
                   initial=0.0) <= 1e-10
     rng = np.random.default_rng(seed)
     ran_c = skewed(ran, cp.unit_range_complement, rng)
-    geo = _OrderTwoGeometry(cp, ran_c, skewed(ker, cp.unit_kernel_complement, rng))
-    w_and_w_c = np.hstack([geo.w_space.basis, geo.graft()[0].basis])
+    _, w, w_c, _ = _order_two_projection(cp, no_pole, ran_c,
+                                         skewed(ker, cp.unit_kernel_complement, rng))
+    w_and_w_c = np.hstack([w.basis, w_c.basis])
     assert Subspace.from_columns(w_and_w_c).dim == ran_c.dim
     assert projector_gap(w_and_w_c, ran_c.basis) <= 1e-10
+
+
+def regime_model(n, cond, seed):
+    """The regime map's model: 1-2 Jordan blocks of size 1-3 at 1, a stable
+    diagonal rest uniform in [-0.8, 0.8], conjugated by
+    S = Q_1 diag(logspace(0, log10 cond, n)) Q_2."""
+    rng = np.random.default_rng(seed)
+    blocks = [int(b) for b in rng.integers(1, 4, size=int(rng.integers(1, 3)))]
+    j = np.diag(np.concatenate([np.ones(sum(blocks)),
+                                rng.uniform(-0.8, 0.8, n - sum(blocks))]))
+    pos = 0
+    for size in blocks:
+        j[pos + np.arange(size - 1), pos + np.arange(1, size)] = 1.0
+        pos += size
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = q1 @ np.diag(np.logspace(0, np.log10(cond), n)) @ q2
+    return ArPencil(1, n, [s @ j @ np.linalg.inv(s)])
+
+
+def split_reference(cp):
+    """(holds, defect) of the order-two split decided on the n x n
+    geometry, kept as the oracle for J: the image M^+ K, orthonormalized
+    with the rank rule and a floor at CUTOFFS["rank"] ||M^+|| (so a zero
+    image cannot resurface as rounding noise), against the plain basis
+    [ran M | W] of ran M + ker M."""
+    n, k = cp.big_dim, cp.unit_intersection.basis
+    u, s, vh = np.linalg.svd(cp.m)
+    r = int(np.sum(s > CUTOFFS["rank"] * s[0]))
+    m_plus = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+    image = np.zeros((n, 0))
+    if k.shape[1]:
+        u, s, _ = np.linalg.svd(m_plus @ k, full_matrices=False)
+        floor = CUTOFFS["rank"] * max(s[0], operator_norm(m_plus))
+        image = u[:, :int(np.sum(s > floor))]
+    ran, k_c = cp.unit_range.basis, cp.unit_intersection_complement.basis
+    w = k_c - ran @ (ran.conj().T @ k_c)
+    split = direct_sum_check(Subspace(n, np.hstack([ran, w])), Subspace(n, image))
+    return k.shape[1] > 0 and split.holds, split.defect
+
+
+def n_minus2_through_w_c(cp, ran_c, ker_c):
+    """N_{-2} = K (A M^g K)^{-1} A with A = W_C^H P_{W_C}: the restricted
+    map K -> W_C of the paper, for a given complement pair."""
+    ran, eye = cp.unit_range, cp.identity()
+    p_ran = oblique_projection(ran, ran_c)
+    gen_inverse = _generalized_inverse(cp.m, ker_c, oblique_projection(cp.unit_kernel, ker_c),
+                                       p_ran)
+    _, w, w_c, _ = _order_two_projection(cp, np.zeros_like(cp.m), ran_c, ker_c)
+    p_w = (oblique_projection(w, Subspace(cp.big_dim, np.hstack([ran.basis, w_c.basis])))
+           if w.dim else np.zeros_like(eye))
+    a = w_c.basis.conj().T @ (eye - p_ran - p_w)
+    k = cp.unit_intersection.basis
+    return k @ np.linalg.solve(a @ gen_inverse @ k, a)
+
+
+# COUPLING_MODELS at seeds 0-2, and the regime map's slice at n = 8:
+# cond(S) in {1e1, 1e3}, seeds 0-19
+SPLIT_CASES = ([(name, build, seed) for name, build in COUPLING_MODELS for seed in range(3)]
+               + [(f"regime-c{c:.0e}", lambda seed, c=c: regime_model(8, c, seed), seed)
+                  for c in (1e1, 1e3) for seed in range(20)])
+
+
+@pytest.mark.parametrize("name, build, seed", SPLIT_CASES,
+                         ids=[f"{name}-{seed}" for name, _, seed in SPLIT_CASES])
+def test_j_decides_the_order_two_split(name, build, seed):
+    """check_i2's verdict on the k x k matrix J = Y^H M^+ K equals the n x n
+    split (ran M + ker M) (+) M^+ K in holds and defect; a planted Jordan
+    model fails by one per block of size 3 or more (jordan [3]: K != {0},
+    defect 1).  Where it holds, N_{-2} = K J^{-1} Y^H equals the route
+    through P_{W_C} for a skewed complement pair."""
+    cp = linearize(build(seed))
+    rep = check_i2(cp)
+    assert (rep.holds, rep.defect) == split_reference(cp)
+    if name.startswith("jordan"):
+        assert rep.defect == sum(b >= 3 for b in json.loads(name[len("jordan"):]))
+    if rep.holds:
+        rng = np.random.default_rng(seed)
+        ran_c = skewed(cp.unit_range, cp.unit_range_complement, rng)
+        ker_c = skewed(cp.unit_kernel, cp.unit_kernel_complement, rng)
+        u, s, vh, _ = cp.order_two_coupling
+        n_minus2 = cp.unit_intersection.basis @ (vh.conj().T / s) @ (
+            cp.unit_sum_complement.basis @ u).conj().T
+        reference = n_minus2_through_w_c(cp, ran_c, ker_c)
+        assert operator_norm(n_minus2 - reference) <= 1e-12 * operator_norm(reference)
 
 
 def test_simple_pole_projection_is_riesz(evenodd_cp):
@@ -267,8 +357,8 @@ def test_shared_spectrum_and_residue_change_no_field(name):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
     assert pole_order(cp, spectrum=rep, residue=residue) == pole_order(cp)
     shared2, own2 = check_i2(cp, spectrum=rep), check_i2(cp)
-    assert (shared2.holds, shared2.k_space.dim, shared2.w_space.dim, shared2.defect) == \
-        (own2.holds, own2.k_space.dim, own2.w_space.dim, own2.defect)
+    assert (shared2.holds, shared2.k_dim, shared2.w_dim, shared2.defect) == \
+        (own2.holds, own2.k_dim, own2.w_dim, own2.defect)
 
 
 @pytest.mark.parametrize("ar", [ArPencil(1, 2, [np.diag([0.3, 0.4])]),  # 1 is no root

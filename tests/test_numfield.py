@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from grjkit.laurent import essential_from_sweep
 from grjkit.numfield import (CUTOFFS, NotComplementary, Subspace, _generalized_inverse,
-                             apply_to_subspace, ascent_at_one, direct_sum_check,
+                             ascent_at_one, direct_sum_check,
                              dump_json, fit_geometric_decay, kernel_and_range,
                              kernel_basis, matrix_from_json, matrix_to_json,
                              numerical_rank, oblique_projection, operator_norm,
@@ -66,8 +66,8 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(int_matrices)
 def test_kernel_and_range_share_one_rank(m):
-    ker, ran, *_ = kernel_and_range(m.astype(float))
-    assert ran.dim == exact_rank(m)
+    ker, ran, *_, kept = kernel_and_range(m.astype(float))
+    assert ran.dim == exact_rank(m) == kept.size
     assert ker.dim + ran.dim == m.shape[1]
     assert (ker.ambient_dim, ran.ambient_dim) == (m.shape[1], m.shape[0])
     if ker.dim:
@@ -97,21 +97,6 @@ def test_subspace_basis_is_orthonormal():
     s = Subspace.from_columns(cols)
     assert s.dim == 3
     assert_allclose(s.basis.conj().T @ s.basis, np.eye(3), atol=1e-12)
-
-
-def test_from_columns_floor_drops_noise():
-    cols = np.array([[1.0, 1e-8], [0.0, 2e-8]])
-    assert Subspace.from_columns(cols).dim == 2          # relative cut keeps it
-    assert Subspace.from_columns(cols, floor=1e-6).dim == 1
-
-
-def test_image_scale_truncation():
-    # the map has norm 1, so its 1e-16 action on e_3 is noise, not rank --
-    # even though from_columns alone (relative cut) would keep it
-    m = np.diag([1.0, 1.0, 1e-16])
-    s = Subspace.from_columns(np.eye(3)[:, 2:])
-    assert Subspace.from_columns(m @ s.basis).dim == 1
-    assert apply_to_subspace(m, s).dim == 0
 
 
 def test_direct_sum_random_complementary_pair():
@@ -174,7 +159,7 @@ def test_generalized_inverse_defining_identities():
     left = rng.standard_normal((6, 4))
     right = rng.standard_normal((4, 6))
     m = left @ right                                  # rank 4
-    ker, ran, ker_perp, ran_perp = kernel_and_range(m)
+    ker, ran, ker_perp, ran_perp, _ = kernel_and_range(m)
     mix = rng.standard_normal((2, 4)) * 0.3
     ker_c = Subspace.from_columns(ker_perp.basis + ker.basis @ mix)
     ran_c = Subspace.from_columns(ran_perp.basis
