@@ -212,7 +212,7 @@ def _load_model(args):
             raise _CliError(f"model file not found: {args.model}") from exc
         except OSError as exc:
             raise _CliError(f"cannot read model file {args.model}: {exc.strerror}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise _CliError(f"bad model file {args.model}: {exc}") from exc
         return ar, os.path.basename(args.model), {}
     raise _CliError("a model is required: built-in name or --model PATH")

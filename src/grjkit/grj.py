@@ -10,12 +10,11 @@ Y = alpha_perp null(C^H) = (ran M + ker M)^perp this holds if and only if
 K is nontrivial and the dim K x dim K matrix J = Y^H M^+ K is nonsingular
 (Johansen, Econometric Theory 8, 1992), and then N_{-2} = K J^{-1} Y^H.
 
-The projection's closed form reads W = (I - P_ran) K_C (K_C =
-beta_perp row(C), so dim K + dim W = dim ker M), W_C = (I - P_ran) Y and
-a generalized inverse of M, all relative to chosen complements, which
-the contour-derived Laurent coefficients do not depend on.  Every
-assembled component is therefore cross-checked against contour
-quadrature, and that residual is part of the returned report.
+The order-two projection grafts with Q^g = beta_perp C^+ alpha_perp^H
+and reads P_ran, P_ker and M^g = (I - P_ker) M^+ P_ran relative to chosen
+complements, which the contour-derived Laurent coefficients do not
+depend on.  Every assembled component is therefore cross-checked against
+contour quadrature, and that residual is part of the returned report.
 """
 
 from __future__ import annotations
@@ -27,13 +26,11 @@ from typing import ClassVar
 import numpy as np
 
 from .numfield import (
-    NotComplementary,
     Subspace,
     _generalized_inverse,
     checked_projection,
     oblique_projection,
     operator_norm,
-    within,
 )
 from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
 from .pencil import CompanionPencil, resolvent, spectrum_report
@@ -89,9 +86,9 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
     is dim K.
 
     When it holds, the report carries the projection onto ker M along
-    ran M, beta_perp C^{-1} alpha_perp^H (NotComplementary unless it is
-    idempotent within the guard), with its contour cross-check residual
-    and the observable long-run operator.
+    ran M, cp.coupling_inverse = beta_perp C^{-1} alpha_perp^H
+    (NotComplementary unless it is idempotent within the guard), with its
+    contour cross-check residual and the observable long-run operator.
 
     ``spectrum`` may be the spectrum_report of this same cp, and
     ``residue`` the contour N_{-1} that contour_coefficients(cp, [-1],
@@ -105,9 +102,7 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
         return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
                         defect=k_dim, p_operator=None, long_run=None,
                         h_coeffs=[], cross_check_residual=math.inf)
-    u, s, vh, _ = cp.coupling
-    p_op = checked_projection((ker.basis @ (vh.conj().T / s))
-                              @ (cp.unit_range_complement.basis @ u).conj().T)
+    p_op = checked_projection(cp.coupling_inverse)
     if residue is None:
         residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
     residual = operator_norm(p_op - residue, cp.norm)
@@ -225,44 +220,23 @@ def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
 
 
 def _order_two_projection(cp: CompanionPencil, n_minus2, ran_complement=None,
-                          ker_complement=None) -> tuple:
-    """(P, W, W_C, Q^g): the parts of the order-two closed form that depend
-    on a pair of complements of ran M and ker M (by default the orthogonal
-    ones).  P_ran, P_ker and M^g raise NotComplementary for a supplied
-    complement that fails; W = (I - P_ran) K_C, W_C = (I - P_ran) Y, and
-    Q^g = [Q|_{K_C}]^{-1} P_W with P_W onto W along ran M (+) W_C, NotI2
-    when that split fails."""
-    ran, n, eye = cp.unit_range, cp.big_dim, cp.identity()
+                          ker_complement=None) -> np.ndarray:
+    """The order-two projection P for complements of ran M and ker M (by
+    default the orthogonal ones): P_ran, P_ker and M^g = (I - P_ker) M^+ P_ran
+    depend on them (NotComplementary for a supplied one that fails), the
+    graft Q^g = cp.coupling_inverse does not."""
+    eye = cp.identity()
     ran_c = cp.unit_range_complement if ran_complement is None else ran_complement
     ker_c = cp.unit_kernel_complement if ker_complement is None else ker_complement
-    p_ran = oblique_projection(ran, ran_c)
-    gen_inverse = _generalized_inverse(cp.m, ker_c, oblique_projection(cp.unit_kernel, ker_c),
-                                       p_ran)
-    off_range, k_c = eye - p_ran, cp.unit_intersection_complement.basis
-    w = Subspace(n, off_range @ k_c)
-    w_c = Subspace(n, off_range @ cp.unit_sum_complement.basis)
-    q_g = np.zeros_like(off_range)
-    if w.dim:
-        try:
-            p_w = oblique_projection(w, Subspace(n, np.hstack([ran.basis, w_c.basis])))
-        except NotComplementary:
-            residual = math.inf
-        else:
-            coords, *_ = np.linalg.lstsq(w.basis, p_w, rcond=None)
-            residual = operator_norm(w.basis @ coords - p_w)
-        if not within("guard", residual).holds:
-            raise NotI2(f"Q^g construction failed (residual {residual:.2e}); "
-                        "the W (+) W_C split is not usable")
-        q_g = k_c @ coords
-
-    gamma_l = gen_inverse @ n_minus2
-    gamma_r = n_minus2 @ gen_inverse
-    # Assemble the spectral projection from gamma_r, the graft through
-    # Q^g (I - P_ran), and gamma_l.  The summand order matters: with the
-    # correction factors applied from the left, the sum is independent of
-    # the complement choices even though each factor alone is not.
-    q_term = q_g @ off_range
-    return gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l), w, w_c, q_g
+    p_ran = oblique_projection(cp.unit_range, ran_c)
+    gen_inverse = _generalized_inverse(cp.m, cp._kernel_and_range,
+                                       oblique_projection(cp.unit_kernel, ker_c), p_ran)
+    gamma_l, gamma_r = gen_inverse @ n_minus2, n_minus2 @ gen_inverse
+    # Assemble the spectral projection from gamma_r, the graft through Q^g (I - P_ran),
+    # and gamma_l.  The summand order matters: with the correction factors applied from
+    # the left, the sum is independent of the complement choices, though no factor is.
+    q_term = cp.coupling_inverse @ (eye - p_ran)
+    return gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l)
 
 
 def i2_components(cp: CompanionPencil, j_max: int,
@@ -270,9 +244,9 @@ def i2_components(cp: CompanionPencil, j_max: int,
                   ker_complement: Subspace | None = None) -> I2Report:
     """Assemble the order-two representation operators: N_{-2} = K J^{-1} Y^H
     from the SVD of J that decided check_i2, then the projection from the
-    Gamma operators and Q^g for the given complements.  Both are
-    cross-checked against contour coefficients, which do not depend on
-    the complement choices.
+    Gamma operators of M^g for the given complements and the graft
+    Q^g = cp.coupling_inverse.  Both are cross-checked against contour
+    coefficients, which do not depend on the complement choices.
     """
     rep = require_unit_root(spectrum_report(cp))
     base = check_i2(cp, spectrum=rep)
@@ -282,7 +256,7 @@ def i2_components(cp: CompanionPencil, j_max: int,
     u, s, vh, _ = cp.order_two_coupling
     n_minus2 = ((cp.unit_intersection.basis @ (vh.conj().T / s))
                 @ (cp.unit_sum_complement.basis @ u).conj().T)
-    p_op = _order_two_projection(cp, n_minus2, ran_complement, ker_complement)[0]
+    p_op = _order_two_projection(cp, n_minus2, ran_complement, ker_complement)
 
     contour = contour_coefficients(cp, [-2, -1], spectrum=rep)
     residual = max(operator_norm(n_minus2 - contour[-2], cp.norm),

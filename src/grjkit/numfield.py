@@ -3,13 +3,14 @@
 Everything downstream (pencils, Laurent coefficients, representation
 components) reduces to a handful of primitives collected here: induced
 operator norms, tolerant rank / kernel / range decisions, direct-sum
-checks, oblique projections, the checked generalized inverse of the
-order-two geometry, and the Jordan-ascent oracle at eigenvalue 1.
+checks, oblique projections, the checked generalized inverse
+(I - P_ker) M^+ P_ran, and the Jordan-ascent oracle at eigenvalue 1.
 
 The class checks read their spaces off the SVD of M = I - B and of two
 small matrices, which pencil.CompanionPencil owns: the coupling
-C = alpha_perp^H beta_perp, nonsingular if and only if I(1) holds, and
-J = Y^H M^+ K, which decides I(2) (K = ran M /\\ ker M, Y = (ran M + ker M)^perp).
+C = alpha_perp^H beta_perp, nonsingular if and only if I(1) holds, whose inverse
+beta_perp C^+ alpha_perp^H is the I(1) projection or the I(2) graft Q^g, and J = Y^H M^+ K,
+which decides I(2) (K = ran M /\\ ker M, Y = (ran M + ker M)^perp).
 
 Conventions
 -----------
@@ -53,7 +54,7 @@ RESIDUAL_ABS = 1e-8  # residual cut-off in the operator norm (10 x of it for the
 CUTOFFS = {
     "rank": RANK_REL,
     "residual": RESIDUAL_ABS,  # resolvent solves; also "is the loading zero"
-    "guard": 10 * RESIDUAL_ABS,  # projections, generalized inverses, Q^g, the Laurent P
+    "guard": 10 * RESIDUAL_ABS,  # projections, the generalized inverse, the Laurent P
     "reconstruction": (10.0, 100.0 * RESIDUAL_ABS),  # fitted contour tails, plus a floor
     "quadrature": 1e-10,  # largest change between levels that counts as settled
     "cluster scatter": 0.05,  # farthest a unit-cluster eigenvalue may sit from 1
@@ -126,7 +127,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix must have rows >= 1 and cols >= 1")
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = [complex(re, im) for re, im in entries]
+    flat = [complex(*e) for e in entries  # type(): a JSON true is a bool, no int or float
+            if type(e) is list and len(e) == 2 and {type(x) for x in e} <= {int, float}]
+    if len(flat) != len(entries):
+        raise ValueError("each matrix entry must be a pair [re, im] of numbers")
     return as_operator(np.array(flat, dtype=np.complex128).reshape(rows, cols))
 
 
@@ -287,13 +291,13 @@ def checked_projection(proj) -> np.ndarray:
     return proj
 
 
-def _generalized_inverse(m, ker_complement: Subspace, p_ker, p_ran) -> np.ndarray:
-    """G = K_C (M K_C)^+ P_ran, with K_C the basis of ker_complement,
-    checked against G M = I - P_ker and M G = P_ran within
-    CUTOFFS["guard"] (else NotComplementary)."""
-    kc = ker_complement.basis  # n x q with q = rank M
-    coeffs, *_ = np.linalg.lstsq(m @ kc, p_ran, rcond=None)
-    ginv = kc @ coeffs
+def _generalized_inverse(m, split, p_ker, p_ran) -> np.ndarray:
+    """G = (I - P_ker) M^+ P_ran, with M^+ = V_r diag(1/s_r) U_r^H read off
+    split = kernel_and_range(m), checked against G M = I - P_ker and
+    M G = P_ran within CUTOFFS["guard"] (else NotComplementary)."""
+    _, ran, ker_perp, _, s_r = split
+    ginv = (ker_perp.basis / s_r) @ (ran.basis.conj().T @ p_ran)
+    ginv -= p_ker @ ginv
     res1 = operator_norm(ginv @ m - (np.eye(m.shape[0]) - p_ker))
     res2 = operator_norm(m @ ginv - p_ran)
     if not within("guard", max(res1, res2)).holds:

@@ -12,8 +12,9 @@ pencils share spectrum and pole structure.
 At z = 1 the pencil reads the class geometry of M = I - B off the coupling
 C = alpha_perp^H beta_perp (orthonormal bases of (ran M)^perp and ker M):
 I(1) holds if and only if C is nonsingular, and dim K + dim W = dim ker M
-(K = ran M /\\ ker M = beta_perp null(C), W = (I - P_ran) ker M).  I(2)
-holds if and only if K is nontrivial and J = Y^H M^+ K is nonsingular
+(K = ran M /\\ ker M = beta_perp null(C), W = (I - P_ran) ker M), and
+beta_perp C^+ alpha_perp^H is the I(1) projection or the I(2) graft Q^g.
+I(2) holds if and only if K is nontrivial and J = Y^H M^+ K is nonsingular
 (Y = alpha_perp null(C^H) = (ran M + ker M)^perp).
 """
 
@@ -98,9 +99,9 @@ class CompanionPencil:
     d_1 = dim ker M, the first step of the kernel chain at 1 that every
     spectrum_report of the pencil reads (``m``, ``unit_kernel``,
     ``unit_range``, ``unit_*_complement``, ``kernel_chain``; read-only).
-    One SVD of the coupling C of those bases (``coupling``) decides K, which the
-    class verdicts and dispatch read, and the spaces below; one SVD of J
-    (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
+    One SVD of the coupling C of those bases (``coupling``) gives K, which the
+    class verdicts and dispatch read, the spaces below and ``coupling_inverse``;
+    one SVD of J (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
     """
 
     a1: np.ndarray
@@ -155,6 +156,17 @@ class CompanionPencil:
         return u, s, vh, int(np.sum(s > CUTOFFS["rank"]))
 
     @cached_property
+    def coupling_inverse(self) -> np.ndarray:
+        """V_0 C^+ U_0^H, C^+ cut at ``coupling``'s rank: the projection onto
+        ker M along ran M when C is nonsingular, else the order-two graft Q^g
+        for every pair of complements of ran M and ker M."""
+        u, s, vh, rank = self.coupling
+        out = ((self.unit_kernel.basis @ (vh[:rank].conj().T / s[:rank]))
+               @ (self.unit_range_complement.basis @ u[:, :rank]).conj().T)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _coupling_spaces(self) -> tuple:
         u, _, vh, rank = self.coupling
         v = self.unit_kernel.basis @ vh.conj().T
@@ -172,8 +184,8 @@ class CompanionPencil:
         """(u, s, vh, rank), the SVD of J = Y^H M^+ K (Y = unit_sum_complement,
         K = unit_intersection, M^+ = V_r diag(1/s_r) U_r^H), empty when K is
         {0}.  J = Y^H M^g K for every complement pair, as M^g x - M^+ x is in
-        ker M for x in K: the restricted map P_{W_C} M^g|_K in the bases K and
-        Y = W_C.  s_r[-1] s <= 1, cut at the absolute CUTOFFS["rank"]."""
+        ker M for x in K: the paper's restricted map of M^g from K to
+        Y = (ran M + ker M)^perp.  s_r[-1] s <= 1, cut at CUTOFFS["rank"]."""
         k = self.unit_intersection.basis
         if not k.shape[1]:
             return np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), 0

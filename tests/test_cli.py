@@ -225,9 +225,10 @@ def test_no_unit_root_exit_two_without_a_report(capsys, stable_model_path, comma
     assert err == f"grj {command}: no usable unit root at z=1\n"
 
 
-def model_text(p=1, dim=2, rows=2, cols=2) -> str:
-    """A well-formed unit-root AR(1) model file on C^2 unless a size is replaced."""
-    coeff = {"rows": rows, "cols": cols, "entries": [[1, 0], [0, 0], [0, 0], [0.5, 0]]}
+def model_text(p=1, dim=2, rows=2, cols=2, first=(1, 0)) -> str:
+    """A well-formed unit-root AR(1) model file on C^2 unless a size or the
+    first entry is replaced."""
+    coeff = {"rows": rows, "cols": cols, "entries": [list(first), [0, 0], [0, 0], [0.5, 0]]}
     return json.dumps({"p": p, "dim": dim, "coeffs": [coeff]})
 
 
@@ -236,7 +237,10 @@ def model_text(p=1, dim=2, rows=2, cols=2) -> str:
     model_text(p=1.9, dim=2.2),
     model_text(p=True, dim="2", rows=2.7),
     model_text(cols=2.0),
-], ids=["no-coeffs", "float-p-dim", "bool-p-string-dim-float-rows", "float-cols"])
+    model_text(first=(True, False)),
+    model_text(first=(10 ** 400, 0)),
+], ids=["no-coeffs", "float-p-dim", "bool-p-string-dim-float-rows", "float-cols",
+        "bool-entries", "int-entry-beyond-float"])
 def test_malformed_model_exit_one(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

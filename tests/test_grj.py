@@ -19,9 +19,8 @@ from grjkit.grj import (I1Report, NotI1, NotI2, _order_two_projection, check_i1,
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
                            jordan_model)
-from grjkit.numfield import (CUTOFFS, NotComplementary, Subspace, _generalized_inverse,
-                             direct_sum_check, kernel_basis, oblique_projection,
-                             operator_norm)
+from grjkit.numfield import (CUTOFFS, NotComplementary, Subspace, direct_sum_check,
+                             kernel_basis, oblique_projection, operator_norm)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 
 
@@ -104,6 +103,29 @@ def test_supplied_complements_that_fail_are_rejected(shift8_cp):
             i2_components(shift8_cp, j_max=2, **kwargs)
 
 
+def order_two_spaces(cp, ran_c):
+    """(P_ran, W, W_C, P_W) of the paper for a complement ran_c of ran M:
+    W = (I - P_ran) K_C, W_C = (I - P_ran) Y, and P_W the projection onto
+    W along ran M (+) W_C (0 when W = {0})."""
+    n, ran = cp.big_dim, cp.unit_range
+    p_ran = oblique_projection(ran, ran_c)
+    off_range = cp.identity() - p_ran
+    w = Subspace(n, off_range @ cp.unit_intersection_complement.basis)
+    w_c = Subspace(n, off_range @ cp.unit_sum_complement.basis)
+    p_w = (oblique_projection(w, Subspace(n, np.hstack([ran.basis, w_c.basis])))
+           if w.dim else np.zeros_like(off_range))
+    return p_ran, w, w_c, p_w
+
+
+def graft_reference(cp, w, p_w):
+    """Q^g = [Q|_{K_C}]^{-1} P_W: Q = I - P_ran maps K_C onto W column by
+    column, so the K_C coordinates of P_W x solve W coords = P_W x."""
+    if not w.dim:
+        return np.zeros_like(p_w)
+    coords, *_ = np.linalg.lstsq(w.basis, p_w, rcond=None)
+    return cp.unit_intersection_complement.basis @ coords
+
+
 def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     rep = check_i2(mixed21_cp)
     assert rep.holds
@@ -111,9 +133,12 @@ def test_mixed_block_geometry_exercises_graft(mixed21_cp):
     assert rep.w_dim == 1          # nontrivial W: Q^g actually used
     assert rep.n_minus2 is None and rep.p_operator is None  # the verdict builds no operator
     rep = i2_components(mixed21_cp, j_max=2)
-    p_op, _, w_c, q_g = _order_two_projection(mixed21_cp, rep.n_minus2)
+    _, w, w_c, p_w = order_two_spaces(mixed21_cp, mixed21_cp.unit_range_complement)
+    q_g = graft_reference(mixed21_cp, w, p_w)
     assert w_c.dim == 1
     assert operator_norm(q_g) > 1e-8
+    assert operator_norm(mixed21_cp.coupling_inverse - q_g) <= 1e-12 * operator_norm(q_g)
+    p_op = _order_two_projection(mixed21_cp, rep.n_minus2)
     assert np.array_equal(p_op, rep.p_operator)
     assert operator_norm(p_op @ p_op - p_op) < 1e-10
 
@@ -145,25 +170,33 @@ def test_coupling_gives_the_order_two_spaces(name, build, seed):
     """K, W and W_C read off the SVD of C = alpha_perp^H beta_perp: K spans
     the stacked-SVD intersection of ran M and ker M, dim K + dim W =
     dim ker M, dim W_C = dim K, W_C is orthogonal to ran M + ker M for the
-    default complements, and W (+) W_C = ran_c for a skewed pair."""
+    default complements, and W (+) W_C = ran_c for skewed pairs.  For each
+    pair the graft [Q|_{K_C}]^{-1} P_W is cp.coupling_inverse, and so is
+    the order-two projection built with N_{-2} = 0."""
     cp = linearize(build(seed))
     ker, ran, k_space = cp.unit_kernel, cp.unit_range, cp.unit_intersection
     reference = stacked_intersection(ran, ker)
     assert k_space.dim == reference.dim
     assert projector_gap(k_space.basis, reference.basis) <= 1e-10
-    no_pole = np.zeros_like(cp.m)  # N_{-2} enters P only, not W, W_C or Q^g
-    _, w, w_c, _ = _order_two_projection(cp, no_pole)
+    q_gap = 1e-12 * max(1.0, operator_norm(cp.coupling_inverse))
+    _, w, w_c, p_w = order_two_spaces(cp, cp.unit_range_complement)
     assert k_space.dim + w.dim == ker.dim
     assert w_c.dim == k_space.dim
     assert np.max(np.abs(w_c.basis.conj().T @ np.hstack([ran.basis, ker.basis])),
                   initial=0.0) <= 1e-10
+    assert operator_norm(cp.coupling_inverse - graft_reference(cp, w, p_w)) <= q_gap
     rng = np.random.default_rng(seed)
-    ran_c = skewed(ran, cp.unit_range_complement, rng)
-    _, w, w_c, _ = _order_two_projection(cp, no_pole, ran_c,
-                                         skewed(ker, cp.unit_kernel_complement, rng))
-    w_and_w_c = np.hstack([w.basis, w_c.basis])
-    assert Subspace.from_columns(w_and_w_c).dim == ran_c.dim
-    assert projector_gap(w_and_w_c, ran_c.basis) <= 1e-10
+    for _ in range(3):
+        ran_c = skewed(ran, cp.unit_range_complement, rng)
+        _, w, w_c, p_w = order_two_spaces(cp, ran_c)
+        w_and_w_c = np.hstack([w.basis, w_c.basis])
+        assert Subspace.from_columns(w_and_w_c).dim == ran_c.dim
+        assert projector_gap(w_and_w_c, ran_c.basis) <= 1e-10
+        assert operator_norm(cp.coupling_inverse - graft_reference(cp, w, p_w)) <= q_gap
+        # with N_{-2} = 0 the projection is the graft alone, as Q^g P_ran = 0
+        no_pole = _order_two_projection(cp, np.zeros_like(cp.m), ran_c,
+                                        skewed(ker, cp.unit_kernel_complement, rng))
+        assert operator_norm(no_pole - cp.coupling_inverse) <= q_gap
 
 
 def regime_model(n, cond, seed):
@@ -207,14 +240,12 @@ def split_reference(cp):
 
 def n_minus2_through_w_c(cp, ran_c, ker_c):
     """N_{-2} = K (A M^g K)^{-1} A with A = W_C^H P_{W_C}: the restricted
-    map K -> W_C of the paper, for a given complement pair."""
-    ran, eye = cp.unit_range, cp.identity()
-    p_ran = oblique_projection(ran, ran_c)
-    gen_inverse = _generalized_inverse(cp.m, ker_c, oblique_projection(cp.unit_kernel, ker_c),
-                                       p_ran)
-    _, w, w_c, _ = _order_two_projection(cp, np.zeros_like(cp.m), ran_c, ker_c)
-    p_w = (oblique_projection(w, Subspace(cp.big_dim, np.hstack([ran.basis, w_c.basis])))
-           if w.dim else np.zeros_like(eye))
+    map K -> W_C of the paper, for a given complement pair, with the
+    generalized inverse M^g = K_C (M K_C)^+ P_ran (K_C the basis of ker_c)."""
+    eye = cp.identity()
+    p_ran, _, w_c, p_w = order_two_spaces(cp, ran_c)
+    coeffs, *_ = np.linalg.lstsq(cp.m @ ker_c.basis, p_ran, rcond=None)
+    gen_inverse = ker_c.basis @ coeffs
     a = w_c.basis.conj().T @ (eye - p_ran - p_w)
     k = cp.unit_intersection.basis
     return k @ np.linalg.solve(a @ gen_inverse @ k, a)

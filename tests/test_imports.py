@@ -2,11 +2,12 @@
 Every module of the package (except the re-exporting __init__), the tests
 and the scripts reads each name it imports; every public top-level
 function or class of every package module, re-exported by grjkit or not,
-is read by the package, the scripts or the benchmark, not only by the
-tests; the package reads no environment variable; no package function
-takes a tolerance; and no package module but numfield names a cut-off
-constant or compares with a float literal, since every cut-off is an
-entry of the one table numfield.CUTOFFS.
+and every public method or class-level name of such a class, is read by
+the package, the scripts or the benchmark, not only by the tests; the
+package reads no environment variable; no package function takes a
+tolerance; and no package module but numfield names a cut-off constant
+or compares with a float literal, since every cut-off is an entry of the
+one table numfield.CUTOFFS.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ TESTS_ONLY = (
     "polynomial_cointegration_probe",  # Monte Carlo check of the order-two annihilator tiers
     "random_walk_model",  # X_t = X_{t-1} + eps_t: the simplest unit-root fixture
     "ar3_unit_root_model",  # the one AR(3) fixture, in the I(1) and Schur-consistency tests
+    # an orthonormalizing constructor: skewed complements and fixtures in the tests
+    "Subspace.from_columns",
 )
 
 
@@ -126,10 +129,41 @@ def test_the_scan_finds_a_public_definition():
     assert public_definitions(source) == {"f", "C"}
 
 
+def public_members(source: str) -> set:
+    """Public methods and class-level names of the public top-level classes
+    of a module, as "Class.name"."""
+    members = set()
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+            continue
+        for node in top.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            members |= {f"{top.name}.{name}" for name in names if not name.startswith("_")}
+    return members
+
+
+def test_the_scan_finds_a_public_member():
+    source = ("class C:\n    x: int\n    y = z = 1\n    _p = 2\n    def m(self): pass\n"
+              "    @property\n    def q(self): pass\n    def _h(self): pass\n"
+              "    def __init__(self): pass\nclass _D:\n    def n(self): pass\n"
+              "def f():\n    pass\n")
+    assert public_members(source) == {"C.x", "C.y", "C.z", "C.m", "C.q"}
+
+
+def package_sources() -> list:
+    return [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "grjkit").glob("*.py")
+            if path.name != "__init__.py"]
+
+
 def package_public() -> set:
-    return set().union(*(public_definitions(path.read_text(encoding="utf-8"))
-                         for path in (ROOT / "src" / "grjkit").glob("*.py")
-                         if path.name != "__init__.py"))
+    return set().union(*map(public_definitions, package_sources()))
 
 
 def test_the_scan_sees_names_grjkit_does_not_reexport():
@@ -139,8 +173,12 @@ def test_the_scan_sees_names_grjkit_does_not_reexport():
 
 
 def test_every_public_callable_has_a_caller_outside_the_tests():
+    """Top-level names must be read by name, class members as an attribute
+    (or, for a dataclass field, by the class's own methods)."""
     read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
-    assert sorted(package_public() - read) == sorted(TESTS_ONLY)
+    members = set().union(*map(public_members, package_sources()))
+    unread = (package_public() - read) | {m for m in members if m.split(".")[1] not in read}
+    assert sorted(unread) == sorted(TESTS_ONLY)
 
 
 def tol_parameters(source: str) -> list:

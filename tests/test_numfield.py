@@ -135,11 +135,11 @@ def test_oblique_projection_rejects_non_complementary():
 
 
 def relative_inverse(m, ker_c, ran_c):
-    """M^g relative to the complements, from the projections the
-    order-two geometry hands _generalized_inverse."""
-    ker, ran, *_ = kernel_and_range(m)
-    return _generalized_inverse(m, ker_c, oblique_projection(ker, ker_c),
-                                oblique_projection(ran, ran_c))
+    """M^g relative to the complements, from the SVD of M and the
+    projections the order-two geometry hands _generalized_inverse."""
+    split = kernel_and_range(m)
+    return _generalized_inverse(m, split, oblique_projection(split[0], ker_c),
+                                oblique_projection(split[1], ran_c))
 
 
 def test_generalized_inverse_of_invertible_matrix():
