@@ -45,7 +45,7 @@ import traceback
 import numpy as np
 
 from grjkit import cli
-from grjkit.models import ar2_double_root_model
+from grjkit.models import ar2_double_root_model, random_walk_model
 from grjkit.pencil import ArPencil
 
 
@@ -68,6 +68,10 @@ MODEL_FILES = {
     # two random walks and a stationary AR(1): I(1), which the contour
     # route misreads as pole order 2 (see CHANGES.md)
     "walks_and_ar1.json": lambda: ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]),
+    # B = I: the cointegrating space is {0}, written with basis null
+    "random_walk.json": lambda: random_walk_model(2),
+    # (I - B)^2 overflows unless the kernel chain rescales its powers; exit 2
+    "huge_entry.json": lambda: ArPencil(1, 2, [np.diag([1.0, 1e200])]),
 }
 
 # model arguments that analyze, represent and verify each run on

@@ -52,7 +52,7 @@ def study(label, ar, args):
     predicted = float(f @ a_op @ cov @ a_op.T @ f)
     coint = annihilators(a_op)
     print(f"{label}: predicted slope {predicted:.4f}, "
-          f"{coint.dim} cointegrating direction(s)")
+          f"{coint.shape[1]} cointegrating direction(s)")
     for n_rep in args.reps:
         rels, coint_ok = [], 0
         for seed in range(args.seeds):
@@ -64,9 +64,9 @@ def study(label, ar, args):
             slope = stationarity_slope(ens @ f, min_replications=MIN_REPLICATIONS).slope
             rels.append(abs(slope - predicted) / predicted)
             coint_ok += all(
-                stationarity_slope(ens @ coint.basis[:, i].real,
+                stationarity_slope(ens @ coint[:, i].real,
                                    min_replications=MIN_REPLICATIONS).stationary
-                for i in range(coint.dim))
+                for i in range(coint.shape[1]))
         rels = np.asarray(rels)
         print(f"  R={n_rep:4d}   rel err median {np.median(rels):6.1%}   "
               f"worst {rels.max():6.1%}   cointegrating flat {coint_ok}/{args.seeds}")

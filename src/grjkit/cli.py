@@ -61,6 +61,7 @@ from .numfield import (
     dump_json,
     operator_norm,
     range_basis,
+    subspace_to_json,
     within,
 )
 from .pencil import ArPencil, SingularAt, linearize, spectrum_report
@@ -293,7 +294,7 @@ def cmd_sweep(args) -> int:
 
 def _components(cp, args):
     """Order-one components if K = ran M /\\ ker M is {0}, else order-two, else None."""
-    if not cp.unit_intersection.dim:
+    if not cp.unit_intersection.shape[1]:
         return i1_components(cp, args.jmax)
     try:
         return i2_components(cp, args.jmax)
@@ -316,8 +317,8 @@ def cmd_represent(args) -> int:
     if rep.order == 1:
         report.update({
             "long_run": rep.long_run,
-            "cointegrating": annihilators(rep.long_run),
-            "attractor": range_basis(rep.long_run),
+            "cointegrating": subspace_to_json(annihilators(rep.long_run)),
+            "attractor": subspace_to_json(range_basis(rep.long_run)),
         })
     else:
         lr2, lr1 = rep.long_run2, rep.long_run1
@@ -325,8 +326,8 @@ def cmd_represent(args) -> int:
             "long_run2": lr2,
             "long_run1": lr1,
             "n_minus2": rep.n_minus2,
-            "tier1_annihilators": annihilators(lr2),
-            "tier2_annihilators": annihilators(lr2, lr1 - lr2),
+            "tier1_annihilators": subspace_to_json(annihilators(lr2)),
+            "tier2_annihilators": subspace_to_json(annihilators(lr2, lr1 - lr2)),
         })
     _emit(dump_json(report), args.out)
     return _EXIT_OK

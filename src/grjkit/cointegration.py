@@ -14,12 +14,12 @@ import warnings
 
 import numpy as np
 
-from .numfield import Subspace, as_operator, kernel_basis, operator_norm, within
+from .numfield import as_operator, kernel_basis, operator_norm, within
 
 
-def annihilators(*loadings) -> Subspace:
-    """Functionals vanishing on the range of every loading: the null
-    space of the stacked plain transposes."""
+def annihilators(*loadings) -> np.ndarray:
+    """Functionals vanishing on the range of every loading: an orthonormal
+    basis (columns) of the null space of the stacked plain transposes."""
     return kernel_basis(np.vstack([np.asarray(load).T for load in loadings]))
 
 

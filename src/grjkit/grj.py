@@ -25,13 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numfield import (
-    Subspace,
-    _generalized_inverse,
-    checked_projection,
-    oblique_projection,
-    operator_norm,
-)
+from .numfield import _generalized_inverse, checked_projection, oblique_projection, operator_norm
 from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
 from .pencil import CompanionPencil, resolvent, spectrum_report
 
@@ -97,9 +91,10 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
     with a contour residue, never with another closed form.
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    ker, ran, k_dim = cp.unit_kernel, cp.unit_range, cp.unit_intersection.dim
+    ker_dim, ran_dim, k_dim = (cp.unit_kernel.shape[1], cp.unit_range.shape[1],
+                               cp.unit_intersection.shape[1])
     if k_dim:
-        return I1Report(holds=False, ker_dim=ker.dim, ran_dim=ran.dim,
+        return I1Report(holds=False, ker_dim=ker_dim, ran_dim=ran_dim,
                         defect=k_dim, p_operator=None, long_run=None,
                         h_coeffs=[], cross_check_residual=math.inf)
     p_op = checked_projection(cp.coupling_inverse)
@@ -107,7 +102,7 @@ def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
         residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
     residual = operator_norm(p_op - residue, cp.norm)
     long_run = p_op[:cp.dim, :cp.dim]
-    return I1Report(holds=True, ker_dim=ker.dim, ran_dim=ran.dim, defect=0,
+    return I1Report(holds=True, ker_dim=ker_dim, ran_dim=ran_dim, defect=0,
                     p_operator=p_op, long_run=long_run, h_coeffs=[],
                     cross_check_residual=residual)
 
@@ -212,9 +207,9 @@ def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
     of this same cp; without it one is computed here.
     """
     require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    k_dim, rank = cp.unit_intersection.dim, cp.order_two_coupling[3]
+    k_dim, rank = cp.unit_intersection.shape[1], cp.order_two_coupling[3]
     return I2Report(holds=k_dim > 0 and rank == k_dim, defect=k_dim - rank, k_dim=k_dim,
-                    w_dim=cp.unit_intersection_complement.dim, n_minus2=None,
+                    w_dim=cp.unit_intersection_complement.shape[1], n_minus2=None,
                     p_operator=None, long_run2=None, long_run1=None,
                     h_coeffs=[], cross_check_residual=math.inf)
 
@@ -232,16 +227,17 @@ def _order_two_projection(cp: CompanionPencil, n_minus2, ran_complement=None,
     gen_inverse = _generalized_inverse(cp.m, cp._kernel_and_range,
                                        oblique_projection(cp.unit_kernel, ker_c), p_ran)
     gamma_l, gamma_r = gen_inverse @ n_minus2, n_minus2 @ gen_inverse
-    # Assemble the spectral projection from gamma_r, the graft through Q^g (I - P_ran),
-    # and gamma_l.  The summand order matters: with the correction factors applied from
-    # the left, the sum is independent of the complement choices, though no factor is.
-    q_term = cp.coupling_inverse @ (eye - p_ran)
-    return gamma_r + (eye - gamma_r) @ (q_term + (eye - q_term) @ gamma_l)
+    # Assemble the spectral projection from gamma_r, the graft Q^g (Q^g P_ran = 0, as
+    # alpha_perp^H kills ran M) and gamma_l.  The summand order matters: with the correction
+    # factors applied from the left, the sum is independent of the complement choices,
+    # though no factor is.
+    q_g = cp.coupling_inverse
+    return gamma_r + (eye - gamma_r) @ (q_g + (eye - q_g) @ gamma_l)
 
 
 def i2_components(cp: CompanionPencil, j_max: int,
-                  ran_complement: Subspace | None = None,
-                  ker_complement: Subspace | None = None) -> I2Report:
+                  ran_complement: np.ndarray | None = None,
+                  ker_complement: np.ndarray | None = None) -> I2Report:
     """Assemble the order-two representation operators: N_{-2} = K J^{-1} Y^H
     from the SVD of J that decided check_i2, then the projection from the
     Gamma operators of M^g for the given complements and the graft
@@ -254,8 +250,8 @@ def i2_components(cp: CompanionPencil, j_max: int,
         raise NotI2(f"order-two geometry fails: K dim {base.k_dim}, "
                     f"split defect {base.defect}")
     u, s, vh, _ = cp.order_two_coupling
-    n_minus2 = ((cp.unit_intersection.basis @ (vh.conj().T / s))
-                @ (cp.unit_sum_complement.basis @ u).conj().T)
+    n_minus2 = ((cp.unit_intersection @ (vh.conj().T / s))
+                @ (cp.unit_sum_complement @ u).conj().T)
     p_op = _order_two_projection(cp, n_minus2, ran_complement, ker_complement)
 
     contour = contour_coefficients(cp, [-2, -1], spectrum=rep)

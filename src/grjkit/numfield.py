@@ -15,7 +15,9 @@ which decides I(2) (K = ran M /\\ ker M, Y = (ran M + ker M)^perp).
 Conventions
 -----------
 * Operators are dense ``numpy`` arrays, complex128 throughout; real input
-  is embedded with zero imaginary part.
+  is embedded with zero imaginary part.  A subspace of C^n is an n x k
+  array of basis columns, its dimension k = shape[1]; every basis grjkit
+  computes is orthonormal (singular vectors, whatever the reporting norm).
 * Every cut-off sits in one table, CUTOFFS, one entry per kind of
   decision; no caller tunes any.  A scalar decision goes through
   within(kind, value, scale), which returns the value and its bound with
@@ -100,7 +102,7 @@ def as_operator(entries, *, square=False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format, shared by all modules:
 #   matrix   {"rows": r, "cols": c, "entries": [[re, im], ...]}  row-major
-#   subspace {"ambient": n, "basis": <matrix>}
+#   subspace {"ambient": n, "basis": <matrix> | null}  null for {0}
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m) -> dict:
@@ -134,49 +136,11 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_operator(np.array(flat, dtype=np.complex128).reshape(rows, cols))
 
 
-def subspace_to_json(s: "Subspace") -> dict:
-    basis = s.basis
-    if basis.shape[1] == 0:
-        # JSON matrices need cols >= 1; encode the trivial subspace explicitly
-        return {"ambient": s.ambient_dim, "basis": None}
-    return {"ambient": s.ambient_dim, "basis": matrix_to_json(basis)}
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of C^n held as an ambient dimension plus basis columns.
-
-    Subspace(n, basis) keeps the basis as given; from_columns and
-    kernel_and_range give orthonormal columns (singular vectors, whatever the
-    reporting norm).
-    """
-
-    ambient_dim: int
-    basis: np.ndarray  # ambient_dim x k
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ValueError(f"basis shape {b.shape} does not match ambient {self.ambient_dim}")
-        if b.shape[1] > self.ambient_dim:
-            raise ValueError("more basis columns than ambient dimension")
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @staticmethod
-    def from_columns(cols) -> "Subspace":
-        """Orthonormalized span of the given columns (rank-truncated SVD)."""
-        c = np.asarray(cols, dtype=np.complex128)
-        if c.ndim != 2:
-            raise ValueError("columns must form a 2-d array")
-        n = c.shape[0]
-        if c.shape[1] == 0:
-            return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
-        u, s, _ = np.linalg.svd(c, full_matrices=False)
-        return Subspace(n, u[:, :_rank_of(s)])
+def subspace_to_json(basis) -> dict:
+    """The subspace spanned by the n x k array ``basis``, the array kept for
+    dump_json to write as a matrix; JSON matrices need cols >= 1, so the
+    trivial subspace (k = 0) has basis None."""
+    return {"ambient": basis.shape[0], "basis": basis if basis.shape[1] else None}
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +187,16 @@ def kernel_and_range(m) -> tuple:
     ker M, those up to it (ker M)^perp; the left ones up to it span ran M.
     s_r are the kept singular values, so M^+ = V_r diag(1/s_r) U_r^H with
     V_r, U_r the bases of (ker M)^perp and ran M."""
-    m = as_operator(m)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(as_operator(m))
     rank, v = _rank_of(s), vh.conj().T
-    return (Subspace(m.shape[1], v[:, rank:]), Subspace(m.shape[0], u[:, :rank]),
-            Subspace(m.shape[1], v[:, :rank]), Subspace(m.shape[0], u[:, rank:]), s[:rank])
+    return v[:, rank:], u[:, :rank], v[:, :rank], u[:, rank:], s[:rank]
 
 
-def kernel_basis(m) -> Subspace:
+def kernel_basis(m) -> np.ndarray:
     return kernel_and_range(m)[0]
 
 
-def range_basis(m) -> Subspace:
+def range_basis(m) -> np.ndarray:
     return kernel_and_range(m)[1]
 
 
@@ -244,43 +206,42 @@ class DirectSumResult:
     defect: int
 
 
-def direct_sum_check(u: Subspace, w: Subspace) -> DirectSumResult:
-    """Does the ambient space decompose as U (+) W?
+def direct_sum_check(u, w) -> DirectSumResult:
+    """Does the ambient space decompose as U (+) W (bases u, w)?
 
     holds iff dim U + dim W = ambient and the concatenated basis has full
     numerical rank; defect = ambient - rank(concatenation).
     """
-    if u.ambient_dim != w.ambient_dim:
+    if u.shape[0] != w.shape[0]:
         raise ValueError("ambient dimensions differ")
-    n = u.ambient_dim
-    concat = np.hstack([u.basis, w.basis])
+    n = u.shape[0]
+    concat = np.hstack([u, w])
     rank = numerical_rank(concat) if concat.shape[1] else 0
-    return DirectSumResult(holds=(u.dim + w.dim == n and rank == n), defect=n - rank)
+    return DirectSumResult(holds=(concat.shape[1] == n and rank == n), defect=n - rank)
 
 
 # ---------------------------------------------------------------------------
 # oblique projections and generalized inverses
 # ---------------------------------------------------------------------------
 
-def oblique_projection(onto: Subspace, along: Subspace) -> np.ndarray:
+def oblique_projection(onto, along) -> np.ndarray:
     """The unique projection with range ``onto`` and kernel ``along``.
 
-    With B = [U W] invertible (U, W bases of the two subspaces),
-    P = B diag(I_k, 0) B^{-1}.
+    With B = [U W] invertible (U, W the two bases), P = B diag(I_k, 0) B^{-1}.
     """
     check = direct_sum_check(onto, along)
+    (n, k), dim_along = onto.shape, along.shape[1]
     if not check.holds:
         raise NotComplementary(
-            f"subspaces do not decompose C^{onto.ambient_dim}: "
-            f"dims {onto.dim}+{along.dim}, defect {check.defect}")
-    n, k = onto.ambient_dim, onto.dim
+            f"subspaces do not decompose C^{n}: "
+            f"dims {k}+{dim_along}, defect {check.defect}")
     if k == 0:
         return np.zeros((n, n), dtype=np.complex128)
     if k == n:
         return np.eye(n, dtype=np.complex128)
-    b = np.hstack([onto.basis, along.basis])
+    b = np.hstack([onto, along])
     binv = np.linalg.solve(b, np.eye(n, dtype=np.complex128))
-    return checked_projection(onto.basis @ binv[:k])
+    return checked_projection(onto @ binv[:k])
 
 
 def checked_projection(proj) -> np.ndarray:
@@ -296,7 +257,7 @@ def _generalized_inverse(m, split, p_ker, p_ran) -> np.ndarray:
     split = kernel_and_range(m), checked against G M = I - P_ker and
     M G = P_ran within CUTOFFS["guard"] (else NotComplementary)."""
     _, ran, ker_perp, _, s_r = split
-    ginv = (ker_perp.basis / s_r) @ (ran.basis.conj().T @ p_ran)
+    ginv = (ker_perp / s_r) @ (ran.conj().T @ p_ran)
     ginv -= p_ker @ ginv
     res1 = operator_norm(ginv @ m - (np.eye(m.shape[0]) - p_ker))
     res2 = operator_norm(m @ ginv - p_ran)
@@ -315,14 +276,16 @@ def _kernel_chain(d, d1: int) -> tuple:
     d1 = dim ker D, with K the smallest k where d_{k+1} = d_k (at most the
     dimension of D).  With D = I - M, d_K is the algebraic multiplicity of
     the eigenvalue 1 of M and K the size of its largest Jordan block; both
-    are 0 when 1 is not an eigenvalue."""
+    are 0 when 1 is not an eigenvalue.  Each power is scaled by a power of
+    two before the next product, which keeps D^k finite for huge entries
+    and, being exact, moves no rank."""
     n = d.shape[0]
     dims, null_k, power = [0], d1, d
     while null_k != dims[-1]:
         dims.append(null_k)
         if len(dims) > n:
             break
-        power = power @ d
+        power = power * 2.0 ** -np.frexp(np.max(np.abs(power)))[1] @ d
         null_k = n - numerical_rank(power)
     return tuple(dims)
 
@@ -359,11 +322,9 @@ def fit_geometric_decay(norms: Iterable[float]):
 
 
 def _wire_format(obj):
-    """json's default hook: a 2-d array as a matrix, a Subspace as a subspace."""
+    """json's default hook: a 2-d array as a matrix."""
     if isinstance(obj, np.ndarray) and obj.ndim == 2:
         return matrix_to_json(obj)
-    if isinstance(obj, Subspace):
-        return subspace_to_json(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -371,8 +332,9 @@ def dump_json(obj) -> str:
     """Canonical JSON encoding (sorted keys, fixed separators) for
     byte-stable reports.
 
-    Besides plain JSON values, ``obj`` may hold 2-d arrays and Subspaces,
-    written in the wire format above.  Each one is converted as the
-    encoder reaches it, so only one matrix's nested lists are alive at a
-    time; the bytes equal those of converting everything beforehand."""
+    Besides plain JSON values, ``obj`` may hold 2-d arrays, subspace_to_json's
+    dicts among them, written as matrices in the wire format above.  Each
+    one is converted as the encoder reaches it, so only one matrix's nested
+    lists are alive at a time; the bytes equal those of converting
+    everything beforehand."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_wire_format)

@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .numfield import (CUTOFFS, NORM_KINDS, Subspace, as_operator, _json_int, _kernel_chain,
-                       dump_json, kernel_and_range, matrix_from_json, matrix_to_json,
-                       operator_norm, within)
+from .numfield import (CUTOFFS, NORM_KINDS, as_operator, _json_int, _kernel_chain, dump_json,
+                       kernel_and_range, matrix_from_json, matrix_to_json, operator_norm,
+                       within)
 
 
 class SingularAt(ArithmeticError):
@@ -139,7 +139,7 @@ class CompanionPencil:
     def _kernel_and_range(self) -> tuple:
         return kernel_and_range(self.m)
 
-    # ker M, ran M, (ker M)^perp and (ran M)^perp: Subspaces of that one SVD
+    # orthonormal bases of ker M, ran M, (ker M)^perp and (ran M)^perp from that one SVD
     unit_kernel = property(lambda self: self._kernel_and_range[0])
     unit_range = property(lambda self: self._kernel_and_range[1])
     unit_kernel_complement = property(lambda self: self._kernel_and_range[2])
@@ -151,7 +151,7 @@ class CompanionPencil:
         (ran M)^perp and ker M above).  s are the sines of the angles between ker M
         and ran M, so the rank cuts at the absolute CUTOFFS["rank"], not at one
         relative to s_0, which would call a 1 x 1 C of 1e-17 nonsingular."""
-        u0, v0 = self.unit_range_complement.basis, self.unit_kernel.basis
+        u0, v0 = self.unit_range_complement, self.unit_kernel
         u, s, vh = np.linalg.svd(u0.conj().T @ v0)
         return u, s, vh, int(np.sum(s > CUTOFFS["rank"]))
 
@@ -161,17 +161,16 @@ class CompanionPencil:
         ker M along ran M when C is nonsingular, else the order-two graft Q^g
         for every pair of complements of ran M and ker M."""
         u, s, vh, rank = self.coupling
-        out = ((self.unit_kernel.basis @ (vh[:rank].conj().T / s[:rank]))
-               @ (self.unit_range_complement.basis @ u[:, :rank]).conj().T)
+        out = ((self.unit_kernel @ (vh[:rank].conj().T / s[:rank]))
+               @ (self.unit_range_complement @ u[:, :rank]).conj().T)
         out.flags.writeable = False
         return out
 
     @cached_property
     def _coupling_spaces(self) -> tuple:
         u, _, vh, rank = self.coupling
-        v = self.unit_kernel.basis @ vh.conj().T
-        return (Subspace(self.big_dim, v[:, rank:]), Subspace(self.big_dim, v[:, :rank]),
-                Subspace(self.big_dim, self.unit_range_complement.basis @ u[:, rank:]))
+        v = self.unit_kernel @ vh.conj().T
+        return v[:, rank:], v[:, :rank], self.unit_range_complement @ u[:, rank:]
 
     # K = ran M /\ ker M = V_0 null(C), {0} exactly when C is nonsingular; K_C =
     # V_0 row(C), K's orthogonal complement in ker M; (ran M + ker M)^perp = U_0 null(C^H)
@@ -186,18 +185,18 @@ class CompanionPencil:
         {0}.  J = Y^H M^g K for every complement pair, as M^g x - M^+ x is in
         ker M for x in K: the paper's restricted map of M^g from K to
         Y = (ran M + ker M)^perp.  s_r[-1] s <= 1, cut at CUTOFFS["rank"]."""
-        k = self.unit_intersection.basis
+        k = self.unit_intersection
         if not k.shape[1]:
             return np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), 0
         s_r = self._kernel_and_range[4]
-        j = ((self.unit_sum_complement.basis.conj().T @ self.unit_kernel_complement.basis) / s_r
-             @ (self.unit_range.basis.conj().T @ k))
+        j = ((self.unit_sum_complement.conj().T @ self.unit_kernel_complement) / s_r
+             @ (self.unit_range.conj().T @ k))
         u, s, vh = np.linalg.svd(j)
         return u, s, vh, int(np.sum(s_r[-1] * s > CUTOFFS["rank"]))
 
     @cached_property
     def kernel_chain(self) -> tuple:
-        return _kernel_chain(self.m, self.unit_kernel.dim)
+        return _kernel_chain(self.m, self.unit_kernel.shape[1])
 
 
 def linearize(ar: ArPencil) -> CompanionPencil:

@@ -366,12 +366,12 @@ def polynomial_cointegration_probe(states, i2: I2Report) -> ProbeReport:
     diffs = np.diff(states, axis=1)
 
     tier1 = []
-    for k in range(ann2.dim):
-        f = _as_real(ann2.basis[:, k], "functional")
+    for k in range(ann2.shape[1]):
+        f = _as_real(ann2[:, k], "functional")
         tier1.append(_probe_entry(f, diffs @ f))
     tier2 = []
-    for k in range(ann_both.dim):
-        f = _as_real(ann_both.basis[:, k], "functional")
+    for k in range(ann_both.shape[1]):
+        f = _as_real(ann_both[:, k], "functional")
         tier2.append(_probe_entry(f, states @ f))
 
     negative = None

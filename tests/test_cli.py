@@ -16,9 +16,8 @@ from grjkit import cli, laurent, pencil
 from grjkit.cli import main
 from grjkit.grj import H_TAYLOR_JMAX
 from grjkit.laurent import ContourNotConverged
-from grjkit.models import jordan_model
-from grjkit.numfield import (CUTOFFS, Subspace, matrix_from_json, matrix_to_json,
-                             subspace_to_json)
+from grjkit.models import jordan_model, random_walk_model
+from grjkit.numfield import CUTOFFS, matrix_from_json, matrix_to_json
 from grjkit.pencil import ArPencil, SingularAt
 from grjkit.simkit import ClassMismatch, SamplePath
 
@@ -225,6 +224,26 @@ def test_no_unit_root_exit_two_without_a_report(capsys, stable_model_path, comma
     assert err == f"grj {command}: no usable unit root at z=1\n"
 
 
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+@pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+def test_huge_entry_exits_two(capsys, tmp_path, command, entry):
+    # (I - B)^2 overflows at these entries unless the kernel chain rescales
+    path = tmp_path / "huge.json"
+    ArPencil(1, 2, [np.diag([1.0, entry])]).save(path)
+    code, _, err = run(capsys, [command, "--model", str(path)])
+    assert code == 2
+    assert err == f"grj {command}: no usable unit root at z=1\n"
+
+
+def test_represent_writes_the_trivial_cointegrating_space(capsys, tmp_path):
+    # B = I: every direction is a random walk, so no functional cointegrates
+    path = tmp_path / "random_walk.json"
+    random_walk_model(2).save(path)
+    code, out, _ = run(capsys, ["represent", "--model", str(path)])
+    assert code == 0
+    assert json.loads(out)["cointegrating"] == {"ambient": 2, "basis": None}
+
+
 def model_text(p=1, dim=2, rows=2, cols=2, first=(1, 0)) -> str:
     """A well-formed unit-root AR(1) model file on C^2 unless a size or the
     first entry is replaced."""
@@ -324,8 +343,6 @@ def _eager_dump_json(obj) -> str:
             return [convert(v) for v in x]
         if isinstance(x, np.ndarray):
             return matrix_to_json(x)
-        if isinstance(x, Subspace):
-            return subspace_to_json(x)
         return x
     return json.dumps(convert(obj), sort_keys=True, separators=(",", ":"))
 

@@ -26,9 +26,9 @@ def test_attractor_cointegration_duality():
     a[1, 0] = 2.0          # rank-1 long-run operator
     attractor = range_basis(a)
     cointegrating = annihilators(a)
-    assert attractor.dim == 1
-    assert cointegrating.dim == 3
+    assert attractor.shape[1] == 1
+    assert cointegrating.shape[1] == 3
     # every cointegrating functional annihilates the attractor (bilinear pairing)
-    gaps = cointegrating.basis.T @ attractor.basis
+    gaps = cointegrating.T @ attractor
     assert np.max(np.abs(gaps)) < 1e-12
-    assert np.max(np.abs(cointegrating.basis.T @ a)) < 1e-12
+    assert np.max(np.abs(cointegrating.T @ a)) < 1e-12

@@ -31,15 +31,12 @@ CALLERS = sorted(path for path in [*(ROOT / "src" / "grjkit").glob("*.py"),
 TESTS_ONLY = (
     "eval_poly",  # A(z) evaluated directly: the reference for the linearized pencil
     "polynomial_cointegration_probe",  # Monte Carlo check of the order-two annihilator tiers
-    "random_walk_model",  # X_t = X_{t-1} + eps_t: the simplest unit-root fixture
     "ar3_unit_root_model",  # the one AR(3) fixture, in the I(1) and Schur-consistency tests
-    # an orthonormalizing constructor: skewed complements and fixtures in the tests
-    "Subspace.from_columns",
 )
 
 
 def quoted_names(node) -> set:
-    """Names read by a quoted annotation such as -> "Subspace" on node."""
+    """Names read by a quoted annotation such as -> "ArPencil" on node."""
     names = set()
     for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):

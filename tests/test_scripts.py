@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grjkit.numfield import Subspace, dump_json
+from grjkit.numfield import dump_json, subspace_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,15 +136,15 @@ def test_byte_grid_tells_a_rotated_basis_from_a_moved_space():
     def wire(value):
         return json.loads(dump_json(value))
 
-    old = wire({"s": Subspace(4, basis), "h": [basis, 2 * basis], "x": 1.0})
-    rotated = wire(Subspace(4, basis @ np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    old = wire({"s": subspace_to_json(basis), "h": [basis, 2 * basis], "x": 1.0})
+    rotated = wire(subspace_to_json(basis @ np.array([[0.0, 1.0], [-1.0, 0.0]])))
     changes = field_changes(old, {**old, "s": rotated, "x": 1.5})
     assert changes.keys() == {"s", "x"}
     assert changes["s"]["gap"] < 1e-14 and changes["s"]["max"] > 0.1
     assert changes["x"] == {"max": 0.5, "gap": None, "other": None}
-    complement = wire(Subspace(4, np.linalg.svd(basis)[0][:, 2:]))
+    complement = wire(subspace_to_json(np.linalg.svd(basis)[0][:, 2:]))
     assert field_changes(old, {**old, "s": complement})["s"]["gap"] == pytest.approx(1.0)
-    line = wire(Subspace(4, basis[:, :1]))
+    line = wire(subspace_to_json(basis[:, :1]))
     assert field_changes(old, {**old, "s": line})["s"]["other"] == "dimension changed"
     shifted = wire(2 * basis + 0.125)
     assert field_changes(old, {**old, "h": [old["h"][0], shifted]}) == {
