@@ -65,8 +65,8 @@ MODEL_FILES = {
     "ar2_double_root.json": ar2_double_root_model,
     "ill_k5_seed5.json": lambda: ill_conditioned_model(5, 5),
     "ill_k7_seed0.json": lambda: ill_conditioned_model(7, 0),
-    # two random walks and a stationary AR(1): I(1), which the contour
-    # route misreads as pole order 2 (see CHANGES.md)
+    # two random walks and a stationary AR(1): I(1) with G = (I - B) P of
+    # rounding size, a semisimple root the pole-order staircase reads as order 1
     "walks_and_ar1.json": lambda: ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]),
     # B = I: the cointegrating space is {0}, written with basis null
     "random_walk.json": lambda: random_walk_model(2),

@@ -24,11 +24,13 @@ samples with twiddles read from a table of the M-th roots of unity.
 The pole order is decided structurally.  Writing P for the spectral
 projection and G = (I - B) P for the quasi-nilpotent part, the order
 equals the nilpotency index of G with the convention G^0 = P.  The
-index is detected by rank stabilization of the powers G^k (scale-free)
-and cross-checked against the Jordan-ascent oracle.  A norm threshold
-||G^{k+1}|| <= tol * ||P|| is no third route: honest tiny powers
-(triangular quadrature models) drop below any absolute threshold long
-before they vanish.
+index is read by the staircase of Golub & Wilkinson (SIAM Rev. 18,
+1976), which deflates the kernel of G by unitary compressions and never
+forms a power, and is cross-checked against the Jordan-ascent oracle.
+Ranks or norms of the powers G^k are no route: honest powers of
+triangular quadrature models drop below any cut-off long before they
+vanish, and a semisimple root leaves a G of rounding size whose
+relative rank is rounding too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import fit_geometric_decay, numerical_rank, operator_norm, within
+from .numfield import CUTOFFS, fit_geometric_decay, operator_norm, within
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
@@ -189,30 +191,32 @@ class PoleOrderReport:
 def _nilpotency_index_by_rank(proj, g) -> int:
     """Smallest k >= 0 with G^k numerically zero, counting G^0 = P.
 
-    Ranks of the true powers decrease strictly to zero (G restricted to
-    ran P is nilpotent; G vanishes off ran P).  A plateau or an increase
-    in numerical rank therefore marks the rounding floor and is treated
-    as zero.
+    G is nilpotent (on ran P; it vanishes off ran P), so its index is read
+    by the staircase, without a power: take the SVD of D = G, keep the
+    basis V_r of its row space, (ker D)^perp, and compress D to
+    V_r^H D V_r = V_r^H U_r S_r, the map D induces on C^n / ker D, whose
+    index is one less.  The index is the number of steps until D has no
+    singular value above CUTOFFS["rank"] * ||P||_2 * max(1, ||G||_2), one
+    cut for every step; 0 when P = 0, and n if D stops shrinking.
     """
-    n = proj.shape[0]
-    rank_prev = numerical_rank(proj)
-    if rank_prev == 0:
+    n, norm_p = proj.shape[0], operator_norm(proj)
+    if norm_p == 0:
         return 0
-    power = g
+    u, s, vh = np.linalg.svd(g)
+    cut = CUTOFFS["rank"] * norm_p * max(1, s[0])
     for k in range(1, n + 1):
-        rank_k = numerical_rank(power)
-        if rank_k == 0 or rank_k >= rank_prev:
+        rank = int(np.sum(s > cut))
+        if rank == 0:
             return k
-        rank_prev = rank_k
-        power = power @ g
+        u, s, vh = np.linalg.svd((vh[:rank] @ u[:, :rank]) * s[:rank])
     return n
 
 
 def pole_order(cp: CompanionPencil, spectrum=None, residue=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
-    Structural route: nilpotency index of G = (I - B) P by rank
-    stabilization (order = index, with G^0 = P), cross-checked against
+    Structural route: nilpotency index of G = (I - B) P by the staircase
+    (order = index, with G^0 = P), cross-checked against
     the Jordan-ascent oracle, which the spectrum report carries.
     essential_flag on a single model marks the order hitting the ambient
     ceiling; sweeps across truncation dimensions refine it (see

@@ -56,6 +56,7 @@ RESIDUAL_ABS = 1e-8  # residual cut-off in the operator norm (10 x of it for the
 CUTOFFS = {
     "rank": RANK_REL,
     "residual": RESIDUAL_ABS,  # resolvent solves; also "is the loading zero"
+    "hermitian": 1e-14,  # largest |B - B^H| entry over the largest |B|: resolvent by eigh
     "guard": 10 * RESIDUAL_ABS,  # projections, the generalized inverse, the Laurent P
     "reconstruction": (10.0, 100.0 * RESIDUAL_ABS),  # fitted contour tails, plus a floor
     "quadrature": 1e-10,  # largest change between levels that counts as settled

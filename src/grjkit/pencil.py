@@ -102,6 +102,11 @@ class CompanionPencil:
     One SVD of the coupling C of those bases (``coupling``) gives K, which the
     class verdicts and dispatch read, the spaces below and ``coupling_inverse``;
     one SVD of J (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
+
+    resolvent samples (I - z a1)^{-1} with one of two kernels, chosen once
+    per pencil: a product in a1's eigenbasis when a1 is Hermitian
+    (``hermitian_eig``, one eigh), else an LU inverse.  Both pass the same
+    residual check against the true I - z a1.
     """
 
     a1: np.ndarray
@@ -128,6 +133,22 @@ class CompanionPencil:
         eye = np.eye(self.big_dim, dtype=np.complex128)
         eye.flags.writeable = False
         return eye
+
+    @cached_property
+    def hermitian_eig(self):
+        """(lam, Q, Q^H) with a1 = Q diag(lam) Q^H from one eigh of a1's
+        Hermitian part, when max|a1 - a1^H| <= CUTOFFS["hermitian"] max|a1|
+        entry by entry (an overflowing difference fails it); else None.  Q
+        is real when a1 is."""
+        b = self.a1
+        if not within("hermitian", np.max(np.abs(b - b.conj().T)), np.max(np.abs(b))).holds:
+            return None
+        if not b.imag.any():
+            b = b.real
+        lam, q = np.linalg.eigh((b + b.conj().T) / 2)
+        qh = q.conj().T
+        q.flags.writeable = qh.flags.writeable = False
+        return lam, q, qh
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -228,26 +249,41 @@ def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
 def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
     """(I - z*a1)^{-1}, with an explicit residual check.
 
-    The inverse is one LAPACK gesv against the identity right-hand side
+    Two kernels, chosen by the pencil.  When cp.hermitian_eig holds
+    (lam, Q, Q^H), the inverse is Q diag(1/(1 - z lam)) Q^H, one scaled
+    product, and an exact zero 1 - z lam raises SingularAt(z).  Otherwise
+    it is one LAPACK gesv against the identity right-hand side
     (``np.linalg.inv``), the same factorization and the same bits as
-    ``np.linalg.solve(I - z*a1, I)``.  Raises SingularAt(z) when the
-    solve is numerically singular or the spectral norm of the residual
-    R = (I - z a1) X - I exceeds r = CUTOFFS["residual"].  The O(n^2)
+    ``np.linalg.solve(I - z*a1, I)``; a singular solve raises SingularAt(z).
+
+    Both kernels share the check of the residual R = (I - z a1) X - I
+    against r = CUTOFFS["residual"] in the spectral norm.  The O(n^2)
     squared Frobenius norm screens first, compared with r squared: it
     bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts without an
-    SVD; any other R (NaN too) gets the exact spectral-norm test.
+    SVD.  A non-finite screen (z a1 may overflow) raises SingularAt(z), and
+    any other R gets the exact spectral-norm test.
     """
     eye = cp.identity()
     lhs = z * cp.a1
     np.subtract(eye, lhs, out=lhs)
-    try:
-        out = np.linalg.inv(lhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularAt(z) from exc
+    eig = cp.hermitian_eig
+    if eig is not None:
+        lam, q, qh = eig
+        lhs_eigs = 1.0 - z * lam
+        if not lhs_eigs.all():
+            raise SingularAt(z)
+        out = (q / lhs_eigs) @ qh
+    else:
+        try:
+            out = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularAt(z) from exc
     res = lhs @ out
     res -= eye
     cut = CUTOFFS["residual"]  # read once per node: the screen builds no Decision
-    if not (np.vdot(res, res).real <= cut * cut or within("residual", operator_norm(res)).holds):
+    screen = np.vdot(res, res).real
+    if not (screen <= cut * cut
+            or np.isfinite(screen) and within("residual", operator_norm(res)).holds):
         raise SingularAt(z)
     return out
 

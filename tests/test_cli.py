@@ -683,6 +683,33 @@ def test_singular_resolvent_exits_one(capsys, monkeypatch):
     assert_one_line_error(capsys, ["analyze", "ex-c0", "--n", "4"])
 
 
+@pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+def test_overflowing_contour_node_exits_one(capsys, tmp_path, command):
+    # z B overflows at every contour node, so the residual is not finite:
+    # the node is singular, and no operator norm sees an infinite entry
+    path = tmp_path / "overflow.json"
+    ArPencil(1, 2, [np.array([[1.0, 1.7e308], [0.0, 0.5]])]).save(path)
+    code, out, err = run(capsys, [command, "--model", str(path)])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("grj: error: pencil is singular"), err
+
+
+def test_semisimple_unit_root_is_a_simple_pole(capsys, tmp_path):
+    # two random walks and a stationary AR(1): G = (I - B) P is rounding
+    # (norm 8e-18) of relative rank 1 < rank P = 2, which the staircase
+    # cuts at ||P|| max(1, ||G||) and so reads as order 1, as Jordan ascent does
+    path = tmp_path / "walks_and_ar1.json"
+    ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]).save(path)
+    code, out, _ = run(capsys, ["analyze", "--model", str(path)])
+    assert code == 0
+    report = _analyze_report(out)
+    assert report["verdict"] == "pole order 1, I(1) holds, I(2) fails"
+    assert report["pole_order"]["routes_agree"] is True
+    code, _, err = run(capsys, ["verify", "--model", str(path)])
+    assert code == 0, err
+
+
 def ill_conditioned_model(k, seed):
     """AR(1) with B = S diag(1, 0.5, -0.3) S^-1, S = Q1 diag(1, 10^(k/2), 10^k) Q2:
     a unit root whose kernel and range of I - B are nearly parallel."""

@@ -116,7 +116,10 @@ def test_generalized_resolvent_equation(shift8_cp):
 
 
 def test_pole_order_routes_agree(shift8_cp, jordan2_cp, evenodd_cp):
-    for cp, expected in ((shift8_cp, 2), (jordan2_cp, 2), (evenodd_cp, 1)):
+    # two random walks and a stationary AR(1): G = (I - B) P is rounding,
+    # of lower relative rank than P, and still order 1
+    walks_and_ar1 = linearize(ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]))
+    for cp, expected in ((shift8_cp, 2), (jordan2_cp, 2), (evenodd_cp, 1), (walks_and_ar1, 1)):
         rep = pole_order(cp)
         assert rep.order == expected
         assert rep.routes_agree
@@ -129,6 +132,29 @@ def test_volterra_order_equals_dimension():
     rep = pole_order(cp)
     assert rep.order == 16
     assert rep.ascent == 16
+
+
+def test_staircase_reads_planted_nilpotent_indices():
+    """P = S (I_m + 0) S^-1 and G = S (J + 0) S^-1, cond(S) = 10, J nilpotent
+    with Jordan blocks of sizes 1 to 4 scaled by 1e-2 to 1e2: the index is
+    the largest block, and P = 0 gives 0."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        blocks = rng.integers(1, 5, size=rng.integers(1, 4))
+        m = int(blocks.sum())
+        n = m + int(rng.integers(0, 4))
+        chain = np.ones(n - 1)
+        chain[np.cumsum(blocks)[:-1] - 1] = 0.0  # no link across blocks
+        chain[m - 1:] = 0.0
+        j = np.diag(chain * rng.uniform(0.5, 2.0, n - 1), 1) * 10 ** rng.uniform(-2, 2)
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = q1 @ np.diag(np.logspace(0, 1, n)) @ q2
+        s_inv = np.linalg.inv(s)
+        proj = s[:, :m] @ s_inv[:m]
+        index = laurent._nilpotency_index_by_rank(proj, s @ j @ s_inv)
+        assert index == blocks.max(), (seed, blocks)
+    assert laurent._nilpotency_index_by_rank(np.zeros((3, 3)), np.zeros((3, 3))) == 0
 
 
 def test_essential_from_sweep():

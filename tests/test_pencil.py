@@ -13,7 +13,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grjkit import pencil
-from grjkit.models import jordan_model, random_walk_model, volterra_model
+from grjkit.laurent import pick_radius
+from grjkit.models import build_example, jordan_model, random_walk_model, volterra_model
 from grjkit.numfield import CUTOFFS
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
                            resolvent, spectrum_report)
@@ -91,9 +92,12 @@ def test_resolvent_matches_solve_against_identity_to_the_bit(n, complex_coeffs):
 
 
 def test_resolvent_singular_point_raises():
-    cp = linearize(random_walk_model(2))
-    with pytest.raises(SingularAt):
-        resolvent(cp, 1.0)
+    # the Hermitian kernel meets an exact zero 1 - z lam on the first two,
+    # and the LU solve of a Jordan block fails at its pole
+    for ar, z in ((random_walk_model(2), 1.0), (ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]), 2.0),
+                  (ArPencil(1, 2, [np.array([[1.0, 1.0], [0.0, 1.0]])]), 1.0)):
+        with pytest.raises(SingularAt):
+            resolvent(linearize(ar), z)
 
 
 def _screen_case():
@@ -136,6 +140,63 @@ def test_resolvent_screen_falls_back_to_the_spectral_norm(monkeypatch):
     monkeypatch.setitem(CUTOFFS, "residual", 0.5 * two)
     with pytest.raises(SingularAt):
         resolvent(cp, z)
+
+
+# z B overflows on every contour around 1, so the residual is not finite
+OVERFLOW_COEFF = np.array([[1.0, 1.7e308], [0.0, 0.5]])
+
+
+def test_resolvent_with_a_non_finite_residual_is_singular():
+    cp = linearize(ArPencil(1, 2, [OVERFLOW_COEFF]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularAt):
+        resolvent(cp, 1.4)
+
+
+HERMITIAN = {
+    **{f"evenodd{n}": lambda n=n: build_example("ex-evenodd", n=n)[0]
+       for n in (8, 16, 32, 64, 128)},
+    **{f"selfadjoint{n}-{seed}": lambda n=n, seed=seed: build_example(
+        "ex-selfadjoint", n=n, seed=seed)[0] for n in (8, 32, 128) for seed in range(6)},
+    "identity": lambda: random_walk_model(2),
+    "walks_and_ar1": lambda: ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]),
+    "complex": lambda: ArPencil(1, 2, [np.array([[1.0, 0.5j], [-0.5j, 0.3]])]),
+}
+NOT_HERMITIAN = {
+    "c0": lambda: build_example("ex-c0")[0],
+    "c0-32": lambda: build_example("ex-c0", n=32)[0],
+    "volterra": lambda: build_example("ex-volterra")[0],
+    **{f"jordan{seed}": lambda seed=seed: jordan_model(seed)[0] for seed in range(4)},
+    "jordan2,1": lambda: jordan_model(5, blocks_at_one=[2, 1])[0],
+    "overflow": lambda: ArPencil(1, 2, [OVERFLOW_COEFF]),
+    "two_lags": two_lag_fixture,
+}
+
+
+@pytest.mark.parametrize("make", HERMITIAN.values(), ids=HERMITIAN.keys())
+def test_hermitian_operator_is_sampled_in_its_eigenbasis(make):
+    cp = linearize(make())
+    lam, q, qh = cp.hermitian_eig
+    assert q.dtype == (np.float64 if not cp.a1.imag.any() else np.complex128)
+    assert_allclose((q * lam) @ qh, cp.a1, rtol=0, atol=1e-13)
+    assert cp.hermitian_eig is cp.hermitian_eig  # one eigh per pencil
+
+
+@pytest.mark.parametrize("make", NOT_HERMITIAN.values(), ids=NOT_HERMITIAN.keys())
+def test_other_operators_keep_the_lu_kernel(make):
+    assert linearize(make()).hermitian_eig is None
+
+
+@pytest.mark.parametrize("name", ["ex-evenodd", "ex-selfadjoint"])
+def test_hermitian_kernel_matches_the_lu_inverse_on_the_default_circle(monkeypatch, name):
+    cp = linearize(build_example(name)[0])
+    radius = pick_radius(spectrum_report(cp))
+    zs = 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32)
+    expected = [np.linalg.inv(cp.identity() - z * cp.a1) for z in zs]
+    lu_calls, real_inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: lu_calls.append(1) or real_inv(*a))
+    for z, inv in zip(zs, expected):
+        assert np.max(np.abs(resolvent(cp, z) - inv)) <= 1e-13
+    assert lu_calls == []
 
 
 def test_spectrum_unit_root_detected():
