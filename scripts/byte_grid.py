@@ -72,6 +72,9 @@ MODEL_FILES = {
     "random_walk.json": lambda: random_walk_model(2),
     # (I - B)^2 overflows unless the kernel chain rescales its powers; exit 2
     "huge_entry.json": lambda: ArPencil(1, 2, [np.diag([1.0, 1e200])]),
+    # z B overflows at every contour node: each command exits 1 with one
+    # stderr line, not numpy's overflow warnings before it
+    "overflow.json": lambda: ArPencil(1, 2, [np.array([[1.0, 1.7e308], [0.0, 0.5]])]),
 }
 
 # model arguments that analyze, represent and verify each run on

@@ -16,9 +16,10 @@ Exit codes are fixed for scriptability:
 Each subcommand accepts only the flags it reads, and every value is
 range-checked before any work is done (--jmax is at most
 grj.H_TAYLOR_JMAX, the highest h index whose Taylor cross-check
-settles), so bad input ends in one line on stderr; a warning raised
-while a command runs is one stderr line too.  Reports are JSON with
-sorted keys and fixed separators, so a fixed (model, seed, flags) combination
+settles), so bad input ends in one line on stderr.  A warning raised
+while a command runs is one stderr line too, written after the command
+succeeds; a command that exits non-zero writes no warning.  Reports are
+JSON with sorted keys and fixed separators, so a fixed (model, seed, flags) combination
 produces byte-identical output under a fixed BLAS thread count (BLAS
 sums in a thread-dependent order, so another count can move the last
 digits of residual fields).  grjkit reads no environment variable.
@@ -467,11 +468,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with warnings.catch_warnings():
+        # held until the command ends and written only when it exits 0, so a
+        # failing command prints just its own line, not the overflow warnings
+        # numpy raised on the way (z B at a contour node, say)
+        with warnings.catch_warnings(record=True) as held:
+            code = _COMMANDS[args.command][0](args)
+        if code == _EXIT_OK:
             # one stderr line per warning, without Python's file:line and source echo
-            warnings.showwarning = lambda message, *_: sys.stderr.write(
-                f"grj {args.command}: warning: {message}\n")
-            return _COMMANDS[args.command][0](args)
+            for caught in held:
+                sys.stderr.write(f"grj {args.command}: warning: {caught.message}\n")
+        return code
     except (_CliError, ContourNotConverged, SingularAt, NotComplementary,
             MemoryError) as exc:
         sys.stderr.write(f"grj: error: {exc}\n")

@@ -10,11 +10,12 @@ Y = alpha_perp null(C^H) = (ran M + ker M)^perp this holds if and only if
 K is nontrivial and the dim K x dim K matrix J = Y^H M^+ K is nonsingular
 (Johansen, Econometric Theory 8, 1992), and then N_{-2} = K J^{-1} Y^H.
 
-The order-two projection grafts with Q^g = beta_perp C^+ alpha_perp^H
-and reads P_ran, P_ker and M^g = (I - P_ker) M^+ P_ran relative to chosen
-complements, which the contour-derived Laurent coefficients do not
-depend on.  Every assembled component is therefore cross-checked against
-contour quadrature, and that residual is part of the returned report.
+The order-two projection grafts with Q^g = beta_perp C^+ alpha_perp^H.
+It does not depend on the complements of ran M and ker M that the paper's
+generalized inverse M^g is taken for, so it takes the orthogonal ones,
+where M^g is M^+, read off the pencil's one SVD of M.  Every assembled
+component is cross-checked against contour quadrature, and that residual
+is part of the returned report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numfield import _generalized_inverse, checked_projection, oblique_projection, operator_norm
+from .numfield import checked_projection, operator_norm
 from .laurent import DEFAULT_NODES, circle_coefficients, contour_coefficients, require_unit_root
 from .pencil import CompanionPencil, resolvent, spectrum_report
 
@@ -214,35 +215,28 @@ def check_i2(cp: CompanionPencil, spectrum=None) -> I2Report:
                     h_coeffs=[], cross_check_residual=math.inf)
 
 
-def _order_two_projection(cp: CompanionPencil, n_minus2, ran_complement=None,
-                          ker_complement=None) -> np.ndarray:
-    """The order-two projection P for complements of ran M and ker M (by
-    default the orthogonal ones): P_ran, P_ker and M^g = (I - P_ker) M^+ P_ran
-    depend on them (NotComplementary for a supplied one that fails), the
-    graft Q^g = cp.coupling_inverse does not."""
+def _order_two_projection(cp: CompanionPencil, n_minus2) -> np.ndarray:
+    """The order-two projection P from N_{-2}, the graft Q^g =
+    cp.coupling_inverse and M^g for the orthogonal complements of ran M
+    and ker M, which is M^+ = V_r diag(1/s_r) U_r^H off the pencil's SVD
+    of M."""
     eye = cp.identity()
-    ran_c = cp.unit_range_complement if ran_complement is None else ran_complement
-    ker_c = cp.unit_kernel_complement if ker_complement is None else ker_complement
-    p_ran = oblique_projection(cp.unit_range, ran_c)
-    gen_inverse = _generalized_inverse(cp.m, cp._kernel_and_range,
-                                       oblique_projection(cp.unit_kernel, ker_c), p_ran)
-    gamma_l, gamma_r = gen_inverse @ n_minus2, n_minus2 @ gen_inverse
+    _, ran, ker_perp, _, s_r = cp._kernel_and_range
+    m_plus = (ker_perp / s_r) @ ran.conj().T
+    gamma_l, gamma_r = m_plus @ n_minus2, n_minus2 @ m_plus
     # Assemble the spectral projection from gamma_r, the graft Q^g (Q^g P_ran = 0, as
     # alpha_perp^H kills ran M) and gamma_l.  The summand order matters: with the correction
     # factors applied from the left, the sum is independent of the complement choices,
-    # though no factor is.
+    # though no factor is, so the orthogonal ones give the paper's P.
     q_g = cp.coupling_inverse
     return gamma_r + (eye - gamma_r) @ (q_g + (eye - q_g) @ gamma_l)
 
 
-def i2_components(cp: CompanionPencil, j_max: int,
-                  ran_complement: np.ndarray | None = None,
-                  ker_complement: np.ndarray | None = None) -> I2Report:
+def i2_components(cp: CompanionPencil, j_max: int) -> I2Report:
     """Assemble the order-two representation operators: N_{-2} = K J^{-1} Y^H
     from the SVD of J that decided check_i2, then the projection from the
-    Gamma operators of M^g for the given complements and the graft
-    Q^g = cp.coupling_inverse.  Both are cross-checked against contour
-    coefficients, which do not depend on the complement choices.
+    Gamma operators of M^+ and the graft Q^g = cp.coupling_inverse.  Both
+    are cross-checked against contour coefficients.
     """
     rep = require_unit_root(spectrum_report(cp))
     base = check_i2(cp, spectrum=rep)
@@ -252,7 +246,7 @@ def i2_components(cp: CompanionPencil, j_max: int,
     u, s, vh, _ = cp.order_two_coupling
     n_minus2 = ((cp.unit_intersection @ (vh.conj().T / s))
                 @ (cp.unit_sum_complement @ u).conj().T)
-    p_op = _order_two_projection(cp, n_minus2, ran_complement, ker_complement)
+    p_op = _order_two_projection(cp, n_minus2)
 
     contour = contour_coefficients(cp, [-2, -1], spectrum=rep)
     residual = max(operator_norm(n_minus2 - contour[-2], cp.norm),

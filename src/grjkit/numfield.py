@@ -2,9 +2,9 @@
 
 Everything downstream (pencils, Laurent coefficients, representation
 components) reduces to a handful of primitives collected here: induced
-operator norms, tolerant rank / kernel / range decisions, direct-sum
-checks, oblique projections, the checked generalized inverse
-(I - P_ker) M^+ P_ran, and the Jordan-ascent oracle at eigenvalue 1.
+operator norms, tolerant rank / kernel / range decisions, the
+idempotency check of a projection, and the Jordan-ascent oracle at
+eigenvalue 1.
 
 The class checks read their spaces off the SVD of M = I - B and of two
 small matrices, which pencil.CompanionPencil owns: the coupling
@@ -31,7 +31,7 @@ Conventions
   SVD (kernel_and_range), so they agree on the rank; rank-only decisions
   take singular values alone.  Residual
   checks cut in the operator norm, at CUTOFFS["residual"] for solves and
-  CUTOFFS["guard"] for projections and generalized inverses.
+  CUTOFFS["guard"] for projections.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
   conjugation, so the adjoint of an operator is its plain transpose and
   the space of functionals annihilating ``ran A`` is the left null space
@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -57,7 +56,7 @@ CUTOFFS = {
     "rank": RANK_REL,
     "residual": RESIDUAL_ABS,  # resolvent solves; also "is the loading zero"
     "hermitian": 1e-14,  # largest |B - B^H| entry over the largest |B|: resolvent by eigh
-    "guard": 10 * RESIDUAL_ABS,  # projections, the generalized inverse, the Laurent P
+    "guard": 10 * RESIDUAL_ABS,  # the I(1) projection, the Laurent P
     "reconstruction": (10.0, 100.0 * RESIDUAL_ABS),  # fitted contour tails, plus a floor
     "quadrature": 1e-10,  # largest change between levels that counts as settled
     "cluster scatter": 0.05,  # farthest a unit-cluster eigenvalue may sit from 1
@@ -166,7 +165,7 @@ def operator_norm(m, norm: str = "two") -> float:
 
 
 # ---------------------------------------------------------------------------
-# tolerant rank / kernel / range and direct sums
+# tolerant rank / kernel / range
 # ---------------------------------------------------------------------------
 
 def _rank_of(s) -> int:
@@ -201,49 +200,9 @@ def range_basis(m) -> np.ndarray:
     return kernel_and_range(m)[1]
 
 
-@dataclass(frozen=True)
-class DirectSumResult:
-    holds: bool
-    defect: int
-
-
-def direct_sum_check(u, w) -> DirectSumResult:
-    """Does the ambient space decompose as U (+) W (bases u, w)?
-
-    holds iff dim U + dim W = ambient and the concatenated basis has full
-    numerical rank; defect = ambient - rank(concatenation).
-    """
-    if u.shape[0] != w.shape[0]:
-        raise ValueError("ambient dimensions differ")
-    n = u.shape[0]
-    concat = np.hstack([u, w])
-    rank = numerical_rank(concat) if concat.shape[1] else 0
-    return DirectSumResult(holds=(concat.shape[1] == n and rank == n), defect=n - rank)
-
-
 # ---------------------------------------------------------------------------
-# oblique projections and generalized inverses
+# projections
 # ---------------------------------------------------------------------------
-
-def oblique_projection(onto, along) -> np.ndarray:
-    """The unique projection with range ``onto`` and kernel ``along``.
-
-    With B = [U W] invertible (U, W the two bases), P = B diag(I_k, 0) B^{-1}.
-    """
-    check = direct_sum_check(onto, along)
-    (n, k), dim_along = onto.shape, along.shape[1]
-    if not check.holds:
-        raise NotComplementary(
-            f"subspaces do not decompose C^{n}: "
-            f"dims {k}+{dim_along}, defect {check.defect}")
-    if k == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    if k == n:
-        return np.eye(n, dtype=np.complex128)
-    b = np.hstack([onto, along])
-    binv = np.linalg.solve(b, np.eye(n, dtype=np.complex128))
-    return checked_projection(onto @ binv[:k])
-
 
 def checked_projection(proj) -> np.ndarray:
     """``proj`` if idempotent within CUTOFFS["guard"], else NotComplementary:
@@ -251,21 +210,6 @@ def checked_projection(proj) -> np.ndarray:
     if not within("guard", operator_norm(proj @ proj - proj)).holds:
         raise NotComplementary("complement pair too ill-conditioned for a reliable projection")
     return proj
-
-
-def _generalized_inverse(m, split, p_ker, p_ran) -> np.ndarray:
-    """G = (I - P_ker) M^+ P_ran, with M^+ = V_r diag(1/s_r) U_r^H read off
-    split = kernel_and_range(m), checked against G M = I - P_ker and
-    M G = P_ran within CUTOFFS["guard"] (else NotComplementary)."""
-    _, ran, ker_perp, _, s_r = split
-    ginv = (ker_perp / s_r) @ (ran.conj().T @ p_ran)
-    ginv -= p_ker @ ginv
-    res1 = operator_norm(ginv @ m - (np.eye(m.shape[0]) - p_ker))
-    res2 = operator_norm(m @ ginv - p_ran)
-    if not within("guard", max(res1, res2)).holds:
-        raise NotComplementary(
-            f"generalized-inverse identities violated (residuals {res1:.2e}, {res2:.2e})")
-    return ginv
 
 
 # ---------------------------------------------------------------------------

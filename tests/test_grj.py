@@ -19,9 +19,9 @@ from grjkit.grj import (I1Report, NotI1, NotI2, _order_two_projection, check_i1,
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
                            jordan_model)
-from grjkit.numfield import (CUTOFFS, NotComplementary, direct_sum_check, kernel_basis,
-                             oblique_projection, operator_norm, range_basis)
+from grjkit.numfield import CUTOFFS, NotComplementary, kernel_basis, operator_norm, range_basis
 from grjkit.pencil import ArPencil, linearize, spectrum_report
+from oblique import direct_sum_check, oblique_projection, order_two_projection
 
 
 def similarity_fixture():
@@ -67,21 +67,28 @@ def skewed(space, perp, rng):
 
 
 def test_components_are_complement_independent(shift8_cp, mixed21_cp):
-    # jordan [2, 2] has dim K = 2, so J = Y^H M^+ K is 2 x 2
+    """The paper's P does not depend on the complements of ran M and ker M:
+    the oracle builds it for the orthogonal pair and for skewed pairs, with
+    M^g relative to each pair and the library's Gamma assembly, and every
+    one is the library's P, which with N_{-2} matches the contour."""
+    # jordan [2, 2] has dim K = 2, so J = Y^H M^+ K is 2 x 2; jordan [2, 2, 1]
+    # adds a nontrivial graft Q^g to it
     mixed22_cp = linearize(jordan_model(1, blocks_at_one=[2, 2])[0])
+    mixed221_cp = linearize(jordan_model(3, blocks_at_one=[2, 2, 1])[0])
     rng = np.random.default_rng(77)
-    for cp in (shift8_cp, mixed21_cp, mixed22_cp):
+    for cp in (shift8_cp, mixed21_cp, mixed22_cp, mixed221_cp):
         contour = contour_coefficients(cp, [-2, -1])
+        rep = i2_components(cp, j_max=2)
+        assert operator_norm(rep.n_minus2 - contour[-2]) < 1e-7
         for trial in range(3):
             if trial == 0:
                 rc = kc = None
             else:
                 rc = skewed(cp.unit_range, cp.unit_range_complement, rng)
                 kc = skewed(cp.unit_kernel, cp.unit_kernel_complement, rng)
-            rep = i2_components(cp, j_max=2, ran_complement=rc,
-                                ker_complement=kc)
-            assert operator_norm(rep.n_minus2 - contour[-2]) < 1e-7
-            assert operator_norm(rep.n_minus2 + rep.p_operator - contour[-1]) < 1e-7
+            p_op = order_two_projection(cp, rep.n_minus2, rc, kc)
+            assert operator_norm(p_op - rep.p_operator) <= 1e-10
+            assert operator_norm(rep.n_minus2 + p_op - contour[-1]) < 1e-7
 
 
 def test_supplied_complements_that_fail_are_rejected(shift8_cp):
@@ -94,12 +101,13 @@ def test_supplied_complements_that_fail_are_rejected(shift8_cp):
     assert (ker.shape[1], ran.shape[1]) == (1, 7)
     inside_ran = range_basis(ran[:, :1])
     through_ker = range_basis(np.hstack([ker, shift8_cp.unit_kernel_complement[:, :6]]))
+    n_minus2 = i2_components(shift8_cp, j_max=2).n_minus2
     for kwargs, dims in (({"ran_complement": inside_ran}, r"7\+1, defect 1"),
                          ({"ker_complement": through_ker}, r"1\+7, defect 1"),
                          ({"ran_complement": np.zeros((8, 0))}, r"7\+0, defect 1"),
                          ({"ker_complement": np.eye(8)}, r"1\+8, defect 0")):
         with pytest.raises(NotComplementary, match=rf"do not decompose C\^8: dims {dims}"):
-            i2_components(shift8_cp, j_max=2, **kwargs)
+            order_two_projection(shift8_cp, n_minus2, **kwargs)
 
 
 def order_two_spaces(cp, ran_c):
@@ -198,8 +206,8 @@ def test_coupling_gives_the_order_two_spaces(name, build, seed):
         assert projector_gap(w_and_w_c, ran_c) <= 1e-10
         assert operator_norm(cp.coupling_inverse - graft_reference(cp, w, p_w)) <= q_gap
         # with N_{-2} = 0 the projection is the graft alone, as Q^g P_ran = 0
-        no_pole = _order_two_projection(cp, np.zeros_like(cp.m), ran_c,
-                                        skewed(ker, cp.unit_kernel_complement, rng))
+        no_pole = order_two_projection(cp, np.zeros_like(cp.m), ran_c,
+                                       skewed(ker, cp.unit_kernel_complement, rng))
         assert operator_norm(no_pole - cp.coupling_inverse) <= q_gap
 
 

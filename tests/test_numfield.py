@@ -1,7 +1,8 @@
 """
 Tests for the dense linear-algebra layer: ranks and subspaces against an
-exact rational oracle, projections, the checked generalized inverse, and
-the JSON wire format.
+exact rational oracle, projections, the oblique projections and checked
+generalized inverse of the test oracle (oblique.py), and the JSON wire
+format.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grjkit.laurent import essential_from_sweep
-from grjkit.numfield import (CUTOFFS, NotComplementary, _generalized_inverse,
-                             ascent_at_one, direct_sum_check,
-                             dump_json, fit_geometric_decay, kernel_and_range,
-                             kernel_basis, matrix_from_json, matrix_to_json,
-                             numerical_rank, oblique_projection, operator_norm,
-                             range_basis, subspace_to_json, within)
+from grjkit.numfield import (CUTOFFS, NotComplementary, ascent_at_one, dump_json,
+                             fit_geometric_decay, kernel_and_range, kernel_basis,
+                             matrix_from_json, matrix_to_json, numerical_rank,
+                             operator_norm, range_basis, subspace_to_json, within)
 from grjkit.pencil import ArPencil, linearize, spectrum_report
+from oblique import direct_sum_check, generalized_inverse, oblique_projection
 
 
 def exact_rank(m) -> int:
@@ -137,10 +137,10 @@ def test_oblique_projection_rejects_non_complementary():
 
 def relative_inverse(m, ker_c, ran_c):
     """M^g relative to the complements, from the SVD of M and the
-    projections the order-two geometry hands _generalized_inverse."""
+    projections the order-two oracle hands generalized_inverse."""
     split = kernel_and_range(m)
-    return _generalized_inverse(m, split, oblique_projection(split[0], ker_c),
-                                oblique_projection(split[1], ran_c))
+    return generalized_inverse(m, split, oblique_projection(split[0], ker_c),
+                               oblique_projection(split[1], ran_c))
 
 
 def test_generalized_inverse_of_invertible_matrix():

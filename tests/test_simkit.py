@@ -15,12 +15,13 @@ from grjkit.grj import i1_components, i2_components
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
                            build_example, jordan_model, oblique_ar1_model,
                            random_walk_model)
-from grjkit.numfield import oblique_projection, operator_norm
+from grjkit.numfield import operator_norm
 from grjkit.pencil import linearize
 from grjkit.simkit import (ClassMismatch, SamplePath,
                            polynomial_cointegration_probe,
                            recursion_residual, simulate_ar, simulate_ensemble,
                            stationarity_slope, verify_representation)
+from oblique import oblique_projection
 
 
 def test_same_seed_same_bytes():
