@@ -1,10 +1,19 @@
-"""Byte grid: a fixed list of grj commands and a digest of what each prints.
+"""Byte grid: the reference grj commands, the exit code each must end
+with, and a digest of what each prints.
+
+The grid is the CLI's exit-code contract.  Each row of GRID is one grj
+command and the code it must exit with; a row whose code is a known
+defect also names the ROADMAP item whose fix will change it.  A change
+that moves an exit code edits that row, so the diff shows every moved
+code.
 
 Runs every command in-process through grjkit.cli.main and prints one line
 per command: its argv, its exit code and the sha256 of its stdout and of
 its stderr.  Two checkouts whose grids print the same lines produce the
 same CLI bytes on every command of the list, so a refactor that must not
-change any output is checked by diffing two runs.
+change any output is checked by diffing two runs.  The script exits 1,
+and names on stderr every row whose command exited with another code
+than the row states; otherwise it exits 0.
 
 BLAS sums in a thread-dependent order, so the digests are comparable only
 under one BLAS thread; set it outside the script, before numpy loads:
@@ -28,11 +37,13 @@ change per JSON field of stdout (list indices dropped, so one line
 covers every h_j), and for each subspace field the projector gap
 ||P_old - P_new||_2 between the two bases, which is about 0 when a basis
 only rotated inside the same space.  A changed stderr is printed whole.
+Both still check each exit code against its row.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -41,23 +52,14 @@ import re
 import sys
 import tempfile
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
 from grjkit import cli
-from grjkit.models import ar2_double_root_model, random_walk_model
+from grjkit.models import (ar2_double_root_model, build_example, ill_conditioned_model,
+                           random_walk_model)
 from grjkit.pencil import ArPencil
-
-
-def ill_conditioned_model(k, seed):
-    """AR(1) with B = S diag(1, 0.5, -0.3) S^-1, S = Q1 diag(1, 10^(k/2), 10^k) Q2:
-    a unit root whose kernel and range of I - B are nearly parallel (the
-    reproducer of tests/test_cli.py)."""
-    rng = np.random.default_rng(seed)
-    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    s = q1 @ np.diag([1.0, 10 ** (k / 2), 10.0 ** k]) @ q2
-    return ArPencil(1, 3, [s @ np.diag([1.0, 0.5, -0.3]) @ np.linalg.inv(s)])
 
 
 # file name -> model saved there before the grid runs
@@ -75,32 +77,85 @@ MODEL_FILES = {
     # z B overflows at every contour node: each command exits 1 with one
     # stderr line, not numpy's overflow warnings before it
     "overflow.json": lambda: ArPencil(1, 2, [np.array([[1.0, 1.7e308], [0.0, 0.5]])]),
+    # the built-in examples in the one and sup norms keep their verdicts
+    "evenodd_one_norm.json":
+        lambda: dataclasses.replace(build_example("ex-evenodd", n=16)[0], norm="one"),
+    "c0_sup_norm.json":
+        lambda: dataclasses.replace(build_example("ex-c0", n=8)[0], norm="sup"),
+    # another root at modulus 0.96, -1 and 1/0.9 beside the unit root
+    "diag_1_0.96.json": lambda: ArPencil(1, 2, [np.diag([1.0, 0.96])]),
+    "diag_1_-1.json": lambda: ArPencil(1, 2, [np.diag([1.0, -1.0])]),
+    "diag_1_1.11.json": lambda: ArPencil(1, 2, [np.diag([1.0, 1 / 0.9])]),
+    # a unit root coupled to a stable one by a large entry c
+    "coupled_1e5.json": lambda: ArPencil(1, 2, [np.array([[1.0, 1e5], [0.0, 0.5]])]),
+    "coupled_1e6.json": lambda: ArPencil(1, 2, [np.array([[1.0, 1e6], [0.0, 0.5]])]),
 }
 
-# model arguments that analyze, represent and verify each run on
-MODELS = (
-    ("ex-c0",),
-    ("ex-c0", "--n", "32"),
-    ("ex-evenodd",),
-    ("ex-evenodd", "--n", "32"),
-    ("ex-selfadjoint",),
-    ("ex-volterra", "--n", "8"),
-    ("ex-volterra", "--n", "16"),
-    ("ex-volterra", "--n", "32"),
-    ("ex-jordan", "--blocks", "2,1", "--seed", "5"),
-    ("ex-jordan", "--blocks", "1", "--seed", "8"),
-    ("ex-jordan", "--blocks", "3"),
-    ("ex-jordan", "--blocks", "2,2", "--seed", "1"),
-    ("ex-jordan", "--blocks", "2,2,1", "--seed", "3"),
-    *(("--model", name) for name in MODEL_FILES),
-)
+
+class Row(NamedTuple):
+    """One grj command, the exit code it must end with and, when that code
+    is a known defect, the number of the ROADMAP item that will change it."""
+    argv: tuple
+    code: int
+    item: int | None = None
+
+
+def model_rows(model: tuple, codes: tuple, item: int | None = None) -> tuple:
+    """The analyze, represent and verify rows of one model with their exit
+    codes; ``item`` labels each row whose code is not 0."""
+    return tuple(Row((command, *model), code, item if code else None)
+                 for command, code in zip(("analyze", "represent", "verify"), codes))
+
 
 GRID = (
-    *((command, *model) for model in MODELS for command in ("analyze", "represent", "verify")),
-    ("sweep", "ex-c0", "--dims", "4,8"),
-    ("sweep", "ex-volterra", "--dims", "8,16,32"),
-    ("simulate", "ex-c0", "--horizon", "5"),
-    ("examples",),
+    *model_rows(("ex-c0",), (0, 0, 0)),
+    *model_rows(("ex-c0", "--n", "32"), (0, 0, 0)),
+    *model_rows(("ex-evenodd",), (0, 0, 0)),
+    *model_rows(("ex-evenodd", "--n", "32"), (0, 0, 0)),
+    *model_rows(("ex-selfadjoint",), (0, 0, 0)),
+    # the finite sections have pole order n > 2: no I(1) or I(2) representation
+    *model_rows(("ex-volterra", "--n", "8"), (0, 3, 3)),
+    *model_rows(("ex-volterra", "--n", "16"), (0, 3, 3)),
+    # the chain of powers of I - B stalls, which leaves exact unit
+    # eigenvalues outside the unit cluster: "no usable unit root"
+    *model_rows(("ex-volterra", "--n", "32"), (2, 2, 2), item=14),
+    *model_rows(("ex-jordan", "--blocks", "2,1", "--seed", "5"), (0, 0, 0)),
+    *model_rows(("ex-jordan", "--blocks", "1", "--seed", "8"), (0, 0, 0)),
+    # one Jordan block of size 3 at 1: pole order 3
+    *model_rows(("ex-jordan", "--blocks", "3"), (0, 3, 3)),
+    *model_rows(("ex-jordan", "--blocks", "2,2", "--seed", "1"), (0, 0, 0)),
+    *model_rows(("ex-jordan", "--blocks", "2,2,1", "--seed", "3"), (0, 0, 0)),
+    *model_rows(("--model", "ar2_double_root.json"), (0, 0, 0)),
+    # valid models reported as bad input
+    *model_rows(("--model", "ill_k5_seed5.json"), (1, 1, 1), item=6),
+    *model_rows(("--model", "ill_k7_seed0.json"), (1, 1, 1), item=6),
+    *model_rows(("--model", "walks_and_ar1.json"), (0, 0, 0)),
+    *model_rows(("--model", "random_walk.json"), (0, 0, 0)),
+    *model_rows(("--model", "huge_entry.json"), (2, 2, 2)),
+    # a valid model reported as bad input
+    *model_rows(("--model", "overflow.json"), (1, 1, 1), item=6),
+    *model_rows(("--model", "evenodd_one_norm.json"), (0, 0, 0)),
+    *model_rows(("--model", "c0_sup_norm.json"), (0, 0, 0)),
+    # admissible: the fixed isolation margin refuses any other root of B of
+    # modulus at least 1/1.1, where the paper asks for some margin of its own
+    *model_rows(("--model", "diag_1_0.96.json"), (2, 2, 2), item=19),
+    # rightly refused: a second pencil root on the unit circle, and one inside it
+    *model_rows(("--model", "diag_1_-1.json"), (2, 2, 2)),
+    *model_rows(("--model", "diag_1_1.11.json"), (2, 2, 2)),
+    # valid models reported as bad input: a quadrature change stays above
+    # its absolute cut-off
+    *model_rows(("--model", "coupled_1e5.json"), (0, 1, 1), item=6),
+    *model_rows(("--model", "coupled_1e6.json"), (1, 1, 1), item=6),
+    Row(("represent", "ex-evenodd", "--jmax", "5"), 0),
+    # above the highest h index the Taylor circle resolves
+    Row(("represent", "ex-evenodd", "--jmax", "129"), 1),
+    Row(("represent", "ex-evenodd", "--n", "24"), 0),
+    Row(("represent", "ex-jordan", "--blocks", "2,1"), 0),
+    Row(("verify", "ex-c0", "--horizon", "60", "--jmax", "30"), 0),
+    Row(("sweep", "ex-c0", "--dims", "4,8"), 0),
+    Row(("sweep", "ex-volterra", "--dims", "8,16,32"), 2, item=14),
+    Row(("simulate", "ex-c0", "--horizon", "5"), 0),
+    Row(("examples",), 0),
 )
 
 
@@ -226,16 +281,20 @@ def main(argv=None) -> int:
     if args.save:
         os.makedirs(args.save, exist_ok=True)
     changed = ran = 0
+    moved = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in MODEL_FILES.items():
             build().save(os.path.join(tmp, name))
-        for command in GRID:
-            shown = " ".join(command)
+        for row in GRID:
+            shown = " ".join(row.argv)
             if args.filter not in shown:
                 continue
             code, out, err = run(os.path.join(tmp, arg) if arg in MODEL_FILES else arg
-                                 for arg in command)
+                                 for arg in row.argv)
             ran += 1
+            if code != row.code:
+                known = f", a known defect of ROADMAP item {row.item}" if row.item else ""
+                moved.append(f"grj {shown}  exit={code}, expected {row.code}{known}")
             record = os.path.join(args.save or args.against or "",
                                   re.sub(r"[^A-Za-z0-9.,-]+", "_", shown) + ".json")
             if args.save:
@@ -256,7 +315,12 @@ def main(argv=None) -> int:
                       f"stderr={hashlib.sha256(err).hexdigest()}", flush=True)
     if args.against:
         print(f"{changed} of {ran} commands changed")
-    return 0
+    for line in moved:
+        print(f"byte_grid.py: {line}", file=sys.stderr)
+    if moved:
+        print(f"byte_grid.py: {len(moved)} of {ran} commands exited with another code than "
+              "their row states; a change that moves a code edits its row", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ pencil geometries:
                  block sizes are the ground truth for pole-order oracles
 
 Also provides the AR(2)/AR(3) factor-product fixtures used by the
-simulation and consistency tests.  All randomness is counter-based and
-keyed by the caller's seed, so every builder is reproducible.
+simulation and consistency tests, and an ill-conditioned AR(1) used by
+the exit-code tests and the byte grid.  All randomness is keyed by the
+caller's seed, so every builder is reproducible.
 """
 
 from __future__ import annotations
@@ -212,6 +213,18 @@ def ar3_unit_root_model(seed: int = 17) -> ArPencil:
     phi1 = _stable_factor(rng, n, radius=0.45)
     phi2 = _stable_factor(rng, n, radius=0.3)
     return factor_product([phi2, phi1, phi0])
+
+
+def ill_conditioned_model(k: int, seed: int) -> ArPencil:
+    """AR(1) on C^3 with B = S diag(1, 0.5, -0.3) S^-1, where
+    S = Q1 diag(1, 10^(k/2), 10^k) Q2 and Q1, Q2 come from the QR of
+    standard normals drawn by np.random.default_rng(seed): a unit root
+    whose kernel and range of I - B are nearly parallel."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    s = q1 @ np.diag([1.0, 10 ** (k / 2), 10.0 ** k]) @ q2
+    return ArPencil(1, 3, [s @ np.diag([1.0, 0.5, -0.3]) @ np.linalg.inv(s)])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ and file round-trips.  Everything runs in-process through main(argv).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from grjkit import cli, laurent, pencil
 from grjkit.cli import main
 from grjkit.grj import H_TAYLOR_JMAX
 from grjkit.laurent import ContourNotConverged
-from grjkit.models import jordan_model, random_walk_model
+from grjkit.models import ill_conditioned_model, jordan_model, random_walk_model
 from grjkit.numfield import CUTOFFS, matrix_from_json, matrix_to_json
 from grjkit.pencil import ArPencil, SingularAt
 from grjkit.simkit import ClassMismatch, SamplePath
@@ -712,16 +713,6 @@ def test_semisimple_unit_root_is_a_simple_pole(capsys, tmp_path):
     assert code == 0, err
 
 
-def ill_conditioned_model(k, seed):
-    """AR(1) with B = S diag(1, 0.5, -0.3) S^-1, S = Q1 diag(1, 10^(k/2), 10^k) Q2:
-    a unit root whose kernel and range of I - B are nearly parallel."""
-    rng = np.random.default_rng(seed)
-    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    s = q1 @ np.diag([1.0, 10 ** (k / 2), 10.0 ** k]) @ q2
-    return ArPencil(1, 3, [s @ np.diag([1.0, 0.5, -0.3]) @ np.linalg.inv(s)])
-
-
 @pytest.mark.parametrize("k, seed", [(7, 0), (5, 5)])
 @pytest.mark.parametrize("command", ["represent", "analyze", "verify"])
 def test_ill_conditioned_split_exits_one(capsys, tmp_path, k, seed, command):
@@ -731,6 +722,23 @@ def test_ill_conditioned_split_exits_one(capsys, tmp_path, k, seed, command):
     path = tmp_path / "ill.json"
     ill_conditioned_model(k, seed).save(path)
     assert_one_line_error(capsys, [command, "--model", str(path)])
+
+
+@pytest.mark.parametrize("norm", ["one", "sup"])
+def test_non_euclidean_norm_keeps_the_verdict(capsys, tmp_path, norm):
+    # rank decisions are Euclidean: the norm scales the residuals only
+    ar, _ = jordan_model(5, blocks_at_one=[2, 1])
+    verdicts = []
+    for model in (ar, dataclasses.replace(ar, norm=norm)):
+        path = tmp_path / f"{model.norm}.json"
+        model.save(path)
+        code, out, _ = run(capsys, ["analyze", "--model", str(path)])
+        assert code == 0
+        verdicts.append(json.loads(out)["verdict"])
+    assert verdicts[0] == verdicts[1] == "pole order 2, I(1) fails, I(2) holds"
+    for command in ("represent", "verify"):
+        code, _, err = run(capsys, [command, "--model", str(path)])
+        assert code == 0, err
 
 
 def test_model_file_round_trip(capsys, tmp_path):

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # script -> (its smallest arguments, a line its output must contain)
 SCRIPTS = {
-    "byte_grid": (["ex-selfadjoint"], "grj verify ex-selfadjoint  exit=0  stdout="),
+    "byte_grid": ([], "grj verify ex-selfadjoint  exit=0  stdout="),
     "pole_order_gallery": (["--jordan-seeds", "0"], "jordan[3]@0"),
     "variance_law_mc": (["--reps", "10", "--horizon", "8", "--seeds", "1",
                          "--threads", "1"], "ar2-unit: predicted slope"),
@@ -41,7 +41,8 @@ BAD_ARGUMENTS = [
 
 
 def _run(name, args):
-    env = dict(os.environ)
+    # one BLAS thread, the byte grid's documented setting
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args],
@@ -127,6 +128,19 @@ def test_byte_grid_saves_outputs_and_compares_them_by_value(tmp_path):
         '  verdict: "tampered" -> "pole order 1, I(1) holds, I(2) fails"',
         "  stderr: 'old error' -> ''",
         "1 of 1 commands changed"]
+
+
+def test_byte_grid_exits_one_and_names_a_row_whose_code_moved(capsys):
+    grid = _load("byte_grid")
+    argv = ("represent", "ex-jordan", "--blocks", "3")
+    [row] = [row for row in grid.GRID if row.argv == argv]
+    assert row.code == 3
+    grid.GRID = tuple(r._replace(code=0) if r == row else r for r in grid.GRID)
+    assert grid.main([" ".join(argv)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("grj represent ex-jordan --blocks 3  exit=3  stdout=")
+    assert "byte_grid.py: grj represent ex-jordan --blocks 3  exit=3, expected 0\n" in err
+    assert "1 of 1 commands exited with another code" in err
 
 
 def test_byte_grid_tells_a_rotated_basis_from_a_moved_space():
