@@ -139,6 +139,13 @@ def _jmax(raw: str) -> int:
     return value
 
 
+def _seed(raw: str) -> int:
+    value = _int_at_least(0)(raw)
+    if value >= 1 << 64:  # the generator keys reduce mod 2**64: it would alias a seed
+        raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {raw!r}")
+    return value
+
+
 def _flag_specs() -> dict:
     """add_argument keywords of every flag; each default lives only here."""
     return {
@@ -148,7 +155,7 @@ def _flag_specs() -> dict:
                       f"{models.example_defaults('ex-c0')['lam']})"),
         "--blocks": dict(type=_int_list, default=None,
                          help="block sizes at the unit root for ex-jordan, e.g. 2,1"),
-        "--seed": dict(type=int, default=None, help="seed of ex-selfadjoint, ex-jordan "
+        "--seed": dict(type=_seed, default=None, help="seed of ex-selfadjoint, ex-jordan "
                        "and the simulated path of simulate and verify (default 0)"),
         "--horizon": dict(type=_POSITIVE_INT, default=300),
         "--jmax": dict(type=_jmax, default=40,

@@ -26,7 +26,8 @@ projection and G = (I - B) P for the quasi-nilpotent part, the order
 equals the nilpotency index of G with the convention G^0 = P.  The
 index is read by the staircase of Golub & Wilkinson (SIAM Rev. 18,
 1976), which deflates the kernel of G by unitary compressions and never
-forms a power, and is cross-checked against the Jordan-ascent oracle.
+forms a power, and is cross-checked against the Jordan ascent, which the
+same loop (numfield._staircase) reads off the pencil's SVD of I - B.
 Ranks or norms of the powers G^k are no route: honest powers of
 triangular quadrature models drop below any cut-off long before they
 vanish, and a semisimple root leaves a G of rounding size whose
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import CUTOFFS, fit_geometric_decay, operator_norm, within
+from .numfield import CUTOFFS, _staircase, fit_geometric_decay, operator_norm, within
 from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
 
 DEFAULT_NODES = 256
@@ -191,25 +192,16 @@ class PoleOrderReport:
 def _nilpotency_index_by_rank(proj, g) -> int:
     """Smallest k >= 0 with G^k numerically zero, counting G^0 = P.
 
-    G is nilpotent (on ran P; it vanishes off ran P), so its index is read
-    by the staircase, without a power: take the SVD of D = G, keep the
-    basis V_r of its row space, (ker D)^perp, and compress D to
-    V_r^H D V_r = V_r^H U_r S_r, the map D induces on C^n / ker D, whose
-    index is one less.  The index is the number of steps until D has no
-    singular value above CUTOFFS["rank"] * ||P||_2 * max(1, ||G||_2), one
-    cut for every step; 0 when P = 0, and n if D stops shrinking.
+    G is nilpotent (on ran P; it vanishes off ran P), so its index is the
+    number of staircase steps (numfield._staircase) that deflate all of
+    C^n, with no power formed, every step cut at CUTOFFS["rank"] * ||P||_2
+    * max(1, ||G||_2); 0 when P = 0, and n if the staircase stops short.
     """
     n, norm_p = proj.shape[0], operator_norm(proj)
     if norm_p == 0:
         return 0
-    u, s, vh = np.linalg.svd(g)
-    cut = CUTOFFS["rank"] * norm_p * max(1, s[0])
-    for k in range(1, n + 1):
-        rank = int(np.sum(s > cut))
-        if rank == 0:
-            return k
-        u, s, vh = np.linalg.svd((vh[:rank] @ u[:, :rank]) * s[:rank])
-    return n
+    weyr = _staircase(g, lambda norm_g: CUTOFFS["rank"] * norm_p * max(1, norm_g))
+    return len(weyr) if sum(weyr) == n else n
 
 
 def pole_order(cp: CompanionPencil, spectrum=None, residue=None) -> PoleOrderReport:

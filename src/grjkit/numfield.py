@@ -2,9 +2,8 @@
 
 Everything downstream (pencils, Laurent coefficients, representation
 components) reduces to a handful of primitives collected here: induced
-operator norms, tolerant rank / kernel / range decisions, the
-idempotency check of a projection, and the Jordan-ascent oracle at
-eigenvalue 1.
+operator norms, tolerant kernel / range decisions, the idempotency
+check of a projection, and the staircase that reads every rank chain.
 
 The class checks read their spaces off the SVD of M = I - B and of two
 small matrices, which pencil.CompanionPencil owns: the coupling
@@ -26,12 +25,12 @@ Conventions
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
   only matter for reported norm values.  They all cut at CUTOFFS["rank"]
-  relative to the largest singular value.  A kernel, a range, both
-  orthogonal complements and the kept singular values come from one full
-  SVD (kernel_and_range), so they agree on the rank; rank-only decisions
-  take singular values alone.  Residual
-  checks cut in the operator norm, at CUTOFFS["residual"] for solves and
-  CUTOFFS["guard"] for projections.
+  relative to a norm: a kernel, a range, both orthogonal complements and
+  the kept singular values come from one full SVD (kernel_and_range), cut
+  relative to its largest singular value, so they agree on the rank; a
+  staircase fixes one cut from its first block for all its steps.
+  Residual checks cut in the operator norm, at CUTOFFS["residual"] for
+  solves and CUTOFFS["guard"] for projections.
 * The dual pairing is bilinear, ``f(x) = sum_i f_i x_i`` with no
   conjugation, so the adjoint of an operator is its plain transpose and
   the space of functionals annihilating ``ran A`` is the left null space
@@ -168,27 +167,15 @@ def operator_norm(m, norm: str = "two") -> float:
 # tolerant rank / kernel / range
 # ---------------------------------------------------------------------------
 
-def _rank_of(s) -> int:
-    """The rank rule every rank decision uses: the number of singular
-    values ``s`` (descending) above CUTOFFS["rank"] * s_0; 0 for an empty
-    or zero matrix."""
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > CUTOFFS["rank"] * s[0]))
-
-
-def numerical_rank(m) -> int:
-    return _rank_of(np.linalg.svd(as_operator(m), compute_uv=False))
-
-
 def kernel_and_range(m) -> tuple:
     """(ker M, ran M, (ker M)^perp, (ran M)^perp, s_r) from one full SVD, cut
-    by the one rank rule: the right singular vectors past the rank span
-    ker M, those up to it (ker M)^perp; the left ones up to it span ran M.
-    s_r are the kept singular values, so M^+ = V_r diag(1/s_r) U_r^H with
-    V_r, U_r the bases of (ker M)^perp and ran M."""
+    by the rank rule: the rank counts the singular values above
+    CUTOFFS["rank"] * s_0 (0 for M = 0).  The right singular vectors past the
+    rank span ker M, those up to it (ker M)^perp; the left ones up to it span
+    ran M.  s_r are the kept singular values, so M^+ = V_r diag(1/s_r) U_r^H
+    with V_r, U_r the bases of (ker M)^perp and ran M."""
     u, s, vh = np.linalg.svd(as_operator(m))
-    rank, v = _rank_of(s), vh.conj().T
+    rank, v = int(np.sum(s > CUTOFFS["rank"] * s[0])), vh.conj().T
     return v[:, rank:], u[:, :rank], v[:, :rank], u[:, rank:], s[:rank]
 
 
@@ -213,35 +200,46 @@ def checked_projection(proj) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Jordan ascent at eigenvalue 1
+# Jordan structure at eigenvalue 0: the staircase
 # ---------------------------------------------------------------------------
 
-def _kernel_chain(d, d1: int) -> tuple:
-    """Kernel dimensions d_k = dim ker D^k for k = 0, 1, ..., K, given
-    d1 = dim ker D, with K the smallest k where d_{k+1} = d_k (at most the
-    dimension of D).  With D = I - M, d_K is the algebraic multiplicity of
-    the eigenvalue 1 of M and K the size of its largest Jordan block; both
-    are 0 when 1 is not an eigenvalue.  Each power is scaled by a power of
-    two before the next product, which keeps D^k finite for huge entries
-    and, being exact, moves no rank."""
-    n = d.shape[0]
-    dims, null_k, power = [0], d1, d
-    while null_k != dims[-1]:
-        dims.append(null_k)
-        if len(dims) > n:
+def _staircase(block, cut) -> list:
+    """Weyr numbers w_1, w_2, ... of the square ``block`` D at 0 by the
+    staircase of Golub & Wilkinson (SIAM Rev. 18, 1976), with no power
+    formed: the nullity of D (its singular values at or below the cut
+    cut(||D||_2)), then that of V_r^H U_r S_r, the map D = U S V^H induces
+    on C^m / ker D, and so on while the nullity is positive.  dim ker D^k
+    = w_1 + ... + w_k; the w_k sum to the size of D when D is nilpotent."""
+    u, s, vh = np.linalg.svd(block)
+    bound, weyr = cut(s[0]) if s.size else 0.0, []
+    while (rank := int(np.sum(s > bound))) < s.size:
+        weyr.append(s.size - rank)
+        if not rank:
             break
-        power = power * 2.0 ** -np.frexp(np.max(np.abs(power)))[1] @ d
-        null_k = n - numerical_rank(power)
-    return tuple(dims)
+        u, s, vh = np.linalg.svd((vh[:rank] @ u[:, :rank]) * s[:rank])
+    return weyr
+
+
+def _kernel_chain(split) -> tuple:
+    """d_k = dim ker D^k for k = 0, 1, ..., K, the smallest k with d_{k+1} =
+    d_k, from ``split`` = kernel_and_range(D): its rank gives d_1, and the
+    staircase continues on D_1 = V_r^H U_r S_r from the same split, cut at
+    CUTOFFS["rank"] * ||D_1||_2.  For D = I - M, d_K is the algebraic
+    multiplicity of the eigenvalue 1 of M and K its largest Jordan block."""
+    kernel, ran, kernel_complement, _, s_r = split
+    if not kernel.shape[1]:
+        return (0,)
+    weyr = _staircase((kernel_complement.conj().T @ ran) * s_r,
+                      lambda norm: CUTOFFS["rank"] * norm)
+    return tuple(np.cumsum([0, kernel.shape[1], *weyr]).tolist())
 
 
 def ascent_at_one(m) -> int:
     """Size of the largest Jordan block of M at eigenvalue 1 (0 when 1 is
-    not an eigenvalue), from a kernel chain of I - M of its own: an
-    independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
+    not an eigenvalue), from a kernel chain of I - M on an SVD of its own:
+    an independent oracle for the pole order of (I - zM)^{-1} at z = 1."""
     m = as_operator(m, square=True)
-    d = np.eye(m.shape[0], dtype=np.complex128) - m
-    return len(_kernel_chain(d, d.shape[0] - numerical_rank(d))) - 1
+    return len(_kernel_chain(kernel_and_range(np.eye(m.shape[0]) - m))) - 1
 
 
 # ---------------------------------------------------------------------------

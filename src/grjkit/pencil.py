@@ -96,9 +96,9 @@ class CompanionPencil:
     M = I - a1 is decomposed once per pencil, on first use: one full SVD
     gives its kernel and range, which the class checks read, their
     orthogonal complements, the order-two geometry's default choices, and
-    d_1 = dim ker M, the first step of the kernel chain at 1 that every
-    spectrum_report of the pencil reads (``m``, ``unit_kernel``,
-    ``unit_range``, ``unit_*_complement``, ``kernel_chain``; read-only).
+    the first staircase step (d_1 = dim ker M, D_1 = V_r^H U_r S_r) of the
+    kernel chain at 1 that every spectrum_report of the pencil reads (``m``,
+    ``unit_kernel``, ``unit_range``, ``unit_*_complement``, ``kernel_chain``).
     One SVD of the coupling C of those bases (``coupling``) gives K, which the
     class verdicts and dispatch read, the spaces below and ``coupling_inverse``;
     one SVD of J (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
@@ -217,7 +217,7 @@ class CompanionPencil:
 
     @cached_property
     def kernel_chain(self) -> tuple:
-        return _kernel_chain(self.m, self.unit_kernel.shape[1])
+        return _kernel_chain(self._kernel_and_range)
 
 
 def linearize(ar: ArPencil) -> CompanionPencil:
@@ -335,8 +335,8 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     # Eigenvalues of a defective unit root scatter like eps**(1/k) around 1
     # (k the largest Jordan block), far beyond any honest merge radius, so
     # membership in the unit cluster is decided by rank instead: the
-    # algebraic multiplicity at 1 is the stabilized kernel dimension of
-    # powers of (I - B), and that many nearest eigenvalues form the cluster.
+    # algebraic multiplicity at 1 ends the kernel chain of (I - B), and
+    # that many nearest eigenvalues form the cluster.
     chain = cp.kernel_chain
     multiplicity = chain[-1]
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grjkit.numfield import (NotComplementary, checked_projection, numerical_rank,
-                             operator_norm, within)
+from grjkit.numfield import (NotComplementary, checked_projection, operator_norm,
+                             range_basis, within)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def direct_sum_check(u, w) -> DirectSumResult:
         raise ValueError("ambient dimensions differ")
     n = u.shape[0]
     concat = np.hstack([u, w])
-    rank = numerical_rank(concat) if concat.shape[1] else 0
+    rank = range_basis(concat).shape[1] if concat.shape[1] else 0
     return DirectSumResult(holds=(concat.shape[1] == n and rank == n), defect=n - rank)
 
 

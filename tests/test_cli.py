@@ -171,6 +171,10 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["analyze", "ex-c0", "--seed", "5"],        # reads no seed and simulates nothing
     ["represent", "ex-evenodd", "--seed", "5"],
     ["sweep", "ex-volterra", "--seed", "5"],
+    # the seed keys a 64-bit generator: anything outside 0 <= seed < 2**64
+    # would alias a seed inside it
+    ["simulate", "ex-c0", "--seed", "-1"],
+    ["simulate", "ex-c0", "--seed", str(2 ** 64)],
 ], ids=lambda argv: " ".join(argv[i] for i in (0, 2, 3)))
 def test_bad_value_exits_one(capsys, argv):
     assert_one_line_error(capsys, argv)
@@ -406,19 +410,21 @@ def test_simulate_different_seeds_differ(capsys, tmp_path):
 
 
 def test_sweep_without_unit_root_names_the_dimension(capsys):
-    # Volterra at n = 32 fails the unit-root gate, as analyze reports it
-    code, out, err = run(capsys, ["sweep", "ex-volterra", "--dims", "8,16,32"])
+    # ex-c0 with lam = 0.95 at n = 4 has another root within the fixed
+    # isolation margin eta = 0.1 of the unit circle, so it fails the
+    # unit-root gate, as analyze reports it
+    code, out, err = run(capsys, ["sweep", "ex-c0", "--lam", "0.95", "--dims", "4,8"])
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "n = 32" in err, err
+    assert len(err.splitlines()) == 1 and "n = 4" in err, err
 
 
 def test_sweep_volterra(capsys):
-    code, out, _ = run(capsys, ["sweep", "ex-volterra", "--dims", "4,8"])
+    code, out, _ = run(capsys, ["sweep", "ex-volterra", "--dims", "8,16,32,64"])
     assert code == 0
     report = json.loads(out)["sweep"]
     orders = {point["n"]: point["order"] for point in report["points"]}
-    assert orders == {4: 4, 8: 8}
+    assert orders == {8: 8, 16: 16, 32: 32, 64: 64}
     assert report["essential_flag"] is True
 
 

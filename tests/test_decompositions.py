@@ -1,7 +1,9 @@
 """
 How often each command decomposes a matrix: the np.linalg.svd calls of a
 grj command stay at or below fixed ceilings, and one full SVD of
-M = I - B serves every spectrum report and class check of the command.
+M = I - B serves every spectrum report and class check of the command;
+verify's representation check takes one more of its own, for its
+independent Jordan-ascent oracle.
 One SVD of the coupling C = alpha_perp^H beta_perp of its bases decides
 K = ran M /\\ ker M once per command, and the class dispatch reads it
 instead of trying order one first.  The order-two verdict decomposes only
@@ -84,14 +86,36 @@ def cli_pencils(monkeypatch):
     return pencils
 
 
+@pytest.fixture()
+def oracle_span(monkeypatch, svd_inputs):
+    """[start, stop) of the SVD inputs recorded inside the CLI's
+    simkit.verify_representation, whose Jordan-ascent oracle decomposes
+    I - B on its own; [0, 0) when the command does not call it."""
+    check, span = cli.verify_representation, [0, 0]
+
+    def recorded(*args, **kwargs):
+        span[0] = len(svd_inputs)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            span[1] = len(svd_inputs)
+
+    monkeypatch.setattr(cli, "verify_representation", recorded)
+    return span
+
+
 @pytest.mark.parametrize("argv, ceiling", CEILINGS, ids=[" ".join(a) for a, _ in CEILINGS])
-def test_svd_calls_per_command(svd_inputs, lstsq_calls, cli_pencils, argv, ceiling):
+def test_svd_calls_per_command(svd_inputs, lstsq_calls, cli_pencils, oracle_span, argv,
+                               ceiling):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert len(svd_inputs) <= ceiling
     assert lstsq_calls == [0]
     [cp] = cli_pencils
-    assert sum(full and np.array_equal(a, cp.m) for a, full in svd_inputs) == 1
+    start, stop = oracle_span
+    full_of_m = [full and np.array_equal(a, cp.m) for a, full in svd_inputs]
+    assert sum(full_of_m[:start] + full_of_m[stop:]) == 1  # the pencil's one SVD of M
+    assert sum(full_of_m[start:stop]) == (argv[0] == "verify")  # the oracle's own
     assert svds_of(svd_inputs, coupling(cp)) == 1
 
 

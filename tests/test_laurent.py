@@ -181,10 +181,10 @@ def test_no_unit_root_raises():
 
 
 def test_non_isolated_unit_root_raises():
-    # Volterra n = 32: the rank route finds the unit root but leaves exact
-    # unit eigenvalues outside the cluster, at distance 0, so no contour
-    # fits; every entry point says so instead of failing in the quadrature
-    cp = linearize(volterra_model(32))
+    # B = diag(1, -1): the unit root is present, but a second root at -1
+    # lies on the unit circle, so no contour fits; every entry point says
+    # so instead of failing in the quadrature
+    cp = linearize(ArPencil(1, 2, [np.diag([1.0, -1.0])]))
     rep = spectrum_report(cp)
     assert rep.unit_root_present and not rep.unit_root_ok
     with pytest.raises(NoUnitRoot, match="not isolated"):
@@ -202,28 +202,34 @@ def test_non_isolated_unit_root_raises():
 
 def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8):
     # every spectrum report and the pole order read the pencil's one
-    # kernel chain: each power of M = I - B is decomposed once (a fresh
-    # pencil: a fixture pencil keeps its caches from test to test); the
-    # chain scales its powers by powers of two, so they match up to one
+    # kernel chain (a fresh pencil: a fixture pencil keeps its caches from
+    # test to test): M = I - B is decomposed once, so is D_1 = V_r^H U_r S_r,
+    # the block the staircase continues on, and no power of M is formed
     cp = linearize(shift8)
     m = cp.identity() - cp.a1
-    powers = [m, m @ m, m @ m @ m]
+    powers = [m @ m, m @ m @ m]
     svd = np.linalg.svd
-    calls = []
-
-    def scaled(a):
-        return a * 2.0 ** -np.frexp(np.max(np.abs(a)))[1]
+    inputs = []
 
     def counted(a, *args, **kwargs):
-        calls.extend(k for k, power in enumerate(powers, 1)
-                     if np.array_equal(scaled(a), scaled(power)))
+        inputs.append(np.array(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     for _ in range(3):
         assert spectrum_report(cp).ascent == 2
     assert pole_order(cp).ascent == 2
-    assert calls == [1, 2, 3]
+    _, ran, kernel_complement, _, kept = cp._kernel_and_range
+    d1 = (kernel_complement.conj().T @ ran) * kept
+
+    def decomposed(matrix):
+        return sum(a.shape == matrix.shape and np.array_equal(a, matrix) for a in inputs)
+
+    assert decomposed(m) == 1
+    assert decomposed(d1) == 1
+    assert not any(a.shape == power.shape
+                   and np.allclose(a / np.max(np.abs(a)), power / np.max(np.abs(power)))
+                   for a in inputs for power in powers)
 
 
 def test_radius_guard():

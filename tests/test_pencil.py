@@ -6,6 +6,7 @@ may work purely on the companion space.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -14,7 +15,8 @@ from numpy.testing import assert_allclose
 
 from grjkit import pencil
 from grjkit.laurent import pick_radius
-from grjkit.models import build_example, jordan_model, random_walk_model, volterra_model
+from grjkit.models import (build_example, ill_conditioned_model, jordan_model,
+                           random_walk_model, volterra_model)
 from grjkit.numfield import CUTOFFS
 from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
                            resolvent, spectrum_report)
@@ -238,6 +240,33 @@ def test_volterra_spectrum_is_a_single_point():
     rep = spectrum_report(cp)
     assert rep.unit_root_ok
     assert all(abs(z - 1.0) < 1e-6 for z in rep.pencil_spectrum)
+
+
+def _planted_models(family):
+    """(label, model, block sizes planted at the unit root) of one family."""
+    if family == "jordan":
+        for seed in range(200):
+            ar, info = jordan_model(seed)
+            yield seed, ar, info["block_sizes"]
+    elif family == "volterra":  # one Jordan block of size n
+        for n in (8, 16, 32, 64, 128):
+            yield n, volterra_model(n), [n]
+    else:  # a simple unit root whose kernel and range of I - B nearly touch
+        for k, seed in itertools.product((7, 8), range(20)):
+            yield (k, seed), ill_conditioned_model(k, seed), [1]
+
+
+@pytest.mark.parametrize("family", ["jordan", "volterra", "ill_conditioned"])
+def test_kernel_chain_matches_planted_weyr_numbers(family):
+    """dim ker (I - B)^k = sum over the planted blocks b of min(b, k), up
+    to the largest block, and the chain never falls."""
+    wrong = []
+    for label, ar, blocks in _planted_models(family):
+        chain = linearize(ar).kernel_chain
+        planted = tuple(sum(min(b, k) for b in blocks) for k in range(max(blocks) + 1))
+        if chain != planted or any(b < a for a, b in zip(chain, chain[1:])):
+            wrong.append((label, chain))
+    assert not wrong
 
 
 def test_save_load_round_trip(tmp_path):
