@@ -65,6 +65,7 @@ from grjkit.pencil import ArPencil
 # file name -> model saved there before the grid runs
 MODEL_FILES = {
     "ar2_double_root.json": ar2_double_root_model,
+    "ill_k3_seed0.json": lambda: ill_conditioned_model(3, 0),
     "ill_k5_seed5.json": lambda: ill_conditioned_model(5, 5),
     "ill_k7_seed0.json": lambda: ill_conditioned_model(7, 0),
     # two random walks and a stationary AR(1): I(1) with G = (I - B) P of
@@ -129,6 +130,9 @@ GRID = (
     *model_rows(("ex-jordan", "--blocks", "2,2", "--seed", "1"), (0, 0, 0)),
     *model_rows(("ex-jordan", "--blocks", "2,2,1", "--seed", "3"), (0, 0, 0)),
     *model_rows(("--model", "ar2_double_root.json"), (0, 0, 0)),
+    # a valid model whose verify reports bad input: verify's Taylor circle
+    # at 0 does not settle
+    *model_rows(("--model", "ill_k3_seed0.json"), (0, 0, 1), item=6),
     # valid models reported as bad input
     *model_rows(("--model", "ill_k5_seed5.json"), (1, 1, 1), item=6),
     *model_rows(("--model", "ill_k7_seed0.json"), (1, 1, 1), item=6),
@@ -146,8 +150,8 @@ GRID = (
     *model_rows(("--model", "diag_1_-1.json"), (2, 2, 2)),
     *model_rows(("--model", "diag_1_1.11.json"), (2, 2, 2)),
     # valid models reported as bad input: a quadrature change stays above
-    # its absolute cut-off
-    *model_rows(("--model", "coupled_1e5.json"), (0, 1, 1), item=6),
+    # its absolute cut-off (for c = 1e5 only in verify's laurent-algebra contour)
+    *model_rows(("--model", "coupled_1e5.json"), (0, 0, 1), item=6),
     *model_rows(("--model", "coupled_1e6.json"), (1, 1, 1), item=6),
     Row(("represent", "ex-evenodd", "--jmax", "5"), 0),
     # above the highest h index the Taylor circle resolves

@@ -401,6 +401,8 @@ def cmd_verify(args) -> int:
     if report is None:
         return _finish_verify(results, model_id, args, no_class=True)
     cross = float(report.cross_check_residual)
+    if report.order == 1:  # fold the Taylor-route gap over h_0..h_jmax into P's check
+        cross = float(max(cross, taylor_h_gap(cp, report.h_coeffs, 1)))
     _check_bounded(results, "p-cross-check", cross, {"residual": cross})
 
     # contour-route Taylor coefficients against the closed-form h list

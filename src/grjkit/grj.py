@@ -13,9 +13,10 @@ K is nontrivial and the dim K x dim K matrix J = Y^H M^+ K is nonsingular
 The order-two projection grafts with Q^g = beta_perp C^+ alpha_perp^H.
 It does not depend on the complements of ran M and ker M that the paper's
 generalized inverse M^g is taken for, so it takes the orthogonal ones,
-where M^g is M^+, read off the pencil's one SVD of M.  Every assembled
-component is cross-checked against contour quadrature, and that residual
-is part of the returned report.
+where M^g is M^+, read off the pencil's one SVD of M.  Each class's
+operators are cross-checked against one contour quadrature at 1 (the
+residual is in the report), and h_j follows from P in closed form; the
+Taylor-route h check (taylor_h_gap) is a separate route that verify runs.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .pencil import CompanionPencil, resolvent, spectrum_report
 
 H_TAYLOR_RADIUS = 0.9  # circle around 0 on which the Taylor route samples
 H_TAYLOR_NODES = 512
-# highest --jmax the CLI takes: i1_components compares every h_j up to j_max
-# on the Taylor circle, and at 200 that quadrature no longer settles (ex-evenodd)
+# highest --jmax the CLI takes: verify folds every h_j up to j_max into an I(1)
+# p-cross-check on the Taylor circle, which at 200 no longer settles (ex-evenodd)
 H_TAYLOR_JMAX = 128
 
 
@@ -139,7 +140,7 @@ def taylor_h_gap(cp: CompanionPencil, closed: list, order: int,
 
     The principal part N_{-order} .. N_{-1} comes from a fresh contour
     quadrature around 1 (``nodes`` as in contour_coefficients), so the
-    check never reads the closed forms it tests.
+    check never reads the closed forms it tests.  Only grj verify calls it.
     """
     principal = contour_coefficients(cp, list(range(-order, 0)), nodes=nodes)
     taylor = taylor_h_coefficients(cp, len(closed) - 1, principal)
@@ -163,17 +164,15 @@ def _h_closed_form(cp: CompanionPencil, p_op, j_max: int):
 
 
 def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
-    """Full order-one components: projection, long-run operator, and the
-    h_j Taylor coefficients, each cross-checked against quadrature."""
+    """Full order-one components: check_i1's projection, long-run operator
+    and contour cross-check of P, plus the closed-form h_j = [B^j (I - P)]_obs,
+    which on order one (B^j P = P) adds nothing for a quadrature to check."""
     base = check_i1(cp)
     if not base.holds:
         raise NotI1(
             f"range/kernel split fails with defect {base.defect} "
             f"(ker dim {base.ker_dim}, ran dim {base.ran_dim})")
-    h_closed = _h_closed_form(cp, base.p_operator, j_max)
-    h_residual = taylor_h_gap(cp, h_closed, 1)
-    return replace(base, h_coeffs=h_closed,
-                   cross_check_residual=max(base.cross_check_residual, h_residual))
+    return replace(base, h_coeffs=_h_closed_form(cp, base.p_operator, j_max))
 
 
 # ---------------------------------------------------------------------------

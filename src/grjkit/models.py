@@ -242,39 +242,36 @@ def build_example(name: str, n: int | None = None, lam: float | None = None,
     Returns (ArPencil, info) where info is {} except for ex-jordan.
     """
     setting = example_defaults(name)
+    del setting["about"]
     for key, value in (("n", n), ("lam", lam), ("seed", seed), ("blocks", blocks)):
         if value is not None:
             if key not in setting:
                 raise ValueError(f"{name} does not take {key}")
             setting[key] = value
-    if name == "ex-c0":
-        return sequence_shift_model(setting["n"], setting["lam"]), {}
-    if name == "ex-volterra":
-        return volterra_model(setting["n"]), {}
-    if name == "ex-selfadjoint":
-        return selfadjoint_model(setting["n"], setting["seed"]), {}
-    if name == "ex-evenodd":
-        return evenodd_model(setting["n"]), {}
-    return jordan_model(setting["seed"], blocks_at_one=setting["blocks"])
+    built = _EXAMPLES[name][0](**setting)
+    return built if isinstance(built, tuple) else (built, {})
 
 
-_EXAMPLE_DEFAULTS = {
-    "ex-c0": {"n": 8, "lam": 0.5,
-              "about": "unilateral shift truncation; double pole at z=1"},
-    "ex-volterra": {"n": 8,
-                    "about": "left-rectangle quadrature; pole order grows with n"},
-    "ex-selfadjoint": {"n": 6, "seed": 0,
-                       "about": "symmetric matrix with closed range; simple pole"},
-    "ex-evenodd": {"n": 16,
-                   "about": "reflection averaging on a symmetric grid; simple pole"},
-    "ex-jordan": {"seed": 0, "blocks": None,
-                  "about": "seeded Jordan-form builder with known block sizes"},
+# name -> (builder, defaults): the builder takes every default but "about" by
+# keyword and returns the model, or (model, info) for ex-jordan
+_EXAMPLES = {
+    "ex-c0": (sequence_shift_model, {
+        "n": 8, "lam": 0.5, "about": "unilateral shift truncation; double pole at z=1"}),
+    "ex-volterra": (volterra_model, {
+        "n": 8, "about": "left-rectangle quadrature; pole order grows with n"}),
+    "ex-selfadjoint": (selfadjoint_model, {
+        "n": 6, "seed": 0, "about": "symmetric matrix with closed range; simple pole"}),
+    "ex-evenodd": (evenodd_model, {
+        "n": 16, "about": "reflection averaging on a symmetric grid; simple pole"}),
+    "ex-jordan": (lambda seed, blocks: jordan_model(seed, blocks_at_one=blocks), {
+        "seed": 0, "blocks": None,
+        "about": "seeded Jordan-form builder with known block sizes"}),
 }
 
-EXAMPLE_NAMES = tuple(_EXAMPLE_DEFAULTS)
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def example_defaults(name: str) -> dict:
-    if name not in _EXAMPLE_DEFAULTS:
+    if name not in _EXAMPLES:
         raise KeyError(f"unknown example {name!r}")
-    return dict(_EXAMPLE_DEFAULTS[name])
+    return dict(_EXAMPLES[name][1])

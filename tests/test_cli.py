@@ -106,24 +106,44 @@ def test_analyze_simple_pole(capsys):
     assert report["i2"]["defect"] == 0
 
 
-@pytest.mark.parametrize("argv", [["analyze", "ex-evenodd"],        # I(1)
-                                  ["analyze", "ex-c0", "--n", "8"]])  # I(2)
-def test_analyze_builds_one_spectrum_and_one_quadrature(capsys, monkeypatch, argv):
-    # pole_order, check_i1 and check_i2 share analyze's spectrum report and
-    # its one contour residue N_{-1}
+def _record_spectra_and_quadratures(monkeypatch) -> list:
+    """Wrap spectrum_report and circle_coefficients wherever grjkit holds
+    them; the returned list gains (name, centre) per call, centre None for
+    a spectrum report."""
     calls = []
     for original in (pencil.spectrum_report, laurent.circle_coefficients):
         def counted(*args, _original=original, **kwargs):
-            calls.append(_original.__name__)
+            calls.append((_original.__name__, kwargs.get("center")))
             return _original(*args, **kwargs)
 
         for module in [mod for key, mod in sys.modules.items() if key.startswith("grjkit")]:
             for name, value in vars(module).items():
                 if value is original:
                     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["analyze", "ex-evenodd"],        # I(1)
+                                  ["analyze", "ex-c0", "--n", "8"]])  # I(2)
+def test_analyze_builds_one_spectrum_and_one_quadrature(capsys, monkeypatch, argv):
+    # pole_order, check_i1 and check_i2 share analyze's spectrum report and
+    # its one contour residue N_{-1}
+    calls = _record_spectra_and_quadratures(monkeypatch)
     code, _, _ = run(capsys, argv)
     assert code == 0
-    assert sorted(calls) == ["circle_coefficients", "spectrum_report"]
+    assert sorted(calls) == [("circle_coefficients", 1.0), ("spectrum_report", None)]
+
+
+@pytest.mark.parametrize("argv", [["represent", "ex-evenodd"],        # I(1)
+                                  ["represent", "ex-c0", "--n", "8"]])  # I(2)
+def test_represent_builds_two_spectra_and_one_quadrature(capsys, monkeypatch, argv):
+    # both classes: the command's spectrum gate, then the components' own
+    # report and their one contour cross-check at 1; no Taylor circle at 0
+    calls = _record_spectra_and_quadratures(monkeypatch)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert sorted(calls) == [("circle_coefficients", 1.0), ("spectrum_report", None),
+                             ("spectrum_report", None)]
 
 
 def test_analyze_unknown_example(capsys):
@@ -521,20 +541,21 @@ def test_verify_jordan_passes_the_exact_representation_check(capsys, blocks, see
 
 def test_verify_fault_injection_names_the_invariant(capsys, monkeypatch):
     # one I(2) and one I(1) model: both classes go through the same
-    # library h check, here fed a corrupted h_0
+    # library h check, here fed a corrupted h_0; on the I(1) model verify
+    # also folds that check into p-cross-check, so both fail
     check = cli.taylor_h_gap
 
     def corrupted(cp, closed, order, **kwargs):
         return check(cp, [closed[0] + 1e-3, *closed[1:]], order, **kwargs)
 
     monkeypatch.setattr(cli, "taylor_h_gap", corrupted)
-    for model in (["ex-c0", "--n", "8"], ["ex-evenodd"]):
+    for model, failed in ((["ex-c0", "--n", "8"], ["h-coefficient cross-check"]),
+                          (["ex-evenodd"], ["p-cross-check", "h-coefficient cross-check"])):
         code, out, err = run(capsys, ["verify", *model,
                                       "--horizon", "60", "--jmax", "30"])
         assert code == 4, model
-        assert "h-coefficient cross-check" in err
-        report = json.loads(out)
-        assert "h-coefficient cross-check" in report["failed"]
+        assert err == "grj verify: invariant failure: " + ", ".join(failed) + "\n"
+        assert json.loads(out)["failed"] == failed
 
 
 def test_verify_path_mismatch_fails_determinism(capsys, tmp_path):
@@ -728,6 +749,19 @@ def test_ill_conditioned_split_exits_one(capsys, tmp_path, k, seed, command):
     path = tmp_path / "ill.json"
     ill_conditioned_model(k, seed).save(path)
     assert_one_line_error(capsys, [command, "--model", str(path)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_represent_takes_an_ill_conditioned_order_one_model(capsys, tmp_path, seed):
+    # kernel and range of I - B nearly parallel (S with condition 1e3): one
+    # contour residue at 1 checks P, and no Taylor circle at 0 has to settle
+    path = tmp_path / "ill.json"
+    ill_conditioned_model(3, seed).save(path)
+    code, out, err = run(capsys, ["represent", "--model", str(path)])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["class"] == "I1"
+    assert report["cross_check_residual"] <= 1e-6
 
 
 @pytest.mark.parametrize("norm", ["one", "sup"])

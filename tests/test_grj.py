@@ -15,10 +15,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grjkit.grj import (I1Report, NotI1, NotI2, _order_two_projection, check_i1, check_i2,
-                        i1_components, i2_components, taylor_h_coefficients)
+                        i1_components, i2_components, taylor_h_coefficients, taylor_h_gap)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
-from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
-                           jordan_model)
+from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
+                           build_example, jordan_model, oblique_ar1_model)
 from grjkit.numfield import CUTOFFS, NotComplementary, kernel_basis, operator_norm, range_basis
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 from oblique import direct_sum_check, oblique_projection, order_two_projection
@@ -352,6 +352,30 @@ def test_taylor_route_agrees_with_closed_h(evenodd_cp):
     again = taylor_h_coefficients(evenodd_cp, 12, principal)
     assert len(again) == len(taylor)
     assert all(np.array_equal(a, b) for a, b in zip(taylor, again))
+
+
+_I1_MODELS = {
+    "evenodd16": lambda: build_example("ex-evenodd", n=16)[0],
+    "evenodd32": lambda: build_example("ex-evenodd", n=32)[0],
+    "selfadjoint": lambda: build_example("ex-selfadjoint")[0],
+    "ar2": ar2_unit_root_model,
+    "ar3": ar3_unit_root_model,
+    "oblique": oblique_ar1_model,
+    "walks_and_ar1": lambda: ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]),
+    **{f"jordan{len(blocks)}x1-{seed}": lambda blocks=blocks, seed=seed:
+       jordan_model(seed, blocks_at_one=blocks)[0]
+       for blocks, seed in itertools.product([[1], [1, 1]], range(8))},
+}
+
+
+@pytest.mark.parametrize("name", _I1_MODELS)
+def test_taylor_h_gap_restates_the_p_check_on_order_one(name):
+    # h_j = [B^j (I - P)]_obs and B^j P = P, so the Taylor route's gap is the
+    # gap between the contour and the closed-form P, up to its own rounding:
+    # i1_components has no reason to run it
+    cp = linearize(_I1_MODELS[name]())
+    rep = i1_components(cp, j_max=40)
+    assert taylor_h_gap(cp, rep.h_coeffs, 1) <= check_i1(cp).cross_check_residual + 1e-12
 
 
 def test_class_exclusivity():
