@@ -91,6 +91,10 @@ MODEL_FILES = {
     # a unit root coupled to a stable one by a large entry c
     "coupled_1e5.json": lambda: ArPencil(1, 2, [np.array([[1.0, 1e5], [0.0, 0.5]])]),
     "coupled_1e6.json": lambda: ArPencil(1, 2, [np.array([[1.0, 1e6], [0.0, 0.5]])]),
+    # a complex Hermitian B, roots 1 and 2: its nodes take the eigenbasis
+    # kernel with a complex residual product
+    "complex_hermitian.json":
+        lambda: ArPencil(1, 2, [np.array([[0.75, 0.25j], [-0.25j, 0.75]])]),
 }
 
 
@@ -153,6 +157,8 @@ GRID = (
     # its absolute cut-off (for c = 1e5 only in verify's laurent-algebra contour)
     *model_rows(("--model", "coupled_1e5.json"), (0, 0, 1), item=6),
     *model_rows(("--model", "coupled_1e6.json"), (1, 1, 1), item=6),
+    # verify rightly refuses complex coefficients: the simulator needs real ones
+    *model_rows(("--model", "complex_hermitian.json"), (0, 0, 1)),
     Row(("represent", "ex-evenodd", "--jmax", "5"), 0),
     # above the highest h index the Taylor circle resolves
     Row(("represent", "ex-evenodd", "--jmax", "129"), 1),

@@ -104,9 +104,13 @@ class CompanionPencil:
     one SVD of J (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
 
     resolvent samples (I - z a1)^{-1} with one of two kernels, chosen once
-    per pencil: a product in a1's eigenbasis when a1 is Hermitian
-    (``hermitian_eig``, one eigh), else an LU inverse.  Both pass the same
-    residual check against the true I - z a1.
+    per pencil: one product in a1's eigenbasis when a1 is Hermitian
+    (``hermitian_eig``, one eigh, whose Q and Q^H ``hermitian_basis`` holds
+    as complex128), else an LU inverse.  Both check the same residual
+    (I - z a1) X - I; the eigenbasis kernel forms it as X - z (a1 X), with
+    a1 X one real product when a1 is real (``real_a1``, read once).
+    ``eigenvalues`` holds a1's eigenvalues, one eigvals per pencil, for
+    every spectrum_report of it.
     """
 
     a1: np.ndarray
@@ -135,6 +139,23 @@ class CompanionPencil:
         return eye
 
     @cached_property
+    def real_a1(self):
+        """a1 as a read-only float64 array when its imaginary part is exactly
+        zero, else None."""
+        if self.a1.imag.any():
+            return None
+        b = self.a1.real.copy()
+        b.flags.writeable = False
+        return b
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """a1's eigenvalues, one eigvals per pencil, read-only."""
+        eigs = np.linalg.eigvals(self.a1)
+        eigs.flags.writeable = False
+        return eigs
+
+    @cached_property
     def hermitian_eig(self):
         """(lam, Q, Q^H) with a1 = Q diag(lam) Q^H from one eigh of a1's
         Hermitian part, when max|a1 - a1^H| <= CUTOFFS["hermitian"] max|a1|
@@ -143,10 +164,22 @@ class CompanionPencil:
         b = self.a1
         if not within("hermitian", np.max(np.abs(b - b.conj().T)), np.max(np.abs(b))).holds:
             return None
-        if not b.imag.any():
-            b = b.real
+        if self.real_a1 is not None:
+            b = self.real_a1
         lam, q = np.linalg.eigh((b + b.conj().T) / 2)
         qh = q.conj().T
+        q.flags.writeable = qh.flags.writeable = False
+        return lam, q, qh
+
+    @cached_property
+    def hermitian_basis(self):
+        """hermitian_eig's (lam, Q, Q^H) with Q and Q^H as read-only
+        complex128, so resolvent's product casts neither per node; None when
+        hermitian_eig is."""
+        if self.hermitian_eig is None:
+            return None
+        lam, q, qh = self.hermitian_eig
+        q, qh = q.astype(np.complex128, copy=False), qh.astype(np.complex128, copy=False)
         q.flags.writeable = qh.flags.writeable = False
         return lam, q, qh
 
@@ -249,37 +282,43 @@ def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
 def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
     """(I - z*a1)^{-1}, with an explicit residual check.
 
-    Two kernels, chosen by the pencil.  When cp.hermitian_eig holds
-    (lam, Q, Q^H), the inverse is Q diag(1/(1 - z lam)) Q^H, one scaled
-    product, and an exact zero 1 - z lam raises SingularAt(z).  Otherwise
-    it is one LAPACK gesv against the identity right-hand side
-    (``np.linalg.inv``), the same factorization and the same bits as
-    ``np.linalg.solve(I - z*a1, I)``; a singular solve raises SingularAt(z).
+    Two kernels, chosen by the pencil.  When cp.hermitian_basis holds
+    (lam, Q, Q^H), the inverse is X = (Q diag(1/(1 - z lam))) Q^H, one
+    complex product, and an exact zero 1 - z lam raises SingularAt(z).
+    This kernel never forms I - z a1: its residual is R = X - z (a1 X) - I,
+    with a1 X one real product on X's float64 view when cp.real_a1 holds,
+    else one complex product.  Otherwise X is one LAPACK gesv against the
+    identity right-hand side (``np.linalg.inv``), the same factorization
+    and the same bits as ``np.linalg.solve(I - z*a1, I)``, a singular solve
+    raises SingularAt(z), and R = (I - z a1) X - I.
 
-    Both kernels share the check of the residual R = (I - z a1) X - I
-    against r = CUTOFFS["residual"] in the spectral norm.  The O(n^2)
-    squared Frobenius norm screens first, compared with r squared: it
-    bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts without an
-    SVD.  A non-finite screen (z a1 may overflow) raises SingularAt(z), and
-    any other R gets the exact spectral-norm test.
+    Both kernels check R against r = CUTOFFS["residual"] in the spectral
+    norm.  The O(n^2) squared Frobenius norm screens first, compared with r
+    squared: it bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts
+    without an SVD.  A non-finite screen (z a1 may overflow) raises
+    SingularAt(z), and any other R gets the exact spectral-norm test.
     """
-    eye = cp.identity()
-    lhs = z * cp.a1
-    np.subtract(eye, lhs, out=lhs)
-    eig = cp.hermitian_eig
-    if eig is not None:
-        lam, q, qh = eig
+    basis = cp.hermitian_basis
+    if basis is not None:
+        lam, q, qh = basis
         lhs_eigs = 1.0 - z * lam
         if not lhs_eigs.all():
             raise SingularAt(z)
         out = (q / lhs_eigs) @ qh
+        b = cp.real_a1
+        # a real a1 gives a1 X = a1 Re X + i a1 Im X: one product on X's interleaved float64 view
+        res = (b @ out.view(np.float64)).view(np.complex128) if b is not None else cp.a1 @ out
+        res *= -z
+        res += out
     else:
+        lhs = z * cp.a1
+        np.subtract(cp.identity(), lhs, out=lhs)
         try:
             out = np.linalg.inv(lhs)
         except np.linalg.LinAlgError as exc:
             raise SingularAt(z) from exc
-    res = lhs @ out
-    res -= eye
+        res = lhs @ out
+    res -= cp.identity()
     cut = CUTOFFS["residual"]  # read once per node: the screen builds no Decision
     screen = np.vdot(res, res).real
     if not (screen <= cut * cut
@@ -326,9 +365,10 @@ def spectrum_report(cp: CompanionPencil) -> SpectrumReport:
     Finite dimensions give the exact reciprocal relationship between
     companion eigenvalues and pencil singular points; a zero-scan of
     det A(z) is kept only as a test oracle.  The kernel chain at 1 is
-    cp.kernel_chain, so a repeat report on one pencil takes no SVD.
+    cp.kernel_chain and the eigenvalues are cp.eigenvalues, so a repeat
+    report on one pencil takes no SVD and no eigvals.
     """
-    eigs = np.linalg.eigvals(cp.a1)
+    eigs = cp.eigenvalues
     nonzero = eigs[np.abs(eigs) > CUTOFFS["rank"]]  # a zero eigenvalue has no pencil root
     roots = np.sort_complex(1.0 / nonzero)
 

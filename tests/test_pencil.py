@@ -102,46 +102,71 @@ def test_resolvent_singular_point_raises():
             resolvent(linearize(ar), z)
 
 
-def _screen_case():
-    """A dense pencil, a regular point and the residual resolvent computes there."""
+def _hermitian_part(a):
+    return (a + a.conj().T) / 2
+
+
+# one dense 12 x 12 coefficient per resolvent kernel: LU, and the eigenbasis
+# kernel with a real and with a complex residual product
+SCREEN_COEFFS = {
+    "general": lambda g, h: g,
+    "real_symmetric": lambda g, h: _hermitian_part(g),
+    "complex_hermitian": lambda g, h: _hermitian_part(g + 1j * h),
+}
+
+
+def _spy_svd_norms(monkeypatch):
+    """List that gets a copy of the residual of each pencil.operator_norm call."""
+    seen, real = [], pencil.operator_norm
+    monkeypatch.setattr(pencil, "operator_norm", lambda res: seen.append(res.copy()) or real(res))
+    return seen
+
+
+def _screen_case(kind, monkeypatch):
+    """A dense pencil of one kind, a regular point and the spectral and
+    Frobenius norms of the residual resolvent computes there, read off the
+    spectral-norm fallback that a zero cut-off forces."""
     rng = np.random.default_rng(7)
-    cp = linearize(ArPencil(1, 12, [0.3 * rng.standard_normal((12, 12))]))
+    g, h = 0.3 * rng.standard_normal((2, 12, 12))
+    cp = linearize(ArPencil(1, 12, [SCREEN_COEFFS[kind](g, h)]))
+    assert (cp.hermitian_basis is None) == (kind == "general")
     z = 0.8 + 0.3j
-    lhs = cp.identity() - z * cp.a1
-    res = lhs @ np.linalg.solve(lhs, cp.identity()) - cp.identity()
+    with monkeypatch.context() as m:
+        m.setitem(CUTOFFS, "residual", 0.0)
+        seen = _spy_svd_norms(m)
+        with pytest.raises(SingularAt):
+            resolvent(cp, z)
+    [res] = seen
     two, fro = np.linalg.norm(res, 2), np.linalg.norm(res)
     assert 0 < two < fro  # rounding residual of rank > 1: the screen can miss
     return cp, z, two, fro
 
 
-def _count_svd_norms(monkeypatch):
-    """List that grows by one per pencil.operator_norm call."""
-    calls, real = [], pencil.operator_norm
-    monkeypatch.setattr(pencil, "operator_norm", lambda *a, **k: calls.append(1) or real(*a, **k))
-    return calls
-
-
 def test_resolvent_screen_accepts_without_an_svd(monkeypatch):
-    cp, z, _, _ = _screen_case()
-    calls = _count_svd_norms(monkeypatch)
-    out = resolvent(cp, z)
-    assert calls == []
-    assert_allclose((cp.identity() - z * cp.a1) @ out, cp.identity(), atol=1e-12)
+    for kind in SCREEN_COEFFS:
+        with monkeypatch.context() as m:
+            cp, z, _, _ = _screen_case(kind, m)
+            calls = _spy_svd_norms(m)
+            out = resolvent(cp, z)
+            assert calls == [], kind
+            assert_allclose((cp.identity() - z * cp.a1) @ out, cp.identity(), atol=1e-12)
 
 
 def test_resolvent_screen_falls_back_to_the_spectral_norm(monkeypatch):
-    cp, z, two, fro = _screen_case()
-    default = resolvent(cp, z)
-    calls = _count_svd_norms(monkeypatch)
-    # ||R||_2 <= cut < ||R||_F: the screen misses, the exact test accepts
-    monkeypatch.setitem(CUTOFFS, "residual", (two + fro) / 2)
-    out = resolvent(cp, z)
-    assert calls == [1]
-    assert np.array_equal(out, default)
-    # cut < ||R||_2: the exact test rejects
-    monkeypatch.setitem(CUTOFFS, "residual", 0.5 * two)
-    with pytest.raises(SingularAt):
-        resolvent(cp, z)
+    for kind in SCREEN_COEFFS:
+        with monkeypatch.context() as m:
+            cp, z, two, fro = _screen_case(kind, m)
+            default = resolvent(cp, z)
+            calls = _spy_svd_norms(m)
+            # ||R||_2 <= cut < ||R||_F: the screen misses, the exact test accepts
+            m.setitem(CUTOFFS, "residual", (two + fro) / 2)
+            out = resolvent(cp, z)
+            assert len(calls) == 1, kind
+            assert np.array_equal(out, default)
+            # cut < ||R||_2: the exact test rejects
+            m.setitem(CUTOFFS, "residual", 0.5 * two)
+            with pytest.raises(SingularAt):
+                resolvent(cp, z)
 
 
 # z B overflows on every contour around 1, so the residual is not finite
@@ -154,6 +179,15 @@ def test_resolvent_with_a_non_finite_residual_is_singular():
         resolvent(cp, 1.4)
 
 
+def complex_hermitian_model(n, seed):
+    """B = U diag(1, lam) U^H, U a random unitary and lam in [-0.8, 0.8]:
+    a complex Hermitian B with a simple unit root."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lam = np.concatenate([[1.0], rng.uniform(-0.8, 0.8, n - 1)])
+    return ArPencil(1, n, [_hermitian_part((u * lam) @ u.conj().T)])
+
+
 HERMITIAN = {
     **{f"evenodd{n}": lambda n=n: build_example("ex-evenodd", n=n)[0]
        for n in (8, 16, 32, 64, 128)},
@@ -162,6 +196,7 @@ HERMITIAN = {
     "identity": lambda: random_walk_model(2),
     "walks_and_ar1": lambda: ArPencil(1, 3, [np.diag([1.0, 1.0, 0.5])]),
     "complex": lambda: ArPencil(1, 2, [np.array([[1.0, 0.5j], [-0.5j, 0.3]])]),
+    "complex32": lambda: complex_hermitian_model(32, 0),
 }
 NOT_HERMITIAN = {
     "c0": lambda: build_example("ex-c0")[0],
@@ -181,16 +216,50 @@ def test_hermitian_operator_is_sampled_in_its_eigenbasis(make):
     assert q.dtype == (np.float64 if not cp.a1.imag.any() else np.complex128)
     assert_allclose((q * lam) @ qh, cp.a1, rtol=0, atol=1e-13)
     assert cp.hermitian_eig is cp.hermitian_eig  # one eigh per pencil
+    # the nodes read one complex copy of the same basis, built once per pencil
+    basis = cp.hermitian_basis
+    assert basis is cp.hermitian_basis
+    assert basis[0] is lam
+    for real, copy in zip((q, qh), basis[1:]):
+        assert copy.dtype == np.complex128 and not copy.flags.writeable
+        assert np.array_equal(copy, real)
+    resolvent(cp, 0.5j)
+    assert cp.hermitian_basis is basis
 
 
 @pytest.mark.parametrize("make", NOT_HERMITIAN.values(), ids=NOT_HERMITIAN.keys())
 def test_other_operators_keep_the_lu_kernel(make):
-    assert linearize(make()).hermitian_eig is None
+    cp = linearize(make())
+    assert cp.hermitian_eig is None and cp.hermitian_basis is None
 
 
-@pytest.mark.parametrize("name", ["ex-evenodd", "ex-selfadjoint"])
-def test_hermitian_kernel_matches_the_lu_inverse_on_the_default_circle(monkeypatch, name):
-    cp = linearize(build_example(name)[0])
+@pytest.mark.parametrize("ar", [two_lag_fixture(), build_example("ex-evenodd", n=8)[0],
+                                ArPencil(1, 2, [np.diag([1.0, 0.5j])]),
+                                complex_hermitian_model(4, 1)],
+                         ids=["real-ar2", "real-hermitian", "complex", "complex-hermitian"])
+def test_a_real_operator_is_read_once_as_float64(ar):
+    cp = linearize(ar)
+    b = cp.real_a1
+    assert b is cp.real_a1
+    if cp.a1.imag.any():
+        assert b is None
+    else:
+        assert b.dtype == np.float64 and not b.flags.writeable
+        assert np.array_equal(b, cp.a1)
+
+
+HERMITIAN_CIRCLES = {
+    "ex-evenodd": lambda: build_example("ex-evenodd")[0],
+    "ex-selfadjoint": lambda: build_example("ex-selfadjoint")[0],
+    "ex-evenodd-128": lambda: build_example("ex-evenodd", n=128)[0],
+    "ex-selfadjoint-128": lambda: build_example("ex-selfadjoint", n=128)[0],
+    "complex32": lambda: complex_hermitian_model(32, 0),
+}
+
+
+@pytest.mark.parametrize("make", HERMITIAN_CIRCLES.values(), ids=HERMITIAN_CIRCLES.keys())
+def test_hermitian_kernel_matches_the_lu_inverse_on_the_default_circle(monkeypatch, make):
+    cp = linearize(make())
     radius = pick_radius(spectrum_report(cp))
     zs = 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32)
     expected = [np.linalg.inv(cp.identity() - z * cp.a1) for z in zs]
@@ -199,6 +268,17 @@ def test_hermitian_kernel_matches_the_lu_inverse_on_the_default_circle(monkeypat
     for z, inv in zip(zs, expected):
         assert np.max(np.abs(resolvent(cp, z) - inv)) <= 1e-13
     assert lu_calls == []
+
+
+def test_repeat_reports_of_one_pencil_share_one_eigvals(monkeypatch):
+    cp = linearize(build_example("ex-c0")[0])
+    calls, real = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real(a))
+    first, second = spectrum_report(cp), spectrum_report(cp)
+    assert calls == [1]
+    assert second.eigenvalues is first.eigenvalues is cp.eigenvalues
+    assert not cp.eigenvalues.flags.writeable
+    assert first.to_json() == second.to_json()
 
 
 def test_spectrum_unit_root_detected():
