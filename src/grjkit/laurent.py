@@ -80,14 +80,17 @@ def pick_radius(report: SpectrumReport) -> float:
 
 
 def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
-    """Laurent coefficients a_j of a matrix-valued analytic function.
+    """Laurent coefficients a_j of an array-valued analytic function.
 
-    Standard convention here: fn(z) = sum_j a_j (z - center)^j.  The
-    trapezoid rule on the circle |z - center| = radius is spectrally
-    accurate; node count doubles from ``nodes`` (in [MIN_NODES,
-    MAX_NODES)) until successive results differ by at most
-    CUTOFFS["quadrature"], else ContourNotConverged at MAX_NODES.  Returns
-    (coeffs, nodes, last_change).  Each refinement level reads the
+    Standard convention here: fn(z) = sum_j a_j (z - center)^j, with fn's
+    samples of any one shape.  The trapezoid rule on the circle
+    |z - center| = radius is spectrally accurate; node count doubles from
+    ``nodes`` (in [MIN_NODES, MAX_NODES)) until successive results differ by
+    at most CUTOFFS["quadrature"], else ContourNotConverged at MAX_NODES.
+    The change between levels is the spectral norm of the difference for a
+    matrix, and max |difference| for a vector, the spectral norm of the
+    diagonal operator it holds (contour_coefficients' eigen-coordinates).
+    Returns (coeffs, nodes, last_change).  Each refinement level reads the
     requested j as the weighted sum W @ samples, W[i, m] = e^{-i j_i theta_m};
     the exponent j_i m is reduced mod M and looked up in a table of the
     M-th roots of unity, so large |j| costs no accuracy.
@@ -139,7 +142,7 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
     while m < MAX_NODES:
         m *= 2
         refined = evaluate(m)
-        change = within("quadrature", max(operator_norm(refined[j] - current[j]) for j in js))
+        change = within("quadrature", max(_spectral_norm(refined[j] - current[j]) for j in js))
         current = refined
         if change.holds:
             break
@@ -147,6 +150,11 @@ def circle_coefficients(fn, js, center=1.0, radius=0.5, nodes=DEFAULT_NODES):
         raise ContourNotConverged(
             f"quadrature change {change.value:.2e} above {change.bound:.0e} at {m} nodes")
     return current, m, change.value
+
+
+def _spectral_norm(a) -> float:
+    """||a||_2 of a matrix, or of diag(a) for a vector."""
+    return float(np.max(np.abs(a))) if a.ndim == 1 else operator_norm(a)
 
 
 def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=None):
@@ -162,13 +170,25 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=
     radius 1 + eta is refused even when pick_radius would be positive.
     Without a unit root the integrand is analytic and the principal
     coefficients vanish.
+
+    On a Hermitian pencil (cp.hermitian_basis holds lam, Q, Q^H) each node
+    is still one resolvent call, but it returns the eigen-coordinates
+    1/(1 - z lam), n numbers, after resolvent's a-priori residual bound.
+    The circle integrates those vectors into c_j, and N_j = -Q diag(c_j) Q^H
+    is one product per index.  The nodes, levels and stopping rule are the
+    same as for full samples: max |c_j - c_j'| is ||diag(c_j - c_j')||_2.
     """
     rep = spectrum if spectrum is not None else spectrum_report(cp)
     if rep.unit_root_present:
         require_unit_root(rep)
+    basis = cp.hermitian_basis
     coeffs, _, _ = circle_coefficients(
-        lambda z: resolvent(cp, z), js, center=1.0, radius=pick_radius(rep), nodes=nodes)
-    return {j: -coeffs[j] for j in js}
+        lambda z: resolvent(cp, z, coordinates=basis is not None), js, center=1.0,
+        radius=pick_radius(rep), nodes=nodes)
+    if basis is None:
+        return {j: -coeffs[j] for j in js}
+    _, q, qh = basis
+    return {j: (q * -coeffs[j]) @ qh for j in js}
 
 
 def riesz_projection(cp: CompanionPencil, spectrum=None) -> np.ndarray:

@@ -21,7 +21,7 @@ Conventions
   decision; no caller tunes any.  A scalar decision goes through
   within(kind, value, scale), which returns the value and its bound with
   the verdict; vectorised ones (the rank rule, the unit-cluster masks, the
-  resolvent's per-node screen) read their entry directly.
+  resolvent's per-node screen and bound) read their entry directly.
 * Rank decisions are Euclidean-SVD decisions regardless of the reporting
   norm: numerical rank is an SVD concept, while the one/two/sup norms
   only matter for reported norm values.  They all cut at CUTOFFS["rank"]

@@ -21,6 +21,7 @@ I(2) holds if and only if K is nontrivial and J = Y^H M^+ K is nonsingular
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,10 @@ import numpy as np
 from .numfield import (CUTOFFS, NORM_KINDS, as_operator, _json_int, _kernel_chain, dump_json,
                        kernel_and_range, matrix_from_json, matrix_to_json, operator_norm,
                        within)
+
+
+# backward error of a pencil's eigh and the rounding constant of its nodes (eigh_error)
+EighError = namedtuple("EighError", "e f lam_max q_fro2 gamma")
 
 
 class SingularAt(ArithmeticError):
@@ -104,13 +109,13 @@ class CompanionPencil:
     one SVD of J (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
 
     resolvent samples (I - z a1)^{-1} with one of two kernels, chosen once
-    per pencil: one product in a1's eigenbasis when a1 is Hermitian
-    (``hermitian_eig``, one eigh, whose Q and Q^H ``hermitian_basis`` holds
-    as complex128), else an LU inverse.  Both check the same residual
-    (I - z a1) X - I; the eigenbasis kernel forms it as X - z (a1 X), with
-    a1 X one real product when a1 is real (``real_a1``, read once).
-    ``eigenvalues`` holds a1's eigenvalues, one eigvals per pencil, for
-    every spectrum_report of it.
+    per pencil: in a1's eigenbasis when a1 is Hermitian (``hermitian_eig``,
+    one eigh, whose Q and Q^H ``hermitian_basis`` holds as complex128), else
+    an LU inverse.  The eigenbasis kernel checks each node against an a-priori
+    bound built from the eigh's backward error (``eigh_error``, two products
+    once per pencil, with a1 read as float64 when it is real: ``real_a1``);
+    the LU kernel measures its residual.  ``eigenvalues`` holds a1's
+    eigenvalues, one eigvals per pencil, for every spectrum_report of it.
     """
 
     a1: np.ndarray
@@ -174,14 +179,41 @@ class CompanionPencil:
     @cached_property
     def hermitian_basis(self):
         """hermitian_eig's (lam, Q, Q^H) with Q and Q^H as read-only
-        complex128, so resolvent's product casts neither per node; None when
-        hermitian_eig is."""
+        complex128, so neither resolvent's full sample nor contour_coefficients'
+        Q diag(c_j) Q^H casts them per call; None when hermitian_eig is."""
         if self.hermitian_eig is None:
             return None
         lam, q, qh = self.hermitian_eig
         q, qh = q.astype(np.complex128, copy=False), qh.astype(np.complex128, copy=False)
         q.flags.writeable = qh.flags.writeable = False
         return lam, q, qh
+
+    @cached_property
+    def eigh_error(self):
+        """EighError(e, f, lam_max, q_fro2, gamma) of hermitian_eig's (lam, Q,
+        Q^H), None when hermitian_eig is: e >= ||a1 - Q diag(lam) Q^H||_2
+        against the true a1 (so e covers a1's anti-Hermitian part too), f >=
+        ||Q^H Q - I||_2, lam_max = max |lam|, q_fro2 = n (1 + f) >= ||Q||_F^2,
+        and gamma = 2 gamma_{n+6} (gamma_k = k u / (1 - k u), u = 2^-53, n =
+        big_dim), which covers the rounding of one length-n complex inner
+        product, a scaling and a division (Higham 2002, sec. 3.1-3.6).  Each
+        of e and f is the Frobenius norm of its computed residual plus gamma
+        times ||Q||_F^2 (times lam_max for e), the entrywise bound on the
+        rounding of its product; f's own rounding term reads ||Q||_F^2 <= n (1
+        + f), hence its divisor 1 - gamma n."""
+        if self.hermitian_eig is None:
+            return None
+        lam, q, qh = self.hermitian_eig
+        n = self.big_dim
+        b = self.a1 if self.real_a1 is None else self.real_a1
+        u = np.finfo(np.float64).eps / 2
+        gamma = 2 * (n + 6) * u / (1 - (n + 6) * u)
+        gram = qh @ q
+        gram[np.diag_indices(n)] -= 1.0  # exact: each diagonal entry is near 1
+        f = ((1 + gamma) * float(np.linalg.norm(gram)) + gamma * n) / (1 - gamma * n)
+        lam_max, q_fro2 = float(np.max(np.abs(lam))), n * (1 + f)
+        e = (1 + gamma) * float(np.linalg.norm(b - (q * lam) @ qh)) + gamma * lam_max * q_fro2
+        return EighError(e, f, lam_max, q_fro2, gamma)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -279,45 +311,65 @@ def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
     return out
 
 
-def resolvent(cp: CompanionPencil, z: complex) -> np.ndarray:
-    """(I - z*a1)^{-1}, with an explicit residual check.
+def residual_bound(cp: CompanionPencil, z: complex, lhs_eigs: np.ndarray) -> float:
+    """Upper bound on ||(I - z a1) X - I||_2 for the sample X that resolvent
+    forms at z on a Hermitian pencil, lhs_eigs = 1 - z lam as computed there.
+
+    With EighError (e, f, lam_max, q_fro2, gamma) = cp.eigh_error, s = |z|,
+    a = lam_max and g = max_k 1/|1 - z lam_k|, the exact X = Q diag(d) Q^H
+    (d_k = 1/(1 - z lam_k)) leaves the residual
+    (QQ^H - I) - z Q diag(lam) (Q^H Q - I) diag(d) Q^H - z E Q diag(d) Q^H,
+    E = a1 - Q diag(lam) Q^H, whose norm is at most f + s (1 + f)(a f + e) g
+    (Higham 2002, normwise backward error).  Rounding adds (1 + f) gamma
+    (1 + s a g) for the computed 1 - z lam_k and (1 + s((1 + f) a + e)) gamma
+    q_fro2 g, ||I - z a1||_2 times the bound gamma |Q| diag(|d|) |Q^H| on
+    forming X.  NaN when an input is not finite.
+    """
+    e, f, a, q_fro2, gamma = cp.eigh_error
+    s, g = abs(z), 1.0 / float(np.min(np.abs(lhs_eigs)))
+    return (f + (1 + f) * (gamma * (1 + s * a * g) + s * g * (a * f + e))
+            + (1 + s * ((1 + f) * a + e)) * gamma * q_fro2 * g)
+
+
+def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.ndarray:
+    """(I - z*a1)^{-1}, checked against r = CUTOFFS["residual"].
 
     Two kernels, chosen by the pencil.  When cp.hermitian_basis holds
-    (lam, Q, Q^H), the inverse is X = (Q diag(1/(1 - z lam))) Q^H, one
-    complex product, and an exact zero 1 - z lam raises SingularAt(z).
-    This kernel never forms I - z a1: its residual is R = X - z (a1 X) - I,
-    with a1 X one real product on X's float64 view when cp.real_a1 holds,
-    else one complex product.  Otherwise X is one LAPACK gesv against the
-    identity right-hand side (``np.linalg.inv``), the same factorization
-    and the same bits as ``np.linalg.solve(I - z*a1, I)``, a singular solve
-    raises SingularAt(z), and R = (I - z a1) X - I.
+    (lam, Q, Q^H), the check costs O(n): an exact zero 1 - z lam raises
+    SingularAt(z), and so does residual_bound(cp, z, 1 - z lam) above r or
+    not finite.  That bound is an upper bound on the residual
+    ||(I - z a1) X - I||_2 of the X returned, so it never accepts a node the
+    measured residual would refuse, and no n x n residual is formed.  The
+    sample is X = (Q diag(1/(1 - z lam))) Q^H, one product, or, with
+    coordinates=True (contour_coefficients' integrand), just the vector
+    1/(1 - z lam) of its eigen-coordinates, O(n) in all.
 
-    Both kernels check R against r = CUTOFFS["residual"] in the spectral
-    norm.  The O(n^2) squared Frobenius norm screens first, compared with r
+    Otherwise X is one LAPACK gesv against the identity right-hand side
+    (``np.linalg.inv``), the same factorization and the same bits as
+    ``np.linalg.solve(I - z*a1, I)``, a singular solve raises SingularAt(z),
+    and the residual R = (I - z a1) X - I is measured in the spectral norm.
+    The O(n^2) squared Frobenius norm screens first, compared with r
     squared: it bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts
     without an SVD.  A non-finite screen (z a1 may overflow) raises
     SingularAt(z), and any other R gets the exact spectral-norm test.
+    coordinates=True on this kernel is a ValueError.
     """
     basis = cp.hermitian_basis
     if basis is not None:
         lam, q, qh = basis
         lhs_eigs = 1.0 - z * lam
-        if not lhs_eigs.all():
+        if not (lhs_eigs.all() and residual_bound(cp, z, lhs_eigs) <= CUTOFFS["residual"]):
             raise SingularAt(z)
-        out = (q / lhs_eigs) @ qh
-        b = cp.real_a1
-        # a real a1 gives a1 X = a1 Re X + i a1 Im X: one product on X's interleaved float64 view
-        res = (b @ out.view(np.float64)).view(np.complex128) if b is not None else cp.a1 @ out
-        res *= -z
-        res += out
-    else:
-        lhs = z * cp.a1
-        np.subtract(cp.identity(), lhs, out=lhs)
-        try:
-            out = np.linalg.inv(lhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAt(z) from exc
-        res = lhs @ out
+        return 1.0 / lhs_eigs if coordinates else (q / lhs_eigs) @ qh
+    if coordinates:
+        raise ValueError("eigen-coordinates need a Hermitian pencil")
+    lhs = z * cp.a1
+    np.subtract(cp.identity(), lhs, out=lhs)
+    try:
+        out = np.linalg.inv(lhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularAt(z) from exc
+    res = lhs @ out
     res -= cp.identity()
     cut = CUTOFFS["residual"]  # read once per node: the screen builds no Decision
     screen = np.vdot(res, res).real

@@ -19,6 +19,7 @@ from grjkit.laurent import (MAX_NODES, ContourNotConverged, NoUnitRoot,
 from grjkit.models import evenodd_model, volterra_model
 from grjkit.numfield import ascent_at_one, operator_norm
 from grjkit.pencil import ArPencil, SingularAt, linearize, resolvent, spectrum_report
+from test_pencil import HERMITIAN_CIRCLES
 
 
 def diag_fixture():
@@ -399,3 +400,49 @@ def test_laurent_algebra_gap_sees_a_perturbed_coefficient(shift8_cp, perturb_coe
     # the algebra itself has to catch it
     perturb_coefficient(2)
     assert laurent_algebra_gap(shift8_cp) == pytest.approx(4e-5, rel=1e-3)
+
+
+def _on_the_lu_kernel(cp):
+    """The same pencil with no eigenbasis, so every node is an LU inverse."""
+    lu = linearize(cp.ar)
+    lu.__dict__["hermitian_basis"] = None  # cached_property: the instance entry wins
+    return lu
+
+
+@pytest.mark.parametrize("make", HERMITIAN_CIRCLES.values(), ids=HERMITIAN_CIRCLES.keys())
+def test_eigen_coordinate_contour_matches_the_lu_kernel(monkeypatch, make):
+    cp = linearize(make())
+    assert cp.hermitian_basis is not None
+    levels, circle = [], laurent.circle_coefficients
+
+    def counted(*args, **kwargs):
+        out = circle(*args, **kwargs)
+        levels.append(out[1])
+        return out
+
+    monkeypatch.setattr(laurent, "circle_coefficients", counted)
+    js = [-2, -1, 0, 1, 2]
+    coords = contour_coefficients(cp, js)
+    full = contour_coefficients(_on_the_lu_kernel(cp), js)
+    assert len(levels) == 2 and levels[0] == levels[1]
+    for j in js:
+        scale = max(1.0, operator_norm(full[j]))
+        assert np.max(np.abs(coords[j] - full[j])) <= 1e-13 * scale, j
+
+
+@pytest.mark.parametrize("make", HERMITIAN_CIRCLES.values(), ids=HERMITIAN_CIRCLES.keys())
+def test_hermitian_contour_nodes_sample_eigen_coordinates(monkeypatch, make):
+    cp = linearize(make())
+    shapes, sample = [], laurent.resolvent
+
+    def spied(*args, **kwargs):
+        out = sample(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(laurent, "resolvent", spied)
+    contour_coefficients(cp, [-2, -1, 0, 1, 2])
+    pole_order(cp)
+    # two circles of at least 256 + 512 nodes, and every node a length-n
+    # vector: no per-node n x n product
+    assert len(shapes) >= 2 * 768 and set(shapes) == {(cp.big_dim,)}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grjkit import pencil
+from grjkit import laurent, pencil
 from grjkit.laurent import pick_radius
 from grjkit.models import (build_example, ill_conditioned_model, jordan_model,
                            random_walk_model, volterra_model)
@@ -107,12 +107,21 @@ def _hermitian_part(a):
 
 
 # one dense 12 x 12 coefficient per resolvent kernel: LU, and the eigenbasis
-# kernel with a real and with a complex residual product
+# kernel on a real and on a complex basis
 SCREEN_COEFFS = {
     "general": lambda g, h: g,
     "real_symmetric": lambda g, h: _hermitian_part(g),
     "complex_hermitian": lambda g, h: _hermitian_part(g + 1j * h),
 }
+SCREEN_Z = 0.8 + 0.3j
+
+
+def _screen_pencil(kind):
+    rng = np.random.default_rng(7)
+    g, h = 0.3 * rng.standard_normal((2, 12, 12))
+    cp = linearize(ArPencil(1, 12, [SCREEN_COEFFS[kind](g, h)]))
+    assert (cp.hermitian_basis is None) == (kind == "general")
+    return cp
 
 
 def _spy_svd_norms(monkeypatch):
@@ -126,11 +135,7 @@ def _screen_case(kind, monkeypatch):
     """A dense pencil of one kind, a regular point and the spectral and
     Frobenius norms of the residual resolvent computes there, read off the
     spectral-norm fallback that a zero cut-off forces."""
-    rng = np.random.default_rng(7)
-    g, h = 0.3 * rng.standard_normal((2, 12, 12))
-    cp = linearize(ArPencil(1, 12, [SCREEN_COEFFS[kind](g, h)]))
-    assert (cp.hermitian_basis is None) == (kind == "general")
-    z = 0.8 + 0.3j
+    cp, z = _screen_pencil(kind), SCREEN_Z
     with monkeypatch.context() as m:
         m.setitem(CUTOFFS, "residual", 0.0)
         seen = _spy_svd_norms(m)
@@ -142,19 +147,59 @@ def _screen_case(kind, monkeypatch):
     return cp, z, two, fro
 
 
+def _node_bound(cp, z):
+    """The residual bound resolvent checks at z on a Hermitian pencil."""
+    return pencil.residual_bound(cp, z, 1.0 - z * cp.hermitian_basis[0])
+
+
 def test_resolvent_screen_accepts_without_an_svd(monkeypatch):
     for kind in SCREEN_COEFFS:
         with monkeypatch.context() as m:
-            cp, z, _, _ = _screen_case(kind, m)
+            if kind == "general":
+                cp, z, _, _ = _screen_case(kind, m)
+            else:
+                # the Hermitian kernel's a-priori bound accepts on its own
+                cp, z = _screen_pencil(kind), SCREEN_Z
+                assert 0 < _node_bound(cp, z) <= CUTOFFS["residual"]
             calls = _spy_svd_norms(m)
             out = resolvent(cp, z)
             assert calls == [], kind
             assert_allclose((cp.identity() - z * cp.a1) @ out, cp.identity(), atol=1e-12)
 
 
+def _planted_basis_error(monkeypatch, kind):
+    """Every later eigh returns Q + 1e-6 W (W of the basis' dtype, unit
+    normal entries), a basis error far above the rounding of an eigh."""
+    real_eigh, rng = np.linalg.eigh, np.random.default_rng(3)
+
+    def planted(a):
+        lam, q = real_eigh(a)
+        noise = rng.standard_normal(q.shape)
+        if kind == "complex_hermitian":
+            noise = noise + 1j * rng.standard_normal(q.shape)
+        return lam, q + 1e-6 * noise
+
+    monkeypatch.setattr(np.linalg, "eigh", planted)
+
+
 def test_resolvent_screen_falls_back_to_the_spectral_norm(monkeypatch):
     for kind in SCREEN_COEFFS:
         with monkeypatch.context() as m:
+            if kind != "general":
+                # no fallback on the Hermitian kernel: a planted basis error
+                # lifts the bound above the cut, and the first node of the
+                # default circle raises SingularAt without an SVD
+                _planted_basis_error(m, kind)
+                cp = _screen_pencil(kind)
+                z = 1.0 + pick_radius(spectrum_report(cp))
+                assert _node_bound(cp, z) > CUTOFFS["residual"]
+                calls, nodes, sample = _spy_svd_norms(m), [], laurent.resolvent
+                m.setattr(laurent, "resolvent",
+                          lambda c, z, **kw: nodes.append(z) or sample(c, z, **kw))
+                with pytest.raises(SingularAt) as err:
+                    laurent.contour_coefficients(cp, [-1])
+                assert nodes == [z] and err.value.z == z and calls == [], kind
+                continue
             cp, z, two, fro = _screen_case(kind, m)
             default = resolvent(cp, z)
             calls = _spy_svd_norms(m)
@@ -227,10 +272,38 @@ def test_hermitian_operator_is_sampled_in_its_eigenbasis(make):
     assert cp.hermitian_basis is basis
 
 
+@pytest.mark.parametrize("make", HERMITIAN.values(), ids=HERMITIAN.keys())
+def test_residual_bound_is_no_looser_than_the_measured_residual(make):
+    # on 32 nodes of the default circle: measured ||(I - zB)X - I||_2 <= bound <= cut
+    cp = linearize(make())
+    radius = pick_radius(spectrum_report(cp))
+    for z in 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32):
+        measured = np.linalg.norm((cp.identity() - z * cp.a1) @ resolvent(cp, z) - cp.identity(), 2)
+        assert measured <= _node_bound(cp, z) <= CUTOFFS["residual"], z
+
+
+def test_eigh_error_bounds_the_backward_error():
+    rng = np.random.default_rng(0)
+    b = complex_hermitian_model(16, 2).coeffs[0]
+    skew = rng.standard_normal((16, 16))
+    # an anti-Hermitian part below the Hermitian cut-off: e is measured
+    # against a1 itself, not against the Hermitian part that eigh reads
+    for a1 in (b, b + 1e-16 * (skew - skew.T)):
+        cp = linearize(ArPencil(1, 16, [a1]))
+        lam, q, qh = cp.hermitian_eig
+        err = cp.eigh_error
+        assert err is cp.eigh_error  # once per pencil
+        assert np.linalg.norm(cp.a1 - (q * lam) @ qh, 2) <= err.e < 1e-12
+        assert np.linalg.norm(qh @ q - np.eye(16), 2) <= err.f < 1e-12
+        assert err.lam_max == np.max(np.abs(lam)) and err.q_fro2 >= np.linalg.norm(q) ** 2
+
+
 @pytest.mark.parametrize("make", NOT_HERMITIAN.values(), ids=NOT_HERMITIAN.keys())
 def test_other_operators_keep_the_lu_kernel(make):
     cp = linearize(make())
-    assert cp.hermitian_eig is None and cp.hermitian_basis is None
+    assert cp.hermitian_eig is None and cp.hermitian_basis is None and cp.eigh_error is None
+    with pytest.raises(ValueError):
+        resolvent(cp, 0.5j, coordinates=True)
 
 
 @pytest.mark.parametrize("ar", [two_lag_fixture(), build_example("ex-evenodd", n=8)[0],
