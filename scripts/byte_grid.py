@@ -95,6 +95,10 @@ MODEL_FILES = {
     # kernel with a complex residual product
     "complex_hermitian.json":
         lambda: ArPencil(1, 2, [np.array([[0.75, 0.25j], [-0.25j, 0.75]])]),
+    # the textbook I(2) law: second differences are white noise, scalar
+    # (A_1 = 2, A_2 = -1) and bivariate (A_1 = 2I, A_2 = -I)
+    "double_difference.json": lambda: ArPencil(2, 1, [np.array([[2.0]]), np.array([[-1.0]])]),
+    "double_difference_2d.json": lambda: ArPencil(2, 2, [2.0 * np.eye(2), -np.eye(2)]),
 }
 
 
@@ -159,6 +163,12 @@ GRID = (
     *model_rows(("--model", "coupled_1e6.json"), (1, 1, 1), item=6),
     # verify rightly refuses complex coefficients: the simulator needs real ones
     *model_rows(("--model", "complex_hermitian.json"), (0, 0, 1)),
+    # pole order 2, I(1) fails and I(2) holds, read as no usable unit root:
+    # the kernel chain cuts D_1, pure rounding here, relative to its own norm
+    # and stops at (0, 1) or (0, 2), so the second eigenvalue of B, 1.5e-8
+    # from 1, counts as another root inside the isolation margin
+    *model_rows(("--model", "double_difference.json"), (2, 2, 2), item=8),
+    *model_rows(("--model", "double_difference_2d.json"), (2, 2, 2), item=8),
     Row(("represent", "ex-evenodd", "--jmax", "5"), 0),
     # above the highest h index the Taylor circle resolves
     Row(("represent", "ex-evenodd", "--jmax", "129"), 1),

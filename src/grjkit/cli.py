@@ -363,14 +363,47 @@ def cmd_verify(args) -> int:
     spectrum = _spectrum(cp, args)
     if not spectrum.unit_root_ok:
         return _EXIT_NO_UNIT_ROOT
-    seed = args.seed or 0
-    results: list = []
+    # the analytic checks run before the two simulations, so a model whose
+    # contour fails pays for neither; the report lists the path's checks first
+    analytic: list = []
+    pole = pole_order(cp, spectrum=spectrum)
+    _check(analytic, "pole-order-routes", pole.routes_agree,
+           {"order": pole.order, "ascent": pole.ascent})
+
+    gap = laurent_algebra_gap(cp)
+    _check_bounded(analytic, "laurent-algebra", gap, {"worst_scaled_gap": gap})
+
+    # class components: at most one of the two families applies.
+    report = _components(cp, args)
+    if report is not None:
+        cross = float(report.cross_check_residual)
+        if report.order == 1:  # fold the Taylor-route gap over h_0..h_jmax into P's check
+            cross = float(max(cross, taylor_h_gap(cp, report.h_coeffs, 1)))
+        _check_bounded(analytic, "p-cross-check", cross, {"residual": cross})
+
+        # contour-route Taylor coefficients against the closed-form h list
+        j_cap = min(20, len(report.h_coeffs) - 1)
+        closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
+        # 512 start nodes: one level above the library's start
+        worst = taylor_h_gap(cp, closed, report.order, nodes=512)
+        _check_bounded(analytic, "h-coefficient cross-check", worst,
+                       {"worst_gap": worst, "j_cap": j_cap})
+
+        if report.order == 2:
+            n2 = np.asarray(report.n_minus2)
+            scale = max(1.0, operator_norm(n2))
+            left = operator_norm(cp.a1 @ n2 - n2) / scale
+            right = operator_norm(n2 @ cp.a1 - n2) / scale
+            _check_bounded(analytic, "n2-cross-check", max(left, right),
+                           {"left": left, "right": right})
 
     # determinism: the same seed twice gives the same states bit for bit;
     # a stored path must match the CSV bytes of a fresh simulation under
     # the same settings, read as bytes so that no line ending is
     # translated; the path is encoded only for --path.  The
     # representation check below reads the same path.
+    seed = args.seed or 0
+    results: list = []
     path = _simulate(ar, args.horizon, seed, model_id)
     again = _simulate(ar, args.horizon, seed, model_id)
     ok = path.states.tobytes() == again.states.tobytes()
@@ -388,38 +421,9 @@ def cmd_verify(args) -> int:
 
     residual = recursion_residual(ar, path)
     _check_bounded(results, "recursion", residual, {"residual": residual})
-
-    pole = pole_order(cp, spectrum=spectrum)
-    _check(results, "pole-order-routes", pole.routes_agree,
-           {"order": pole.order, "ascent": pole.ascent})
-
-    gap = laurent_algebra_gap(cp)
-    _check_bounded(results, "laurent-algebra", gap, {"worst_scaled_gap": gap})
-
-    # class components: at most one of the two families applies.
-    report = _components(cp, args)
+    results += analytic
     if report is None:
         return _finish_verify(results, model_id, args, no_class=True)
-    cross = float(report.cross_check_residual)
-    if report.order == 1:  # fold the Taylor-route gap over h_0..h_jmax into P's check
-        cross = float(max(cross, taylor_h_gap(cp, report.h_coeffs, 1)))
-    _check_bounded(results, "p-cross-check", cross, {"residual": cross})
-
-    # contour-route Taylor coefficients against the closed-form h list
-    j_cap = min(20, len(report.h_coeffs) - 1)
-    closed = [np.asarray(h) for h in report.h_coeffs[:j_cap + 1]]
-    # 512 start nodes: one level above the library's start
-    worst = taylor_h_gap(cp, closed, report.order, nodes=512)
-    _check_bounded(results, "h-coefficient cross-check", worst,
-                   {"worst_gap": worst, "j_cap": j_cap})
-
-    if report.order == 2:
-        n2 = np.asarray(report.n_minus2)
-        scale = max(1.0, operator_norm(n2))
-        left = operator_norm(cp.a1 @ n2 - n2) / scale
-        right = operator_norm(n2 @ cp.a1 - n2) / scale
-        _check_bounded(results, "n2-cross-check", max(left, right),
-                       {"left": left, "right": right})
 
     try:
         check = verify_representation(ar, path, report)

@@ -17,7 +17,7 @@ pencil geometries:
                  planted blocks at 1 and a stable remainder; the planted
                  block sizes are the ground truth for pole-order oracles
 
-Also provides the AR(2)/AR(3) factor-product fixtures used by the
+Also provides the AR(2) factor-product fixtures used by the
 simulation and consistency tests, and an ill-conditioned AR(1) used by
 the exit-code tests and the byte grid.  All randomness is keyed by the
 caller's seed, so every builder is reproducible.
@@ -202,17 +202,6 @@ def ar2_double_root_model(seed: int = 13) -> ArPencil:
     rng = _rng(seed, lane=4)
     phi = _semisimple_unit_factor(rng, 2)
     return factor_product([phi, phi])
-
-
-def ar3_unit_root_model(seed: int = 17) -> ArPencil:
-    """Seeded AR(3) on C^2 with a simple unit root: one unit factor, two
-    stable factors with distinct spectral radii."""
-    n = 2
-    rng = _rng(seed, lane=5)
-    phi0 = _semisimple_unit_factor(rng, n)
-    phi1 = _stable_factor(rng, n, radius=0.45)
-    phi2 = _stable_factor(rng, n, radius=0.3)
-    return factor_product([phi2, phi1, phi0])
 
 
 def ill_conditioned_model(k: int, seed: int) -> ArPencil:

@@ -301,16 +301,6 @@ def linearize(ar: ArPencil) -> CompanionPencil:
     return CompanionPencil(a1=a1, ar=ar)
 
 
-def eval_poly(ar: ArPencil, z: complex) -> np.ndarray:
-    """A(z) = I - z A_1 - ... - z^p A_p."""
-    out = np.eye(ar.dim, dtype=np.complex128)
-    zk = 1.0 + 0j
-    for a in ar.coeffs:
-        zk *= z
-        out = out - zk * a
-    return out
-
-
 def residual_bound(cp: CompanionPencil, z: complex, lhs_eigs: np.ndarray) -> float:
     """Upper bound on ||(I - z a1) X - I||_2 for the sample X that resolvent
     forms at z on a Hermitian pencil, lhs_eigs = 1 - z lam as computed there.

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cointegration import annihilators, positive_definite_check
-from .grj import I1Report, I2Report, NotI2
+from .cointegration import positive_definite_check
+from .grj import I1Report, I2Report
 from .numfield import ascent_at_one, operator_norm, within
 from .pencil import ArPencil, linearize
 
@@ -321,67 +321,3 @@ def stationarity_slope(series, min_replications: int = 100) -> SlopeReport:
                   else slope == 0.0)
     return SlopeReport(slope=slope, std_error=std_error, stationary=bool(stationary),
                        times=tuple(times), variances=tuple(float(v) for v in y))
-
-
-@dataclass(frozen=True, eq=False)
-class ProbeReport:
-    """Two-tier polynomial cointegration probe over an ensemble.
-
-    Functionals killing the second-order loading should make the
-    differenced series stationary; those additionally killing the
-    projection loading should make the level series stationary; a
-    functional with nonzero second-order loading is the negative control.
-    """
-
-    tier1: list
-    tier2: list
-    negative: dict | None
-    all_pass: bool
-
-
-def _probe_entry(functional, scalar_series) -> dict:
-    slope = stationarity_slope(scalar_series)
-    return {"functional": [float(v) for v in functional],
-            "slope": slope.slope, "std_error": slope.std_error,
-            "stationary": slope.stationary}
-
-
-def polynomial_cointegration_probe(states, i2: I2Report) -> ProbeReport:
-    """Check the two-tier stationarity pattern of a double unit root.
-
-    ``states`` is an ensemble (replications, horizon, dim) of the model
-    the report describes, initialized with zero level so the free affine
-    part vanishes for every probed functional.
-    """
-    if not i2.holds:
-        raise NotI2("the report does not certify a double pole")
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3:
-        raise ValueError("states must be (replications, horizon, dim)")
-    lr2 = _as_real(i2.long_run2, "second-order loading")
-    p_load = _as_real(i2.long_run1, "first-order loading") - lr2
-
-    ann2 = annihilators(lr2)
-    ann_both = annihilators(lr2, p_load)
-    diffs = np.diff(states, axis=1)
-
-    tier1 = []
-    for k in range(ann2.shape[1]):
-        f = _as_real(ann2[:, k], "functional")
-        tier1.append(_probe_entry(f, diffs @ f))
-    tier2 = []
-    for k in range(ann_both.shape[1]):
-        f = _as_real(ann_both[:, k], "functional")
-        tier2.append(_probe_entry(f, states @ f))
-
-    negative = None
-    u, s, _ = np.linalg.svd(lr2)
-    if not within("residual", s[0]).holds:
-        f = _as_real(u[:, 0], "functional")
-        negative = _probe_entry(f, diffs @ f)
-
-    all_pass = (all(e["stationary"] for e in tier1)
-                and all(e["stationary"] for e in tier2)
-                and (negative is None or not negative["stationary"]))
-    return ProbeReport(tier1=tier1, tier2=tier2, negative=negative,
-                       all_pass=bool(all_pass))

@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 
 from grjkit.cli import main as cli_main
+from grjkit.cointegration import annihilators
 from grjkit.grj import check_i1, check_i2, i1_components, i2_components, \
     taylor_h_coefficients
 from grjkit.laurent import (contour_coefficients, essential_from_sweep, pole_order,
                             riesz_projection)
-from grjkit.models import (ar2_double_root_model, ar2_unit_root_model,
-                           ar3_unit_root_model, build_example, jordan_model,
-                           oblique_ar1_model, random_walk_model,
+from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
+                           jordan_model, oblique_ar1_model, random_walk_model,
                            volterra_model)
 from grjkit.numfield import kernel_basis, operator_norm, range_basis
-from grjkit.pencil import eval_poly, linearize, resolvent
+from grjkit.pencil import linearize, resolvent
 from grjkit.laurent import circle_coefficients
-from grjkit.simkit import (polynomial_cointegration_probe, simulate_ar,
-                           simulate_ensemble, stationarity_slope, verify_representation)
+from grjkit.simkit import (simulate_ar, simulate_ensemble, stationarity_slope,
+                           verify_representation)
 from oblique import order_two_projection
+from reference import ar3_unit_root_model, eval_poly
 
 pytestmark = pytest.mark.acceptance
 
@@ -282,13 +283,23 @@ def test_criterion_6_cointegration_simulation():
             if slope_rep.stationary or rel > 0.15:
                 problems.append(f"{label}: loaded functional {k} rel {rel:.1%}")
 
+    # two tiers on ex-c0: functionals killing the second-order loading make
+    # the differences stationary, those also killing the first-order one the
+    # levels; the leading left singular vector of the second-order loading
+    # is the negative control
     c0, _ = build_example("ex-c0", n=8)
     i2 = i2_components(linearize(c0), j_max=24)
     ens = simulate_ensemble(c0, np.eye(8), horizon=1200, seed=23,
                             replications=160, threads=4)
-    probe = polynomial_cointegration_probe(ens, i2)
-    if not probe.all_pass:
-        problems.append("ex-c0 two-tier probe")
+    lr2, lr1 = i2.long_run2.real, i2.long_run1.real
+    diffs = np.diff(ens, axis=1)
+    for tier, series, ann in ((1, diffs, annihilators(lr2)),
+                              (2, ens, annihilators(lr2, lr1 - lr2))):
+        for k in range(ann.shape[1]):
+            if not stationarity_slope(series @ ann[:, k].real).stationary:
+                problems.append(f"ex-c0 tier-{tier} functional {k}")
+    if stationarity_slope(diffs @ np.linalg.svd(lr2)[0][:, 0]).stationary:
+        problems.append("ex-c0 negative control")
 
     elapsed = time.monotonic() - start
     if elapsed >= 60.0:

@@ -682,6 +682,22 @@ def test_verify_contour_not_converged_exits_one(capsys, monkeypatch):
     assert_one_line_error(capsys, ["verify", "ex-c0", "--horizon", "60", "--jmax", "30"])
 
 
+def test_verify_checks_analytically_before_it_simulates(capsys, monkeypatch, tmp_path):
+    # the contour of this valid model does not settle: verify exits before
+    # it spends anything on the two simulations
+    path = tmp_path / "coupled.json"
+    ArPencil(1, 2, [np.array([[1.0, 1e6], [0.0, 0.5]])]).save(path)
+    calls, simulate = [], cli.simulate_ar
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_ar", counted)
+    assert_one_line_error(capsys, ["verify", "--model", str(path)])
+    assert len(calls) == 0
+
+
 def test_verify_reconstruction_fault_exits_one(capsys, perturb_coefficient):
     # N_2 + 1e-5: on ex-evenodd the held-out reconstruction guard catches it
     perturb_coefficient(2)

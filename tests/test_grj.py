@@ -17,11 +17,12 @@ from numpy.testing import assert_allclose
 from grjkit.grj import (I1Report, NotI1, NotI2, _order_two_projection, check_i1, check_i2,
                         i1_components, i2_components, taylor_h_coefficients, taylor_h_gap)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
-from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
-                           build_example, jordan_model, oblique_ar1_model)
+from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
+                           jordan_model, oblique_ar1_model)
 from grjkit.numfield import CUTOFFS, NotComplementary, kernel_basis, operator_norm, range_basis
 from grjkit.pencil import ArPencil, linearize, spectrum_report
 from oblique import direct_sum_check, oblique_projection, order_two_projection
+from reference import ar3_unit_root_model
 
 
 def similarity_fixture():

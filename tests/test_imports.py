@@ -3,11 +3,13 @@ Every module of the package (except the re-exporting __init__), the tests
 and the scripts reads each name it imports; every public top-level
 function or class of every package module, re-exported by grjkit or not,
 and every public method or class-level name of such a class, is read by
-the package, the scripts or the benchmark, not only by the tests; the
-package reads no environment variable; no package function takes a
-tolerance; and no package module but numfield names a cut-off constant
-or compares with a float literal, since every cut-off is an entry of the
-one table numfield.CUTOFFS.
+the package, the scripts or the benchmark, with no exception for a name
+only the tests read (an oracle or fixture belongs in a tests helper
+module); every public function or class of a tests helper module is read
+by the tests; the package reads no environment variable; no package
+function takes a tolerance; and no package module but numfield names a
+cut-off constant or compares with a float literal, since every cut-off is
+an entry of the one table numfield.CUTOFFS.
 """
 from __future__ import annotations
 
@@ -27,12 +29,9 @@ CALLERS = sorted(path for path in [*(ROOT / "src" / "grjkit").glob("*.py"),
                                    *(ROOT / "scripts").glob("*.py"),
                                    *(ROOT / "perfbench").glob("*.py")]
                  if path.name != "__init__.py")
-# public names only the tests read: independent oracles and test fixtures
-TESTS_ONLY = (
-    "eval_poly",  # A(z) evaluated directly: the reference for the linearized pencil
-    "polynomial_cointegration_probe",  # Monte Carlo check of the order-two annihilator tiers
-    "ar3_unit_root_model",  # the one AR(3) fixture, in the I(1) and Schur-consistency tests
-)
+# the tests' oracles and fixtures: tests modules that hold no test
+HELPERS = sorted(path for path in (ROOT / "tests").glob("*.py")
+                 if not path.name.startswith("test_") and path.name != "conftest.py")
 
 
 def quoted_names(node) -> set:
@@ -175,7 +174,16 @@ def test_every_public_callable_has_a_caller_outside_the_tests():
     read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
     members = set().union(*map(public_members, package_sources()))
     unread = (package_public() - read) | {m for m in members if m.split(".")[1] not in read}
-    assert sorted(unread) == sorted(TESTS_ONLY)
+    assert sorted(unread) == []
+
+
+def test_every_tests_helper_is_read_by_the_tests():
+    assert {path.name for path in HELPERS} >= {"oblique.py", "reference.py"}
+    read = set().union(*(names_read(path.read_text(encoding="utf-8"))
+                         for path in (ROOT / "tests").glob("*.py")))
+    unread = {path.name: sorted(public_definitions(path.read_text(encoding="utf-8")) - read)
+              for path in HELPERS}
+    assert {name: names for name, names in unread.items() if names} == {}
 
 
 def tol_parameters(source: str) -> list:

@@ -18,8 +18,8 @@ from grjkit.laurent import pick_radius
 from grjkit.models import (build_example, ill_conditioned_model, jordan_model,
                            random_walk_model, volterra_model)
 from grjkit.numfield import CUTOFFS
-from grjkit.pencil import (ArPencil, SingularAt, eval_poly, linearize,
-                           resolvent, spectrum_report)
+from grjkit.pencil import ArPencil, SingularAt, linearize, resolvent, spectrum_report
+from reference import eval_poly
 
 
 def two_lag_fixture():

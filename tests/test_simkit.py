@@ -12,16 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grjkit.grj import i1_components, i2_components
-from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, ar3_unit_root_model,
-                           build_example, jordan_model, oblique_ar1_model,
-                           random_walk_model)
+from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
+                           jordan_model, oblique_ar1_model, random_walk_model)
 from grjkit.numfield import operator_norm
 from grjkit.pencil import linearize
-from grjkit.simkit import (ClassMismatch, SamplePath,
-                           polynomial_cointegration_probe,
-                           recursion_residual, simulate_ar, simulate_ensemble,
-                           stationarity_slope, verify_representation)
+from grjkit.simkit import (ClassMismatch, SamplePath, recursion_residual, simulate_ar,
+                           simulate_ensemble, stationarity_slope, verify_representation)
 from oblique import oblique_projection
+from reference import ar3_unit_root_model
 
 
 def test_same_seed_same_bytes():
@@ -315,13 +313,6 @@ def test_stationarity_slope_random_walk():
 def test_stationarity_slope_needs_replications():
     with pytest.raises(ValueError):
         stationarity_slope(np.zeros((3, 100)))
-
-
-def test_probe_rejects_non_i2_report(evenodd_cp):
-    from grjkit.grj import NotI2
-    i1 = i1_components(evenodd_cp, j_max=8)
-    with pytest.raises((NotI2, TypeError, AttributeError)):
-        polynomial_cointegration_probe(np.zeros((120, 50, 16)), i1)
 
 
 def test_rank_deficient_covariance_warns():
