@@ -170,7 +170,9 @@ GRID = (
     *model_rows(("--model", "double_difference.json"), (2, 2, 2), item=8),
     *model_rows(("--model", "double_difference_2d.json"), (2, 2, 2), item=8),
     Row(("represent", "ex-evenodd", "--jmax", "5"), 0),
-    # above the highest h index the Taylor circle resolves
+    # above grj.H_TAYLOR_JMAX: verify's order-one fold reads every h_j up to
+    # --jmax on a Taylor circle that settles only up to there, and represent
+    # shares the flag
     Row(("represent", "ex-evenodd", "--jmax", "129"), 1),
     Row(("represent", "ex-evenodd", "--n", "24"), 0),
     Row(("represent", "ex-jordan", "--blocks", "2,1"), 0),

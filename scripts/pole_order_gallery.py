@@ -2,7 +2,7 @@
 
 Prints one row per model: pole order at z = 1, whether the structural
 (rank) and Jordan-ascent routes agree, and which integration class the
-closed-form checks certify.  Planted Jordan models (known block sizes)
+pencil's verdicts certify.  Planted Jordan models (known block sizes)
 double as ground truth for the order column.
 
 Usage:
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from grjkit.grj import check_i1, check_i2
-from grjkit.laurent import contour_coefficients, pole_order
+from grjkit.laurent import pole_order
 from grjkit.models import (EXAMPLE_NAMES, ar2_double_root_model,
                            ar2_unit_root_model, build_example, jordan_model)
 from grjkit.pencil import linearize, spectrum_report
@@ -36,11 +36,9 @@ def verdict_row(label, ar, expected_order=None):
     if not spectrum.unit_root_ok:
         print(f"{label:28s}  no unit root")
         return
-    # as in grj analyze: one spectrum and one contour residue N_{-1} serve
-    # all three decisions
-    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[-1]
-    rep = pole_order(cp, spectrum=spectrum, residue=residue)
-    i1 = check_i1(cp, spectrum=spectrum, residue=residue).holds
+    # as in grj analyze: one spectrum serves all three decisions
+    rep = pole_order(cp, spectrum=spectrum)
+    i1 = check_i1(cp, spectrum=spectrum).holds
     i2 = check_i2(cp, spectrum=spectrum).holds
     cls = "I(1)" if i1 else ("I(2)" if i2 else "I(>=3)")
     routes = "agree" if rep.routes_agree else "SPLIT"

@@ -15,8 +15,9 @@ Exit codes are fixed for scriptability:
 
 Each subcommand accepts only the flags it reads, and every value is
 range-checked before any work is done (--jmax is at most
-grj.H_TAYLOR_JMAX, the highest h index whose Taylor cross-check
-settles), so bad input ends in one line on stderr.  A warning raised
+grj.H_TAYLOR_JMAX: verify's order-one fold reads every h_j up to --jmax
+on a Taylor circle that settles only up to there, and represent shares
+the flag), so bad input ends in one line on stderr.  A warning raised
 while a command runs is one stderr line too, written after the command
 succeeds; a command that exits non-zero writes no warning.  Reports are
 JSON with sorted keys and fixed separators, so a fixed (model, seed, flags) combination
@@ -52,7 +53,6 @@ from .grj import (
 )
 from .laurent import (
     ContourNotConverged,
-    contour_coefficients,
     essential_from_sweep,
     laurent_algebra_gap,
     pole_order,
@@ -110,8 +110,8 @@ def _int_at_least(low: int):
 def _int_list(raw: str) -> tuple:
     """Comma list of positive integers, e.g. 4,8,16."""
     try:
-        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
+        values = tuple(int(tok) for tok in raw.split(","))
+    except ValueError:  # an empty token too
         values = ()
     if not values or min(values) < 1:
         raise argparse.ArgumentTypeError(
@@ -134,8 +134,9 @@ def _jmax(raw: str) -> int:
     value = _int_at_least(0)(raw)
     if value > H_TAYLOR_JMAX:
         raise argparse.ArgumentTypeError(
-            f"expected at most {H_TAYLOR_JMAX}, the highest h index whose Taylor "
-            f"cross-check settles, got {raw!r}")
+            f"expected at most {H_TAYLOR_JMAX}: verify folds every h_j up to --jmax "
+            f"into its order-one Taylor cross-check, which settles only up to there, "
+            f"and represent shares the flag; got {raw!r}")
     return value
 
 
@@ -265,10 +266,9 @@ def cmd_analyze(args) -> int:
         report["verdict"] = "no usable unit root"
         _emit(dump_json(report), args.out)
         return _EXIT_NO_UNIT_ROOT
-    # one spectrum and one contour residue N_{-1} serve all three decisions
-    residue = contour_coefficients(cp, [-1], spectrum=spectrum)[-1]
-    pole = pole_order(cp, spectrum=spectrum, residue=residue)
-    i1 = check_i1(cp, spectrum=spectrum, residue=residue)
+    # one spectrum serves all three decisions; only pole_order integrates
+    pole = pole_order(cp, spectrum=spectrum)
+    i1 = check_i1(cp, spectrum=spectrum)
     i2 = check_i2(cp, spectrum=spectrum)
     report.update({
         "pole_order": pole.to_json(),

@@ -1,4 +1,4 @@
-"""Integration-order checks and closed-form representation components.
+"""Integration-order verdicts and closed-form representation components.
 
 Order one (simple pole) is a geometry statement about M = I - B on the
 companion space: the ambient space splits as ran M (+) ker M if and only
@@ -10,13 +10,17 @@ Y = alpha_perp null(C^H) = (ran M + ker M)^perp this holds if and only if
 K is nontrivial and the dim K x dim K matrix J = Y^H M^+ K is nonsingular
 (Johansen, Econometric Theory 8, 1992), and then N_{-2} = K J^{-1} Y^H.
 
+The verdicts (check_i1, check_i2) read these integers off the pencil and
+build no operator.  The component functions (i1_components,
+i2_components) build the class's operators and cross-check them against
+one contour quadrature at 1 (the residual is in the report); h_j follows
+from P in closed form, and the Taylor-route h check (taylor_h_gap) is a
+separate route that verify runs.
+
 The order-two projection grafts with Q^g = beta_perp C^+ alpha_perp^H.
 It does not depend on the complements of ran M and ker M that the paper's
 generalized inverse M^g is taken for, so it takes the orthogonal ones,
-where M^g is M^+, read off the pencil's one SVD of M.  Each class's
-operators are cross-checked against one contour quadrature at 1 (the
-residual is in the report), and h_j follows from P in closed form; the
-Taylor-route h check (taylor_h_gap) is a separate route that verify runs.
+where M^g is M^+, read off the pencil's one SVD of M.
 """
 
 from __future__ import annotations
@@ -46,16 +50,13 @@ class NotI2(ArithmeticError):
     """Requested order-two components for a model that is not order two."""
 
 
-def _jsonable_real(x):
-    return None if (x is None or not math.isfinite(x)) else float(x)
-
-
 # ---------------------------------------------------------------------------
 # order one
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class I1Report:
+    """check_i1's verdict (the operators None) or i1_components' report."""
     order: ClassVar[int] = 1  # pole order at z = 1 of the class the report certifies
     holds: bool
     ker_dim: int
@@ -72,41 +73,20 @@ class I1Report:
             "ker_dim": self.ker_dim,
             "ran_dim": self.ran_dim,
             "defect": self.defect,
-            "cross_check_residual": _jsonable_real(self.cross_check_residual),
         }
 
 
-def check_i1(cp: CompanionPencil, spectrum=None, residue=None) -> I1Report:
-    """Decide the order-one condition: companion space = ran M (+) ker M,
-    which holds exactly when K = cp.unit_intersection is {0}; the defect
-    is dim K.
-
-    When it holds, the report carries the projection onto ker M along
-    ran M, cp.coupling_inverse = beta_perp C^{-1} alpha_perp^H
-    (NotComplementary unless it is idempotent within the guard), with its
-    contour cross-check residual and the observable long-run operator.
-
-    ``spectrum`` may be the spectrum_report of this same cp, and
-    ``residue`` the contour N_{-1} that contour_coefficients(cp, [-1],
-    spectrum=spectrum) returns on its default circle; without them both
-    are computed here.  The cross-check always compares the closed form
-    with a contour residue, never with another closed form.
+def check_i1(cp: CompanionPencil, spectrum=None) -> I1Report:
+    """Decide the order-one condition, the split ran M (+) ker M: it holds
+    iff K = cp.unit_intersection is {0}, with defect dim K.  It reads these
+    integers off the pencil and builds no operator.  ``spectrum`` may be
+    the spectrum_report of this same cp; without it one is computed here.
     """
-    rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    ker_dim, ran_dim, k_dim = (cp.unit_kernel.shape[1], cp.unit_range.shape[1],
-                               cp.unit_intersection.shape[1])
-    if k_dim:
-        return I1Report(holds=False, ker_dim=ker_dim, ran_dim=ran_dim,
-                        defect=k_dim, p_operator=None, long_run=None,
-                        h_coeffs=[], cross_check_residual=math.inf)
-    p_op = checked_projection(cp.coupling_inverse)
-    if residue is None:
-        residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
-    residual = operator_norm(p_op - residue, cp.norm)
-    long_run = p_op[:cp.dim, :cp.dim]
-    return I1Report(holds=True, ker_dim=ker_dim, ran_dim=ran_dim, defect=0,
-                    p_operator=p_op, long_run=long_run, h_coeffs=[],
-                    cross_check_residual=residual)
+    require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
+    k_dim = cp.unit_intersection.shape[1]
+    return I1Report(holds=not k_dim, ker_dim=cp.unit_kernel.shape[1],
+                    ran_dim=cp.unit_range.shape[1], defect=k_dim, p_operator=None,
+                    long_run=None, h_coeffs=[], cross_check_residual=math.inf)
 
 
 def taylor_h_coefficients(cp: CompanionPencil, j_max: int, principal: dict):
@@ -164,15 +144,24 @@ def _h_closed_form(cp: CompanionPencil, p_op, j_max: int):
 
 
 def i1_components(cp: CompanionPencil, j_max: int) -> I1Report:
-    """Full order-one components: check_i1's projection, long-run operator
-    and contour cross-check of P, plus the closed-form h_j = [B^j (I - P)]_obs,
-    which on order one (B^j P = P) adds nothing for a quadrature to check."""
-    base = check_i1(cp)
+    """Assemble the order-one representation operators: the projection onto
+    ker M along ran M, cp.coupling_inverse = beta_perp C^{-1} alpha_perp^H
+    (NotComplementary unless it is idempotent within the guard), its
+    observable long-run block and the closed-form h_j = [B^j (I - P)]_obs,
+    which on order one (B^j P = P) adds nothing for a quadrature to check.
+    P is cross-checked against the contour residue N_{-1}.
+    """
+    rep = require_unit_root(spectrum_report(cp))
+    base = check_i1(cp, spectrum=rep)
     if not base.holds:
         raise NotI1(
             f"range/kernel split fails with defect {base.defect} "
             f"(ker dim {base.ker_dim}, ran dim {base.ran_dim})")
-    return replace(base, h_coeffs=_h_closed_form(cp, base.p_operator, j_max))
+    p_op = checked_projection(cp.coupling_inverse)
+    residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
+    return replace(base, p_operator=p_op, long_run=p_op[:cp.dim, :cp.dim],
+                   h_coeffs=_h_closed_form(cp, p_op, j_max),
+                   cross_check_residual=operator_norm(p_op - residue, cp.norm))
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def _nilpotency_index_by_rank(proj, g) -> int:
     return len(weyr) if sum(weyr) == n else n
 
 
-def pole_order(cp: CompanionPencil, spectrum=None, residue=None) -> PoleOrderReport:
+def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
     Structural route: nilpotency index of G = (I - B) P by the staircase
@@ -235,13 +235,13 @@ def pole_order(cp: CompanionPencil, spectrum=None, residue=None) -> PoleOrderRep
     essential_from_sweep).  Raises NoUnitRoot unless z = 1 is a usable
     unit root (require_unit_root).
 
-    A caller that already holds them may pass ``spectrum``, the
-    spectrum_report of this same cp, and ``residue``, the N_{-1} that
-    contour_coefficients(cp, [-1], spectrum=spectrum) returns on its
-    default circle; P is then residue @ B and no quadrature runs here.
+    P is the Riesz projection N_{-1} B from one contour quadrature on the
+    default circle, the only one grj analyze runs: check_i1 and check_i2
+    read integers off the pencil.  ``spectrum`` may be the spectrum_report
+    of this same cp; without it one is computed here.
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    proj = riesz_projection(cp, spectrum=rep) if residue is None else residue @ cp.a1
+    proj = riesz_projection(cp, spectrum=rep)
     g = cp.m @ proj
     index = _nilpotency_index_by_rank(proj, g)
     return PoleOrderReport(

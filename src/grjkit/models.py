@@ -157,7 +157,8 @@ def oblique_ar1_model() -> ArPencil:
 def factor_product(factors) -> ArPencil:
     """AR model whose pencil is the product (I - z F_1)...(I - z F_k)
     taken in the given order.  Useful because the pole structure of the
-    product is readable off the factors."""
+    product is readable off the factors.  A coefficient whose imaginary
+    part is exactly zero is stored real."""
     factors = [np.asarray(f, dtype=np.complex128) for f in factors]
     n = factors[0].shape[0]
     coeffs = [np.eye(n, dtype=np.complex128)]
@@ -167,7 +168,7 @@ def factor_product(factors) -> ArPencil:
             widened[k] += c
             widened[k + 1] -= c @ f
         coeffs = widened
-    ar_coeffs = [-c.real if np.allclose(c.imag, 0) else -c for c in coeffs[1:]]
+    ar_coeffs = [-c if c.imag.any() else -c.real for c in coeffs[1:]]
     return ArPencil(p=len(ar_coeffs), dim=n, coeffs=ar_coeffs)
 
 

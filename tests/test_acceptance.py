@@ -134,10 +134,9 @@ def test_criterion_3_closed_vs_contour():
     worst_i1, worst_h, worst_i2 = 0.0, 0.0, 0.0
     for name, ar in i1_model_set():
         cp = linearize(ar)
-        rep = check_i1(cp)
-        contour = contour_coefficients(cp, [-1])
-        worst_i1 = max(worst_i1, operator_norm(rep.p_operator - contour[-1]))
         closed = i1_components(cp, j_max=20)
+        contour = contour_coefficients(cp, [-1])
+        worst_i1 = max(worst_i1, operator_norm(closed.p_operator - contour[-1]))
         quad = taylor_h_coefficients(cp, 20, contour)
         for a, b in zip(closed.h_coeffs, quad):
             worst_h = max(worst_h, operator_norm(a - b))

@@ -78,8 +78,7 @@ def _analyze_report(out):
     report = json.loads(out)
     assert set(report) == {"model", "info", "spectrum", "pole_order", "i1", "i2", "verdict"}
     assert set(report["pole_order"]) == {"order", "essential_flag", "ascent", "routes_agree"}
-    assert set(report["i1"]) == {"holds", "ker_dim", "ran_dim", "defect",
-                                 "cross_check_residual"}
+    assert set(report["i1"]) == {"holds", "ker_dim", "ran_dim", "defect"}
     assert set(report["i2"]) == {"holds", "k_dim", "w_dim", "defect"}
     assert len(out.encode("utf-8")) <= 1024
     return report
@@ -126,8 +125,8 @@ def _record_spectra_and_quadratures(monkeypatch) -> list:
 @pytest.mark.parametrize("argv", [["analyze", "ex-evenodd"],        # I(1)
                                   ["analyze", "ex-c0", "--n", "8"]])  # I(2)
 def test_analyze_builds_one_spectrum_and_one_quadrature(capsys, monkeypatch, argv):
-    # pole_order, check_i1 and check_i2 share analyze's spectrum report and
-    # its one contour residue N_{-1}
+    # pole_order, check_i1 and check_i2 share analyze's spectrum report, and
+    # only pole_order integrates: the class verdicts read the pencil
     calls = _record_spectra_and_quadratures(monkeypatch)
     code, _, _ = run(capsys, argv)
     assert code == 0
@@ -184,6 +183,10 @@ def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
     ["represent", "ex-c0", "--jmax", str(H_TAYLOR_JMAX + 1)],  # refused before any quadrature
     ["analyze", "ex-jordan", "--blocks", "0"],
     ["sweep", "ex-volterra", "--dims", "8,8"],
+    # an empty token in a comma list
+    ["sweep", "ex-c0", "--dims", "4,,8"],
+    ["sweep", "ex-c0", "--dims", "4,8,"],
+    ["analyze", "ex-jordan", "--blocks", "2,,1"],
     # a model flag the model does not take
     ["analyze", "ex-c0", "--blocks", "2"],
     ["analyze", "ex-jordan", "--n", "5"],

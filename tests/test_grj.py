@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from grjkit import laurent
 from grjkit.grj import (I1Report, NotI1, NotI2, _order_two_projection, check_i1, check_i2,
                         i1_components, i2_components, taylor_h_coefficients, taylor_h_gap)
 from grjkit.laurent import NoUnitRoot, contour_coefficients, pole_order, riesz_projection
@@ -296,7 +297,7 @@ def test_j_decides_the_order_two_split(name, build, seed):
 
 
 def test_simple_pole_projection_is_riesz(evenodd_cp):
-    rep = check_i1(evenodd_cp)
+    rep = i1_components(evenodd_cp, 0)
     assert rep.holds and rep.defect == 0
     assert_allclose(rep.p_operator, riesz_projection(evenodd_cp), atol=1e-8)
 
@@ -376,7 +377,7 @@ def test_taylor_h_gap_restates_the_p_check_on_order_one(name):
     # i1_components has no reason to run it
     cp = linearize(_I1_MODELS[name]())
     rep = i1_components(cp, j_max=40)
-    assert taylor_h_gap(cp, rep.h_coeffs, 1) <= check_i1(cp).cross_check_residual + 1e-12
+    assert taylor_h_gap(cp, rep.h_coeffs, 1) <= rep.cross_check_residual + 1e-12
 
 
 def test_class_exclusivity():
@@ -412,18 +413,16 @@ def test_gate_requires_unit_root():
 
 @pytest.mark.parametrize("name", ["ex-evenodd", "ex-selfadjoint", "ex-c0"])
 def test_shared_spectrum_and_residue_change_no_field(name):
-    # analyze hands one spectrum report and one contour N_{-1} to all three
-    # decisions; each must come out as if it had computed its own, floats
-    # (cross_check_residual) bit for bit
+    # analyze hands one spectrum report to all three decisions; each must
+    # come out as if it had computed its own
     cp = linearize(build_example(name)[0])
     rep = spectrum_report(cp)
-    residue = contour_coefficients(cp, [-1], spectrum=rep)[-1]
-    shared, own = check_i1(cp, spectrum=rep, residue=residue), check_i1(cp)
+    shared, own = check_i1(cp, spectrum=rep), check_i1(cp)
     assert shared.holds == (name != "ex-c0")
     for field in dataclasses.fields(I1Report):
         a, b = getattr(shared, field.name), getattr(own, field.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
-    assert pole_order(cp, spectrum=rep, residue=residue) == pole_order(cp)
+    assert pole_order(cp, spectrum=rep) == pole_order(cp)
     shared2, own2 = check_i2(cp, spectrum=rep), check_i2(cp)
     assert (shared2.holds, shared2.k_dim, shared2.w_dim, shared2.defect) == \
         (own2.holds, own2.k_dim, own2.w_dim, own2.defect)
@@ -436,12 +435,30 @@ def test_shared_spectrum_without_unit_root_is_refused(ar):
     cp = linearize(ar)
     rep = spectrum_report(cp)
     assert not rep.unit_root_ok
-    residue = np.zeros((cp.big_dim, cp.big_dim), dtype=np.complex128)
-    for check in (lambda: pole_order(cp, spectrum=rep, residue=residue),
-                  lambda: check_i1(cp, spectrum=rep, residue=residue),
+    for check in (lambda: pole_order(cp, spectrum=rep),
+                  lambda: check_i1(cp, spectrum=rep),
                   lambda: check_i2(cp, spectrum=rep)):
         with pytest.raises(NoUnitRoot):
             check()
+
+
+@pytest.mark.parametrize("name", ["ex-evenodd", "ex-c0"])  # I(1), I(2)
+def test_class_verdicts_run_no_quadrature(monkeypatch, name):
+    # check_i1 and check_i2 read integers off the pencil: no contour, no operator
+    cp = linearize(build_example(name)[0])
+    circle, calls = laurent.circle_coefficients, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("center"))
+        return circle(*args, **kwargs)
+
+    monkeypatch.setattr(laurent, "circle_coefficients", counted)
+    verdicts = check_i1(cp), check_i2(cp)
+    assert [rep.holds for rep in verdicts] == [name == "ex-evenodd", name == "ex-c0"]
+    assert calls == []
+    assert all(rep.p_operator is None for rep in verdicts)
+    pole_order(cp)  # the counter does see a quadrature: the pole order's one contour
+    assert calls == [1.0]
 
 
 def test_long_run_operators_are_ambient(shift8, shift8_cp):

@@ -8,8 +8,9 @@ only the tests read (an oracle or fixture belongs in a tests helper
 module); every public function or class of a tests helper module is read
 by the tests; the package reads no environment variable; no package
 function takes a tolerance; and no package module but numfield names a
-cut-off constant or compares with a float literal, since every cut-off is
-an entry of the one table numfield.CUTOFFS.
+cut-off constant, compares with a float literal or calls allclose or
+isclose (numpy's or math's, whose default tolerances are cut-offs too),
+since every cut-off is an entry of the one table numfield.CUTOFFS.
 """
 from __future__ import annotations
 
@@ -218,14 +219,23 @@ LITERAL_COMPARISONS = {
 }
 
 
+# calls that decide with default tolerances of their own
+TOLERANCE_CALLS = ("allclose", "isclose")
+
+
 def cutoff_leaks(source: str) -> list:
-    """A cut-off constant a module names, and each comparison with a float
-    literal anywhere in its operands, as (line, name or comparison)."""
+    """A cut-off constant a module names, each comparison with a float
+    literal anywhere in its operands and each allclose or isclose call, as
+    (line, name, comparison or call)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
         if field and getattr(node, field) in CUTOFF_NAMES:
             found.append((node.lineno, getattr(node, field)))
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in TOLERANCE_CALLS
+                or getattr(node.func, "attr", None) in TOLERANCE_CALLS):
+            found.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.Compare) and any(
                 isinstance(leaf, ast.Constant) and isinstance(leaf.value, float)
                 for operand in (node.left, *node.comparators) for leaf in ast.walk(operand)):
@@ -239,6 +249,14 @@ def test_the_scan_finds_a_cutoff_outside_the_table():
               "ok = x < y and n == 0 and -t >= -(0.5 * u)\nz = pencil.ETA * 2.0\n")
     assert cutoff_leaks(source) == [(1, "RESIDUAL_ABS"), (3, "RESIDUAL_ABS"), (3, "s <= 1e-08"),
                                     (5, "-t >= -(0.5 * u)"), (6, "ETA")]
+
+
+def test_the_scan_finds_a_tolerance_call():
+    source = ("import math\nimport numpy as np\nfrom numpy import isclose\n"
+              "ok = np.allclose(a, 0) or math.isclose(x, y)\nif isclose(u, v):\n    pass\n"
+              "same = np.array_equal(a, b) and not c.any()\n")
+    assert cutoff_leaks(source) == [(4, "math.isclose(x, y)"), (4, "np.allclose(a, 0)"),
+                                    (5, "isclose(u, v)")]
 
 
 def test_only_numfield_knows_a_cutoff():

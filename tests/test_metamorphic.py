@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grjkit.grj import check_i1, check_i2, i2_components
+from grjkit.grj import check_i1, check_i2, i1_components, i2_components
 from grjkit.laurent import pole_order
 from grjkit.models import (ar2_double_root_model, ar2_unit_root_model, build_example,
                            jordan_model)
@@ -39,8 +39,8 @@ def facts(ar: ArPencil):
     cp = linearize(ar)
     spectrum = spectrum_report(cp)
     order = pole_order(cp, spectrum=spectrum).order
-    i1 = check_i1(cp, spectrum=spectrum)
-    if i1.holds:
+    if check_i1(cp, spectrum=spectrum).holds:
+        i1 = i1_components(cp, 0)
         return order, 1, i1.p_operator, [i1.long_run]
     if not check_i2(cp, spectrum=spectrum).holds:
         return order, None, None, []

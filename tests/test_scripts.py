@@ -115,7 +115,7 @@ def test_byte_grid_saves_outputs_and_compares_them_by_value(tmp_path):
 
     data = json.loads(record.read_text(encoding="utf-8"))
     report = json.loads(data["stdout"])
-    report["i1"]["cross_check_residual"] += 0.25
+    report["spectrum"]["nearest_other"] += 0.25
     report["verdict"] = "tampered"
     data.update(stdout=json.dumps(report), stderr="old error\n", exit=3)
     record.write_text(json.dumps(data), encoding="utf-8")
@@ -124,7 +124,7 @@ def test_byte_grid_saves_outputs_and_compares_them_by_value(tmp_path):
     assert changed.stdout.splitlines() == [
         f"grj {command}  changed",
         "  exit: 3 -> 0",
-        "  i1.cross_check_residual: max change 2.5e-01",
+        "  spectrum.nearest_other: max change 2.5e-01",
         '  verdict: "tampered" -> "pole order 1, I(1) holds, I(2) fails"',
         "  stderr: 'old error' -> ''",
         "1 of 1 commands changed"]
