@@ -12,9 +12,8 @@ alternates from cell to cell.  Workloads default to all that
 BENCHMARK.json lists.  The file keeps each run's result line (metric
 values, pass/fail counts, traced call counts, output digests) and, per
 workload and metric, the median over seeds at base and at head, their
-ratio, the base quartiles, and the number of seed pairs in which head was
-better.  A gain counts when head wins nearly every pair and the gap
-between the medians exceeds the base's own spread, base_q3 - base_q1.
+ratio, the base quartiles, the number of seed pairs in which head was
+better, and the verdict ("gain", "too_few_pairs"; see compare).
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_PAIRS = 10  # the fewest seed pairs a gain may rest on
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -51,7 +52,11 @@ def summarize(run: dict) -> dict:
 
 def compare(base_runs: list, head_runs: list, better: dict) -> dict:
     """Per metric: base and head medians, head/base, base quartiles (linear
-    interpolation; one run is its own quartiles) and head-better pair count."""
+    interpolation; one run is its own quartiles), head-better pair count
+    (a tie counts for neither side) and the verdict.  "gain" holds when there
+    are at least MIN_PAIRS pairs, head wins at least nine tenths of them, and
+    the medians differ in head's favour by more than base_q3 - base_q1;
+    "too_few_pairs" says there are fewer than MIN_PAIRS."""
     table = {}
     for name in base_runs[0]["metrics"]:
         b = [r["metrics"][name] for r in base_runs]
@@ -60,11 +65,15 @@ def compare(base_runs: list, head_runs: list, better: dict) -> dict:
         b_med, h_med = statistics.median(b), statistics.median(h)
         b_q1, _, b_q3 = (statistics.quantiles(b, n=4, method="inclusive") if len(b) > 1
                          else b * 3)
+        wins = sum(sign * (y - x) < 0 for x, y in zip(b, h))
+        too_few = len(b) < MIN_PAIRS
         table[name] = {"base_median": b_med, "head_median": h_med,
                        "ratio": h_med / b_med if b_med else None,
                        "base_q1": b_q1, "base_q3": b_q3,
-                       "head_better_pairs": sum(sign * (y - x) < 0 for x, y in zip(b, h)),
-                       "pairs": len(b)}
+                       "head_better_pairs": wins, "pairs": len(b),
+                       "gain": (not too_few and 10 * wins >= 9 * len(b)
+                                and sign * (b_med - h_med) > b_q3 - b_q1),
+                       "too_few_pairs": too_few}
     return table
 
 

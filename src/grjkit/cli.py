@@ -34,6 +34,7 @@ at a fixed entry of the one table numfield.CUTOFFS.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -172,7 +173,10 @@ def _flag_specs() -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The grj parser, built once per process: parse_args keeps no state
+    between calls and returns a fresh namespace each time."""
     parser = _Parser(prog="grj", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     specs = _flag_specs()

@@ -113,8 +113,9 @@ class CompanionPencil:
     one eigh, whose Q and Q^H ``hermitian_basis`` holds as complex128), else
     an LU inverse.  The eigenbasis kernel checks each node against an a-priori
     bound built from the eigh's backward error (``eigh_error``, two products
-    once per pencil, with a1 read as float64 when it is real: ``real_a1``);
-    the LU kernel measures its residual.  ``eigenvalues`` holds a1's
+    once per pencil, with a1 read as float64 when it is real: ``real_a1``),
+    whose per-pencil part ``residual_coeffs`` folds once; the LU kernel
+    measures its residual.  ``eigenvalues`` holds a1's
     eigenvalues, one eigvals per pencil, for every spectrum_report of it.
     """
 
@@ -216,6 +217,21 @@ class CompanionPencil:
         return EighError(e, f, lam_max, q_fro2, gamma)
 
     @cached_property
+    def residual_coeffs(self):
+        """(c0, c1, c2) as Python floats, None when eigh_error is: residual_bound's
+        per-pencil part, folded once from eigh_error so that a node's bound
+        reads c0 + (c2 + |z| c1) / min_k |1 - z lam_k|.  This is the bound
+        residual_bound documents, regrouped by powers of |z| and g: c0 = f +
+        (1 + f) gamma, c1 = (1 + f)(gamma a + a f + e) + ((1 + f) a + e) gamma
+        q_fro2 and c2 = gamma q_fro2 (a = lam_max)."""
+        if self.eigh_error is None:
+            return None
+        e, f, a, q_fro2, gamma = self.eigh_error
+        return (float(f + (1 + f) * gamma),
+                float((1 + f) * (gamma * a + a * f + e) + ((1 + f) * a + e) * gamma * q_fro2),
+                float(gamma * q_fro2))
+
+    @cached_property
     def m(self) -> np.ndarray:
         m = self.identity() - self.a1
         m.flags.writeable = False
@@ -313,21 +329,26 @@ def residual_bound(cp: CompanionPencil, z: complex, lhs_eigs: np.ndarray) -> flo
     (Higham 2002, normwise backward error).  Rounding adds (1 + f) gamma
     (1 + s a g) for the computed 1 - z lam_k and (1 + s((1 + f) a + e)) gamma
     q_fro2 g, ||I - z a1||_2 times the bound gamma |Q| diag(|d|) |Q^H| on
-    forming X.  NaN when an input is not finite.
+    forming X.  The same sum, regrouped, is evaluated in Python floats as c0
+    + (c2 + s c1) g, (c0, c1, c2) = cp.residual_coeffs, after one reduction
+    of lhs_eigs (its smallest modulus).  inf when some 1 - z lam_k is
+    exactly zero; NaN when an input is NaN.
     """
-    e, f, a, q_fro2, gamma = cp.eigh_error
-    s, g = abs(z), 1.0 / float(np.min(np.abs(lhs_eigs)))
-    return (f + (1 + f) * (gamma * (1 + s * a * g) + s * g * (a * f + e))
-            + (1 + s * ((1 + f) * a + e)) * gamma * q_fro2 * g)
+    c0, c1, c2 = cp.residual_coeffs
+    low = float(abs(lhs_eigs).min())
+    if not low:
+        return float("inf")
+    return c0 + (c2 + float(abs(z)) * c1) / low
 
 
 def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.ndarray:
     """(I - z*a1)^{-1}, checked against r = CUTOFFS["residual"].
 
     Two kernels, chosen by the pencil.  When cp.hermitian_basis holds
-    (lam, Q, Q^H), the check costs O(n): an exact zero 1 - z lam raises
-    SingularAt(z), and so does residual_bound(cp, z, 1 - z lam) above r or
-    not finite.  That bound is an upper bound on the residual
+    (lam, Q, Q^H), the check costs O(n), one pass over 1 - z lam:
+    residual_bound(cp, z, 1 - z lam) above r or not finite raises
+    SingularAt(z), and an exact zero 1 - z lam reads inf there.  That bound
+    is an upper bound on the residual
     ||(I - z a1) X - I||_2 of the X returned, so it never accepts a node the
     measured residual would refuse, and no n x n residual is formed.  The
     sample is X = (Q diag(1/(1 - z lam))) Q^H, one product, or, with
@@ -348,7 +369,7 @@ def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.
     if basis is not None:
         lam, q, qh = basis
         lhs_eigs = 1.0 - z * lam
-        if not (lhs_eigs.all() and residual_bound(cp, z, lhs_eigs) <= CUTOFFS["residual"]):
+        if not residual_bound(cp, z, lhs_eigs) <= CUTOFFS["residual"]:
             raise SingularAt(z)
         return 1.0 / lhs_eigs if coordinates else (q / lhs_eigs) @ qh
     if coordinates:

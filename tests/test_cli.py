@@ -412,6 +412,26 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_out_does_not_carry_over_to_the_next_command(capsys, tmp_path):
+    out = tmp_path / "a.json"
+    assert run(capsys, ["analyze", "ex-c0", "--out", str(out)]) == (0, "", "")
+    code, text, err = run(capsys, ["analyze", "ex-c0"])
+    assert (code, err) == (0, "")
+    assert text == out.read_text(encoding="utf-8")
+
+
+def test_a_usage_error_leaves_the_next_command_unchanged(capsys):
+    cli.build_parser.cache_clear()
+    first = run(capsys, ["analyze", "ex-c0"])  # builds the parser
+    assert first[0] == 0
+    assert_one_line_error(capsys, ["analyze", "ex-c0", "--bogus"])
+    assert run(capsys, ["analyze", "ex-c0"]) == first
+
+
 def test_simulate_csv_deterministic(capsys, tmp_path):
     argv = ["simulate", "ex-c0", "--n", "8", "--horizon", "40", "--seed", "7"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

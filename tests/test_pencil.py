@@ -282,6 +282,42 @@ def test_residual_bound_is_no_looser_than_the_measured_residual(make):
         assert measured <= _node_bound(cp, z) <= CUTOFFS["residual"], z
 
 
+def _expanded_bound(cp, z):
+    """residual_bound's docstring expression term by term, unfolded."""
+    e, f, a, q_fro2, gamma = cp.eigh_error
+    s, g = abs(z), 1.0 / np.min(np.abs(1.0 - z * cp.hermitian_basis[0]))
+    return (f + (1 + f) * (gamma * (1 + s * a * g) + s * g * (a * f + e))
+            + (1 + s * ((1 + f) * a + e)) * gamma * q_fro2 * g)
+
+
+@pytest.mark.parametrize("make", HERMITIAN.values(), ids=HERMITIAN.keys())
+def test_folded_residual_bound_is_the_documented_bound(make):
+    # the same 32 nodes as above; folding regroups the sum, so only rounding moves
+    cp = linearize(make())
+    assert cp.residual_coeffs is cp.residual_coeffs  # once per pencil
+    assert all(type(c) is float for c in cp.residual_coeffs)
+    radius = pick_radius(spectrum_report(cp))
+    for z in 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32):
+        expanded = _expanded_bound(cp, z)
+        assert abs(_node_bound(cp, z) - expanded) <= 4 * np.spacing(expanded), z
+
+
+def test_residual_bound_is_not_finite_off_the_regular_points():
+    cp = linearize(random_walk_model(2))
+    assert _node_bound(cp, 1.0) == np.inf  # 1 - z lam is exactly zero
+    with np.errstate(invalid="ignore"):
+        for z in (complex(np.nan), complex(np.inf)):
+            assert not np.isfinite(_node_bound(cp, z)), z
+
+
+@pytest.mark.parametrize("kind", SCREEN_COEFFS)
+def test_resolvent_is_singular_at_nan_and_inf(kind):
+    cp = _screen_pencil(kind)
+    for z in (complex(np.nan), complex(np.inf)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularAt):
+            resolvent(cp, z)
+
+
 def test_eigh_error_bounds_the_backward_error():
     rng = np.random.default_rng(0)
     b = complex_hermitian_model(16, 2).coeffs[0]

@@ -91,7 +91,8 @@ def test_bench_compare_counts_head_better_pairs():
                               "ratio": pytest.approx(0.95 / 1.05),
                               "base_q1": pytest.approx(0.975),
                               "base_q3": pytest.approx(1.125),
-                              "head_better_pairs": 2, "pairs": 4}
+                              "head_better_pairs": 2, "pairs": 4,
+                              "gain": False, "too_few_pairs": True}
     assert table["rate"]["head_better_pairs"] == 2
     assert (table["rate"]["base_median"], table["rate"]["head_median"]) == (5.0, 5.0)
     assert table["rate"]["ratio"] == 1.0
@@ -102,6 +103,30 @@ def test_bench_compare_counts_head_better_pairs():
     one = _load("bench_compare").compare(base[:1], head[:1], {"run_s": "lower", "rate": "higher",
                                                         "idle": "lower"})
     assert (one["run_s"]["base_q1"], one["run_s"]["base_q3"]) == (1.0, 1.0)
+
+
+def _verdict(base, head, better="lower"):
+    table = _load("bench_compare").compare([{"metrics": {"m": x}} for x in base],
+                                           [{"metrics": {"m": y}} for y in head], {"m": better})
+    return table["m"]["gain"], table["m"]["too_few_pairs"]
+
+
+def test_bench_compare_states_the_verdict():
+    # base 10..19: median 14.5, quartiles 12.25 and 16.75, spread 4.5
+    base = [float(x) for x in range(10, 20)]
+    # head 5 below base in every pair: 10 of 10, gap 5 > 4.5
+    assert _verdict(base, [x - 5 for x in base]) == (True, False)
+    # 9 of 10 wins is enough; the tie in the last pair counts for neither side
+    assert _verdict(base, [x - 5 for x in base[:9]] + [base[9]]) == (True, False)
+    # 8 of 10 wins is not, whatever the gap
+    assert _verdict(base, [x - 50 for x in base[:8]] + [x + 1 for x in base[8:]]) == (False, False)
+    # every pair won, but the gap 4 does not exceed the spread 4.5
+    assert _verdict(base, [x - 4 for x in base]) == (False, False)
+    # "higher is better" reverses the sides
+    assert _verdict(base, [x + 5 for x in base], "higher") == (True, False)
+    assert _verdict(base, [x - 5 for x in base], "higher") == (False, False)
+    # nine pairs, all won by far: too few to claim a gain
+    assert _verdict(base[:9], [x - 50 for x in base[:9]]) == (False, True)
 
 
 def test_byte_grid_saves_outputs_and_compares_them_by_value(tmp_path):
