@@ -136,7 +136,7 @@ def _h_closed_form(cp: CompanionPencil, p_op, j_max: int):
     makes the unrolled recursion an identity for every projection onto
     ker M, so a check built on it could not tell a wrong P."""
     out = []
-    power = cp.identity() - p_op
+    power = cp.identity - p_op
     for _ in range(j_max + 1):
         out.append(power[:cp.dim, :cp.dim])
         power = cp.a1 @ power
@@ -208,7 +208,7 @@ def _order_two_projection(cp: CompanionPencil, n_minus2) -> np.ndarray:
     cp.coupling_inverse and M^g for the orthogonal complements of ran M
     and ker M, which is M^+ = V_r diag(1/s_r) U_r^H off the pencil's SVD
     of M."""
-    eye = cp.identity()
+    eye = cp.identity
     _, ran, ker_perp, _, s_r = cp._kernel_and_range
     m_plus = (ker_perp / s_r) @ ran.conj().T
     gamma_l, gamma_r = m_plus @ n_minus2, n_minus2 @ m_plus

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numfield import CUTOFFS, _staircase, fit_geometric_decay, operator_norm, within
-from .pencil import CompanionPencil, SpectrumReport, resolvent, spectrum_report
+from .pencil import (CompanionPencil, SpectrumReport, from_coordinates, resolvent,
+                     spectrum_report)
 
 DEFAULT_NODES = 256
 MIN_NODES = 16
@@ -171,24 +172,22 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=
     Without a unit root the integrand is analytic and the principal
     coefficients vanish.
 
-    On a Hermitian pencil (cp.hermitian_basis holds lam, Q, Q^H) each node
-    is still one resolvent call, but it returns the eigen-coordinates
-    1/(1 - z lam), n numbers, after resolvent's a-priori residual bound.
-    The circle integrates those vectors into c_j, and N_j = -Q diag(c_j) Q^H
-    is one product per index.  The nodes, levels and stopping rule are the
-    same as for full samples: max |c_j - c_j'| is ||diag(c_j - c_j')||_2.
+    Each node is one resolvent call in the kernel's own coordinates
+    (coordinates=True): on a Hermitian pencil the eigen-coordinates
+    1/(1 - z lam), n numbers, after resolvent's a-priori residual bound, and
+    the inverse itself on LU.  The circle integrates those samples into c_j,
+    and N_j = from_coordinates(cp, -c_j), one product per index on a
+    Hermitian pencil.  The nodes, levels and stopping rule are the same on
+    both kernels: a vector's level change max |c_j - c_j'| is the spectral
+    norm of diag(c_j - c_j').
     """
     rep = spectrum if spectrum is not None else spectrum_report(cp)
     if rep.unit_root_present:
         require_unit_root(rep)
-    basis = cp.hermitian_basis
     coeffs, _, _ = circle_coefficients(
-        lambda z: resolvent(cp, z, coordinates=basis is not None), js, center=1.0,
+        lambda z: resolvent(cp, z, coordinates=True), js, center=1.0,
         radius=pick_radius(rep), nodes=nodes)
-    if basis is None:
-        return {j: -coeffs[j] for j in js}
-    _, q, qh = basis
-    return {j: (q * -coeffs[j]) @ qh for j in js}
+    return {j: from_coordinates(cp, -coeffs[j]) for j in js}
 
 
 def riesz_projection(cp: CompanionPencil, spectrum=None) -> np.ndarray:
@@ -331,7 +330,7 @@ def laurent_algebra_gap(cp: CompanionPencil) -> float:
             gap = operator_norm(n_at(j) @ b @ n_at(k) - sign * n_at(j + k + 1))
             worst = max(worst, gap / scale)
     for j in range(-2, 1):
-        target = cp.identity() if j == 0 else zero
+        target = cp.identity if j == 0 else zero
         gap = operator_norm(b @ n_at(j - 1) - cp.m @ n_at(j) - target)
         worst = max(worst, gap / scale)
     return worst

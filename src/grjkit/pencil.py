@@ -21,7 +21,6 @@ I(2) holds if and only if K is nontrivial and J = Y^H M^+ K is nonsingular
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,10 +29,6 @@ import numpy as np
 from .numfield import (CUTOFFS, NORM_KINDS, as_operator, _json_int, _kernel_chain, dump_json,
                        kernel_and_range, matrix_from_json, matrix_to_json, operator_norm,
                        within)
-
-
-# backward error of a pencil's eigh and the rounding constant of its nodes (eigh_error)
-EighError = namedtuple("EighError", "e f lam_max q_fro2 gamma")
 
 
 class SingularAt(ArithmeticError):
@@ -106,16 +101,12 @@ class CompanionPencil:
     ``unit_kernel``, ``unit_range``, ``unit_*_complement``, ``kernel_chain``).
     One SVD of the coupling C of those bases (``coupling``) gives K, which the
     class verdicts and dispatch read, the spaces below and ``coupling_inverse``;
-    one SVD of J (``order_two_coupling``) decides I(2); ``identity()``'s I once too.
+    one SVD of J (``order_two_coupling``) decides I(2); ``identity``'s I once too.
 
     resolvent samples (I - z a1)^{-1} with one of two kernels, chosen once
-    per pencil: in a1's eigenbasis when a1 is Hermitian (``hermitian_eig``,
-    one eigh, whose Q and Q^H ``hermitian_basis`` holds as complex128), else
-    an LU inverse.  The eigenbasis kernel checks each node against an a-priori
-    bound built from the eigh's backward error (``eigh_error``, two products
-    once per pencil, with a1 read as float64 when it is real: ``real_a1``),
-    whose per-pencil part ``residual_coeffs`` folds once; the LU kernel
-    measures its residual.  ``eigenvalues`` holds a1's
+    per pencil by one cached value: ``hermitian_nodes``, everything a node
+    in a1's eigenbasis reads when a1 is Hermitian (one eigh), and None,
+    which selects an LU inverse, otherwise.  ``eigenvalues`` holds a1's
     eigenvalues, one eigvals per pencil, for every spectrum_report of it.
     """
 
@@ -134,25 +125,12 @@ class CompanionPencil:
     def norm(self) -> str:
         return self.ar.norm
 
+    @cached_property
     def identity(self) -> np.ndarray:
         """I on C^{pn}; one read-only array per pencil."""
-        return self._identity
-
-    @cached_property
-    def _identity(self) -> np.ndarray:
         eye = np.eye(self.big_dim, dtype=np.complex128)
         eye.flags.writeable = False
         return eye
-
-    @cached_property
-    def real_a1(self):
-        """a1 as a read-only float64 array when its imaginary part is exactly
-        zero, else None."""
-        if self.a1.imag.any():
-            return None
-        b = self.a1.real.copy()
-        b.flags.writeable = False
-        return b
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -162,78 +140,35 @@ class CompanionPencil:
         return eigs
 
     @cached_property
-    def hermitian_eig(self):
-        """(lam, Q, Q^H) with a1 = Q diag(lam) Q^H from one eigh of a1's
-        Hermitian part, when max|a1 - a1^H| <= CUTOFFS["hermitian"] max|a1|
-        entry by entry (an overflowing difference fails it); else None.  Q
-        is real when a1 is."""
+    def hermitian_nodes(self):
+        """(lam, Q, Q^H, c0, c1, c2), all that a Hermitian node of resolvent
+        reads, when max|a1 - a1^H| <= CUTOFFS["hermitian"] max|a1| entry by
+        entry (an overflowing difference fails it); else None, which selects
+        the LU kernel.  One eigh of a1's Hermitian part, with a1 read as float64
+        when its imaginary part is exactly zero, gives a1 = Q diag(lam) Q^H;
+        lam, Q and Q^H are kept read-only, Q and Q^H as complex128, so no
+        node casts them.  (c0, c1, c2), Python floats, are the per-pencil
+        part of resolvent's bound, folded once from the eigh's backward error
+        (_eigh_error's e, f, a = lam_max, q_fro2, gamma): c0 = f + (1 + f)
+        gamma, c1 = (1 + f)(gamma a + a f + e) + ((1 + f) a + e) gamma q_fro2
+        and c2 = gamma q_fro2."""
         b = self.a1
         if not within("hermitian", np.max(np.abs(b - b.conj().T)), np.max(np.abs(b))).holds:
             return None
-        if self.real_a1 is not None:
-            b = self.real_a1
+        if not b.imag.any():
+            b = b.real
         lam, q = np.linalg.eigh((b + b.conj().T) / 2)
         qh = q.conj().T
-        q.flags.writeable = qh.flags.writeable = False
-        return lam, q, qh
-
-    @cached_property
-    def hermitian_basis(self):
-        """hermitian_eig's (lam, Q, Q^H) with Q and Q^H as read-only
-        complex128, so neither resolvent's full sample nor contour_coefficients'
-        Q diag(c_j) Q^H casts them per call; None when hermitian_eig is."""
-        if self.hermitian_eig is None:
-            return None
-        lam, q, qh = self.hermitian_eig
+        e, f, a, q_fro2, gamma = _eigh_error(b, lam, q, qh)
         q, qh = q.astype(np.complex128, copy=False), qh.astype(np.complex128, copy=False)
-        q.flags.writeable = qh.flags.writeable = False
-        return lam, q, qh
-
-    @cached_property
-    def eigh_error(self):
-        """EighError(e, f, lam_max, q_fro2, gamma) of hermitian_eig's (lam, Q,
-        Q^H), None when hermitian_eig is: e >= ||a1 - Q diag(lam) Q^H||_2
-        against the true a1 (so e covers a1's anti-Hermitian part too), f >=
-        ||Q^H Q - I||_2, lam_max = max |lam|, q_fro2 = n (1 + f) >= ||Q||_F^2,
-        and gamma = 2 gamma_{n+6} (gamma_k = k u / (1 - k u), u = 2^-53, n =
-        big_dim), which covers the rounding of one length-n complex inner
-        product, a scaling and a division (Higham 2002, sec. 3.1-3.6).  Each
-        of e and f is the Frobenius norm of its computed residual plus gamma
-        times ||Q||_F^2 (times lam_max for e), the entrywise bound on the
-        rounding of its product; f's own rounding term reads ||Q||_F^2 <= n (1
-        + f), hence its divisor 1 - gamma n."""
-        if self.hermitian_eig is None:
-            return None
-        lam, q, qh = self.hermitian_eig
-        n = self.big_dim
-        b = self.a1 if self.real_a1 is None else self.real_a1
-        u = np.finfo(np.float64).eps / 2
-        gamma = 2 * (n + 6) * u / (1 - (n + 6) * u)
-        gram = qh @ q
-        gram[np.diag_indices(n)] -= 1.0  # exact: each diagonal entry is near 1
-        f = ((1 + gamma) * float(np.linalg.norm(gram)) + gamma * n) / (1 - gamma * n)
-        lam_max, q_fro2 = float(np.max(np.abs(lam))), n * (1 + f)
-        e = (1 + gamma) * float(np.linalg.norm(b - (q * lam) @ qh)) + gamma * lam_max * q_fro2
-        return EighError(e, f, lam_max, q_fro2, gamma)
-
-    @cached_property
-    def residual_coeffs(self):
-        """(c0, c1, c2) as Python floats, None when eigh_error is: residual_bound's
-        per-pencil part, folded once from eigh_error so that a node's bound
-        reads c0 + (c2 + |z| c1) / min_k |1 - z lam_k|.  This is the bound
-        residual_bound documents, regrouped by powers of |z| and g: c0 = f +
-        (1 + f) gamma, c1 = (1 + f)(gamma a + a f + e) + ((1 + f) a + e) gamma
-        q_fro2 and c2 = gamma q_fro2 (a = lam_max)."""
-        if self.eigh_error is None:
-            return None
-        e, f, a, q_fro2, gamma = self.eigh_error
-        return (float(f + (1 + f) * gamma),
+        lam.flags.writeable = q.flags.writeable = qh.flags.writeable = False
+        return (lam, q, qh, float(f + (1 + f) * gamma),
                 float((1 + f) * (gamma * a + a * f + e) + ((1 + f) * a + e) * gamma * q_fro2),
                 float(gamma * q_fro2))
 
     @cached_property
     def m(self) -> np.ndarray:
-        m = self.identity() - self.a1
+        m = self.identity - self.a1
         m.flags.writeable = False
         return m
 
@@ -317,43 +252,48 @@ def linearize(ar: ArPencil) -> CompanionPencil:
     return CompanionPencil(a1=a1, ar=ar)
 
 
-def residual_bound(cp: CompanionPencil, z: complex, lhs_eigs: np.ndarray) -> float:
-    """Upper bound on ||(I - z a1) X - I||_2 for the sample X that resolvent
-    forms at z on a Hermitian pencil, lhs_eigs = 1 - z lam as computed there.
-
-    With EighError (e, f, lam_max, q_fro2, gamma) = cp.eigh_error, s = |z|,
-    a = lam_max and g = max_k 1/|1 - z lam_k|, the exact X = Q diag(d) Q^H
-    (d_k = 1/(1 - z lam_k)) leaves the residual
-    (QQ^H - I) - z Q diag(lam) (Q^H Q - I) diag(d) Q^H - z E Q diag(d) Q^H,
-    E = a1 - Q diag(lam) Q^H, whose norm is at most f + s (1 + f)(a f + e) g
-    (Higham 2002, normwise backward error).  Rounding adds (1 + f) gamma
-    (1 + s a g) for the computed 1 - z lam_k and (1 + s((1 + f) a + e)) gamma
-    q_fro2 g, ||I - z a1||_2 times the bound gamma |Q| diag(|d|) |Q^H| on
-    forming X.  The same sum, regrouped, is evaluated in Python floats as c0
-    + (c2 + s c1) g, (c0, c1, c2) = cp.residual_coeffs, after one reduction
-    of lhs_eigs (its smallest modulus).  inf when some 1 - z lam_k is
-    exactly zero; NaN when an input is NaN.
-    """
-    c0, c1, c2 = cp.residual_coeffs
-    low = float(abs(lhs_eigs).min())
-    if not low:
-        return float("inf")
-    return c0 + (c2 + float(abs(z)) * c1) / low
+def _eigh_error(b, lam, q, qh) -> tuple:
+    """(e, f, lam_max, q_fro2, gamma) of an eigh b ~ Q diag(lam) Q^H (qh =
+    Q^H): e >= ||b - Q diag(lam) Q^H||_2 against b itself (so e covers b's
+    anti-Hermitian part too), f >= ||Q^H Q - I||_2, lam_max = max |lam|,
+    q_fro2 = n (1 + f) >= ||Q||_F^2, and gamma = 2 gamma_{n+6} (gamma_k = k u
+    / (1 - k u), u = 2^-53), which covers the rounding of one length-n
+    complex inner product, a scaling and a division (Higham 2002, sec.
+    3.1-3.6).  Each of e and f is the Frobenius norm of its computed
+    residual plus gamma times ||Q||_F^2 (times lam_max for e), the entrywise
+    bound on the rounding of its product; f's own rounding term reads
+    ||Q||_F^2 <= n (1 + f), hence its divisor 1 - gamma n."""
+    n = b.shape[0]
+    u = np.finfo(np.float64).eps / 2
+    gamma = 2 * (n + 6) * u / (1 - (n + 6) * u)
+    gram = qh @ q
+    gram[np.diag_indices(n)] -= 1.0  # exact: each diagonal entry is near 1
+    f = ((1 + gamma) * float(np.linalg.norm(gram)) + gamma * n) / (1 - gamma * n)
+    lam_max, q_fro2 = float(np.max(np.abs(lam))), n * (1 + f)
+    e = (1 + gamma) * float(np.linalg.norm(b - (q * lam) @ qh)) + gamma * lam_max * q_fro2
+    return e, f, lam_max, q_fro2, gamma
 
 
 def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.ndarray:
     """(I - z*a1)^{-1}, checked against r = CUTOFFS["residual"].
 
-    Two kernels, chosen by the pencil.  When cp.hermitian_basis holds
-    (lam, Q, Q^H), the check costs O(n), one pass over 1 - z lam:
-    residual_bound(cp, z, 1 - z lam) above r or not finite raises
-    SingularAt(z), and an exact zero 1 - z lam reads inf there.  That bound
-    is an upper bound on the residual
-    ||(I - z a1) X - I||_2 of the X returned, so it never accepts a node the
-    measured residual would refuse, and no n x n residual is formed.  The
-    sample is X = (Q diag(1/(1 - z lam))) Q^H, one product, or, with
-    coordinates=True (contour_coefficients' integrand), just the vector
-    1/(1 - z lam) of its eigen-coordinates, O(n) in all.
+    Two kernels, chosen by the pencil.  When cp.hermitian_nodes holds
+    (lam, Q, Q^H, c0, c1, c2), the check costs O(n), one pass over 1 - z lam:
+    with s = |z| and g = 1 / min_k |1 - z lam_k|, the bound c0 + (c2 + s c1) g,
+    evaluated in Python floats, above r or not finite raises SingularAt(z),
+    and an exact zero 1 - z lam reads inf there.  The bound is an upper bound
+    on the residual ||(I - z a1) X - I||_2 of the X returned, so it never
+    accepts a node the measured residual would refuse, and no n x n residual
+    is formed.  With (e, f, a, q_fro2, gamma) the eigh's backward error
+    (_eigh_error), the exact X = Q diag(d) Q^H (d_k = 1/(1 - z lam_k)) leaves
+    the residual (QQ^H - I) - z Q diag(lam) (Q^H Q - I) diag(d) Q^H - z E Q
+    diag(d) Q^H, E = a1 - Q diag(lam) Q^H, whose norm is at most f + s (1 +
+    f)(a f + e) g (Higham 2002, normwise backward error).  Rounding adds (1 +
+    f) gamma (1 + s a g) for the computed 1 - z lam_k and (1 + s((1 + f) a +
+    e)) gamma q_fro2 g, ||I - z a1||_2 times the bound gamma |Q| diag(|d|)
+    |Q^H| on forming X; (c0, c1, c2) is that sum regrouped by powers of s and
+    g.  NaN in z reads NaN, so it is singular too.  The sample is X = (Q
+    diag(1/(1 - z lam))) Q^H, one product.
 
     Otherwise X is one LAPACK gesv against the identity right-hand side
     (``np.linalg.inv``), the same factorization and the same bits as
@@ -363,31 +303,41 @@ def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.
     squared: it bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts
     without an SVD.  A non-finite screen (z a1 may overflow) raises
     SingularAt(z), and any other R gets the exact spectral-norm test.
-    coordinates=True on this kernel is a ValueError.
+
+    coordinates=True returns the kernel's own coordinates of X, which
+    from_coordinates maps back to an operator: the vector 1/(1 - z lam),
+    O(n) in all, on the Hermitian kernel, and X itself on LU.
     """
-    basis = cp.hermitian_basis
-    if basis is not None:
-        lam, q, qh = basis
+    nodes = cp.hermitian_nodes
+    if nodes is not None:
+        lam, q, qh, c0, c1, c2 = nodes
         lhs_eigs = 1.0 - z * lam
-        if not residual_bound(cp, z, lhs_eigs) <= CUTOFFS["residual"]:
+        low = float(abs(lhs_eigs).min())
+        if not low or not c0 + (c2 + float(abs(z)) * c1) / low <= CUTOFFS["residual"]:
             raise SingularAt(z)
         return 1.0 / lhs_eigs if coordinates else (q / lhs_eigs) @ qh
-    if coordinates:
-        raise ValueError("eigen-coordinates need a Hermitian pencil")
     lhs = z * cp.a1
-    np.subtract(cp.identity(), lhs, out=lhs)
+    np.subtract(cp.identity, lhs, out=lhs)
     try:
         out = np.linalg.inv(lhs)
     except np.linalg.LinAlgError as exc:
         raise SingularAt(z) from exc
     res = lhs @ out
-    res -= cp.identity()
+    res -= cp.identity
     cut = CUTOFFS["residual"]  # read once per node: the screen builds no Decision
     screen = np.vdot(res, res).real
     if not (screen <= cut * cut
             or np.isfinite(screen) and within("residual", operator_norm(res)).holds):
         raise SingularAt(z)
     return out
+
+
+def from_coordinates(cp: CompanionPencil, c: np.ndarray) -> np.ndarray:
+    """The operator whose coordinates on cp's kernel are c, for c any linear
+    combination of resolvent(cp, z, coordinates=True) samples: Q diag(c) Q^H
+    on the Hermitian kernel, one product, and c itself on LU."""
+    nodes = cp.hermitian_nodes
+    return c if nodes is None else (nodes[1] * c) @ nodes[2]
 
 
 @dataclass(frozen=True)

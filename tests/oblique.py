@@ -80,7 +80,7 @@ def order_two_projection(cp, n_minus2, ran_complement=None, ker_complement=None)
     that fails raises NotComplementary, naming its pair.  The graft
     Q^g = cp.coupling_inverse does not depend on them.  The Gamma assembly
     is grj._order_two_projection's, summand for summand."""
-    eye = cp.identity()
+    eye = cp.identity
     ran_c = cp.unit_range_complement if ran_complement is None else ran_complement
     ker_c = cp.unit_kernel_complement if ker_complement is None else ker_complement
     p_ran = oblique_projection(cp.unit_range, ran_c)

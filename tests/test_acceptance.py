@@ -179,10 +179,10 @@ def test_criterion_4_laurent_algebra():
                 left = coeffs[j] @ cp.a1 @ coeffs[k]
                 right = (1.0 - (j >= 0) - (k >= 0)) * coeffs[j + k + 1]
                 worst = max(worst, operator_norm(left - right) / scale)
-        m = cp.identity() - cp.a1
+        m = cp.identity - cp.a1
         for j in (-2, -1, 0):
             lhs = cp.a1 @ coeffs[j - 1] - m @ coeffs[j]
-            rhs = cp.identity() if j == 0 else np.zeros_like(lhs)
+            rhs = cp.identity if j == 0 else np.zeros_like(lhs)
             worst = max(worst, operator_norm(lhs - rhs) / max(scale, 1.0))
         checked = 0
         while checked < 10:

@@ -145,6 +145,20 @@ def test_represent_builds_two_spectra_and_one_quadrature(capsys, monkeypatch, ar
                              ("spectrum_report", None)]
 
 
+@pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+@pytest.mark.parametrize("example, eighs", [("ex-evenodd", 1), ("ex-c0", 0)],
+                         ids=["hermitian", "lu"])
+def test_each_command_chooses_the_resolvent_kernel_once(capsys, monkeypatch, command,
+                                                        example, eighs):
+    # one pencil per command, whose cached hermitian_nodes every node reads:
+    # one eigh on a Hermitian model, none on any other
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    code, _, _ = run(capsys, [command, example])
+    assert code == 0
+    assert len(calls) == eighs
+
+
 def test_analyze_unknown_example(capsys):
     code, _, err = run(capsys, ["analyze", "ex-nonsense"])
     assert code == 1

@@ -118,7 +118,7 @@ def order_two_spaces(cp, ran_c):
     W along ran M (+) W_C (0 when W = {0})."""
     ran = cp.unit_range
     p_ran = oblique_projection(ran, ran_c)
-    off_range = cp.identity() - p_ran
+    off_range = cp.identity - p_ran
     w = off_range @ cp.unit_intersection_complement
     w_c = off_range @ cp.unit_sum_complement
     p_w = (oblique_projection(w, np.hstack([ran, w_c]))
@@ -256,7 +256,7 @@ def n_minus2_through_w_c(cp, ran_c, ker_c):
     """N_{-2} = K (A M^g K)^{-1} A with A = W_C^H P_{W_C}: the restricted
     map K -> W_C of the paper, for a given complement pair, with the
     generalized inverse M^g = K_C (M K_C)^+ P_ran (K_C the basis of ker_c)."""
-    eye = cp.identity()
+    eye = cp.identity
     p_ran, _, w_c, p_w = order_two_spaces(cp, ran_c)
     coeffs, *_ = np.linalg.lstsq(cp.m @ ker_c, p_ran, rcond=None)
     gen_inverse = ker_c @ coeffs
@@ -307,7 +307,7 @@ def test_h_series_inverts_the_pencil(evenodd_cp):
     geometric tail), which is exactly what makes nu_t stationary."""
     rep = i1_components(evenodd_cp, j_max=4)
     p = rep.p_operator
-    eye = evenodd_cp.identity()
+    eye = evenodd_cp.identity
     terms = 220
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -474,7 +474,7 @@ def test_class_checks_decompose_m_once(monkeypatch):
     # geometry and its generalized inverse all read the pencil's one SVD
     # of M = I - B (a fresh pencil: a fixture pencil keeps its caches)
     cp = linearize(jordan_model(2, blocks_at_one=[2])[0])
-    m = cp.identity() - cp.a1
+    m = cp.identity - cp.a1
     svd = np.linalg.svd
     calls = []
 

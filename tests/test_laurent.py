@@ -92,10 +92,10 @@ def test_identity_expansion(make):
     """B N_{j-1} - (I - B) N_j = [j == 0] I, for j in {-2, -1, 0}."""
     cp = make()
     coeffs = coefficient_table(cp, -4, 1)
-    m = cp.identity() - cp.a1
+    m = cp.identity - cp.a1
     for j in (-2, -1, 0):
         lhs = cp.a1 @ coeffs[j - 1] - m @ coeffs[j]
-        rhs = cp.identity() if j == 0 else np.zeros_like(lhs)
+        rhs = cp.identity if j == 0 else np.zeros_like(lhs)
         assert operator_norm(lhs - rhs) < 1e-7
 
 
@@ -207,7 +207,7 @@ def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8):
     # test to test): M = I - B is decomposed once, so is D_1 = V_r^H U_r S_r,
     # the block the staircase continues on, and no power of M is formed
     cp = linearize(shift8)
-    m = cp.identity() - cp.a1
+    m = cp.identity - cp.a1
     powers = [m @ m, m @ m @ m]
     svd = np.linalg.svd
     inputs = []
@@ -405,14 +405,14 @@ def test_laurent_algebra_gap_sees_a_perturbed_coefficient(shift8_cp, perturb_coe
 def _on_the_lu_kernel(cp):
     """The same pencil with no eigenbasis, so every node is an LU inverse."""
     lu = linearize(cp.ar)
-    lu.__dict__["hermitian_basis"] = None  # cached_property: the instance entry wins
+    lu.__dict__["hermitian_nodes"] = None  # cached_property: the instance entry wins
     return lu
 
 
 @pytest.mark.parametrize("make", HERMITIAN_CIRCLES.values(), ids=HERMITIAN_CIRCLES.keys())
 def test_eigen_coordinate_contour_matches_the_lu_kernel(monkeypatch, make):
     cp = linearize(make())
-    assert cp.hermitian_basis is not None
+    assert cp.hermitian_nodes is not None
     levels, circle = [], laurent.circle_coefficients
 
     def counted(*args, **kwargs):

@@ -47,14 +47,14 @@ def test_eval_poly():
 
 def test_identity_is_one_read_only_array_per_pencil():
     cp = linearize(two_lag_fixture())
-    eye = cp.identity()
-    assert eye is cp.identity()
+    eye = cp.identity
+    assert eye is cp.identity
     assert_allclose(eye, np.eye(4))
     with pytest.raises(ValueError):
         eye[0, 0] = 2.0
     # resolvent solves against it and leaves it as it was
     resolvent(cp, 0.3 + 0.1j)
-    assert_allclose(cp.identity(), np.eye(4), rtol=0, atol=0)
+    assert_allclose(cp.identity, np.eye(4), rtol=0, atol=0)
 
 
 def test_block_inverse_identity():
@@ -75,7 +75,7 @@ def test_resolvent_is_the_inverse():
     cp = linearize(two_lag_fixture())
     z = 0.4 + 0.1j
     r = resolvent(cp, z)
-    assert_allclose((cp.identity() - z * cp.a1) @ r, cp.identity(), atol=1e-12)
+    assert_allclose((cp.identity - z * cp.a1) @ r, cp.identity, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 12, 64])
@@ -89,8 +89,8 @@ def test_resolvent_matches_solve_against_identity_to_the_bit(n, complex_coeffs):
     nodes = np.exp(2j * np.pi * np.arange(16) / 16)
     # the contour circle around 1 and the Taylor circle around 0
     for z in np.concatenate([1.0 + 0.5 * nodes, 0.9 * nodes]):
-        lhs = cp.identity() - z * cp.a1
-        assert np.array_equal(resolvent(cp, z), np.linalg.solve(lhs, cp.identity()))
+        lhs = cp.identity - z * cp.a1
+        assert np.array_equal(resolvent(cp, z), np.linalg.solve(lhs, cp.identity))
 
 
 def test_resolvent_singular_point_raises():
@@ -120,7 +120,7 @@ def _screen_pencil(kind):
     rng = np.random.default_rng(7)
     g, h = 0.3 * rng.standard_normal((2, 12, 12))
     cp = linearize(ArPencil(1, 12, [SCREEN_COEFFS[kind](g, h)]))
-    assert (cp.hermitian_basis is None) == (kind == "general")
+    assert (cp.hermitian_nodes is None) == (kind == "general")
     return cp
 
 
@@ -148,8 +148,23 @@ def _screen_case(kind, monkeypatch):
 
 
 def _node_bound(cp, z):
-    """The residual bound resolvent checks at z on a Hermitian pencil."""
-    return pencil.residual_bound(cp, z, 1.0 - z * cp.hermitian_basis[0])
+    """The residual bound resolvent checks at z on a Hermitian pencil, as its
+    docstring folds it: c0 + (c2 + |z| c1) / min_k |1 - z lam_k|, inf when
+    some 1 - z lam_k is exactly zero."""
+    lam, _, _, c0, c1, c2 = cp.hermitian_nodes
+    low = float(np.min(np.abs(1.0 - z * lam)))
+    return c0 + (c2 + abs(z) * c1) / low if low else np.inf
+
+
+def _eigh_of(cp):
+    """(b, lam, Q, Q^H): a1 as the pencil reads it (float64 when real) and
+    the eigh of its Hermitian part, matched bit for bit against the lam and
+    Q that cp.hermitian_nodes keeps."""
+    b = cp.a1 if cp.a1.imag.any() else cp.a1.real
+    lam, q = np.linalg.eigh(_hermitian_part(b))
+    assert np.array_equal(lam, cp.hermitian_nodes[0])
+    assert np.array_equal(q, cp.hermitian_nodes[1])
+    return b, lam, q, q.conj().T
 
 
 def test_resolvent_screen_accepts_without_an_svd(monkeypatch):
@@ -164,7 +179,7 @@ def test_resolvent_screen_accepts_without_an_svd(monkeypatch):
             calls = _spy_svd_norms(m)
             out = resolvent(cp, z)
             assert calls == [], kind
-            assert_allclose((cp.identity() - z * cp.a1) @ out, cp.identity(), atol=1e-12)
+            assert_allclose((cp.identity - z * cp.a1) @ out, cp.identity, atol=1e-12)
 
 
 def _planted_basis_error(monkeypatch, kind):
@@ -255,21 +270,26 @@ NOT_HERMITIAN = {
 
 
 @pytest.mark.parametrize("make", HERMITIAN.values(), ids=HERMITIAN.keys())
-def test_hermitian_operator_is_sampled_in_its_eigenbasis(make):
+def test_hermitian_operator_is_sampled_in_its_eigenbasis(monkeypatch, make):
     cp = linearize(make())
-    lam, q, qh = cp.hermitian_eig
-    assert q.dtype == (np.float64 if not cp.a1.imag.any() else np.complex128)
+    real = not cp.a1.imag.any()
+    reads, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: reads.append(a.dtype) or eigh(a))
+    nodes = cp.hermitian_nodes
+    assert nodes is cp.hermitian_nodes  # one eigh per pencil
+    # a real a1 is read as float64, so its basis has no imaginary part
+    assert reads == [np.float64 if real else np.complex128]
+    lam, q, qh = nodes[:3]
     assert_allclose((q * lam) @ qh, cp.a1, rtol=0, atol=1e-13)
-    assert cp.hermitian_eig is cp.hermitian_eig  # one eigh per pencil
-    # the nodes read one complex copy of the same basis, built once per pencil
-    basis = cp.hermitian_basis
-    assert basis is cp.hermitian_basis
-    assert basis[0] is lam
-    for real, copy in zip((q, qh), basis[1:]):
+    assert not (real and q.imag.any())
+    # the nodes read one complex copy of the basis, built once per pencil
+    assert lam.dtype == np.float64 and not lam.flags.writeable
+    for copy in (q, qh):
         assert copy.dtype == np.complex128 and not copy.flags.writeable
-        assert np.array_equal(copy, real)
+    assert np.array_equal(qh, q.conj().T)
+    assert all(type(c) is float for c in nodes[3:])
     resolvent(cp, 0.5j)
-    assert cp.hermitian_basis is basis
+    assert cp.hermitian_nodes is nodes and len(reads) == 1
 
 
 @pytest.mark.parametrize("make", HERMITIAN.values(), ids=HERMITIAN.keys())
@@ -278,36 +298,48 @@ def test_residual_bound_is_no_looser_than_the_measured_residual(make):
     cp = linearize(make())
     radius = pick_radius(spectrum_report(cp))
     for z in 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32):
-        measured = np.linalg.norm((cp.identity() - z * cp.a1) @ resolvent(cp, z) - cp.identity(), 2)
+        measured = np.linalg.norm((cp.identity - z * cp.a1) @ resolvent(cp, z) - cp.identity, 2)
         assert measured <= _node_bound(cp, z) <= CUTOFFS["residual"], z
 
 
 def _expanded_bound(cp, z):
-    """residual_bound's docstring expression term by term, unfolded."""
-    e, f, a, q_fro2, gamma = cp.eigh_error
-    s, g = abs(z), 1.0 / np.min(np.abs(1.0 - z * cp.hermitian_basis[0]))
+    """resolvent's Hermitian bound term by term, unfolded, as its docstring
+    writes it."""
+    e, f, a, q_fro2, gamma = pencil._eigh_error(*_eigh_of(cp))
+    s, g = abs(z), 1.0 / np.min(np.abs(1.0 - z * cp.hermitian_nodes[0]))
     return (f + (1 + f) * (gamma * (1 + s * a * g) + s * g * (a * f + e))
             + (1 + s * ((1 + f) * a + e)) * gamma * q_fro2 * g)
 
 
 @pytest.mark.parametrize("make", HERMITIAN.values(), ids=HERMITIAN.keys())
-def test_folded_residual_bound_is_the_documented_bound(make):
+def test_folded_residual_bound_is_the_documented_bound(monkeypatch, make):
     # the same 32 nodes as above; folding regroups the sum, so only rounding moves
     cp = linearize(make())
-    assert cp.residual_coeffs is cp.residual_coeffs  # once per pencil
-    assert all(type(c) is float for c in cp.residual_coeffs)
     radius = pick_radius(spectrum_report(cp))
     for z in 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32):
-        expanded = _expanded_bound(cp, z)
-        assert abs(_node_bound(cp, z) - expanded) <= 4 * np.spacing(expanded), z
+        expanded, bound = _expanded_bound(cp, z), _node_bound(cp, z)
+        assert abs(bound - expanded) <= 4 * np.spacing(expanded), z
+        # resolvent decides by exactly this bound: a cut at it accepts, one
+        # ulp below refuses
+        with monkeypatch.context() as m:
+            m.setitem(CUTOFFS, "residual", bound)
+            resolvent(cp, z)
+            m.setitem(CUTOFFS, "residual", np.nextafter(bound, 0.0))
+            with pytest.raises(SingularAt):
+                resolvent(cp, z)
 
 
-def test_residual_bound_is_not_finite_off_the_regular_points():
+def test_residual_bound_is_not_finite_off_the_regular_points(monkeypatch):
     cp = linearize(random_walk_model(2))
     assert _node_bound(cp, 1.0) == np.inf  # 1 - z lam is exactly zero
+    # no finite cut accepts these nodes
+    monkeypatch.setitem(CUTOFFS, "residual", np.finfo(np.float64).max)
     with np.errstate(invalid="ignore"):
         for z in (complex(np.nan), complex(np.inf)):
             assert not np.isfinite(_node_bound(cp, z)), z
+        for z in (1.0, complex(np.nan), complex(np.inf)):
+            with pytest.raises(SingularAt):
+                resolvent(cp, z)
 
 
 @pytest.mark.parametrize("kind", SCREEN_COEFFS)
@@ -326,35 +358,24 @@ def test_eigh_error_bounds_the_backward_error():
     # against a1 itself, not against the Hermitian part that eigh reads
     for a1 in (b, b + 1e-16 * (skew - skew.T)):
         cp = linearize(ArPencil(1, 16, [a1]))
-        lam, q, qh = cp.hermitian_eig
-        err = cp.eigh_error
-        assert err is cp.eigh_error  # once per pencil
-        assert np.linalg.norm(cp.a1 - (q * lam) @ qh, 2) <= err.e < 1e-12
-        assert np.linalg.norm(qh @ q - np.eye(16), 2) <= err.f < 1e-12
-        assert err.lam_max == np.max(np.abs(lam)) and err.q_fro2 >= np.linalg.norm(q) ** 2
+        b_read, lam, q, qh = _eigh_of(cp)
+        assert b_read is cp.a1
+        e, f, lam_max, q_fro2, _ = pencil._eigh_error(b_read, lam, q, qh)
+        assert np.linalg.norm(cp.a1 - (q * lam) @ qh, 2) <= e < 1e-12
+        assert np.linalg.norm(qh @ q - np.eye(16), 2) <= f < 1e-12
+        assert lam_max == np.max(np.abs(lam)) and q_fro2 >= np.linalg.norm(q) ** 2
 
 
 @pytest.mark.parametrize("make", NOT_HERMITIAN.values(), ids=NOT_HERMITIAN.keys())
 def test_other_operators_keep_the_lu_kernel(make):
     cp = linearize(make())
-    assert cp.hermitian_eig is None and cp.hermitian_basis is None and cp.eigh_error is None
-    with pytest.raises(ValueError):
-        resolvent(cp, 0.5j, coordinates=True)
-
-
-@pytest.mark.parametrize("ar", [two_lag_fixture(), build_example("ex-evenodd", n=8)[0],
-                                ArPencil(1, 2, [np.diag([1.0, 0.5j])]),
-                                complex_hermitian_model(4, 1)],
-                         ids=["real-ar2", "real-hermitian", "complex", "complex-hermitian"])
-def test_a_real_operator_is_read_once_as_float64(ar):
-    cp = linearize(ar)
-    b = cp.real_a1
-    assert b is cp.real_a1
-    if cp.a1.imag.any():
-        assert b is None
-    else:
-        assert b.dtype == np.float64 and not b.flags.writeable
-        assert np.array_equal(b, cp.a1)
+    assert cp.hermitian_nodes is None
+    # the LU kernel's coordinates are the sample itself, at a regular point
+    # (z a1 has entries of modulus at most 1/2, so the overflow model has one)
+    z = 0.5j / np.max(np.abs(cp.a1))
+    sample = resolvent(cp, z)
+    assert np.array_equal(resolvent(cp, z, coordinates=True), sample)
+    assert pencil.from_coordinates(cp, sample) is sample
 
 
 HERMITIAN_CIRCLES = {
@@ -371,7 +392,7 @@ def test_hermitian_kernel_matches_the_lu_inverse_on_the_default_circle(monkeypat
     cp = linearize(make())
     radius = pick_radius(spectrum_report(cp))
     zs = 1.0 + radius * np.exp(2j * np.pi * np.arange(32) / 32)
-    expected = [np.linalg.inv(cp.identity() - z * cp.a1) for z in zs]
+    expected = [np.linalg.inv(cp.identity - z * cp.a1) for z in zs]
     lu_calls, real_inv = [], np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda *a: lu_calls.append(1) or real_inv(*a))
     for z, inv in zip(zs, expected):
