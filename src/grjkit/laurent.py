@@ -28,6 +28,10 @@ index is read by the staircase of Golub & Wilkinson (SIAM Rev. 18,
 1976), which deflates the kernel of G by unitary compressions and never
 forms a power, and is cross-checked against the Jordan ascent, which the
 same loop (numfield._staircase) reads off the pencil's SVD of I - B.
+On the LU kernel the contour integrates R(z) V for an n x L probe block V
+instead of R(z) itself: N_{-1} V spans ran P, on which G is an r x r
+matrix (Beyn, Linear Algebra Appl. 436, 2012; Guettel & Tisseur, Acta
+Numer. 26, 2017).
 Ranks or norms of the powers G^k are no route: honest powers of
 triangular quadrature models drop below any cut-off long before they
 vanish, and a semisimple root leaves a G of rounding size whose
@@ -40,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import CUTOFFS, _staircase, fit_geometric_decay, operator_norm, within
-from .pencil import (CompanionPencil, SpectrumReport, from_coordinates, resolvent,
+from .numfield import (CUTOFFS, _staircase, fit_geometric_decay, operator_norm, range_basis,
+                       within)
+from .pencil import (CompanionPencil, SpectrumReport, from_coordinates, probe_block, resolvent,
                      spectrum_report)
 
 DEFAULT_NODES = 256
@@ -50,6 +55,7 @@ MAX_NODES = 4096  # node doubling stops here; a start must lie below it
 SAMPLE_BLOCK_BYTES = 2 << 20  # samples and twiddle columns held at once per level;
                               # a block holds >= 1 node
 TWIDDLE_BYTES_PER_INDEX = 32  # per node and index: a complex weight and two int64 exponents
+PROBE_OVERSAMPLING = 8  # pole_order's probe columns beyond the multiplicity at 1
 
 
 class NoUnitRoot(ArithmeticError):
@@ -190,12 +196,6 @@ def contour_coefficients(cp: CompanionPencil, js, nodes=DEFAULT_NODES, spectrum=
     return {j: from_coordinates(cp, -coeffs[j]) for j in js}
 
 
-def riesz_projection(cp: CompanionPencil, spectrum=None) -> np.ndarray:
-    """Spectral projection for the unit eigenvalue group: N_{-1} composed
-    with the companion operator, on the default contour."""
-    return contour_coefficients(cp, [-1], spectrum=spectrum)[-1] @ cp.a1
-
-
 @dataclass(frozen=True)
 class PoleOrderReport:
     order: int
@@ -223,6 +223,36 @@ def _nilpotency_index_by_rank(proj, g) -> int:
     return len(weyr) if sum(weyr) == n else n
 
 
+def _probed_index(cp: CompanionPencil, rep: SpectrumReport):
+    """Nilpotency index of G = (I - B) P from a probe of the contour, or None
+    at the cap.
+
+    With m = cp.kernel_chain[-1] and L = m + PROBE_OVERSAMPLING, each node
+    solves against the n x L probe_block V, and one circle_coefficients call
+    (the default circle, nodes and stopping rule) integrates Y = N_{-1} V;
+    its level change ||dN_{-1} V||_2 <= ||dN_{-1}||_2, so it settles no
+    later than the full samples would.  Y spans ran P, so with Q =
+    range_basis(Y), of rank r, G on ran P is the r x r matrix Q^H (I - B) Q,
+    whose index the staircase reads, every step cut at CUTOFFS["rank"] *
+    max(1, ||.||_2); n if it stops short.  r = L may miss part of ran P, so
+    L doubles; None once L reaches n, where V would be I."""
+    n = cp.big_dim
+    width = cp.kernel_chain[-1] + PROBE_OVERSAMPLING
+    while width < n:
+        probe = probe_block(n, width)
+        coeffs, _, _ = circle_coefficients(
+            lambda z: resolvent(cp, z, probe=probe), [-1], center=1.0,
+            radius=pick_radius(rep))
+        basis = range_basis(coeffs[-1])
+        rank = basis.shape[1]
+        if rank < width:
+            weyr = _staircase(basis.conj().T @ cp.m @ basis,
+                              lambda norm_g: CUTOFFS["rank"] * max(1, norm_g))
+            return len(weyr) if sum(weyr) == rank else n
+        width *= 2
+    return None
+
+
 def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
     """Pole order of the inverse pencil at z = 1.
 
@@ -234,15 +264,21 @@ def pole_order(cp: CompanionPencil, spectrum=None) -> PoleOrderReport:
     essential_from_sweep).  Raises NoUnitRoot unless z = 1 is a usable
     unit root (require_unit_root).
 
-    P is the Riesz projection N_{-1} B from one contour quadrature on the
-    default circle, the only one grj analyze runs: check_i1 and check_i2
-    read integers off the pencil.  ``spectrum`` may be the spectrum_report
-    of this same cp; without it one is computed here.
+    G comes from one contour quadrature on the default circle, the only one
+    grj analyze runs: check_i1 and check_i2 read integers off the pencil.
+    On the LU kernel with m + PROBE_OVERSAMPLING < n the nodes solve
+    against an n x L probe block and G is read on ran P as an r x r matrix
+    (_probed_index).  A Hermitian pencil, whose nodes are O(n)
+    eigen-coordinates already, and the cap (m + PROBE_OVERSAMPLING >= n)
+    read the Riesz projection P = N_{-1} B and G = (I - B) P in full.
+    ``spectrum`` may be the spectrum_report of this same cp; without it one
+    is computed here.
     """
     rep = require_unit_root(spectrum if spectrum is not None else spectrum_report(cp))
-    proj = riesz_projection(cp, spectrum=rep)
-    g = cp.m @ proj
-    index = _nilpotency_index_by_rank(proj, g)
+    index = _probed_index(cp, rep) if cp.hermitian_nodes is None else None
+    if index is None:
+        proj = contour_coefficients(cp, [-1], spectrum=rep)[-1] @ cp.a1
+        index = _nilpotency_index_by_rank(proj, cp.m @ proj)
     return PoleOrderReport(
         order=index,
         essential_flag=index >= cp.big_dim,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -106,8 +106,9 @@ class CompanionPencil:
     resolvent samples (I - z a1)^{-1} with one of two kernels, chosen once
     per pencil by one cached value: ``hermitian_nodes``, everything a node
     in a1's eigenbasis reads when a1 is Hermitian (one eigh), and None,
-    which selects an LU inverse, otherwise.  ``eigenvalues`` holds a1's
-    eigenvalues, one eigvals per pencil, for every spectrum_report of it.
+    which selects an LU solve (against I, or a probe block), otherwise.
+    ``eigenvalues`` holds a1's eigenvalues, one eigvals per pencil, for
+    every spectrum_report of it.
     """
 
     a1: np.ndarray
@@ -274,8 +275,10 @@ def _eigh_error(b, lam, q, qh) -> tuple:
     return e, f, lam_max, q_fro2, gamma
 
 
-def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.ndarray:
-    """(I - z*a1)^{-1}, checked against r = CUTOFFS["residual"].
+def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False,
+              probe: np.ndarray | None = None) -> np.ndarray:
+    """(I - z*a1)^{-1}, or (I - z*a1)^{-1} V with probe=V, checked against
+    r = CUTOFFS["residual"].
 
     Two kernels, chosen by the pencil.  When cp.hermitian_nodes holds
     (lam, Q, Q^H, c0, c1, c2), the check costs O(n), one pass over 1 - z lam:
@@ -295,14 +298,20 @@ def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.
     g.  NaN in z reads NaN, so it is singular too.  The sample is X = (Q
     diag(1/(1 - z lam))) Q^H, one product.
 
-    Otherwise X is one LAPACK gesv against the identity right-hand side
-    (``np.linalg.inv``), the same factorization and the same bits as
-    ``np.linalg.solve(I - z*a1, I)``, a singular solve raises SingularAt(z),
-    and the residual R = (I - z a1) X - I is measured in the spectral norm.
-    The O(n^2) squared Frobenius norm screens first, compared with r
-    squared: it bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts
-    without an SVD.  A non-finite screen (z a1 may overflow) raises
-    SingularAt(z), and any other R gets the exact spectral-norm test.
+    Otherwise X is one LAPACK gesv of I - z a1 against a right-hand side V:
+    the identity (``np.linalg.inv``, the same bits as
+    ``np.linalg.solve(I - z*a1, I)`` with a little less overhead), or with
+    probe=V an n x L block with orthonormal columns (probe_block), one
+    ``np.linalg.solve`` whose L right-hand sides cost one LU factorization
+    and L triangular pairs instead of n.  A singular solve raises
+    SingularAt(z), and the residual R = (I - z a1) X - V is measured in the
+    spectral norm against r ||V||_2, which is r itself for either V.  The
+    squared Frobenius norm of R screens first, compared with r squared: it
+    bounds ||R||_2 from above, so sum |R_ij|^2 <= r^2 accepts without an
+    SVD.  A non-finite screen (z a1 may overflow) raises SingularAt(z), and
+    any other R gets the exact spectral-norm test.  probe= is the LU
+    kernel's call shape only (a Hermitian node is O(n) already); on a
+    Hermitian pencil it raises ValueError.
 
     coordinates=True returns the kernel's own coordinates of X, which
     from_coordinates maps back to an operator: the vector 1/(1 - z lam),
@@ -310,26 +319,41 @@ def resolvent(cp: CompanionPencil, z: complex, coordinates: bool = False) -> np.
     """
     nodes = cp.hermitian_nodes
     if nodes is not None:
+        if probe is not None:
+            raise ValueError("probe= samples the LU kernel; this pencil is Hermitian")
         lam, q, qh, c0, c1, c2 = nodes
         lhs_eigs = 1.0 - z * lam
         low = float(abs(lhs_eigs).min())
         if not low or not c0 + (c2 + float(abs(z)) * c1) / low <= CUTOFFS["residual"]:
             raise SingularAt(z)
         return 1.0 / lhs_eigs if coordinates else (q / lhs_eigs) @ qh
+    rhs = cp.identity if probe is None else probe
     lhs = z * cp.a1
     np.subtract(cp.identity, lhs, out=lhs)
     try:
-        out = np.linalg.inv(lhs)
+        out = np.linalg.inv(lhs) if probe is None else np.linalg.solve(lhs, probe)
     except np.linalg.LinAlgError as exc:
         raise SingularAt(z) from exc
     res = lhs @ out
-    res -= cp.identity
+    res -= rhs
     cut = CUTOFFS["residual"]  # read once per node: the screen builds no Decision
     screen = np.vdot(res, res).real
     if not (screen <= cut * cut
             or np.isfinite(screen) and within("residual", operator_norm(res)).holds):
         raise SingularAt(z)
     return out
+
+
+@cache
+def probe_block(n: int, width: int) -> np.ndarray:
+    """An n x width block with orthonormal columns, resolvent's probe= right-hand
+    side: the Q of the QR of a complex Gaussian n x width block drawn from
+    np.random.default_rng(n), so its bytes depend on (n, width) alone and the
+    global np.random state is untouched.  One read-only array per (n, width)."""
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width)))
+    q.flags.writeable = False
+    return q
 
 
 def from_coordinates(cp: CompanionPencil, c: np.ndarray) -> np.ndarray:

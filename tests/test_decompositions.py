@@ -27,6 +27,9 @@ from grjkit import cli, grj, models, pencil
 
 CEILINGS = [
     (["analyze", "ex-c0", "--n", "8"], 8),
+    # the LU probe: the pole order decomposes the 32 x 10 Y = N_-1 V and
+    # the 2 x 2 compression of G to ran P, no 32 x 32 staircase
+    (["analyze", "ex-c0", "--n", "32"], 8),
     (["analyze", "ex-evenodd", "--n", "32"], 5),
     (["verify", "ex-evenodd"], 9),
     (["represent", "ex-c0"], 7),

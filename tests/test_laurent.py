@@ -15,8 +15,8 @@ from grjkit import laurent
 from grjkit.laurent import (MAX_NODES, ContourNotConverged, NoUnitRoot,
                             circle_coefficients, contour_coefficients,
                             essential_from_sweep, laurent_algebra_gap,
-                            pick_radius, pole_order, riesz_projection)
-from grjkit.models import evenodd_model, volterra_model
+                            pick_radius, pole_order)
+from grjkit.models import build_example, evenodd_model, jordan_model, volterra_model
 from grjkit.numfield import ascent_at_one, operator_norm
 from grjkit.pencil import ArPencil, SingularAt, linearize, resolvent, spectrum_report
 from test_pencil import HERMITIAN_CIRCLES
@@ -55,7 +55,7 @@ def test_jordan_block_closed_forms():
 
 def test_riesz_projection_idempotent_and_commuting():
     for cp in (diag_fixture(), j2_fixture()):
-        p = riesz_projection(cp)
+        p = contour_coefficients(cp, [-1])[-1] @ cp.a1
         assert operator_norm(p @ p - p) < 1e-10
         assert operator_norm(p @ cp.a1 - cp.a1 @ p) < 1e-10
 
@@ -64,7 +64,7 @@ def test_riesz_equals_residue_for_simple_pole():
     cp = diag_fixture()
     coeffs = contour_coefficients(cp, [-1])
     n_minus1 = coeffs[-1]
-    assert_allclose(riesz_projection(cp), n_minus1, atol=1e-12)
+    assert_allclose(n_minus1 @ cp.a1, n_minus1, atol=1e-12)
     assert operator_norm(n_minus1 @ n_minus1 - n_minus1) < 1e-10
 
 
@@ -197,8 +197,6 @@ def test_non_isolated_unit_root_raises():
         contour_coefficients(cp, [-1])
     with pytest.raises(NoUnitRoot, match="not isolated"):
         contour_coefficients(cp, [-1], spectrum=rep)
-    with pytest.raises(NoUnitRoot, match="not isolated"):
-        riesz_projection(cp)
 
 
 def test_pole_order_computes_the_kernel_chain_once(monkeypatch, shift8):
@@ -446,3 +444,61 @@ def test_hermitian_contour_nodes_sample_eigen_coordinates(monkeypatch, make):
     # two circles of at least 256 + 512 nodes, and every node a length-n
     # vector: no per-node n x n product
     assert len(shapes) >= 2 * 768 and set(shapes) == {(cp.big_dim,)}
+
+
+def _spy(monkeypatch, name, record):
+    """Record record(args, kwargs, out) of every call laurent makes to ``name``."""
+    real = getattr(laurent, name)
+
+    def spied(*args, **kwargs):
+        out = real(*args, **kwargs)
+        record(args, kwargs, out)
+        return out
+
+    monkeypatch.setattr(laurent, name, spied)
+
+
+# block structures at 1 planted with a 12-dimensional stable part, so that
+# m + 8 < n and pole_order takes the probe on every one of them
+PROBE_BLOCKS = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (3, 3)]
+
+
+def test_probe_order_matches_the_full_projection(monkeypatch):
+    samples, blocks_seen = [], []
+    _spy(monkeypatch, "resolvent", lambda a, kw, out: samples.append(out.shape))
+    _spy(monkeypatch, "_staircase", lambda a, kw, out: blocks_seen.append(a[0].shape))
+    for blocks in PROBE_BLOCKS:
+        for seed in range(6):
+            cp = linearize(jordan_model(seed, blocks_at_one=list(blocks), stable_dim=12)[0])
+            n, m = cp.big_dim, cp.kernel_chain[-1]
+            samples.clear()
+            blocks_seen.clear()
+            order = pole_order(cp).order
+            # 256 + 512 nodes, each an n x L probe sample, and one r x r
+            # staircase, r the contour's own multiplicity count
+            assert samples == [(n, m + laurent.PROBE_OVERSAMPLING)] * 768, (blocks, seed)
+            assert blocks_seen == [(m, m)], (blocks, seed)
+            proj = contour_coefficients(cp, [-1])[-1] @ cp.a1
+            assert order == laurent._nilpotency_index_by_rank(proj, cp.m @ proj) == max(blocks)
+
+
+def test_probe_width_doubles_while_the_probe_is_full_rank(monkeypatch):
+    # with no oversampling L = m, so Y = N_{-1} V is of full rank L, which
+    # cannot tell ran P from a probe too narrow for it: L doubles to 2m < n
+    cp = linearize(jordan_model(0, blocks_at_one=[3, 3], stable_dim=12)[0])
+    monkeypatch.setattr(laurent, "PROBE_OVERSAMPLING", 0)
+    samples = []
+    _spy(monkeypatch, "resolvent", lambda a, kw, out: samples.append(out.shape))
+    assert pole_order(cp).order == 3
+    assert samples == [(18, 6)] * 768 + [(18, 12)] * 768
+
+
+def test_pole_order_samples_full_operators_off_the_probe_path(monkeypatch):
+    # a Hermitian pencil keeps its eigen-coordinates, and at the cap (m + 8
+    # >= n) V would be I, so the nodes are the full samples
+    samples = []
+    _spy(monkeypatch, "resolvent", lambda a, kw, out: samples.append(out.shape))
+    for name, n, shape in (("ex-evenodd", 16, (16,)), ("ex-c0", 8, (8, 8))):
+        samples.clear()
+        pole_order(linearize(build_example(name, n=n)[0]))
+        assert samples and set(samples) == {shape}, name

@@ -378,6 +378,70 @@ def test_other_operators_keep_the_lu_kernel(make):
     assert pencil.from_coordinates(cp, sample) is sample
 
 
+@pytest.mark.parametrize("make", NOT_HERMITIAN.values(), ids=NOT_HERMITIAN.keys())
+def test_identity_probe_is_the_full_sample_to_the_bit(make):
+    cp = linearize(make())
+    scale = np.max(np.abs(cp.a1))
+    for z in (0.5j / scale, -0.4 / scale, (0.3 + 0.2j) / scale):
+        assert np.array_equal(resolvent(cp, z, probe=cp.identity), resolvent(cp, z))
+
+
+def _probe_case():
+    """ex-c0 at n = 32, a unit root of multiplicity 2 on the LU kernel, its
+    probe block (L = 2 + 8) and the first node of its default circle."""
+    cp = linearize(build_example("ex-c0", n=32)[0])
+    probe = pencil.probe_block(cp.big_dim, cp.kernel_chain[-1] + laurent.PROBE_OVERSAMPLING)
+    return cp, probe, 1.0 + pick_radius(spectrum_report(cp))
+
+
+def test_probe_node_checks_its_residual(monkeypatch):
+    cp, probe, z = _probe_case()
+    out = resolvent(cp, z, probe=probe)
+    assert out.shape == probe.shape
+    two = np.linalg.norm((cp.identity - z * cp.a1) @ out - probe, 2)
+    assert 0 < two <= CUTOFFS["residual"]
+    nodes, sample = [], laurent.resolvent
+    monkeypatch.setattr(laurent, "resolvent",
+                        lambda c, z, **kw: nodes.append(kw["probe"].shape) or sample(c, z, **kw))
+    # a cut just below the measured residual: pole_order's first probe node
+    # raises, and no second node is sampled
+    with monkeypatch.context() as m:
+        m.setitem(CUTOFFS, "residual", 0.99 * two)
+        with pytest.raises(SingularAt) as err:
+            laurent.pole_order(cp)
+    assert nodes == [probe.shape] and err.value.z == z
+    # just above it, the same node passes
+    monkeypatch.setitem(CUTOFFS, "residual", 1.01 * two)
+    assert np.array_equal(resolvent(cp, z, probe=probe), out)
+
+
+def test_probe_node_is_refused_at_the_unit_root_and_on_a_hermitian_pencil():
+    cp, probe, _ = _probe_case()
+    with pytest.raises(SingularAt) as err:
+        resolvent(cp, 1.0, probe=probe)
+    assert err.value.z == 1.0
+    # a Hermitian pencil's nodes take no probe
+    with pytest.raises(ValueError, match="probe"):
+        resolvent(linearize(random_walk_model(2)), 0.5, probe=np.eye(2))
+
+
+def test_probe_block_is_orthonormal_read_only_and_fixed():
+    np.random.random()  # off the start of any seed, which a reseed would restore
+    state = np.random.get_state()
+    pencil.probe_block.cache_clear()
+    block = pencil.probe_block(32, 10)
+    assert block.shape == (32, 10) and block.dtype == np.complex128
+    assert np.linalg.norm(block.conj().T @ block - np.eye(10), 2) < 1e-14
+    assert pencil.probe_block(32, 10) is block
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+    pencil.probe_block.cache_clear()
+    assert np.array_equal(pencil.probe_block(32, 10), block)  # a fresh draw, the same bytes
+    after = np.random.get_state()
+    assert state[0] == after[0] and np.array_equal(state[1], after[1])
+    assert state[2:] == after[2:]
+
+
 HERMITIAN_CIRCLES = {
     "ex-evenodd": lambda: build_example("ex-evenodd")[0],
     "ex-selfadjoint": lambda: build_example("ex-selfadjoint")[0],
